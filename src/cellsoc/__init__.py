@@ -60,6 +60,7 @@ from .model import (
     RcGroup,
     SimulationResult,
     Trace,
+    charge_map,
     coulomb_count,
     interval_currents,
     output_voltage,

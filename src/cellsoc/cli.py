@@ -53,7 +53,6 @@ _DATA_ERRORS = (
     SchedulingViolationError,
     OSError,
     json.JSONDecodeError,
-    KeyError,
 )
 _NUMERICAL_ERRORS = (NumericalFailureError, FitConvergenceError)
 
@@ -102,7 +101,7 @@ def _identification_config(path) -> IdentificationConfig:
     if path is None:
         return IdentificationConfig()
     with open(path, "r", encoding="utf-8") as fh:
-        return IdentificationConfig(**json.load(fh))
+        return IdentificationConfig.from_dict(json.load(fh))
 
 
 def cmd_identify(args) -> int:

@@ -8,6 +8,8 @@ integrals/derivatives are closed-form.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -84,48 +86,55 @@ class MonotoneCurve:
         idx = min(max(idx, 1), g.size - 1)
         return float((self.values[idx] - self.values[idx - 1]) / (g[idx] - g[idx - 1]))
 
-    def eval_and_slope(self, x: float) -> tuple[float, float]:
-        """Value and slope at a scalar ``x`` with one segment lookup.
-
-        Matches eval() and slope_at() exactly, knot values included.
-        """
-        g = self.grid
-        v = self.values
-        if x < g[0]:
-            return float(v[0]), 0.0
-        if x > g[-1]:
-            return float(v[-1]), 0.0
-        idx = int(np.searchsorted(g, x, side="left"))
-        idx = min(max(idx, 1), g.size - 1)
-        slope = float((v[idx] - v[idx - 1]) / (g[idx] - g[idx - 1]))
-        if x == g[idx]:
-            return float(v[idx]), slope
-        return float(v[idx - 1]) + slope * (x - float(g[idx - 1])), slope
-
     @cached_property
     def _knot_integrals(self) -> np.ndarray:
         seg = 0.5 * (self.values[1:] + self.values[:-1]) * np.diff(self.grid)
         return np.concatenate(([0.0], np.cumsum(seg)))
 
-    def _antiderivative(self, x: float) -> float:
-        # F(grid[0]) = 0; outside the grid the curve continues as a constant.
-        g, v = self.grid, self.values
+    @cached_property
+    def _tables(self) -> tuple[list[float], list[float], list[float]]:
+        # Grid, values and knot integrals as Python floats: the scalar paths
+        # below bisect these, which is several times cheaper than numpy calls.
+        return self.grid.tolist(), self.values.tolist(), self._knot_integrals.tolist()
+
+    def integral_and_value(self, x: float) -> tuple[float, float]:
+        """F(x) = integral of the interpolant from grid[0] to ``x``, and its value there.
+
+        Outside the grid the curve continues as a constant, so F is linear there.
+        """
+        g, v, knots = self._tables
         if x <= g[0]:
-            return float((x - g[0]) * v[0])
+            return (x - g[0]) * v[0], v[0]
         if x >= g[-1]:
-            return float(self._knot_integrals[-1] + (x - g[-1]) * v[-1])
-        idx = int(np.searchsorted(g, x, side="right")) - 1
+            return knots[-1] + (x - g[-1]) * v[-1], v[-1]
+        idx = bisect_right(g, x) - 1
         y = v[idx] + (v[idx + 1] - v[idx]) * (x - g[idx]) / (g[idx + 1] - g[idx])
-        return float(self._knot_integrals[idx] + 0.5 * (v[idx] + y) * (x - g[idx]))
+        return knots[idx] + 0.5 * (v[idx] + y) * (x - g[idx]), y
+
+    def inverse_integral(self, q: float) -> tuple[float, float]:
+        """The ``x`` with F(x) = ``q``, and the curve's value there.
+
+        Defined for curves with strictly positive values, where F is strictly
+        increasing; past the grid F is inverted along its linear extension.
+        """
+        g, v, knots = self._tables
+        if q <= 0.0:
+            return g[0] + q / v[0], v[0]
+        if q >= knots[-1]:
+            return g[-1] + (q - knots[-1]) / v[-1], v[-1]
+        idx = bisect_right(knots, q) - 1
+        dq = q - knots[idx]
+        c0 = v[idx]
+        slope = (v[idx + 1] - c0) / (g[idx + 1] - g[idx])
+        # Solve c0*u + slope*u^2/2 = dq for the offset u within the segment.
+        # The root is the value at the solution; this form is cancellation-free
+        # and valid for any slope sign including zero.
+        c1 = math.sqrt(max(c0 * c0 + 2.0 * slope * dq, 0.0))
+        return g[idx] + 2.0 * dq / (c0 + c1), c1
 
     def integrate(self, a: float, b: float) -> float:
         """Exact integral of the interpolant from ``a`` to ``b``."""
-        return self._antiderivative(b) - self._antiderivative(a)
-
-    def resampled(self, grid) -> "MonotoneCurve":
-        """New curve sampled at ``grid`` (values interpolated from this one)."""
-        grid = np.asarray(grid, dtype=float)
-        return MonotoneCurve(grid, np.interp(grid, self.grid, self.values))
+        return self.integral_and_value(b)[0] - self.integral_and_value(a)[0]
 
 
 def isotonic_nondecreasing(y, weights=None) -> np.ndarray:

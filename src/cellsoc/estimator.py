@@ -21,6 +21,7 @@ from .model import (
     Trace,
     _advance,
     _check_finite,
+    charge_map,
     interval_currents,
     output_voltage,
     soc_from_vqst,
@@ -106,46 +107,17 @@ def make_filter(cfg: EkfConfig) -> EkfState:
     return EkfState(cfg.initial_state.copy(), np.array(cfg.initial_covariance_p0))
 
 
-def _transition_diagonal(
-    state: CellState, params: CellParameters, current: float, dt: float
-) -> np.ndarray:
-    v = state.v_qst
-    cap = params.capacitance
-    c0, s0 = cap.eval_and_slope(v)
-    v_half = v + 0.5 * dt * current / c0
-    c_h, s_h = cap.eval_and_slope(v_half)
-    d_half = 1.0 - 0.5 * dt * current * s0 / (c0 * c0)
-    f00 = 1.0 - dt * current * s_h / (c_h * c_h) * d_half
-    return np.concatenate(([f00], np.exp(-dt / params.taus)))
-
-
 def transition_jacobian(
     state: CellState, params: CellParameters, current: float, dt: float
 ) -> np.ndarray:
     """Jacobian of one model step with respect to the state (diagonal).
 
-    The (0, 0) entry is the exact derivative of the midpoint update of v_qst,
-    obtained by the chain rule through the half step; the RC entries are the
-    exact decay factors. Off-diagonals are zero because the states do not
-    couple.
+    The (0, 0) entry is C(v0) / C(v1), the exact derivative of the charge map
+    Q(v1) = Q(v0) + i*dt; the RC entries are the exact decay factors.
+    Off-diagonals are zero because the states do not couple.
     """
-    return np.diag(_transition_diagonal(state, params, current, dt))
-
-
-def _propagate(
-    mean: CellState,
-    cov: np.ndarray,
-    params: CellParameters,
-    current: float,
-    dt: float,
-    q: np.ndarray,
-    guard: float,
-) -> tuple[CellState, np.ndarray]:
-    """One guard-satisfying substep of mean and covariance."""
-    f_diag = _transition_diagonal(mean, params, current, dt)
-    new_mean, _ = _advance(mean, params, current, dt, guard)
-    cov = np.outer(f_diag, f_diag) * cov + q * dt
-    return new_mean, 0.5 * (cov + cov.T)
+    _, f00 = charge_map(params.capacitance, state.v_qst, float(current * dt))
+    return np.diag(np.concatenate(([f00], np.exp(-dt / params.taus))))
 
 
 def predict(
@@ -158,23 +130,53 @@ def predict(
 ) -> EkfState:
     """A-priori estimate after ``dt`` seconds at the given current.
 
-    Steps longer than the model's stability guard are sub-stepped internally.
+    The model step is exact for any ``dt``, so a long gap is one step.
     """
     _check_finite(current=current, dt=dt)
     if dt <= 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    m = max(1, int(math.ceil(dt / params.dt_guard - 1e-12)))
-    dt_sub = dt / m
-    mean = ekf.mean
-    cov = ekf.covariance
-    for _ in range(m):
-        mean, cov = _propagate(mean, cov, params, current, dt_sub, cfg.process_noise_q, guard)
+    mean, _, f00, decay = _advance(ekf.mean, params, current, dt, guard)
+    f_diag = np.concatenate(([f00], decay))
+    cov = np.outer(f_diag, f_diag) * ekf.covariance + cfg.process_noise_q * dt
+    cov = 0.5 * (cov + cov.T)
     # Scaling by a diagonal and adding PSD noise preserves semidefiniteness, so
     # a finiteness/diagonal check suffices here; correct() re-proves PSD.
     d = np.diagonal(cov)
     if not math.isfinite(float(np.sum(cov))) or np.any(d < -PSD_TOLERANCE):
         raise NumericalFailureError("predicted covariance lost positive semidefiniteness")
     return EkfState(mean, cov)
+
+
+def _correct(
+    ekf: EkfState,
+    params: CellParameters,
+    measured_v: float,
+    current: float,
+    cfg: EkfConfig,
+) -> tuple[EkfState, float]:
+    """correct() plus the innovation it used (reported even when r is infinite)."""
+    _check_finite(measured_v=measured_v, current=current)
+    innovation = measured_v - output_voltage(ekf.mean, params, current)
+    if math.isinf(cfg.measurement_noise_r):
+        # Infinite measurement noise: the measurement carries no information.
+        return ekf.copy(), innovation
+    p = ekf.covariance
+    r = cfg.measurement_noise_r
+    s = float(np.sum(p)) + r  # H P H^T with H = [1, 1, ..., 1]
+    if s <= 0.0 or not math.isfinite(s):
+        raise NumericalFailureError(f"innovation variance is not positive ({s})")
+    gain = p.sum(axis=1) / s
+    x = ekf.mean.as_vector() + gain * innovation
+    a = np.eye(p.shape[0]) - gain[:, None]  # I - K H
+    cov = a @ p @ a.T + r * np.outer(gain, gain)
+    cov = 0.5 * (cov + cov.T)
+    try:
+        np.linalg.cholesky(cov + PSD_TOLERANCE * np.eye(cov.shape[0]))
+    except np.linalg.LinAlgError:
+        raise NumericalFailureError(
+            "corrected covariance lost positive semidefiniteness"
+        ) from None
+    return EkfState(CellState.from_vector(x), cov), innovation
 
 
 def correct(
@@ -190,28 +192,7 @@ def correct(
     instantaneous drop, so H is a row of ones. Joseph form keeps the
     covariance positive semidefinite.
     """
-    _check_finite(measured_v=measured_v, current=current)
-    if math.isinf(cfg.measurement_noise_r):
-        # Infinite measurement noise: the measurement carries no information.
-        return ekf.copy()
-    p = ekf.covariance
-    r = cfg.measurement_noise_r
-    innovation = measured_v - output_voltage(ekf.mean, params, current)
-    s = float(np.sum(p)) + r  # H P H^T with H = [1, 1, ..., 1]
-    if s <= 0.0 or not math.isfinite(s):
-        raise NumericalFailureError(f"innovation variance is not positive ({s})")
-    gain = p.sum(axis=1) / s
-    x = ekf.mean.as_vector() + gain * innovation
-    a = np.eye(p.shape[0]) - gain[:, None]  # I - K H
-    cov = a @ p @ a.T + r * np.outer(gain, gain)
-    cov = 0.5 * (cov + cov.T)
-    try:
-        np.linalg.cholesky(cov + PSD_TOLERANCE * np.eye(cov.shape[0]))
-    except np.linalg.LinAlgError:
-        raise NumericalFailureError(
-            "corrected covariance lost positive semidefiniteness"
-        ) from None
-    return EkfState(CellState.from_vector(x), cov)
+    return _correct(ekf, params, measured_v, current, cfg)[0]
 
 
 def estimate_soc(ekf: EkfState, params: CellParameters) -> float:
@@ -259,8 +240,7 @@ def run_filter(
     for k in range(n):
         if k > 0:
             state = predict(state, params, i_eff[k - 1], float(t[k] - t[k - 1]), cfg, guard)
-        innov[k] = voltage[k] - predicted_output(state, params, float(current[k]))
-        state = correct(state, params, float(voltage[k]), float(current[k]), cfg)
+        state, innov[k] = _correct(state, params, float(voltage[k]), float(current[k]), cfg)
         soc[k] = estimate_soc(state, params)
         v_qst[k] = state.mean.v_qst
     return FilterRun(t.copy(), soc, innov, v_qst, state)

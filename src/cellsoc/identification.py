@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -33,8 +33,6 @@ class IdentificationConfig:
 
     n_rc: int = 2
     current_zero_threshold: float = 0.01     # amperes; |i| below this is "rest"
-    settle_slope_threshold: float = 1e-5     # volts/second
-    settle_hold_s: float = 120.0             # the slope must stay low this long
     capacitance_grid_size: int = 96
     # Moving-average halfwidth applied to Q(V) before differencing. The central
     # difference already averages the capacitance over two grid cells, so the
@@ -44,14 +42,29 @@ class IdentificationConfig:
     def __post_init__(self):
         if self.n_rc < 1:
             raise ConfigurationError("n_rc must be at least 1")
-        if self.current_zero_threshold <= 0.0 or self.settle_slope_threshold <= 0.0:
-            raise ConfigurationError("thresholds must be positive")
-        if self.settle_hold_s <= 0.0:
-            raise ConfigurationError("settle hold time must be positive")
+        if self.current_zero_threshold <= 0.0:
+            raise ConfigurationError("current-zero threshold must be positive")
         if self.capacitance_grid_size < 16:
             raise ConfigurationError("capacitance grid needs at least 16 points")
         if self.smoothing_halfwidth < 0:
             raise ConfigurationError("smoothing halfwidth cannot be negative")
+
+    @classmethod
+    def from_dict(cls, doc) -> "IdentificationConfig":
+        """Config from a parsed JSON document; unknown or mistyped fields are an error."""
+        if not isinstance(doc, dict):
+            raise ConfigurationError("identification config must be a JSON object")
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = sorted(set(doc) - set(types))
+        if unknown:
+            raise ConfigurationError(f"unknown identification config fields: {', '.join(unknown)}")
+        for name, value in doc.items():
+            allowed = (int,) if types[name] == "int" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ConfigurationError(
+                    f"identification config field {name} must be {types[name]}, got {value!r}"
+                )
+        return cls(**doc)
 
 
 @dataclass(frozen=True)
@@ -61,7 +74,6 @@ class Segment:
     kind: str  # 'charge' | 'rest' | 'discharge'
     start: int
     stop: int
-    settle_index: int | None = None  # first settled sample of a rest segment
 
 
 @dataclass(eq=False)
@@ -78,11 +90,7 @@ class SegmentedTrace:
 
 
 def segment_trace(trace: Trace, cfg: IdentificationConfig) -> SegmentedTrace:
-    """Label contiguous charge / rest / discharge phases and mark settle points.
-
-    Within each rest segment the settle index is the first sample from which
-    |dV/dt| stays below the configured slope threshold for the hold time.
-    """
+    """Label contiguous charge / rest / discharge phases."""
     current = trace.current
     thr = cfg.current_zero_threshold
     labels = np.where(current > thr, 1, np.where(current < -thr, -1, 0))
@@ -101,37 +109,11 @@ def segment_trace(trace: Trace, cfg: IdentificationConfig) -> SegmentedTrace:
     starts = np.concatenate(([0], boundaries))
     stops = np.concatenate((boundaries, [labels.size]))
 
-    slopes = None
-    if trace.voltage is not None:
-        slopes = np.gradient(trace.voltage, trace.timestamps)
-
-    segments = []
-    for start, stop in zip(starts, stops):
-        kind = kinds[int(labels[start])]
-        settle = None
-        if kind == "rest" and slopes is not None:
-            settle = _find_settle_index(trace, slopes, int(start), int(stop), cfg)
-        segments.append(Segment(kind, int(start), int(stop), settle))
+    segments = [
+        Segment(kinds[int(labels[start])], int(start), int(stop))
+        for start, stop in zip(starts, stops)
+    ]
     return SegmentedTrace(trace, segments, cfg)
-
-
-def _find_settle_index(
-    trace: Trace, slopes: np.ndarray, start: int, stop: int, cfg: IdentificationConfig
-) -> int | None:
-    ok = np.abs(slopes[start:stop]) < cfg.settle_slope_threshold
-    n = ok.size
-    run = np.zeros(n + 1, dtype=int)  # consecutive-ok run length starting at i
-    for i in range(n - 1, -1, -1):
-        run[i] = run[i + 1] + 1 if ok[i] else 0
-    t = trace.timestamps
-    for i in range(n):
-        if run[i] == 0:
-            continue
-        last = i + run[i] - 1
-        # A run reaching the segment end counts as settled regardless of length.
-        if i + run[i] == n or t[start + last] - t[start + i] >= cfg.settle_hold_s:
-            return start + i
-    return None
 
 
 def _jump_points(trace: Trace, cfg: IdentificationConfig) -> tuple[dict[float, list[float]], int]:
@@ -241,19 +223,21 @@ def _fit_multi_exponential(
     n_terms: int,
     tau_lo: float,
     tau_hi: float,
+    spread: float = 1.0,
     max_iter: int = 200,
 ):
     """Separable least squares for y = v_inf + sum a_i exp(-t/tau_i).
 
     Damped Gauss-Newton on log tau; the amplitudes and offset are solved
-    linearly at every trial point (variable projection).
+    linearly at every trial point (variable projection). Several terms start
+    evenly spaced in log tau over the lowest ``spread`` fraction of
+    [tau_lo, tau_hi].
     """
     s = t - t[0]
     if tau_hi <= tau_lo:
         tau_hi = tau_lo * 10.0
-    theta = np.log(np.geomspace(tau_lo, tau_hi, n_terms)) if n_terms > 1 else np.array(
-        [0.5 * (math.log(tau_lo) + math.log(tau_hi))]
-    )
+    theta = np.log(np.geomspace(tau_lo, tau_lo * (tau_hi / tau_lo) ** spread, n_terms)) \
+        if n_terms > 1 else np.array([0.5 * (math.log(tau_lo) + math.log(tau_hi))])
     lo, hi = math.log(tau_lo / 10.0), math.log(tau_hi * 10.0)
 
     def solve_linear(th):
@@ -340,8 +324,9 @@ def fit_rc_groups(
 
     Fits v(t) = v_inf + sum a_i exp(-t/tau_i); tau comes out ascending. Each
     resistance is the amplitude divided by the step current that excited the
-    relaxation, corrected for finite step duration when given. Collapsing time
-    constants (ratio < 1.5) reduce the model order with a warning.
+    relaxation, corrected for finite step duration when given. Time constants
+    that collapse (ratio < 1.5) from two starting points reduce the model
+    order with a warning.
     """
     y = rest_segment.require_voltage()
     t = rest_segment.timestamps
@@ -356,19 +341,28 @@ def fit_rc_groups(
     notes: list[str] = []
     n_fit = n_rc
     while True:
-        v_inf, amps, taus, rms, iters = _fit_multi_exponential(t, y, n_fit, tau_lo, tau_hi)
-        if n_fit > 1:
+        # A collapse can be a local minimum of the default start rather than a
+        # missing mode, so it is refitted once from the lower half of the tau
+        # range before the model order is reduced.
+        for spread in (1.0, 0.5):
+            v_inf, amps, taus, rms, iters = _fit_multi_exponential(
+                t, y, n_fit, tau_lo, tau_hi, spread
+            )
             ratios = taus[1:] / taus[:-1]
-            if np.any(ratios < 1.5):
-                warnings.warn(
-                    f"time constants collapsed (ratios {np.round(ratios, 3)}); "
-                    f"reducing model order to {n_fit - 1}",
-                    FitQualityWarning,
-                    stacklevel=2,
-                )
-                notes.append(f"tau collapse: refit with {n_fit - 1} groups")
-                n_fit -= 1
-                continue
+            if not np.any(ratios < 1.5):
+                break
+            notes.append(f"tau collapse (ratios {np.round(ratios, 3)}) from start spread {spread}")
+        else:
+            warnings.warn(
+                f"time constants collapsed (ratios {np.round(ratios, 3)}); "
+                f"reducing model order to {n_fit - 1}",
+                FitQualityWarning,
+                stacklevel=2,
+            )
+            notes.append(f"tau collapse: refit with {n_fit - 1} groups")
+            n_fit -= 1
+            continue
+        if n_fit > 1:
             # A term the optimizer parked at zero amplitude is the same
             # degeneracy in another guise: the data has fewer modes.
             dead = np.abs(amps) < 1e-6 * max(float(np.max(np.abs(amps))), 1e-30)

@@ -252,18 +252,35 @@ def output_voltage(state: CellState, params: CellParameters, current: float) -> 
     return state.v_qst + float(np.sum(state.v_dyn_components)) + res.eval(current)
 
 
+def charge_map(capacitance: MonotoneCurve, v0: float, charge: float) -> tuple[float, float]:
+    """Exact quasi-stationary voltage after ``charge`` coulombs enter the capacitor.
+
+    With Q(v) the integral of C(v), dv/dt = i / C(v) solves exactly as
+    Q(v1) = Q(v0) + i*dt, so any constant-current interval is one call with
+    charge = i*dt, however long. Returns (v1, C(v0) / C(v1)); the ratio is
+    dv1/dv0, the transition Jacobian entry. Zero charge returns v0 unchanged.
+    Past the window C continues as its endpoint value, so Q is linear there.
+    """
+    if charge == 0.0:
+        return v0, 1.0
+    q0, c0 = capacitance.integral_and_value(v0)
+    v1, c1 = capacitance.inverse_integral(q0 + charge)
+    return v1, c0 / c1
+
+
 def _advance(
     state: CellState,
     params: CellParameters,
     current: float,
     dt: float,
     guard: float,
-) -> tuple[CellState, bool]:
-    """One integration step without guard-rails; returns (state, saturated)."""
-    v = state.v_qst
-    c0 = params.capacitance.eval(v)
-    v_half = v + 0.5 * dt * current / c0
-    v_new = v + dt * current / params.capacitance.eval(v_half)
+) -> tuple[CellState, bool, float, np.ndarray]:
+    """One exact step without guard-rails.
+
+    Returns (state, saturated, dv_qst/dv_qst0, RC decay factors); the last two
+    are the diagonal of the transition Jacobian.
+    """
+    v_new, f00 = charge_map(params.capacitance, state.v_qst, float(current * dt))
     lo = params.v_min - guard
     hi = params.v_max + guard
     saturated = v_new < lo or v_new > hi
@@ -271,7 +288,7 @@ def _advance(
         v_new = lo if v_new < lo else hi
     decay = np.exp(-dt / params.taus)
     v_dyn = state.v_dyn_components * decay + params.rs * current * (1.0 - decay)
-    return CellState(v_new, v_dyn), saturated
+    return CellState(v_new, v_dyn), saturated, f00, decay
 
 
 def step(
@@ -283,9 +300,9 @@ def step(
 ) -> CellState:
     """Advance the state by ``dt`` seconds under a constant current.
 
-    The quasi-stationary voltage uses the midpoint rule on
-    dv/dt = i / C(v); each RC voltage uses the exact zero-order-hold map.
-    ``dt`` must satisfy the stability guard dt <= tau_min / 5.
+    Both parts are exact for a constant current: the quasi-stationary voltage
+    moves by the charge map and each RC voltage by the zero-order-hold map.
+    ``dt`` must still satisfy the stability guard dt <= tau_min / 5.
     """
     _check_finite(current=current, dt=dt)
     if dt <= 0.0:
@@ -294,7 +311,7 @@ def step(
         raise ConfigurationError(
             f"dt = {dt} s violates the stability guard tau_min/5 = {params.dt_guard} s"
         )
-    new_state, saturated = _advance(state, params, current, dt, guard)
+    new_state, saturated, _, _ = _advance(state, params, current, dt, guard)
     if saturated:
         warnings.warn(
             f"v_qst left [{params.v_min}, {params.v_max}] beyond the {guard} V guard; clamped",
@@ -336,19 +353,9 @@ def vqst_from_soc(params: CellParameters, soc: float) -> float:
     if soc < 0.0 or soc > 1.0:
         warnings.warn("soc outside [0, 1], clamped", OutOfRangeWarning, stacklevel=2)
         soc = min(max(soc, 0.0), 1.0)
-    target = soc * params.delta_q
-    cap = params.capacitance
-    knots = cap._knot_integrals
-    idx = int(np.searchsorted(knots, target, side="right")) - 1
-    idx = min(max(idx, 0), cap.grid.size - 2)
-    q = target - knots[idx]
-    g0, g1 = cap.grid[idx], cap.grid[idx + 1]
-    c0, c1 = cap.values[idx], cap.values[idx + 1]
-    s = (c1 - c0) / (g1 - g0)
-    # Solve c0*u + s*u^2/2 = q for the offset u within the segment; this root
-    # form is cancellation-free and valid for any slope sign including zero.
-    u = 2.0 * q / (c0 + math.sqrt(max(c0 * c0 + 2.0 * s * q, 0.0)))
-    return float(min(max(g0 + u, params.v_min), params.v_max))
+    # The window holds soc*delta_q once that charge has entered from empty.
+    v, _ = charge_map(params.capacitance, params.v_min, soc * params.delta_q)
+    return min(max(v, params.v_min), params.v_max)
 
 
 def coulomb_count(trace: Trace, c_n: float, soc0: float) -> np.ndarray:
@@ -399,14 +406,13 @@ def reconstruct_v_dyn(
     groups = tuple(rc_groups)
     taus = np.array([g.tau for g in groups])
     rs = np.array([g.r for g in groups])
-    i_eff = interval_currents(current)
+    decay = np.exp(-np.diff(t)[:, None] / taus)
+    forced = rs * interval_currents(current)[:, None] * (1.0 - decay)
     out = np.zeros((t.size, len(groups)))
     if initial is not None:
         out[0] = np.asarray(initial, dtype=float)
-    dts = np.diff(t)
     for k in range(1, t.size):
-        decay = np.exp(-dts[k - 1] / taus)
-        out[k] = out[k - 1] * decay + rs * i_eff[k - 1] * (1.0 - decay)
+        out[k] = out[k - 1] * decay[k - 1] + forced[k - 1]
     return out
 
 
@@ -419,10 +425,6 @@ class SimulationResult:
     v_dyn: np.ndarray
     saturation_events: list = field(default_factory=list)
 
-    @property
-    def final_state(self) -> CellState:
-        return CellState(float(self.v_qst[-1]), self.v_dyn[-1].copy())
-
 
 def simulate(
     params: CellParameters,
@@ -432,53 +434,31 @@ def simulate(
 ) -> SimulationResult:
     """Integrate the cell along a current profile and record terminal voltage.
 
-    Intervals longer than the stability guard are sub-stepped internally.
-    Saturation events (time, clamped value) are collected on the result, and a
-    single warning summarizes any currents clamped by the resistor curve.
+    Each sample interval is one exact step, however long; the RC columns come
+    from reconstruct_v_dyn. Saturation events (time, clamped value) are
+    collected on the result, and a single warning summarizes any currents
+    clamped by the resistor curve.
     """
     t = profile.timestamps
     current = profile.current
     if initial.v_dyn_components.size != params.n_rc:
         raise InvalidInputError("initial state does not match the parameter set")
-    n = t.size
-    taus = params.taus
-    rs = params.rs
     cap = params.capacitance
     res = params.resistor
     lo = params.v_min - guard
     hi = params.v_max + guard
 
-    v_qst = np.empty(n)
-    v_dyn = np.empty((n, params.n_rc))
-    v = initial.v_qst
-    comps = initial.v_dyn_components.copy()
-    v_qst[0] = v
-    v_dyn[0] = comps
+    v_qst = np.empty(t.size)
+    v = v_qst[0] = float(initial.v_qst)
     events: list[tuple[float, float]] = []
-    i_eff = interval_currents(current)
-    dts = np.diff(t)
-    guard_dt = params.dt_guard
-
-    for k in range(1, n):
-        dt_k = dts[k - 1]
-        i_k = i_eff[k - 1]
-        m = max(1, int(math.ceil(dt_k / guard_dt - 1e-12)))
-        dt_sub = dt_k / m
-        decay = np.exp(-dt_sub / taus)
-        forced = rs * i_k * (1.0 - decay)
-        saturated = False
-        for _ in range(m):
-            c0 = cap.eval(v)
-            v_half = v + 0.5 * dt_sub * i_k / c0
-            v = v + dt_sub * i_k / cap.eval(v_half)
-            if v < lo or v > hi:
-                v = lo if v < lo else hi
-                saturated = True
-            comps = comps * decay + forced
-        if saturated:
-            events.append((float(t[k]), float(v)))
+    charges = interval_currents(current) * np.diff(t)
+    for k, charge in enumerate(charges.tolist(), start=1):
+        v, _ = charge_map(cap, v, charge)
+        if v < lo or v > hi:
+            v = lo if v < lo else hi
+            events.append((float(t[k]), v))
         v_qst[k] = v
-        v_dyn[k] = comps
+    v_dyn = reconstruct_v_dyn(t, current, params.rc_groups, initial.v_dyn_components)
 
     total = v_qst + v_dyn.sum(axis=1) + res.eval(current)
     oor = np.count_nonzero((current < res.x_min) | (current > res.x_max))

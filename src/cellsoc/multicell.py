@@ -27,11 +27,10 @@ from .errors import (
 from .estimator import (
     EkfConfig,
     EkfState,
-    correct,
+    _correct,
     estimate_soc,
     make_filter,
     predict,
-    predicted_output,
 )
 from .model import CellParameters, coulomb_count
 
@@ -171,8 +170,9 @@ class MultiCellEkf:
                 stacklevel=2,
             )
         ekf = predict(slot.ekf, slot.params_ref, measurement.current, dt, slot.ekf_config)
-        innovation = measurement.voltage - predicted_output(ekf, slot.params_ref, measurement.current)
-        ekf = correct(ekf, slot.params_ref, measurement.voltage, measurement.current, slot.ekf_config)
+        ekf, innovation = _correct(
+            ekf, slot.params_ref, measurement.voltage, measurement.current, slot.ekf_config
+        )
         slot.ekf = ekf
         slot.last_serviced_t = now
         self._ring = (self._ring + 1) % len(self.config.cells)

@@ -162,10 +162,6 @@ def load_ekf_config(path) -> EkfConfig:
         return ekf_config_from_dict(json.load(fh))
 
 
-def save_profile_spec(spec: ProfileSpec, path) -> None:
-    atomic_write_text(path, json.dumps(spec.to_dict(), indent=2, sort_keys=True) + "\n")
-
-
 def load_profile_spec(path) -> ProfileSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return ProfileSpec.from_dict(json.load(fh))

@@ -139,6 +139,25 @@ class TestIdentify:
         got = load_cell_parameters(params_out)
         assert got.capacitance.grid.size == 64
 
+    @pytest.mark.parametrize("doc,expected", [
+        ({"n_rc": 2, "bogus": 1}, "bogus"),
+        ({"settle_hold_s": 120.0}, "settle_hold_s"),
+        ([2], "JSON object"),
+        ({"n_rc": "2"}, "n_rc must be int"),
+        ({"capacitance_grid_size": 40.5}, "capacitance_grid_size must be int"),
+    ])
+    def test_bad_config_document_exit_2(self, tmp_path, capsys, doc, expected):
+        trace_path = tmp_path / "id.csv"
+        trace_path.write_text("t_s,current_a,voltage_v\n0.0,0.0,3.3\n1.0,0.0,3.3\n")
+        cfg_path = tmp_path / "idcfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["identify", str(trace_path), "--config", str(cfg_path),
+                     "--out-params", str(tmp_path / "p.json"),
+                     "--out-report", str(tmp_path / "r.txt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and expected in err
+        assert not (tmp_path / "p.json").exists()
+
     def test_n_rc_1_on_two_exponential_data_succeeds_with_note(self, tmp_path, capsys):
         cell = make_cell()  # two RC groups in truth
         trace, _ = identification_trace(cell, sample_period=4.0)

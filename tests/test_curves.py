@@ -70,12 +70,6 @@ def test_integrate_matches_numeric_quadrature():
         assert c.integrate(a, b) == pytest.approx(approx, abs=1e-6)
 
 
-def test_resampled_preserves_values_on_subgrid():
-    c = MonotoneCurve([0.0, 1.0, 2.0], [1.0, 3.0, 5.0])
-    r = c.resampled(np.linspace(0.0, 2.0, 9))
-    assert r.eval(0.25) == pytest.approx(c.eval(0.25))
-
-
 def test_pava_hand_case():
     out = isotonic_nondecreasing([1.0, 3.0, 2.0, 4.0])
     assert np.allclose(out, [1.0, 2.5, 2.5, 4.0])

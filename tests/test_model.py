@@ -315,6 +315,19 @@ class TestSimulate:
         res_fine = simulate(cell, fine, CellState(3.1, np.zeros(2)))
         assert res.v_qst[-1] == pytest.approx(res_fine.v_qst[-1], abs=1e-6)
 
+    def test_matches_step_chain_bit_for_bit(self):
+        # simulate and step share one kernel: the same intervals give the same bits.
+        cell = make_cell()
+        t = np.cumsum(np.random.default_rng(3).uniform(0.5, cell.dt_guard, 400))
+        current = np.random.default_rng(4).normal(0.0, 3.0, t.size)
+        initial = CellState(3.25, np.array([0.01, -0.005]))
+        res = simulate(cell, Trace(t, current), initial)
+        s = initial
+        for k, i_k in enumerate(interval_currents(current), start=1):
+            s = step(s, cell, float(i_k), float(t[k] - t[k - 1]))
+            assert s.v_qst == res.v_qst[k]
+            assert np.array_equal(s.v_dyn_components, res.v_dyn[k])
+
     def test_saturation_events_collected(self):
         cell = make_cell()
         profile = constant_profile(5.0, 36000.0, 10.0)  # way past full

@@ -1,0 +1,106 @@
+"""Property tests of the exact charge map on random capacitance curves.
+
+The examples are derandomized so the suite is reproducible; raise
+``max_examples`` locally to explore further.
+"""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from cellsoc import (  # noqa: E402
+    CellParameters,
+    CellState,
+    EkfConfig,
+    EkfState,
+    MonotoneCurve,
+    RcGroup,
+    charge_map,
+    predict,
+    soc_from_vqst,
+    vqst_from_soc,
+)
+from helpers import make_resistor  # noqa: E402
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def cells(draw):
+    """A valid cell whose capacitance is a random positive piecewise-linear curve."""
+    n = draw(st.integers(2, 10))
+    v_min = draw(st.floats(2.5, 3.0))
+    widths = draw(st.lists(st.floats(0.01, 0.2), min_size=n - 1, max_size=n - 1))
+    values = draw(st.lists(st.floats(1000.0, 40000.0), min_size=n, max_size=n))
+    grid = v_min + np.concatenate(([0.0], np.cumsum(widths)))
+    return CellParameters.from_curves(
+        float(grid[0]), float(grid[-1]), MonotoneCurve(grid, values),
+        (RcGroup(0.01, 30.0), RcGroup(0.02, 600.0)), make_resistor(),
+    )
+
+
+def charge(cell: CellParameters, v: float) -> float:
+    return cell.capacitance.integral_and_value(v)[0]
+
+
+def inside(cell: CellParameters, frac: float) -> float:
+    return cell.v_min + frac * (cell.v_max - cell.v_min)
+
+
+fractions = st.floats(0.0, 1.0)
+# Charges up to 1.5 window capacities move the state past either end of the
+# window, where the map continues along the linear extension of Q.
+charge_fractions = st.floats(-1.5, 1.5)
+
+
+@PROPERTY
+@given(cells(), fractions, charge_fractions)
+def test_charge_map_moves_exactly_the_charge(cell, frac, q_frac):
+    v0 = inside(cell, frac)
+    dq = q_frac * cell.delta_q
+    v1, ratio = charge_map(cell.capacitance, v0, dq)
+    assert abs((charge(cell, v1) - charge(cell, v0)) - dq) <= 1e-12 * cell.delta_q
+    cap = cell.capacitance
+    assert ratio == pytest.approx(cap.eval(v0) / cap.eval(v1), rel=1e-12)
+
+
+@PROPERTY
+@given(cells(), fractions, charge_fractions, charge_fractions)
+def test_charge_map_composes(cell, frac, a_frac, b_frac):
+    v0 = inside(cell, frac)
+    a, b = a_frac * cell.delta_q, b_frac * cell.delta_q
+    v_ab, _ = charge_map(cell.capacitance, v0, a + b)
+    v_a, _ = charge_map(cell.capacitance, v0, a)
+    v_a_b, _ = charge_map(cell.capacitance, v_a, b)
+    assert abs(v_ab - v_a_b) <= 1e-12
+
+
+@PROPERTY
+@given(cells(), fractions)
+def test_vqst_from_soc_inverts_soc_from_vqst(cell, frac):
+    assert abs(soc_from_vqst(cell, vqst_from_soc(cell, frac)) - frac) <= 1e-12
+    v = inside(cell, frac)
+    assert abs(vqst_from_soc(cell, soc_from_vqst(cell, v)) - v) <= 1e-12
+
+
+@PROPERTY
+@given(cells(), fractions, fractions)
+def test_long_gap_predict_is_one_exact_step(cell, soc0, soc1):
+    dt = 1e6
+    current = (soc1 - soc0) * cell.delta_q / dt  # lands inside the window
+    cfg = EkfConfig.default(cell)
+    comps = np.array([0.01, -0.02])
+    ekf = EkfState(CellState(vqst_from_soc(cell, soc0), comps), cfg.initial_covariance_p0)
+    out = predict(ekf, cell, current, dt, cfg)
+
+    v1, f00 = charge_map(cell.capacitance, ekf.mean.v_qst, current * dt)
+    decay = np.exp(-dt / cell.taus)
+    assert out.mean.v_qst == v1
+    assert np.array_equal(out.mean.v_dyn_components,
+                          comps * decay + cell.rs * current * (1.0 - decay))
+    assert abs(soc_from_vqst(cell, out.mean.v_qst) - soc1) <= 1e-12
+    f = np.concatenate(([f00], decay))
+    expected = np.outer(f, f) * ekf.covariance + cfg.process_noise_q * dt
+    assert np.allclose(out.covariance, expected, rtol=1e-15, atol=0.0)
