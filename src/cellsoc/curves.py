@@ -87,15 +87,12 @@ class MonotoneCurve:
         return float((self.values[idx] - self.values[idx - 1]) / (g[idx] - g[idx - 1]))
 
     @cached_property
-    def _knot_integrals(self) -> np.ndarray:
-        seg = 0.5 * (self.values[1:] + self.values[:-1]) * np.diff(self.grid)
-        return np.concatenate(([0.0], np.cumsum(seg)))
-
-    @cached_property
     def _tables(self) -> tuple[list[float], list[float], list[float]]:
         # Grid, values and knot integrals as Python floats: the scalar paths
         # below bisect these, which is several times cheaper than numpy calls.
-        return self.grid.tolist(), self.values.tolist(), self._knot_integrals.tolist()
+        seg = 0.5 * (self.values[1:] + self.values[:-1]) * np.diff(self.grid)
+        knots = np.concatenate(([0.0], np.cumsum(seg)))
+        return self.grid.tolist(), self.values.tolist(), knots.tolist()
 
     def integral_and_value(self, x: float) -> tuple[float, float]:
         """F(x) = integral of the interpolant from grid[0] to ``x``, and its value there.
