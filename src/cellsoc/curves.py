@@ -3,7 +3,7 @@
 These curves back the static capacitance C(v), the charge characteristic Q(v)
 and the instantaneous-resistor characteristic V(i). Interpolation is exact at
 grid points, evaluation outside the grid clamps to the endpoint value, and
-integrals/derivatives are closed-form.
+integrals and their inverse are closed-form.
 """
 
 from __future__ import annotations
@@ -71,20 +71,6 @@ class MonotoneCurve:
         """True if any requested point lies outside the grid."""
         x = np.asarray(x, dtype=float)
         return bool(np.any(x < self.grid[0]) or np.any(x > self.grid[-1]))
-
-    def slope_at(self, x: float) -> float:
-        """Exact slope of the interpolant at ``x``.
-
-        At interior knots the left segment wins (deterministic tie-break); in
-        the clamped regions outside the grid the slope is zero. At the first
-        knot, where no left segment exists, the first segment's slope is used.
-        """
-        g = self.grid
-        if x < g[0] or x > g[-1]:
-            return 0.0
-        idx = int(np.searchsorted(g, x, side="left"))
-        idx = min(max(idx, 1), g.size - 1)
-        return float((self.values[idx] - self.values[idx - 1]) / (g[idx] - g[idx - 1]))
 
     @cached_property
     def _tables(self) -> tuple[list[float], list[float], list[float]]:

@@ -2,18 +2,32 @@
 
 Prediction advances the mean with the cell model and the covariance with the
 state-transition Jacobian; correction incorporates one terminal-voltage
-measurement through the Joseph-form update. Both are pure functions from
-filter state to filter state.
+measurement through the Joseph-form update. ``predict`` and ``correct`` are
+the per-step API: pure functions from filter state to filter state.
+
+Whole series (``run_filter`` and ``MultiCellEkf.run``) go through one fused
+kernel, ``_filter_series``, that runs the same arithmetic on plain floats.
+F is diagonal and H is a row of ones, so with p = P*1 and s = 1'P1 + r the
+Joseph update is the rank-1 form P - K p' - p K' + s K K'.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import getitem, mul
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidParametersError, NumericalFailureError
+from .errors import (
+    ConfigurationError,
+    InvalidInputError,
+    InvalidParametersError,
+    NumericalFailureError,
+    OutOfRangeWarning,
+)
 from .model import (
     CellParameters,
     CellState,
@@ -216,6 +230,131 @@ class FilterRun:
     final: EkfState
 
 
+def _is_psd(p: list[list[float]]) -> bool:
+    """Whether p + PSD_TOLERANCE * I has a Cholesky factor, on plain floats.
+
+    The pivot test is LAPACK's, as run by np.linalg.cholesky: a pivot that is
+    not strictly positive (or is NaN) fails.
+    """
+    low: list[list[float]] = []
+    for i, row in enumerate(p):
+        li: list[float] = []
+        for lj, x in zip(low, row):  # lj ends with its diagonal entry
+            li.append((x - sum(map(mul, li, lj))) / lj[-1])
+        d = row[i] + PSD_TOLERANCE - sum(map(mul, li, li))
+        if not d > 0.0:
+            return False
+        li.append(math.sqrt(d))
+        low.append(li)
+    return True
+
+
+def _filter_series(
+    ekf: EkfState,
+    params: CellParameters,
+    cfg: EkfConfig,
+    voltage: np.ndarray,
+    current: np.ndarray,
+    dt: np.ndarray,
+    i_pred: np.ndarray,
+    guard: float = DEFAULT_VQST_GUARD,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, EkfState]:
+    """Predict and correct over a whole series on plain floats.
+
+    Each sample is predicted over its entry of ``dt`` at its entry of
+    ``i_pred``, then corrected with its ``voltage`` measured at its
+    ``current``. When ``dt`` and ``i_pred`` are one entry shorter, they belong
+    to the second sample on and the first sample is a correction only. The
+    arithmetic, checks and warnings are those of ``predict`` and ``_correct``;
+    the inputs are trace columns, finite by construction. Returns per-sample
+    SoC, innovation and v_qst, and the final filter state.
+    """
+    cap = params.capacitance
+    res = params.resistor
+    i_lo, i_hi = res.x_min, res.x_max
+    v_lo, v_hi = params.v_min - guard, params.v_max + guard
+    taus = params.taus.tolist()
+    r_dyn = params.rs.tolist()
+    q = cfg.process_noise_q.tolist()
+    r = cfg.measurement_noise_r
+    update = not math.isinf(r)
+    m = len(taus) + 1
+
+    v = ekf.mean.v_qst
+    dyn = ekf.mean.v_dyn_components.tolist()
+    if len(dyn) != len(taus):
+        raise InvalidInputError(
+            f"state has {len(dyn)} RC components, parameters define {len(taus)}"
+        )
+    p = ekf.covariance.tolist()
+    h_prev = math.nan
+    decay = fill = q_dt = ()
+    soc_out, innov_out, vqst_out = (np.empty(len(voltage)) for _ in range(3))
+
+    drops = res.eval(np.asarray(current, dtype=float))
+    dt, i_pred, voltage, current, drops = (
+        memoryview(np.asarray(a, dtype=float)) for a in (dt, i_pred, voltage, current, drops)
+    )
+    preds = chain(repeat(None, len(voltage) - len(dt)), zip(dt, i_pred))
+    # Every covariance entry below is formed symmetrically in (a, b), so P
+    # stays exactly symmetric without a re-symmetrization.
+    for k, (pred, z, i, drop) in enumerate(zip(preds, voltage, current, drops)):
+        if pred is not None:
+            h, u = pred
+            v, f0 = charge_map(cap, v, u * h)
+            if v < v_lo:
+                v = v_lo
+            elif v > v_hi:
+                v = v_hi
+            if h != h_prev:
+                h_prev = h
+                decay = [math.exp(-h / tau) for tau in taus]
+                fill = [1.0 - d for d in decay]
+                q_dt = [[x * h for x in row] for row in q]
+            dyn = [c * d + rj * u * g for c, d, rj, g in zip(dyn, decay, r_dyn, fill)]
+            f = [f0, *decay]
+            p = [
+                [fa * fb * x + qx for fb, x, qx in zip(f, row, q_row)]
+                for fa, row, q_row in zip(f, p, q_dt)
+            ]
+            # Scaling by a diagonal and adding PSD noise preserves
+            # semidefiniteness, so finiteness and the diagonal suffice here.
+            diagonal = map(getitem, p, range(m))
+            if not math.isfinite(sum(map(sum, p))) or min(diagonal) < -PSD_TOLERANCE:
+                raise NumericalFailureError("predicted covariance lost positive semidefiniteness")
+
+        if i < i_lo or i > i_hi:
+            warnings.warn(
+                f"current outside the resistor curve range [{i_lo}, {i_hi}] A, clamped",
+                OutOfRangeWarning,
+                stacklevel=2,
+            )
+        innovation = z - (v + sum(dyn) + drop)
+        if update:
+            p1 = list(map(sum, p))  # P 1
+            s = sum(p1) + r
+            if s <= 0.0 or not math.isfinite(s):
+                raise NumericalFailureError(f"innovation variance is not positive ({s})")
+            gain = [x / s for x in p1]
+            v += gain[0] * innovation
+            dyn = [c + g * innovation for c, g in zip(dyn, gain[1:])]
+            # Joseph form with H = 1': P - K p' - p K' + s K K'.
+            p = [
+                [x - (ka * pb + pa * kb) + ka * kb * s for x, pb, kb in zip(row, p1, gain)]
+                for row, ka, pa in zip(p, gain, p1)
+            ]
+            if not _is_psd(p):
+                raise NumericalFailureError("corrected covariance lost positive semidefiniteness")
+            if not math.isfinite(v) or not math.isfinite(sum(dyn)):
+                raise InvalidInputError("cell state must be finite")
+        soc_out[k] = soc_from_vqst(params, v)
+        innov_out[k] = innovation
+        vqst_out[k] = v
+
+    final = EkfState(CellState(v, np.array(dyn)), np.array(p))
+    return soc_out, innov_out, vqst_out, final
+
+
 def run_filter(
     params: CellParameters,
     trace: Trace,
@@ -230,17 +369,8 @@ def run_filter(
     """
     voltage = trace.require_voltage()
     t = trace.timestamps
-    current = trace.current
-    i_eff = interval_currents(current)
-    n = t.size
-    soc = np.empty(n)
-    innov = np.empty(n)
-    v_qst = np.empty(n)
-    state = make_filter(cfg)
-    for k in range(n):
-        if k > 0:
-            state = predict(state, params, i_eff[k - 1], float(t[k] - t[k - 1]), cfg, guard)
-        state, innov[k] = _correct(state, params, float(voltage[k]), float(current[k]), cfg)
-        soc[k] = estimate_soc(state, params)
-        v_qst[k] = state.mean.v_qst
-    return FilterRun(t.copy(), soc, innov, v_qst, state)
+    soc, innov, v_qst, final = _filter_series(
+        make_filter(cfg), params, cfg, voltage, trace.current,
+        np.diff(t), interval_currents(trace.current), guard,
+    )
+    return FilterRun(t.copy(), soc, innov, v_qst, final)

@@ -7,6 +7,10 @@ N * t_slot), corrects with that cell's freshest measurement and stores the
 slot back. All other slots are untouched, so cells are isolated by
 construction and the arithmetic is identical to N independent filters each
 stepped at period N * t_slot.
+
+``tick`` is the online path, one service per call. ``run`` uses the isolation
+directly: it filters each cell's services as one series with the fused
+kernel of the estimator module.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .estimator import (
     EkfConfig,
     EkfState,
     _correct,
+    _filter_series,
     estimate_soc,
     make_filter,
     predict,
@@ -185,9 +190,15 @@ class MultiCellEkf:
         its cell's service instants by zero-order hold. ``ref_soc0`` (scalar or
         per-cell mapping) seeds the coulomb-counting reference series; without
         it the reference column is NaN.
+
+        Slots are isolated, so each cell's services are filtered as one series
+        by the fused kernel. The engine ends in the state that ticking the same
+        schedule would leave: slots, service times and ring position. A run
+        that raises leaves the engine unchanged.
         """
         cells = self.config.cells
         n = len(cells)
+        t_slot = self.config.t_slot
         for cell_id in cells:
             if cell_id not in traces:
                 raise InvalidInputError(f"no trace provided for cell {cell_id!r}")
@@ -203,29 +214,58 @@ class MultiCellEkf:
                     traces[cell_id], self.slots[cell_id].params_ref.nominal_capacity_c_n, soc0
                 )
 
-        out: dict[str, list[tuple[float, float, float, float]]] = {c: [] for c in cells}
-        k = 0
-        while True:
-            now = self.start_time + (k + 1) * self.config.t_slot
-            if now > horizon:
-                break
-            cell_id = cells[k % n]
-            trace = traces[cell_id]
+        services = _service_count(self.start_time, t_slot, horizon)
+        if services and self._ring != 0:
+            raise SchedulingViolationError(
+                f"measurement for {cells[0]!r} but {self.due_cell!r} is due"
+            )
+        picks = []
+        for j, cell_id in enumerate(cells):
+            # Service k (of all cells) happens at start + (k + 1) * t_slot.
+            now = self.start_time + (np.arange(j, services, n) + 1) * t_slot
             # Slight forward nudge so a sample nominally at `now` is picked up
             # despite last-ulp differences in how the two times were computed.
-            pick = now + 1e-9 * self.config.t_slot
-            idx = int(np.searchsorted(trace.timestamps, pick, side="right")) - 1
-            if idx < 0:
+            idx = np.searchsorted(traces[cell_id].timestamps, now + 1e-9 * t_slot, side="right") - 1
+            if idx.size and idx[0] < 0:
                 raise InvalidInputError(
-                    f"trace for {cell_id!r} starts after its first service instant {now}"
+                    f"trace for {cell_id!r} starts after its first service instant {float(now[0])}"
                 )
-            meas = Measurement(cell_id, float(trace.current[idx]), float(trace.voltage[idx]))
-            result = self.tick(now, meas)
-            out[cell_id].append((now, result.soc, float(refs[cell_id][idx]), result.innovation))
-            k += 1
+            picks.append((cell_id, now, idx))
 
-        series = {}
-        for cell_id in cells:
-            rows = np.array(out[cell_id]).reshape(-1, 4)
-            series[cell_id] = CellSeries(rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3])
+        series, finals = {}, {}
+        for cell_id, now, idx in picks:
+            slot = self.slots[cell_id]
+            prev = np.concatenate(([slot.last_serviced_t], now[:-1]))
+            dt = now - prev
+            stuck = np.flatnonzero(dt <= 0.0)
+            if stuck.size:
+                k = stuck[0]
+                raise SchedulingViolationError(
+                    f"service time {float(now[k])} does not advance past {float(prev[k])}"
+                )
+            trace = traces[cell_id]
+            current = trace.current[idx]
+            soc, innovations, _, finals[cell_id] = _filter_series(
+                slot.ekf, slot.params_ref, slot.ekf_config, trace.voltage[idx], current,
+                dt, current,
+            )
+            series[cell_id] = CellSeries(now, soc, refs[cell_id][idx], innovations)
+
+        for cell_id, now, _ in picks:
+            slot = self.slots[cell_id]
+            slot.ekf = finals[cell_id]
+            if now.size:
+                slot.last_serviced_t = float(now[-1])
+        self._ring = (self._ring + services) % n
         return series
+
+
+def _service_count(start: float, t_slot: float, horizon: float) -> int:
+    """How many services start + (k + 1) * t_slot, k = 0, 1, ..., fit by the horizon."""
+    k = max(int((horizon - start) / t_slot), 0)
+    # The quotient is a first guess; settle it with the service-time expression.
+    while k > 0 and start + k * t_slot > horizon:
+        k -= 1
+    while start + (k + 1) * t_slot <= horizon:
+        k += 1
+    return k

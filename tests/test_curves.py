@@ -35,17 +35,6 @@ def test_validation_errors():
         MonotoneCurve([0.0, 1.0], [1.0, np.nan])
 
 
-def test_slope_left_tie_break():
-    c = MonotoneCurve([0.0, 1.0, 2.0], [0.0, 1.0, 3.0])
-    assert c.slope_at(0.5) == 1.0
-    assert c.slope_at(1.5) == 2.0
-    assert c.slope_at(1.0) == 1.0  # left segment wins at the knot
-    assert c.slope_at(0.0) == 1.0  # no left segment at the first knot
-    assert c.slope_at(2.0) == 2.0
-    assert c.slope_at(-1.0) == 0.0  # clamped region
-    assert c.slope_at(3.0) == 0.0
-
-
 def test_integrate_hand_values():
     c = MonotoneCurve([0.0, 1.0, 2.0], [1.0, 3.0, 5.0])
     assert c.integrate(0.0, 2.0) == pytest.approx(6.0, abs=1e-15)

@@ -21,6 +21,7 @@ from cellsoc import (
     transition_jacobian,
     vqst_from_soc,
 )
+from cellsoc.estimator import PSD_TOLERANCE, _is_psd
 from helpers import make_cell, make_resistor, random_cell
 
 
@@ -165,6 +166,32 @@ class TestCorrect:
         state = make_filter(cfg)
         out = correct(state, cell, 99.0, 0.0, cfg)
         assert abs(out.mean.v_qst - state.mean.v_qst) < 1e-8
+
+
+class TestPsdCheck:
+    def test_plain_float_check_agrees_with_numpy_cholesky(self):
+        """_is_psd(P) == np.linalg.cholesky(P + PSD_TOLERANCE * I) succeeds."""
+        rng = np.random.default_rng(17)
+        verdicts = {True: 0, False: 0}
+        for k in range(3000):
+            n = int(rng.integers(2, 5))
+            basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            eig = rng.uniform(1e-3, 1.0, n) * 10.0 ** rng.uniform(-4, 1)
+            kind = k % 3
+            if kind == 1:  # near-singular: one eigenvalue at or within 1e-13 of zero
+                eig[0] = rng.choice([0.0, 1e-13, -1e-13])
+            elif kind == 2:  # indefinite, down to twice the tolerance below zero
+                eig[0] = -(10.0 ** rng.uniform(-9.7, 0.0))
+            p = basis @ np.diag(eig) @ basis.T
+            p = 0.5 * (p + p.T)
+            try:
+                np.linalg.cholesky(p + PSD_TOLERANCE * np.eye(n))
+                expected = True
+            except np.linalg.LinAlgError:
+                expected = False
+            assert _is_psd(p.tolist()) == expected, (kind, eig)
+            verdicts[expected] += 1
+        assert min(verdicts.values()) >= 900
 
 
 class TestLinearKalmanOracle:

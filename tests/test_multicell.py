@@ -265,3 +265,48 @@ class TestRunEquivalence:
             # c_n equals delta_q for these cells, so the reference is exact.
             assert abs(s.soc_est[-1] - s.soc_ref[-1]) < 0.02
             assert np.max(np.abs(s.soc_est[-100:] - s.soc_ref[-100:])) < 0.02
+
+    def test_run_leaves_engine_as_ticking_would(self):
+        rng = np.random.default_rng(21)
+        ids = ("a", "b", "c")
+        cells = {cid: random_cell(rng) for cid in ids}
+        sched = SchedulerConfig(t_slot=0.3, cells=ids, f_max=0.5)
+        setups = {cid: (cells[cid], EkfConfig.default(cells[cid], initial_soc=0.7)) for cid in ids}
+        # Sampled every 0.5 s but serviced every 0.9 s: the zero-order hold
+        # skips and repeats samples. 335 services leave the ring at "c".
+        traces = {
+            cid: service_grid_trace(cells[cid], 202, 0.5, 0.0,
+                                    lambda t: 3.0 * np.sin(2 * np.pi * t / 40.0), initial_soc=0.6)
+            for cid in ids
+        }
+        batch = MultiCellEkf(sched, setups)
+        batch.run(traces)
+
+        online = MultiCellEkf(sched, setups)
+        k = 0
+        while (k + 1) * 0.3 <= 100.5:
+            now = (k + 1) * 0.3
+            cid = ids[k % 3]
+            trace = traces[cid]
+            idx = int(np.searchsorted(trace.timestamps, now + 1e-9 * 0.3, side="right")) - 1
+            online.tick(now, Measurement(cid, float(trace.current[idx]), float(trace.voltage[idx])))
+            k += 1
+
+        def assert_same_slots():
+            assert batch.due_cell == online.due_cell
+            for cid in ids:
+                got, want = batch.slots[cid], online.slots[cid]
+                assert got.last_serviced_t == want.last_serviced_t
+                assert abs(got.ekf.mean.v_qst - want.ekf.mean.v_qst) <= 1e-12
+                assert np.max(np.abs(got.ekf.mean.v_dyn_components
+                                     - want.ekf.mean.v_dyn_components)) <= 1e-12
+                assert np.max(np.abs(got.ekf.covariance - want.ekf.covariance)) <= 1e-12
+
+        assert k == 335 and online.due_cell == "c"
+        assert_same_slots()
+        m = Measurement("c", -1.5, 3.3)
+        now = (k + 1) * 0.3
+        after_batch, after_online = batch.tick(now, m), online.tick(now, m)
+        assert abs(after_batch.soc - after_online.soc) <= 1e-12
+        assert abs(after_batch.innovation - after_online.innovation) <= 1e-12
+        assert_same_slots()

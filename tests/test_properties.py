@@ -1,8 +1,11 @@
-"""Property tests of the exact charge map on random capacitance curves.
+"""Property tests of the exact charge map and of the fused filter kernel.
 
 The examples are derandomized so the suite is reproducible; raise
 ``max_examples`` locally to explore further.
 """
+
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,12 +20,19 @@ from cellsoc import (  # noqa: E402
     EkfState,
     MonotoneCurve,
     RcGroup,
+    Trace,
     charge_map,
+    estimate_soc,
+    make_filter,
     predict,
+    run_filter,
+    simulate,
     soc_from_vqst,
     vqst_from_soc,
 )
-from helpers import make_resistor  # noqa: E402
+from cellsoc.estimator import _correct  # noqa: E402
+from cellsoc.model import interval_currents  # noqa: E402
+from helpers import make_resistor, random_cell  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -104,3 +114,60 @@ def test_long_gap_predict_is_one_exact_step(cell, soc0, soc1):
     f = np.concatenate(([f00], decay))
     expected = np.outer(f, f) * ekf.covariance + cfg.process_noise_q * dt
     assert np.allclose(out.covariance, expected, rtol=1e-15, atol=0.0)
+
+
+def step_chain(params, trace, cfg):
+    """run_filter spelled out as the per-step API: predict, then _correct."""
+    t, current, voltage = trace.timestamps, trace.current, trace.voltage
+    i_eff = interval_currents(current)
+    soc, innov, v_qst = (np.empty(t.size) for _ in range(3))
+    state = make_filter(cfg)
+    for k in range(t.size):
+        if k > 0:
+            state = predict(state, params, i_eff[k - 1], float(t[k] - t[k - 1]), cfg)
+        state, innov[k] = _correct(state, params, float(voltage[k]), float(current[k]), cfg)
+        soc[k] = estimate_soc(state, params)
+        v_qst[k] = state.mean.v_qst
+    return soc, innov, v_qst, state
+
+
+def warning_counts(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, Counter((w.category, str(w.message)) for w in caught)
+
+
+@st.composite
+def filter_cases(draw):
+    """A random cell measured along a trace with gaps up to ~12 days and currents
+    past the resistor curve (+-50 A), read with up to 5 mV of noise."""
+    cell = random_cell(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    n = draw(st.integers(2, 30))
+    gaps = draw(st.lists(st.one_of(st.floats(0.05, 10.0), st.floats(1e3, 1e6)),
+                         min_size=n - 1, max_size=n - 1))
+    current = draw(st.lists(st.floats(-80.0, 80.0), min_size=n, max_size=n))
+    noise = draw(st.lists(st.floats(-0.005, 0.005), min_size=n, max_size=n))
+    t = np.concatenate(([0.0], np.cumsum(gaps)))
+    start = CellState.rest(vqst_from_soc(cell, draw(fractions)), cell.n_rc)
+    truth = simulate(cell, Trace(t, np.array(current)), start).trace
+    r = draw(st.sampled_from([1e-4, np.inf]))
+    base = EkfConfig.default(cell, initial_soc=draw(fractions))
+    cfg = EkfConfig(base.process_noise_q, r, base.initial_covariance_p0, base.initial_state)
+    return cell, Trace(t, truth.current, truth.voltage + np.array(noise)), cfg
+
+
+@PROPERTY
+@given(filter_cases())
+def test_run_filter_equals_the_step_chain(case):
+    cell, trace, cfg = case
+    run, got = warning_counts(run_filter, cell, trace, cfg)
+    (soc, innov, v_qst, final), expected = warning_counts(step_chain, cell, trace, cfg)
+    assert got == expected
+    assert np.max(np.abs(run.soc - soc)) <= 1e-12
+    assert np.max(np.abs(run.innovations - innov)) <= 1e-12
+    assert np.max(np.abs(run.v_qst - v_qst)) <= 1e-12
+    assert abs(run.final.mean.v_qst - final.mean.v_qst) <= 1e-12
+    assert np.max(np.abs(run.final.mean.v_dyn_components - final.mean.v_dyn_components)) <= 1e-12
+    assert np.max(np.abs(run.final.covariance - final.covariance)) <= 1e-12
+    assert np.array_equal(run.final.covariance, run.final.covariance.T)
