@@ -34,7 +34,6 @@ from .estimator import (
     estimate_soc,
     make_filter,
     predict,
-    predicted_output,
     run_filter,
     transition_jacobian,
 )

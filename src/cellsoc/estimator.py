@@ -140,7 +140,6 @@ def predict(
     current: float,
     dt: float,
     cfg: EkfConfig,
-    guard: float = DEFAULT_VQST_GUARD,
 ) -> EkfState:
     """A-priori estimate after ``dt`` seconds at the given current.
 
@@ -149,7 +148,7 @@ def predict(
     _check_finite(current=current, dt=dt)
     if dt <= 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    mean, _, f00, decay = _advance(ekf.mean, params, current, dt, guard)
+    mean, _, f00, decay = _advance(ekf.mean, params, current, dt)
     f_diag = np.concatenate(([f00], decay))
     cov = np.outer(f_diag, f_diag) * ekf.covariance + cfg.process_noise_q * dt
     cov = 0.5 * (cov + cov.T)
@@ -214,11 +213,6 @@ def estimate_soc(ekf: EkfState, params: CellParameters) -> float:
     return soc_from_vqst(params, ekf.mean.v_qst)
 
 
-def predicted_output(ekf: EkfState, params: CellParameters, current: float) -> float:
-    """Terminal voltage the filter expects for the given current."""
-    return output_voltage(ekf.mean, params, current)
-
-
 @dataclass(eq=False)
 class FilterRun:
     """Per-sample log of a single-cell estimation run."""
@@ -257,7 +251,6 @@ def _filter_series(
     current: np.ndarray,
     dt: np.ndarray,
     i_pred: np.ndarray,
-    guard: float = DEFAULT_VQST_GUARD,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, EkfState]:
     """Predict and correct over a whole series on plain floats.
 
@@ -272,7 +265,7 @@ def _filter_series(
     cap = params.capacitance
     res = params.resistor
     i_lo, i_hi = res.x_min, res.x_max
-    v_lo, v_hi = params.v_min - guard, params.v_max + guard
+    v_lo, v_hi = params.v_min - DEFAULT_VQST_GUARD, params.v_max + DEFAULT_VQST_GUARD
     taus = params.taus.tolist()
     r_dyn = params.rs.tolist()
     q = cfg.process_noise_q.tolist()
@@ -359,7 +352,6 @@ def run_filter(
     params: CellParameters,
     trace: Trace,
     cfg: EkfConfig,
-    guard: float = DEFAULT_VQST_GUARD,
 ) -> FilterRun:
     """Filter a measured trace sample by sample.
 
@@ -371,6 +363,6 @@ def run_filter(
     t = trace.timestamps
     soc, innov, v_qst, final = _filter_series(
         make_filter(cfg), params, cfg, voltage, trace.current,
-        np.diff(t), interval_currents(trace.current), guard,
+        np.diff(t), interval_currents(trace.current),
     )
     return FilterRun(t.copy(), soc, innov, v_qst, final)

@@ -85,9 +85,6 @@ class SegmentedTrace:
     def rests(self) -> list[Segment]:
         return [s for s in self.segments if s.kind == "rest"]
 
-    def segment_trace_slice(self, seg: Segment) -> Trace:
-        return self.trace.slice(seg.start, seg.stop)
-
 
 def segment_trace(trace: Trace, cfg: IdentificationConfig) -> SegmentedTrace:
     """Label contiguous charge / rest / discharge phases."""
@@ -315,18 +312,18 @@ def _fit_multi_exponential(
 
 
 def fit_rc_groups(
-    rest_segment: Trace,
-    n_rc: int,
-    step_current: float | None = None,
-    step_duration: float | None = None,
+    rest_segment: Trace, n_rc: int, excitation: Trace
 ) -> tuple[list[RcGroup], RcFitDiagnostics]:
-    """RC groups from a zero-current relaxation tail.
+    """RC groups from a zero-current relaxation tail and the current that excited it.
 
-    Fits v(t) = v_inf + sum a_i exp(-t/tau_i); tau comes out ascending. Each
-    resistance is the amplitude divided by the step current that excited the
-    relaxation, corrected for finite step duration when given. Time constants
-    that collapse (ratio < 1.5) from two starting points reduce the model
-    order with a warning.
+    Fits v(t) = v_inf + sum a_i exp(-t/tau_i); tau comes out ascending. Time
+    constants that collapse (ratio < 1.5) from two starting points reduce the
+    model order with a warning. ``excitation`` is the measured trace from
+    electrical rest up to and including the first sample of the relaxation;
+    each resistance is the amplitude divided by the voltage that a
+    unit-resistance group of the same tau reaches at its last sample. A group
+    whose resistance comes out nonpositive or infinite is dropped with a
+    warning; if none is left the fit fails.
     """
     y = rest_segment.require_voltage()
     t = rest_segment.timestamps
@@ -390,28 +387,21 @@ def fit_rc_groups(
         )
         notes.append("underfit: residual far above tail flatness")
 
+    unit = reconstruct_v_dyn(
+        excitation.timestamps, excitation.current, [RcGroup(1.0, float(tau)) for tau in taus]
+    )[-1]
     groups = []
-    if step_current is not None and step_current != 0.0:
-        for a, tau in zip(amps, taus):
-            excitation = step_current
-            if step_duration is not None:
-                excitation = step_current * (1.0 - math.exp(-step_duration / tau))
-            r = float(a) / excitation
-            if r <= 0.0:
-                warnings.warn(
-                    f"dropping RC group with nonpositive recovered resistance ({r:.3e} ohm)",
-                    FitQualityWarning,
-                    stacklevel=2,
-                )
-                continue
-            groups.append(RcGroup(r, float(tau)))
-    else:
-        # Without the exciting current the amplitudes themselves stand in for
-        # the resistances (unit step assumed); callers that know the current
-        # should pass it.
-        for a, tau in zip(amps, taus):
-            if abs(float(a)) > 0.0:
-                groups.append(RcGroup(abs(float(a)), float(tau)))
+    for a, tau, g in zip(amps.tolist(), taus.tolist(), unit.tolist()):
+        r = a / g if g != 0.0 else math.inf
+        if not (0.0 < r < math.inf):
+            warnings.warn(
+                f"dropping RC group tau={tau:.6g} s: amplitude {a:.3e} V over unit "
+                f"response {g:.3e} V gives resistance {r:.3e} ohm",
+                FitQualityWarning,
+                stacklevel=2,
+            )
+            continue
+        groups.append(RcGroup(r, tau))
     if not groups:
         raise FitConvergenceError("no usable RC group could be recovered from the relaxation")
     return groups, diag
@@ -581,37 +571,14 @@ def identify(trace: Trace, cfg: IdentificationConfig | None = None) -> Identific
     spread = _instantaneous_spread(seg, resistor)
     report.add("instantaneous-fit", residual_rms=spread, notes=notes)
 
-    rest, prev = _first_excited_rest(seg)
-    rest_trace = seg.segment_trace_slice(rest)
-    prev_trace = seg.segment_trace_slice(prev)
-    step_current = float(np.mean(prev_trace.current))
-    step_duration = float(
-        seg.trace.timestamps[rest.start] - seg.trace.timestamps[prev.start]
-    )
+    rest = _first_excited_rest(seg)
+    rest_trace = seg.trace.slice(rest.start, rest.stop)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", FitQualityWarning)
-        _, diag = _stage(
-            "rc-fit", fit_rc_groups, rest_trace, cfg.n_rc, step_current, step_duration
+        groups, diag = _stage(
+            "rc-fit", fit_rc_groups, rest_trace, cfg.n_rc, seg.trace.slice(0, rest.start + 1)
         )
     rc_notes = [str(w.message) for w in caught] + diag.notes
-
-    # Exact excitation refinement: integrate a unit-resistance group over the
-    # measured current up to the rest start; amplitude / unit response = R_i.
-    head = seg.trace.slice(0, rest.start + 1)
-    groups = []
-    for a, tau in zip(diag.amplitudes, diag.taus):
-        unit = reconstruct_v_dyn(head.timestamps, head.current, (RcGroup(1.0, float(tau)),))
-        g = float(unit[-1, 0])
-        if abs(g) < 1e-9 * abs(step_current):
-            g = step_current  # negligible excitation history, fall back to the raw step
-        r = float(a) / g
-        if r > 0.0:
-            groups.append(RcGroup(r, float(tau)))
-        else:
-            rc_notes.append(f"dropped group tau={tau:.6g} s with nonpositive resistance {r:.3e}")
-    if not groups:
-        raise FitConvergenceError("[rc-fit] no usable RC group after excitation refinement")
-    groups.sort(key=lambda g: g.tau)
     offset_data = float(rest_trace.voltage[0] - np.mean(rest_trace.voltage[int(0.9 * len(rest_trace)):]))
     offset_fit = float(np.sum(diag.amplitudes))
     if abs(offset_fit) > 1e-12 and abs(offset_data - offset_fit) > 0.1 * abs(offset_fit):
@@ -671,12 +638,12 @@ def _instantaneous_spread(seg: SegmentedTrace, resistor: MonotoneCurve) -> float
     return float(np.sqrt(np.mean(np.square(residuals))))
 
 
-def _first_excited_rest(seg: SegmentedTrace) -> tuple[Segment, Segment]:
-    """First rest segment preceded by a nonzero-current segment, plus that segment."""
-    prev = None
-    for s in seg.segments:
-        if s.kind == "rest" and prev is not None:
-            return s, prev
-        if s.kind in ("charge", "discharge"):
-            prev = s
+def _first_excited_rest(seg: SegmentedTrace) -> Segment:
+    """First rest segment after a current pulse.
+
+    Adjacent segments differ in kind, so that is any rest but a leading one.
+    """
+    for s in seg.segments[1:]:
+        if s.kind == "rest":
+            return s
     raise UnusableTraceError("no rest segment follows a current pulse; cannot fit RC groups")

@@ -273,7 +273,6 @@ def _advance(
     params: CellParameters,
     current: float,
     dt: float,
-    guard: float,
 ) -> tuple[CellState, bool, float, np.ndarray]:
     """One exact step without guard-rails.
 
@@ -281,8 +280,8 @@ def _advance(
     are the diagonal of the transition Jacobian.
     """
     v_new, f00 = charge_map(params.capacitance, state.v_qst, float(current * dt))
-    lo = params.v_min - guard
-    hi = params.v_max + guard
+    lo = params.v_min - DEFAULT_VQST_GUARD
+    hi = params.v_max + DEFAULT_VQST_GUARD
     saturated = v_new < lo or v_new > hi
     if saturated:
         v_new = lo if v_new < lo else hi
@@ -296,7 +295,6 @@ def step(
     params: CellParameters,
     current: float,
     dt: float,
-    guard: float = DEFAULT_VQST_GUARD,
 ) -> CellState:
     """Advance the state by ``dt`` seconds under a constant current.
 
@@ -311,10 +309,11 @@ def step(
         raise ConfigurationError(
             f"dt = {dt} s violates the stability guard tau_min/5 = {params.dt_guard} s"
         )
-    new_state, saturated, _, _ = _advance(state, params, current, dt, guard)
+    new_state, saturated, _, _ = _advance(state, params, current, dt)
     if saturated:
         warnings.warn(
-            f"v_qst left [{params.v_min}, {params.v_max}] beyond the {guard} V guard; clamped",
+            f"v_qst left [{params.v_min}, {params.v_max}] beyond the "
+            f"{DEFAULT_VQST_GUARD} V guard; clamped",
             SaturationWarning,
             stacklevel=2,
         )
@@ -430,7 +429,6 @@ def simulate(
     params: CellParameters,
     profile: Trace,
     initial: CellState,
-    guard: float = DEFAULT_VQST_GUARD,
 ) -> SimulationResult:
     """Integrate the cell along a current profile and record terminal voltage.
 
@@ -445,8 +443,8 @@ def simulate(
         raise InvalidInputError("initial state does not match the parameter set")
     cap = params.capacitance
     res = params.resistor
-    lo = params.v_min - guard
-    hi = params.v_max + guard
+    lo = params.v_min - DEFAULT_VQST_GUARD
+    hi = params.v_max + DEFAULT_VQST_GUARD
 
     v_qst = np.empty(t.size)
     v = v_qst[0] = float(initial.v_qst)

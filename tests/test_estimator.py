@@ -14,6 +14,7 @@ from cellsoc import (
     correct,
     estimate_soc,
     make_filter,
+    output_voltage,
     predict,
     run_filter,
     simulate,
@@ -132,9 +133,7 @@ class TestCorrect:
         cell = linear_cell()
         cfg = EkfConfig.default(cell, initial_soc=0.5)
         state = make_filter(cfg)
-        from cellsoc import predicted_output
-
-        z = predicted_output(state, cell, 0.0)
+        z = output_voltage(state.mean, cell, 0.0)
         out = correct(state, cell, z, 0.0, cfg)
         assert out.mean.v_qst == state.mean.v_qst
         assert np.all(out.mean.v_dyn_components == state.mean.v_dyn_components)

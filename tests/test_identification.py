@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from cellsoc import (
+    FitConvergenceError,
     FitQualityWarning,
     IdentificationConfig,
     MonotoneCurve,
+    RcGroup,
     Trace,
     UnusableTraceError,
     build_q_curve,
@@ -13,6 +15,7 @@ from cellsoc import (
     fit_instantaneous,
     fit_rc_groups,
     identify,
+    reconstruct_v_dyn,
     segment_trace,
     simulate,
 )
@@ -125,7 +128,7 @@ class TestFitRcGroups:
 
     def test_noiseless_two_exponential_recovery(self):
         trace = self.decay_trace([0.030, 0.020], [50.0, 1200.0])
-        groups, diag = fit_rc_groups(trace, 2, step_current=1.0)
+        groups, diag = fit_rc_groups(trace, 2, Trace([0.0, 1e6], [1.0, 1.0]))
         assert diag.taus[0] == pytest.approx(50.0, rel=1e-3)
         assert diag.taus[1] == pytest.approx(1200.0, rel=1e-3)
         assert diag.amplitudes[0] == pytest.approx(0.030, rel=1e-3)
@@ -134,7 +137,7 @@ class TestFitRcGroups:
 
     def test_single_exponential_exact(self):
         trace = self.decay_trace([0.040], [300.0])
-        groups, diag = fit_rc_groups(trace, 1, step_current=2.0)
+        groups, diag = fit_rc_groups(trace, 1, Trace([0.0, 1e6], [2.0, 2.0]))
         assert diag.taus[0] == pytest.approx(300.0, rel=1e-6)
         assert groups[0].r == pytest.approx(0.020, rel=1e-6)
 
@@ -143,7 +146,7 @@ class TestFitRcGroups:
         for seed in range(100):
             trace = self.decay_trace([0.030, 0.020], [50.0, 1200.0], noise=1e-3, seed=seed)
             try:
-                _, diag = fit_rc_groups(trace, 2, step_current=1.0)
+                _, diag = fit_rc_groups(trace, 2, Trace([0.0, 1e6], [1.0, 1.0]))
                 ok = (
                     abs(diag.taus[0] / 50.0 - 1.0) < 0.10
                     and abs(diag.taus[1] / 1200.0 - 1.0) < 0.10
@@ -156,7 +159,7 @@ class TestFitRcGroups:
     def test_tau_collapse_reduces_order(self):
         trace = self.decay_trace([0.040], [300.0])
         with pytest.warns(FitQualityWarning):
-            groups, diag = fit_rc_groups(trace, 2, step_current=1.0)
+            groups, diag = fit_rc_groups(trace, 2, Trace([0.0, 1e6], [1.0, 1.0]))
         assert len(diag.taus) == 1
 
     def test_step_duration_correction(self):
@@ -164,13 +167,46 @@ class TestFitRcGroups:
         tau, r, i = 400.0, 0.02, 2.0
         a = r * i * (1.0 - np.exp(-1.0))
         trace = self.decay_trace([a], [tau])
-        groups, _ = fit_rc_groups(trace, 1, step_current=i, step_duration=tau)
+        groups, _ = fit_rc_groups(trace, 1, Trace([0.0, tau], [i, i]))
         assert groups[0].r == pytest.approx(r, rel=1e-6)
 
     def test_too_short_segment_rejected(self):
         trace = self.decay_trace([0.03], [50.0], duration=4.0, dt=1.0)
         with pytest.raises(UnusableTraceError):
-            fit_rc_groups(trace, 2)
+            fit_rc_groups(trace, 2, Trace([0.0, 1e6], [1.0, 1.0]))
+
+    def test_resistances_through_sampled_pulse_edges(self):
+        # Sampled at 4 s, the pulse edges are trapezoids, so the rectangular
+        # pulse formula is off by O(dt/tau); the unit response is not.
+        groups = (RcGroup(0.015, 60.0), RcGroup(0.020, 900.0))
+        current = np.concatenate([np.zeros(10), np.full(150, 2.0), np.zeros(1500)])
+        t = 4.0 * np.arange(current.size)
+        voltage = 3.3 + reconstruct_v_dyn(t, current, groups).sum(axis=1)
+        rest = 160
+        relaxation = Trace(t[rest:], current[rest:], voltage[rest:])
+        excitation = Trace(t[:rest + 1], current[:rest + 1])
+        fitted, diag = fit_rc_groups(relaxation, 2, excitation)
+        assert [g.r for g in fitted] == pytest.approx([g.r for g in groups], rel=1e-6)
+        rectangular = diag.amplitudes / (2.0 * (1.0 - np.exp(-600.0 / diag.taus)))
+        assert np.all(np.abs(rectangular / [g.r for g in groups] - 1.0) > 1e-3)
+
+    def test_opposite_sign_unit_response_drops_group(self):
+        # A long charge then a short discharge: the fast group's unit response
+        # is negative, the slow group's still positive.
+        trace = self.decay_trace([0.030, 0.020], [50.0, 1200.0])
+        current = np.concatenate([np.ones(10000), -np.ones(200)])
+        excitation = Trace(np.arange(float(current.size)), current)
+        with pytest.warns(FitQualityWarning, match="dropping RC group"):
+            groups, diag = fit_rc_groups(trace, 2, excitation)
+        assert len(diag.taus) == 2
+        assert [g.tau for g in groups] == pytest.approx([1200.0], rel=1e-3)
+
+    @pytest.mark.parametrize("i", [-1.0, 0.0])
+    def test_all_groups_dropped_raises(self, i):
+        trace = self.decay_trace([0.030, 0.020], [50.0, 1200.0])
+        with pytest.warns(FitQualityWarning, match="dropping RC group"):
+            with pytest.raises(FitConvergenceError):
+                fit_rc_groups(trace, 2, Trace([0.0, 1e6], [i, i]))
 
 
 class TestDecompose:
@@ -201,8 +237,6 @@ class TestDecompose:
         cell = make_cell()
         trace, _ = identification_trace(cell, sample_period=4.0)
         seg = segment_trace(trace, CFG)
-        from cellsoc import reconstruct_v_dyn
-
         v_qst = decompose(seg, list(cell.rc_groups), cell.resistor)
         v_dyn = reconstruct_v_dyn(trace.timestamps, trace.current, cell.rc_groups)
         rebuilt = v_qst + v_dyn.sum(axis=1) + cell.resistor.eval(trace.current)

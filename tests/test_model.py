@@ -172,7 +172,7 @@ class TestStep:
         cell = constant_c_cell(c=10.0, rc=((0.01, 10.0),))
         s = CellState(cell.v_max, np.zeros(1))
         with pytest.warns(SaturationWarning):
-            s1 = step(s, cell, 30.0, 0.1, guard=0.05)
+            s1 = step(s, cell, 30.0, 0.1)
         assert s1.v_qst == pytest.approx(cell.v_max + 0.05)
 
 
