@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -233,6 +234,7 @@ def cmd_budget(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args keeps no state on the parser
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cellsoc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -343,7 +343,8 @@ def soc_from_vqst(params: CellParameters, v_qst: float) -> float:
             stacklevel=2,
         )
         v_qst = min(max(v_qst, params.v_min), params.v_max)
-    return params.capacitance.integrate(params.v_min, v_qst) / params.delta_q
+    # The curve starts at v_min, so its running integral there is exactly 0.
+    return params.capacitance.integral_and_value(v_qst)[0] / params.delta_q
 
 
 def vqst_from_soc(params: CellParameters, soc: float) -> float:
@@ -410,8 +411,15 @@ def reconstruct_v_dyn(
     out = np.zeros((t.size, len(groups)))
     if initial is not None:
         out[0] = np.asarray(initial, dtype=float)
-    for k in range(1, t.size):
-        out[k] = out[k - 1] * decay[k - 1] + forced[k - 1]
+    # One float recurrence per group: the same multiply and add, bit for bit,
+    # as the row form out[k] = out[k-1] * decay[k-1] + forced[k-1].
+    for j, (d_col, f_col) in enumerate(zip(decay.T.tolist(), forced.T.tolist())):
+        x = float(out[0, j])
+        col = [x]
+        for d, f in zip(d_col, f_col):
+            x = x * d + f
+            col.append(x)
+        out[:, j] = col
     return out
 
 

@@ -3,6 +3,11 @@
 Trace CSV schema: header ``t_s,current_a,voltage_v`` (or ``t_s,current_a``
 for voltage-less profiles), one sample per row, UTF-8, '.' decimal separator.
 Floats are written with repr so a save/load round-trip is bit-exact.
+
+Trace bodies are read in bulk by ``np.loadtxt``, whose float parser accepts
+a subset of what ``float()`` accepts and gives the same bits. Any body it
+rejects or shapes differently is re-read by the line parser, which decides
+what is accepted and names the failing line.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -54,20 +60,30 @@ def save_trace(trace: Trace, path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def load_trace(path) -> Trace:
-    """Parse a trace CSV; malformed rows raise with their line number."""
-    path = Path(path)
+def _read_header(fh, path) -> int:
+    """Consume the header line; return the number of columns it declares."""
+    header = fh.readline().strip()
+    if header == TRACE_HEADER:
+        return 3
+    if header == PROFILE_HEADER:
+        return 2
+    raise TraceParseError(
+        f"{path}: line 1: expected header {TRACE_HEADER!r} or {PROFILE_HEADER!r}, "
+        f"got {header!r}"
+    )
+
+
+def _trace_from_columns(path, cols) -> Trace:
+    try:
+        return Trace(cols[0], cols[1], cols[2] if len(cols) == 3 else None)
+    except Exception as exc:
+        raise TraceParseError(f"{path}: {exc}") from exc
+
+
+def _parse_trace_lines(path) -> Trace:
+    """Line-by-line trace parser: the reference for what ``load_trace`` accepts."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header == TRACE_HEADER:
-            n_cols = 3
-        elif header == PROFILE_HEADER:
-            n_cols = 2
-        else:
-            raise TraceParseError(
-                f"{path}: line 1: expected header {TRACE_HEADER!r} or {PROFILE_HEADER!r}, "
-                f"got {header!r}"
-            )
+        n_cols = _read_header(fh, path)
         cols: list[list[float]] = [[] for _ in range(n_cols)]
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
@@ -81,11 +97,29 @@ def load_trace(path) -> Trace:
                     col.append(float(part))
             except ValueError as exc:
                 raise TraceParseError(f"{path}: line {lineno}: {exc}") from exc
-    try:
-        voltage = np.array(cols[2]) if n_cols == 3 else None
-        return Trace(np.array(cols[0]), np.array(cols[1]), voltage)
-    except Exception as exc:
-        raise TraceParseError(f"{path}: {exc}") from exc
+    return _trace_from_columns(path, [np.array(col) for col in cols])
+
+
+def load_trace(path) -> Trace:
+    """Parse a trace CSV; malformed rows raise with their line number.
+
+    The body is read in one ``np.loadtxt`` call. Its result is kept only when
+    it has at least one row and exactly the header's columns; otherwise the
+    file is re-read by the line parser, which returns the same trace or raises
+    the ``TraceParseError`` that names the failing line.
+    """
+    path = Path(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        n_cols = _read_header(fh, path)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # empty input
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
+        except ValueError:
+            data = None
+    if data is None or data.shape[0] == 0 or data.shape[1] != n_cols:
+        return _parse_trace_lines(path)
+    return _trace_from_columns(path, np.ascontiguousarray(data.T))
 
 
 def _curve_to_dict(curve: MonotoneCurve) -> dict:

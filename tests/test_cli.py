@@ -42,6 +42,14 @@ class TestBudget:
         assert main(["budget", "2"]) == 1
         assert main(["bogus-command"]) == 1
 
+    def test_parser_carries_no_state_between_calls(self, capsys):
+        # The parser is built once per process; a failed parse must not leak
+        # into the next call.
+        assert main(["budget", "2"]) == 1
+        capsys.readouterr()
+        assert main(["budget", "0.5", "1"]) == 0
+        assert capsys.readouterr().out.strip() == "1"
+
     def test_bad_value_is_data_error(self, capsys):
         assert main(["budget", "0", "0.01"]) == 2
 

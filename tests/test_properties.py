@@ -96,6 +96,14 @@ def test_vqst_from_soc_inverts_soc_from_vqst(cell, frac):
 
 
 @PROPERTY
+@given(cells(), st.one_of(st.sampled_from([0.0, 1.0]), fractions))
+def test_soc_is_exactly_the_window_integral(cell, frac):
+    v = min(inside(cell, frac), cell.v_max)
+    expected = cell.capacitance.integrate(cell.v_min, v) / cell.delta_q
+    assert soc_from_vqst(cell, v) == expected
+
+
+@PROPERTY
 @given(cells(), fractions, fractions)
 def test_long_gap_predict_is_one_exact_step(cell, soc0, soc1):
     dt = 1e6
