@@ -8,7 +8,10 @@ the per-step API: pure functions from filter state to filter state.
 Whole series (``run_filter`` and ``MultiCellEkf.run``) go through one fused
 kernel, ``_filter_series``, that runs the same arithmetic on plain floats.
 F is diagonal and H is a row of ones, so with p = P*1 and s = 1'P1 + r the
-Joseph update is the rank-1 form P - K p' - p K' + s K K'.
+Joseph update is the rank-1 form P - K p' - p K' + s K K'. At rest the
+covariance step settles on a bitwise fixed point; while its inputs (f0 and dt)
+repeat, the kernel keeps that P and gain instead of recomputing them, which
+is exact because the skipped arithmetic would reproduce the same bits.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .model import (
     Trace,
     _advance,
     _check_finite,
+    _soc_clamp_message,
     charge_map,
     interval_currents,
     output_voltage,
@@ -266,6 +270,8 @@ def _filter_series(
     res = params.resistor
     i_lo, i_hi = res.x_min, res.x_max
     v_lo, v_hi = params.v_min - DEFAULT_VQST_GUARD, params.v_max + DEFAULT_VQST_GUARD
+    soc_lo, soc_hi = params.v_min, params.v_max
+    soc_clamped = _soc_clamp_message(params)
     taus = params.taus.tolist()
     r_dyn = params.rs.tolist()
     q = cfg.process_noise_q.tolist()
@@ -282,7 +288,8 @@ def _filter_series(
     p = ekf.covariance.tolist()
     h_prev = math.nan
     decay = fill = q_dt = ()
-    soc_out, innov_out, vqst_out = (np.empty(len(voltage)) for _ in range(3))
+    steady = None  # (f0, h) of the last full step if it left P bit for bit unchanged
+    innov_out, vqst_out = np.empty(len(voltage)), np.empty(len(voltage))
 
     drops = res.eval(np.asarray(current, dtype=float))
     dt, i_pred, voltage, current, drops = (
@@ -292,6 +299,7 @@ def _filter_series(
     # Every covariance entry below is formed symmetrically in (a, b), so P
     # stays exactly symmetric without a re-symmetrization.
     for k, (pred, z, i, drop) in enumerate(zip(preds, voltage, current, drops)):
+        reuse = False
         if pred is not None:
             h, u = pred
             v, f0 = charge_map(cap, v, u * h)
@@ -305,16 +313,26 @@ def _filter_series(
                 fill = [1.0 - d for d in decay]
                 q_dt = [[x * h for x in row] for row in q]
             dyn = [c * d + rj * u * g for c, d, rj, g in zip(dyn, decay, r_dyn, fill)]
-            f = [f0, *decay]
-            p = [
-                [fa * fb * x + qx for fb, x, qx in zip(f, row, q_row)]
-                for fa, row, q_row in zip(f, p, q_dt)
-            ]
-            # Scaling by a diagonal and adding PSD noise preserves
-            # semidefiniteness, so finiteness and the diagonal suffice here.
-            diagonal = map(getitem, p, range(m))
-            if not math.isfinite(sum(map(sum, p))) or min(diagonal) < -PSD_TOLERANCE:
-                raise NumericalFailureError("predicted covariance lost positive semidefiniteness")
+            # The covariance step reads only P, f0, h (through the decay and
+            # Q*h) and r. At rest f0 and h repeat and P settles on a fixed
+            # point, so the step would reproduce the P and gain it holds; they
+            # passed every check when first made. f0 (a capacitance ratio) and
+            # h are positive, so == on them is bit equality.
+            reuse = (f0, h) == steady
+            if not reuse:
+                p_start = p
+                f = [f0, *decay]
+                p = [
+                    [fa * fb * x + qx for fb, x, qx in zip(f, row, q_row)]
+                    for fa, row, q_row in zip(f, p, q_dt)
+                ]
+                # Scaling by a diagonal and adding PSD noise preserves
+                # semidefiniteness, so finiteness and the diagonal suffice here.
+                diagonal = map(getitem, p, range(m))
+                if not math.isfinite(sum(map(sum, p))) or min(diagonal) < -PSD_TOLERANCE:
+                    raise NumericalFailureError(
+                        "predicted covariance lost positive semidefiniteness"
+                    )
 
         if i < i_lo or i > i_hi:
             warnings.warn(
@@ -324,26 +342,37 @@ def _filter_series(
             )
         innovation = z - (v + sum(dyn) + drop)
         if update:
-            p1 = list(map(sum, p))  # P 1
-            s = sum(p1) + r
-            if s <= 0.0 or not math.isfinite(s):
-                raise NumericalFailureError(f"innovation variance is not positive ({s})")
-            gain = [x / s for x in p1]
+            if not reuse:
+                p1 = list(map(sum, p))  # P 1
+                s = sum(p1) + r
+                if s <= 0.0 or not math.isfinite(s):
+                    raise NumericalFailureError(f"innovation variance is not positive ({s})")
+                gain = [x / s for x in p1]
+                # Joseph form with H = 1': P - K p' - p K' + s K K'.
+                p = [
+                    [x - (ka * pb + pa * kb) + ka * kb * s for x, pb, kb in zip(row, p1, gain)]
+                    for row, ka, pa in zip(p, gain, p1)
+                ]
+                if not _is_psd(p):
+                    raise NumericalFailureError(
+                        "corrected covariance lost positive semidefiniteness"
+                    )
+                # Bits, since == would let a zero change its sign; == first is cheap.
+                settled = pred is not None and p == p_start and (
+                    np.array(p).tobytes() == np.array(p_start).tobytes()
+                )
+                steady = (f0, h) if settled else None
             v += gain[0] * innovation
             dyn = [c + g * innovation for c, g in zip(dyn, gain[1:])]
-            # Joseph form with H = 1': P - K p' - p K' + s K K'.
-            p = [
-                [x - (ka * pb + pa * kb) + ka * kb * s for x, pb, kb in zip(row, p1, gain)]
-                for row, ka, pa in zip(p, gain, p1)
-            ]
-            if not _is_psd(p):
-                raise NumericalFailureError("corrected covariance lost positive semidefiniteness")
             if not math.isfinite(v) or not math.isfinite(sum(dyn)):
                 raise InvalidInputError("cell state must be finite")
-        soc_out[k] = soc_from_vqst(params, v)
+        if v < soc_lo or v > soc_hi:
+            warnings.warn(soc_clamped, OutOfRangeWarning, stacklevel=2)
         innov_out[k] = innovation
         vqst_out[k] = v
 
+    # soc_from_vqst over the whole column; its clamp warnings were raised above.
+    soc_out = cap.integral_array(np.clip(vqst_out, soc_lo, soc_hi)) / params.delta_q
     final = EkfState(CellState(v, np.array(dyn)), np.array(p))
     return soc_out, innov_out, vqst_out, final
 

@@ -326,6 +326,11 @@ def v_dyn_steady(params: CellParameters, current: float) -> float:
     return float(np.sum(params.rs)) * current
 
 
+def _soc_clamp_message(params: CellParameters) -> str:
+    # Static message so repeated clamps deduplicate under the default filter.
+    return f"v_qst outside [{params.v_min}, {params.v_max}] V, clamped"
+
+
 def soc_from_vqst(params: CellParameters, v_qst: float) -> float:
     """State of charge from the capacitance curve, integrated over voltage.
 
@@ -336,12 +341,7 @@ def soc_from_vqst(params: CellParameters, v_qst: float) -> float:
     if params.delta_q <= 0.0:
         raise InvalidParametersError("delta_q must be positive")
     if v_qst < params.v_min or v_qst > params.v_max:
-        # Static message so repeated clamps deduplicate under the default filter.
-        warnings.warn(
-            f"v_qst outside [{params.v_min}, {params.v_max}] V, clamped",
-            OutOfRangeWarning,
-            stacklevel=2,
-        )
+        warnings.warn(_soc_clamp_message(params), OutOfRangeWarning, stacklevel=2)
         v_qst = min(max(v_qst, params.v_min), params.v_max)
     # The curve starts at v_min, so its running integral there is exactly 0.
     return params.capacitance.integral_and_value(v_qst)[0] / params.delta_q

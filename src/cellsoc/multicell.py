@@ -194,7 +194,10 @@ class MultiCellEkf:
         Slots are isolated, so each cell's services are filtered as one series
         by the fused kernel. The engine ends in the state that ticking the same
         schedule would leave: slots, service times and ring position. A run
-        that raises leaves the engine unchanged.
+        that raises leaves the engine unchanged. One ``SchedulingWarning``
+        counts the services whose held sample is older than two revolutions,
+        and one names the cells whose trace runs more than a revolution past
+        the horizon.
         """
         cells = self.config.cells
         n = len(cells)
@@ -214,12 +217,23 @@ class MultiCellEkf:
                     traces[cell_id], self.slots[cell_id].params_ref.nominal_capacity_c_n, soc0
                 )
 
+        revolution = n * t_slot
+        stale_age = 2.0 * revolution * (1.0 + 1e-9)  # tick's stale threshold
+        overrun = [c for c in cells
+                   if traces[c].timestamps[-1] > horizon + revolution * (1.0 + 1e-9)]
+        if overrun:
+            warnings.warn(
+                f"traces of {', '.join(map(repr, overrun))} run more than one revolution "
+                f"past the shared horizon {horizon:.6g} s; their tails are not used",
+                SchedulingWarning,
+                stacklevel=2,
+            )
         services = _service_count(self.start_time, t_slot, horizon)
         if services and self._ring != 0:
             raise SchedulingViolationError(
                 f"measurement for {cells[0]!r} but {self.due_cell!r} is due"
             )
-        picks = []
+        picks, stale = [], 0
         for j, cell_id in enumerate(cells):
             # Service k (of all cells) happens at start + (k + 1) * t_slot.
             now = self.start_time + (np.arange(j, services, n) + 1) * t_slot
@@ -231,6 +245,14 @@ class MultiCellEkf:
                     f"trace for {cell_id!r} starts after its first service instant {float(now[0])}"
                 )
             picks.append((cell_id, now, idx))
+            stale += int(np.count_nonzero(now - traces[cell_id].timestamps[idx] > stale_age))
+        if stale:
+            warnings.warn(
+                f"{stale} services used a held sample older than two revolutions "
+                f"({2.0 * revolution:.6g} s); update quality degraded",
+                SchedulingWarning,
+                stacklevel=2,
+            )
 
         series, finals = {}, {}
         for cell_id, now, idx in picks:

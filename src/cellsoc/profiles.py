@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,12 +51,6 @@ class ProfileSpec:
             raise ConfigurationError(f"unknown profile kind {self.kind!r}; expected one of {self.KINDS}")
         if self.sample_period_s <= 0.0:
             raise ConfigurationError("sample period must be positive")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        if d["charge_amplitudes_a"] is not None:
-            d["charge_amplitudes_a"] = list(d["charge_amplitudes_a"])
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProfileSpec":

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import warnings
+from collections import Counter
+
 import numpy as np
 
 from cellsoc import (
@@ -10,9 +13,15 @@ from cellsoc import (
     MonotoneCurve,
     RcGroup,
     Trace,
+    estimate_soc,
     identification_profile,
+    make_filter,
+    predict,
+    run_filter,
     simulate,
 )
+from cellsoc.estimator import _correct
+from cellsoc.model import interval_currents
 
 
 def make_capacitance(
@@ -106,3 +115,40 @@ def relative_rms(estimate: np.ndarray, truth: np.ndarray) -> float:
     estimate = np.asarray(estimate, float)
     truth = np.asarray(truth, float)
     return float(np.sqrt(np.mean((estimate - truth) ** 2)) / np.sqrt(np.mean(truth**2)))
+
+
+def step_chain(params, trace, cfg):
+    """run_filter spelled out as the per-step API: predict, then _correct."""
+    t, current, voltage = trace.timestamps, trace.current, trace.voltage
+    i_eff = interval_currents(current)
+    soc, innov, v_qst = (np.empty(t.size) for _ in range(3))
+    state = make_filter(cfg)
+    for k in range(t.size):
+        if k > 0:
+            state = predict(state, params, i_eff[k - 1], float(t[k] - t[k - 1]), cfg)
+        state, innov[k] = _correct(state, params, float(voltage[k]), float(current[k]), cfg)
+        soc[k] = estimate_soc(state, params)
+        v_qst[k] = state.mean.v_qst
+    return soc, innov, v_qst, state
+
+
+def warning_counts(fn, *args):
+    """fn(*args) and a count of every warning it raised, by category and message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, Counter((w.category, str(w.message)) for w in caught)
+
+
+def assert_run_filter_matches_step_chain(params, trace, cfg):
+    """run_filter equals the per-step chain within 1e-12, with the same warnings."""
+    run, got = warning_counts(run_filter, params, trace, cfg)
+    (soc, innov, v_qst, final), expected = warning_counts(step_chain, params, trace, cfg)
+    assert got == expected
+    assert np.max(np.abs(run.soc - soc)) <= 1e-12
+    assert np.max(np.abs(run.innovations - innov)) <= 1e-12
+    assert np.max(np.abs(run.v_qst - v_qst)) <= 1e-12
+    assert abs(run.final.mean.v_qst - final.mean.v_qst) <= 1e-12
+    assert np.max(np.abs(run.final.mean.v_dyn_components - final.mean.v_dyn_components)) <= 1e-12
+    assert np.max(np.abs(run.final.covariance - final.covariance)) <= 1e-12
+    assert np.array_equal(run.final.covariance, run.final.covariance.T)

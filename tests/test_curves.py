@@ -16,10 +16,6 @@ def test_clamped_outside_and_flagged():
     c = MonotoneCurve([0.0, 1.0], [1.0, 2.0])
     assert c.eval(-5.0) == 1.0
     assert c.eval(7.0) == 2.0
-    assert c.out_of_range(-5.0)
-    assert c.out_of_range(7.0)
-    assert not c.out_of_range(0.5)
-    assert not c.out_of_range(np.array([0.0, 1.0]))
 
 
 def test_validation_errors():

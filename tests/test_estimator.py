@@ -22,8 +22,9 @@ from cellsoc import (
     transition_jacobian,
     vqst_from_soc,
 )
+from cellsoc import estimator
 from cellsoc.estimator import PSD_TOLERANCE, _is_psd
-from helpers import make_cell, make_resistor, random_cell
+from helpers import assert_run_filter_matches_step_chain, make_cell, make_resistor, random_cell
 
 
 def linear_cell(c=20000.0, tau=50.0, r=0.015, r0=0.03):
@@ -286,3 +287,55 @@ class TestFilterRuns:
         state.covariance = np.full((2, 2), -1.0)
         with pytest.raises(NumericalFailureError):
             correct(state, cell, 3.3, 0.0, cfg)
+
+
+class TestStationaryReuse:
+    """run_filter reuses the covariance step while (f0, dt) repeats on a settled P."""
+
+    # (current A, dt s, samples): a discharge; a rest long enough for P to
+    # settle; a current step at the same dt, so f0 changes; a short rest at
+    # another dt; a rest at the first dt, where P settles again.
+    PHASES = ((-2.0, 1.0, 600), (0.0, 1.0, 4000), (1.5, 1.0, 300), (0.0, 2.0, 50),
+              (0.0, 1.0, 3000))
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        # Short time constants let P reach its fixed point within ~2500 samples.
+        cell = make_cell(rc=((0.012, 20.0), (0.02, 100.0)))
+        current = np.concatenate([np.full(n, i) for i, _, n in self.PHASES] + [[0.0]])
+        dt = np.concatenate([np.full(n, h) for _, h, n in self.PHASES])
+        t = np.concatenate(([0.0], np.cumsum(dt)))
+        start = CellState.rest(vqst_from_soc(cell, 0.9), cell.n_rc)
+        truth = simulate(cell, Trace(t, current), start).trace
+        noise = 1e-3 * np.random.default_rng(5).standard_normal(t.size)
+        return cell, Trace(t, truth.current, truth.voltage + noise)
+
+    @pytest.mark.parametrize("r", [1e-4, np.inf])
+    def test_matches_the_step_chain(self, case, r):
+        cell, trace = case
+        base = EkfConfig.default(cell, initial_soc=0.7)
+        cfg = EkfConfig(base.process_noise_q, r, base.initial_covariance_p0, base.initial_state)
+        assert_run_filter_matches_step_chain(cell, trace, cfg)
+
+    def test_only_settled_rests_skip_the_covariance_step(self, case, monkeypatch):
+        cell, trace = case
+        cfg = EkfConfig.default(cell, initial_soc=0.7)
+
+        def skipped(end):
+            """Samples up to ``end`` whose correction made no Cholesky proof."""
+            proofs = []
+
+            def counted(p):
+                proofs.append(None)
+                return _is_psd(p)
+
+            monkeypatch.setattr(estimator, "_is_psd", counted)
+            run_filter(cell, trace.slice(0, end), cfg)
+            return end - len(proofs)
+
+        ends = np.cumsum([1] + [n for *_, n in self.PHASES])
+        counts = [skipped(int(end)) for end in ends[1:]]
+        assert counts[0] == 0  # the discharge
+        assert counts[1] > 1000  # P settles within the first rest (1562 measured)
+        assert counts[3] == counts[1]  # the current step and the 2 s rest
+        assert counts[4] - counts[3] > 400  # P settles again (542 measured)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -310,3 +312,42 @@ class TestRunEquivalence:
         assert abs(after_batch.soc - after_online.soc) <= 1e-12
         assert abs(after_batch.innovation - after_online.innovation) <= 1e-12
         assert_same_slots()
+
+
+class TestRunWarnings:
+    def scheduling_warnings(self, engine, traces):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            engine.run(traces)
+        return [str(w.message) for w in caught if w.category is SchedulingWarning]
+
+    def test_held_samples_older_than_two_revolutions_are_counted(self):
+        cell = make_cell()
+        sched = SchedulerConfig(t_slot=0.5, cells=("a",), f_max=0.5)  # revolution 0.5 s
+        engine = MultiCellEkf(sched, {"a": (cell, EkfConfig.default(cell))})
+        dense = service_grid_trace(cell, 31, 0.5, 0.0, lambda t: -np.ones_like(t))
+        assert self.scheduling_warnings(engine, {"a": dense}) == []
+
+        # A 5 s gap after t = 5 s: services at 6.5, 7.0, ..., 9.5 s hold a
+        # sample more than 1 s old (6.0 s holds it exactly 1 s).
+        t = np.concatenate((np.arange(0.0, 5.25, 0.5), np.arange(10.0, 15.25, 0.5)))
+        gappy = simulate(cell, Trace(t, -np.ones_like(t)),
+                         CellState.rest(vqst_from_soc(cell, 1.0), cell.n_rc)).trace
+        engine = MultiCellEkf(sched, {"a": (cell, EkfConfig.default(cell))})
+        (message,) = self.scheduling_warnings(engine, {"a": gappy})
+        assert message.startswith("7 services used a held sample older than two revolutions")
+
+    def test_tails_past_the_horizon_are_named(self):
+        cell = make_cell()
+        sched = SchedulerConfig(t_slot=0.25, cells=("a", "b", "c"), f_max=0.5)  # 0.75 s
+        setups = {cid: (cell, EkfConfig.default(cell)) for cid in sched.cells}
+
+        def traces(ends):
+            return {cid: service_grid_trace(cell, int(end / 0.25) + 1, 0.25, 0.0,
+                                            lambda t: -np.ones_like(t))
+                    for cid, end in zip(sched.cells, ends)}
+
+        # Within one revolution of the shortest trace: nothing worth a word.
+        assert self.scheduling_warnings(MultiCellEkf(sched, setups), traces((20, 20.5, 20))) == []
+        (message,) = self.scheduling_warnings(MultiCellEkf(sched, setups), traces((20, 30, 25)))
+        assert message.startswith("traces of 'b', 'c' run more than one revolution")

@@ -150,13 +150,6 @@ class TestMaxFrequency:
 
 
 class TestProfileSpec:
-    def test_round_trip_dict(self):
-        spec = ProfileSpec(kind="identification", charge_amplitudes_a=(1.0, 2.0),
-                           delta_q_c=3600.0, t_empty_s=3600.0, rest1_s=600.0, rest2_s=600.0,
-                           sample_period_s=2.0)
-        again = ProfileSpec.from_dict(spec.to_dict())
-        assert again == spec
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             ProfileSpec(kind="bogus")

@@ -4,9 +4,6 @@ The examples are derandomized so the suite is reproducible; raise
 ``max_examples`` locally to explore further.
 """
 
-import warnings
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -22,17 +19,17 @@ from cellsoc import (  # noqa: E402
     RcGroup,
     Trace,
     charge_map,
-    estimate_soc,
-    make_filter,
     predict,
     run_filter,
     simulate,
     soc_from_vqst,
     vqst_from_soc,
 )
-from cellsoc.estimator import _correct  # noqa: E402
-from cellsoc.model import interval_currents  # noqa: E402
-from helpers import make_resistor, random_cell  # noqa: E402
+from helpers import (  # noqa: E402
+    assert_run_filter_matches_step_chain,
+    make_resistor,
+    random_cell,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -124,28 +121,6 @@ def test_long_gap_predict_is_one_exact_step(cell, soc0, soc1):
     assert np.allclose(out.covariance, expected, rtol=1e-15, atol=0.0)
 
 
-def step_chain(params, trace, cfg):
-    """run_filter spelled out as the per-step API: predict, then _correct."""
-    t, current, voltage = trace.timestamps, trace.current, trace.voltage
-    i_eff = interval_currents(current)
-    soc, innov, v_qst = (np.empty(t.size) for _ in range(3))
-    state = make_filter(cfg)
-    for k in range(t.size):
-        if k > 0:
-            state = predict(state, params, i_eff[k - 1], float(t[k] - t[k - 1]), cfg)
-        state, innov[k] = _correct(state, params, float(voltage[k]), float(current[k]), cfg)
-        soc[k] = estimate_soc(state, params)
-        v_qst[k] = state.mean.v_qst
-    return soc, innov, v_qst, state
-
-
-def warning_counts(fn, *args):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = fn(*args)
-    return out, Counter((w.category, str(w.message)) for w in caught)
-
-
 @st.composite
 def filter_cases(draw):
     """A random cell measured along a trace with gaps up to ~12 days and currents
@@ -168,14 +143,19 @@ def filter_cases(draw):
 @PROPERTY
 @given(filter_cases())
 def test_run_filter_equals_the_step_chain(case):
-    cell, trace, cfg = case
-    run, got = warning_counts(run_filter, cell, trace, cfg)
-    (soc, innov, v_qst, final), expected = warning_counts(step_chain, cell, trace, cfg)
-    assert got == expected
-    assert np.max(np.abs(run.soc - soc)) <= 1e-12
-    assert np.max(np.abs(run.innovations - innov)) <= 1e-12
-    assert np.max(np.abs(run.v_qst - v_qst)) <= 1e-12
-    assert abs(run.final.mean.v_qst - final.mean.v_qst) <= 1e-12
-    assert np.max(np.abs(run.final.mean.v_dyn_components - final.mean.v_dyn_components)) <= 1e-12
-    assert np.max(np.abs(run.final.covariance - final.covariance)) <= 1e-12
-    assert np.array_equal(run.final.covariance, run.final.covariance.T)
+    assert_run_filter_matches_step_chain(*case)
+
+
+@PROPERTY
+@given(cells(), st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=20))
+def test_integral_array_is_the_scalar_form_bit_for_bit(cell, fracs):
+    """On random points, every grid knot and its neighbours, and both window ends."""
+    cap = cell.capacitance
+    grid = cap.grid
+    x = np.concatenate((
+        cell.v_min + np.array(fracs) * (cell.v_max - cell.v_min),
+        grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+        [cell.v_min, cell.v_max],
+    ))
+    want = np.array([cap.integral_and_value(float(xi))[0] for xi in x])
+    assert np.array_equal(cap.integral_array(x).view(np.int64), want.view(np.int64))
