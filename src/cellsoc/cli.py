@@ -14,6 +14,7 @@ import functools
 import json
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -156,10 +157,9 @@ def cmd_simulate(args) -> int:
 
 
 def _soc_rows(cell_id, times, soc_est, soc_ref, innov):
-    return [
-        (float(t), cell_id, float(se), float(sr), float(iv))
-        for t, se, sr, iv in zip(times, soc_est, soc_ref, innov)
-    ]
+    # tolist() converts each column to Python floats in one call.
+    return list(zip(times.tolist(), repeat(cell_id), soc_est.tolist(), soc_ref.tolist(),
+                    innov.tolist()))
 
 
 def cmd_estimate(args) -> int:

@@ -243,12 +243,7 @@ def output_voltage(state: CellState, params: CellParameters, current: float) -> 
         )
     res = params.resistor
     if current < res.x_min or current > res.x_max:
-        # Static message so repeated clamps deduplicate under the default filter.
-        warnings.warn(
-            f"current outside the resistor curve range [{res.x_min}, {res.x_max}] A, clamped",
-            OutOfRangeWarning,
-            stacklevel=2,
-        )
+        warnings.warn(_current_clamp_message(res), OutOfRangeWarning, stacklevel=2)
     return state.v_qst + float(np.sum(state.v_dyn_components)) + res.eval(current)
 
 
@@ -326,8 +321,13 @@ def v_dyn_steady(params: CellParameters, current: float) -> float:
     return float(np.sum(params.rs)) * current
 
 
+# Static messages, so repeated clamps deduplicate under the default filter.
+def _current_clamp_message(resistor: MonotoneCurve) -> str:
+    lo, hi = resistor.x_min, resistor.x_max
+    return f"current outside the resistor curve range [{lo}, {hi}] A, clamped"
+
+
 def _soc_clamp_message(params: CellParameters) -> str:
-    # Static message so repeated clamps deduplicate under the default filter.
     return f"v_qst outside [{params.v_min}, {params.v_max}] V, clamped"
 
 

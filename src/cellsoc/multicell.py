@@ -9,8 +9,23 @@ construction and the arithmetic is identical to N independent filters each
 stepped at period N * t_slot.
 
 ``tick`` is the online path, one service per call. ``run`` uses the isolation
-directly: it filters each cell's services as one series with the fused
-kernel of the estimator module.
+directly and takes one of three paths per cell (``_filter_revolutions`` in
+the estimator module):
+
+- cells with the same number of RC groups and a finite measurement noise r
+  advance together, one vectorised predict-and-correct per revolution on
+  stacked arrays;
+- a cell alone in its group, or with r = inf, is filtered as one series by
+  the plain-float kernel ``_filter_series``;
+- so is the one leftover service of a cell that has one more service than
+  the rest of its group.
+
+All three give the same bits as ``_filter_series`` on each cell alone, with
+its warnings and errors. The stacked path repeats its arithmetic operation by
+operation and takes the RC decays from ``math.exp`` on the distinct dt values,
+as the plain-float kernel does: ``np.exp`` is a separate implementation that
+differs in the last bit for a few percent of arguments. Whenever a check could
+fail, the run hands every cell to ``_filter_series``, which raises as before.
 """
 
 from __future__ import annotations
@@ -32,7 +47,7 @@ from .estimator import (
     EkfConfig,
     EkfState,
     _correct,
-    _filter_series,
+    _filter_revolutions,
     estimate_soc,
     make_filter,
     predict,
@@ -191,13 +206,16 @@ class MultiCellEkf:
         per-cell mapping) seeds the coulomb-counting reference series; without
         it the reference column is NaN.
 
-        Slots are isolated, so each cell's services are filtered as one series
-        by the fused kernel. The engine ends in the state that ticking the same
-        schedule would leave: slots, service times and ring position. A run
-        that raises leaves the engine unchanged. One ``SchedulingWarning``
-        counts the services whose held sample is older than two revolutions,
-        and one names the cells whose trace runs more than a revolution past
-        the horizon.
+        Slots are isolated, so the cells are filtered together, one revolution
+        at a time, wherever their state sizes match and r is finite; the rest
+        and each cell's one leftover service go through the plain-float
+        kernel. Every path gives the bits of that kernel run on each cell
+        alone (see the module docstring). The engine ends in the state that
+        ticking the same schedule would leave: slots, service times and ring
+        position. A run that raises leaves the engine unchanged. One
+        ``SchedulingWarning`` counts the services whose held sample is older
+        than two revolutions, and one names the cells whose trace runs more
+        than a revolution past the horizon.
         """
         cells = self.config.cells
         n = len(cells)
@@ -254,28 +272,31 @@ class MultiCellEkf:
                 stacklevel=2,
             )
 
-        series, finals = {}, {}
+        jobs, stuck_error = [], None
         for cell_id, now, idx in picks:
             slot = self.slots[cell_id]
             prev = np.concatenate(([slot.last_serviced_t], now[:-1]))
             dt = now - prev
             stuck = np.flatnonzero(dt <= 0.0)
             if stuck.size:
+                # Raised once the cells before this one are filtered.
                 k = stuck[0]
-                raise SchedulingViolationError(
+                stuck_error = SchedulingViolationError(
                     f"service time {float(now[k])} does not advance past {float(prev[k])}"
                 )
+                break
             trace = traces[cell_id]
-            current = trace.current[idx]
-            soc, innovations, _, finals[cell_id] = _filter_series(
-                slot.ekf, slot.params_ref, slot.ekf_config, trace.voltage[idx], current,
-                dt, current,
-            )
-            series[cell_id] = CellSeries(now, soc, refs[cell_id][idx], innovations)
+            jobs.append((slot.ekf, slot.params_ref, slot.ekf_config, trace.voltage[idx],
+                         trace.current[idx], dt))
+        filtered = _filter_revolutions(jobs)
+        if stuck_error is not None:
+            raise stuck_error
 
-        for cell_id, now, _ in picks:
+        series = {}
+        for (cell_id, now, idx), (soc, innovations, _, final) in zip(picks, filtered):
+            series[cell_id] = CellSeries(now, soc, refs[cell_id][idx], innovations)
             slot = self.slots[cell_id]
-            slot.ekf = finals[cell_id]
+            slot.ekf = final
             if now.size:
                 slot.last_serviced_t = float(now[-1])
         self._ring = (self._ring + services) % n

@@ -4,6 +4,9 @@ The examples are derandomized so the suite is reproducible; raise
 ``max_examples`` locally to explore further.
 """
 
+import math
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
@@ -159,3 +162,31 @@ def test_integral_array_is_the_scalar_form_bit_for_bit(cell, fracs):
     ))
     want = np.array([cap.integral_and_value(float(xi))[0] for xi in x])
     assert np.array_equal(cap.integral_array(x).view(np.int64), want.view(np.int64))
+
+
+@PROPERTY
+@given(cells(), st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=20))
+def test_segments_give_the_scalar_forms_bit_for_bit(cell, fracs):
+    """The segment expressions, end segments included, on random points, every
+    knot and its neighbours, for both the integral and its inverse."""
+    cap = cell.capacitance
+    table = cap.segments()
+    grid, knots = cap.grid, table[4, 1:]
+
+    def around(points, lo, hi):
+        points = np.asarray(points)
+        return np.concatenate((lo + np.array(fracs) * (hi - lo), points,
+                               np.nextafter(points, -np.inf), np.nextafter(points, np.inf)))
+
+    def bits(*xs):
+        return np.array(xs, dtype=float).view(np.int64).tolist()
+
+    for x in around(grid, cell.v_min, cell.v_max).tolist():
+        g, c, dc, dg, k = table[:, bisect_right(grid.tolist(), x)].tolist()
+        y = c + dc * (x - g) / dg
+        assert bits(k + 0.5 * (c + y) * (x - g), y) == bits(*cap.integral_and_value(x))
+    for q in around(knots, 0.0, cell.delta_q).tolist():
+        g, c, dc, dg, k = table[:, bisect_right(knots.tolist(), q)].tolist()
+        dq = q - k
+        c1 = math.sqrt(max(c * c + 2.0 * (dc / dg) * dq, 0.0))
+        assert bits(g + 2.0 * dq / (c + c1), c1) == bits(*cap.inverse_integral(q))
