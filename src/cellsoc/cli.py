@@ -188,32 +188,39 @@ def cmd_estimate(args) -> int:
 def cmd_multicell(args) -> int:
     manifest = RunManifest("multicell", inputs={"config": args.config})
     manifest.validate()
+    what = "multicell config"
     with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = traceio.config_object(json.load(fh), what)
     base = Path(args.config).parent
 
     def _resolve(p):
         p = Path(p)
         return p if p.is_absolute() else base / p
 
-    cell_ids = [c["id"] for c in doc["cells"]]
+    if not isinstance(doc["cells"], list):
+        raise ConfigurationError(f"{what} field cells must be a list, got {doc['cells']!r}")
+    cells = [traceio.config_object(c, f"{what} cell") for c in doc["cells"]]
+    cell_ids = [c["id"] for c in cells]
     sched = SchedulerConfig(
-        t_slot=float(doc["t_slot_s"]), cells=tuple(cell_ids), f_max=float(doc["f_max_hz"])
+        t_slot=traceio.config_float(doc, "t_slot_s", what), cells=tuple(cell_ids),
+        f_max=traceio.config_float(doc, "f_max_hz", what),
     )
     setups = {}
     traces = {}
     refs = {}
-    for cell in doc["cells"]:
+    for cell in cells:
         cid = cell["id"]
         params = traceio.load_cell_parameters(_resolve(cell["params"]))
         traces[cid] = traceio.load_trace(_resolve(cell["trace"]))
         if "ekf" in cell:
             cfg = traceio.load_ekf_config(_resolve(cell["ekf"]))
         else:
-            cfg = EkfConfig.default(params, initial_soc=float(cell.get("initial_soc", 0.5)))
+            initial_soc = traceio.config_float(cell, "initial_soc", f"{what} cell", 0.5)
+            cfg = EkfConfig.default(params, initial_soc=initial_soc)
         setups[cid] = (params, cfg)
-        refs[cid] = float(cell.get("ref_soc0", 1.0))
-    engine = MultiCellEkf(sched, setups, start_time=float(doc.get("start_time_s", 0.0)))
+        refs[cid] = traceio.config_float(cell, "ref_soc0", f"{what} cell", 1.0)
+    start_time = traceio.config_float(doc, "start_time_s", what, 0.0)
+    engine = MultiCellEkf(sched, setups, start_time=start_time)
     series = engine.run(traces, ref_soc0=refs)
 
     outdir = Path(args.out_dir)

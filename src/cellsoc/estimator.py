@@ -7,11 +7,15 @@ the per-step API: pure functions from filter state to filter state.
 
 Whole series go through one fused kernel, ``_filter_series``, that runs the
 same arithmetic on plain floats. F is diagonal and H is a row of ones, so with
-p = P*1 and s = 1'P1 + r the Joseph update is the rank-1 form
-P - K p' - p K' + s K K'. At rest the covariance step settles on a bitwise
-fixed point; while its inputs (f0 and dt) repeat, the kernel keeps that P and
-gain instead of recomputing them, which is exact because the skipped
-arithmetic would reproduce the same bits.
+t = P*1 and s = 1'P1 + r the Joseph update is the rank-1 form
+P - K t' - t K' + s K K'. The kernel's covariance step is straight-line code,
+generated once per state size by ``_covariance_steps``. P is a flat tuple of
+all m*m entries, not a triangle, so an asymmetric start covariance keeps its
+bits, and every sum is the builtin ``sum()`` over the same terms in the same
+order, since Python 3.12 compensates ``sum()``. At rest the covariance step
+settles on a bitwise fixed point; while its inputs (f0 and dt) repeat, the
+kernel keeps that P and gain instead of recomputing them, which is exact
+because the skipped arithmetic would reproduce the same bits.
 
 ``_filter_revolutions`` (behind ``MultiCellEkf.run``) runs that kernel's step
 for many cells at once, one vectorised step per revolution, with its bits.
@@ -19,11 +23,11 @@ for many cells at once, one vectorised step per revolution, with its bits.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import getitem, mul
 
 import numpy as np
 
@@ -232,23 +236,94 @@ class FilterRun:
     final: EkfState
 
 
-def _is_psd(p: list[list[float]]) -> bool:
-    """Whether p + PSD_TOLERANCE * I has a Cholesky factor, on plain floats.
+def _tuple(names) -> str:
+    """A tuple display of ``names``: ``(a, b)``, or ``(a,)`` for one name."""
+    return f"({', '.join(names)}{',' if len(names) == 1 else ''})"
 
-    The pivot test is LAPACK's, as run by np.linalg.cholesky: a pivot that is
-    not strictly positive (or is NaN) fails.
+
+def _covariance_source(m: int) -> str:
+    """Source of ``_covariance_steps(m)``: the covariance step, unrolled for size m.
+
+    P and Q*dt are flat row-major tuples of m*m floats with entries p_a_b and
+    q_a_b; f is the diagonal of F, the row sums t = P 1 and the gain k are
+    tuples of m floats. Every sum is the builtin ``sum()`` over a tuple of its
+    terms in index order, since Python 3.12 compensates ``sum()`` and
+    ``a + b + c`` would change bits there; a one-term sum stays a sum, which
+    turns -0.0 into 0.0. Entries (a, b) and (b, a) are formed by commuted
+    operations, so a symmetric P stays exactly symmetric.
     """
-    low: list[list[float]] = []
-    for i, row in enumerate(p):
-        li: list[float] = []
-        for lj, x in zip(low, row):  # lj ends with its diagonal entry
-            li.append((x - sum(map(mul, li, lj))) / lj[-1])
-        d = row[i] + PSD_TOLERANCE - sum(map(mul, li, li))
-        if not d > 0.0:
-            return False
-        li.append(math.sqrt(d))
-        low.append(li)
-    return True
+    idx = range(m)
+    p = [[f"p_{a}_{b}" for b in idx] for a in idx]
+    flat = [x for row in p for x in row]
+    diagonal = [p[a][a] for a in idx]
+    row_sums = _tuple([f"sum({_tuple(row)})" for row in p])
+    lines = [
+        "def predict_covariance(p, f, q):",
+        f"    {_tuple(flat)} = p",
+        f"    {_tuple([f'f{a}' for a in idx])} = f",
+        f"    {_tuple([f'q_{a}_{b}' for a in idx for b in idx])} = q",
+        *(f"    p_{a}_{b} = f{a} * f{b} * p_{a}_{b} + q_{a}_{b}" for a in idx for b in idx),
+        f"    t = {row_sums}",
+        "    # Scaling by a diagonal and adding PSD noise preserves",
+        "    # semidefiniteness, so finiteness and the diagonal suffice here.",
+        f"    if not isfinite(sum(t)) or min({_tuple(diagonal)}) < -PSD_TOLERANCE:",
+        '        raise NumericalFailureError("predicted covariance lost positive semidefiniteness")',
+        f"    return {_tuple(flat)}, t",
+        "",
+        "def correct_covariance(p, t, r):",
+        f"    {_tuple(flat)} = p",
+        "    s = sum(t) + r",
+        "    if s <= 0.0 or not isfinite(s):",
+        '        raise NumericalFailureError(f"innovation variance is not positive ({s})")',
+        f"    {_tuple([f't{a}' for a in idx])} = t",
+        *(f"    k{a} = t{a} / s" for a in idx),
+        "    # Joseph form with H = 1': P - K t' - t K' + s K K'.",
+        *(f"    p_{a}_{b} = p_{a}_{b} - (k{a} * t{b} + t{a} * k{b}) + k{a} * k{b} * s"
+          for a in idx for b in idx),
+        "    # Cholesky factor of P + PSD_TOLERANCE * I, row by row; a pivot that is",
+        "    # not strictly positive (or is NaN) fails, as in LAPACK. An empty sum",
+        "    # is the int 0, and x - 0 is x, so it is left out.",
+    ]
+    for i in idx:
+        for j in range(i):
+            dots = [f"l_{i}_{c} * l_{j}_{c}" for c in range(j)]
+            x = f"(p_{i}_{j} - sum({_tuple(dots)}))" if dots else f"p_{i}_{j}"
+            lines.append(f"    l_{i}_{j} = {x} / l_{j}_{j}")
+        squares = [f"l_{i}_{c} * l_{i}_{c}" for c in range(i)]
+        minus = f" - sum({_tuple(squares)})" if squares else ""
+        lines += [
+            f"    d = p_{i}_{i} + PSD_TOLERANCE{minus}",
+            "    if not d > 0.0:",
+            '        raise NumericalFailureError("corrected covariance lost positive semidefiniteness")',
+        ]
+        if i < m - 1:
+            lines.append(f"    l_{i}_{i} = sqrt(d)")
+    lines.append(f"    return {_tuple(flat)}, {_tuple([f'k{a}' for a in idx])}")
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _covariance_steps(m: int):
+    """The covariance step of ``_filter_series`` for a state of size m.
+
+    Returns two functions. ``predict_covariance(p, f, q) -> (p, t)`` forms
+    F P F' + Q*dt for the diagonal f, its row sums t, and checks it.
+    ``correct_covariance(p, t, r) -> (p, k)`` takes the row sums t of P, forms
+    s = 1'P1 + r and the gain k = t / s, applies the Joseph update and proves
+    the result PSD. Both raise ``NumericalFailureError`` where a check fails.
+    They are generated once per m from ``_covariance_source`` as straight-line
+    code, as ``collections.namedtuple`` generates its classes: at these sizes
+    the loops of a list form cost more than its arithmetic.
+    """
+    namespace = {
+        "__name__": __name__,
+        "isfinite": math.isfinite,
+        "sqrt": math.sqrt,
+        "PSD_TOLERANCE": PSD_TOLERANCE,
+        "NumericalFailureError": NumericalFailureError,
+    }
+    exec(compile(_covariance_source(m), f"<covariance step, m={m}>", "exec"), namespace)
+    return namespace["predict_covariance"], namespace["correct_covariance"]
 
 
 def _filter_series(
@@ -271,6 +346,13 @@ def _filter_series(
     the inputs are trace columns, finite by construction. Returns per-sample
     SoC, innovation and v_qst, and the final filter state. Warnings are
     attributed ``stacklevel`` frames up, as ``warnings.warn`` counts them.
+
+    The covariance step is ``_covariance_steps(m)``: straight-line code on P
+    as a flat tuple of all m*m entries, so an asymmetric start covariance
+    keeps its exact bits, with every sum a builtin ``sum()`` over a tuple of
+    the terms in order, so the bits hold on Python 3.12 too, whose ``sum()``
+    is compensated. The predict returns the row sums t = P 1, which serve both
+    its finiteness check and the gain.
     """
     cap = params.capacitance
     res = params.resistor
@@ -281,10 +363,11 @@ def _filter_series(
     soc_clamped = _soc_clamp_message(params)
     taus = params.taus.tolist()
     r_dyn = params.rs.tolist()
-    q = cfg.process_noise_q.tolist()
+    q = cfg.process_noise_q.ravel().tolist()
     r = cfg.measurement_noise_r
     update = not math.isinf(r)
     m = len(taus) + 1
+    predict_covariance, correct_covariance = _covariance_steps(m)
 
     v = ekf.mean.v_qst
     dyn = ekf.mean.v_dyn_components.tolist()
@@ -292,7 +375,9 @@ def _filter_series(
         raise InvalidInputError(
             f"state has {len(dyn)} RC components, parameters define {len(taus)}"
         )
-    p = ekf.covariance.tolist()
+    if ekf.covariance.shape != (m, m):
+        raise InvalidInputError(f"covariance must be {m}x{m}, got {ekf.covariance.shape}")
+    p = tuple(ekf.covariance.ravel().tolist())
     h_prev = math.nan
     decay = fill = q_dt = ()
     steady = None  # (f0, h) of the last full step if it left P bit for bit unchanged
@@ -303,8 +388,6 @@ def _filter_series(
         memoryview(np.asarray(a, dtype=float)) for a in (dt, i_pred, voltage, current, drops)
     )
     preds = chain(repeat(None, len(voltage) - len(dt)), zip(dt, i_pred))
-    # Every covariance entry below is formed symmetrically in (a, b), so P
-    # stays exactly symmetric without a re-symmetrization.
     for k, (pred, z, i, drop) in enumerate(zip(preds, voltage, current, drops)):
         reuse = False
         if pred is not None:
@@ -318,7 +401,7 @@ def _filter_series(
                 h_prev = h
                 decay = [math.exp(-h / tau) for tau in taus]
                 fill = [1.0 - d for d in decay]
-                q_dt = [[x * h for x in row] for row in q]
+                q_dt = tuple([x * h for x in q])
             dyn = [c * d + rj * u * g for c, d, rj, g in zip(dyn, decay, r_dyn, fill)]
             # The covariance step reads only P, f0, h (through the decay and
             # Q*h) and r. At rest f0 and h repeat and P settles on a fixed
@@ -328,38 +411,16 @@ def _filter_series(
             reuse = (f0, h) == steady
             if not reuse:
                 p_start = p
-                f = [f0, *decay]
-                p = [
-                    [fa * fb * x + qx for fb, x, qx in zip(f, row, q_row)]
-                    for fa, row, q_row in zip(f, p, q_dt)
-                ]
-                # Scaling by a diagonal and adding PSD noise preserves
-                # semidefiniteness, so finiteness and the diagonal suffice here.
-                diagonal = map(getitem, p, range(m))
-                if not math.isfinite(sum(map(sum, p))) or min(diagonal) < -PSD_TOLERANCE:
-                    raise NumericalFailureError(
-                        "predicted covariance lost positive semidefiniteness"
-                    )
+                p, t = predict_covariance(p, (f0, *decay), q_dt)
 
         if i < i_lo or i > i_hi:
             warnings.warn(current_clamped, OutOfRangeWarning, stacklevel=stacklevel)
         innovation = z - (v + sum(dyn) + drop)
         if update:
             if not reuse:
-                p1 = list(map(sum, p))  # P 1
-                s = sum(p1) + r
-                if s <= 0.0 or not math.isfinite(s):
-                    raise NumericalFailureError(f"innovation variance is not positive ({s})")
-                gain = [x / s for x in p1]
-                # Joseph form with H = 1': P - K p' - p K' + s K K'.
-                p = [
-                    [x - (ka * pb + pa * kb) + ka * kb * s for x, pb, kb in zip(row, p1, gain)]
-                    for row, ka, pa in zip(p, gain, p1)
-                ]
-                if not _is_psd(p):
-                    raise NumericalFailureError(
-                        "corrected covariance lost positive semidefiniteness"
-                    )
+                if pred is None:
+                    t = tuple([sum(p[a:a + m]) for a in range(0, m * m, m)])
+                p, gain = correct_covariance(p, t, r)
                 # Bits, since == would let a zero change its sign; == first is cheap.
                 settled = pred is not None and p == p_start and (
                     np.array(p).tobytes() == np.array(p_start).tobytes()
@@ -376,7 +437,7 @@ def _filter_series(
 
     # soc_from_vqst over the whole column; its clamp warnings were raised above.
     soc_out = cap.integral_array(np.clip(vqst_out, soc_lo, soc_hi)) / params.delta_q
-    final = EkfState(CellState(v, np.array(dyn)), np.array(p))
+    final = EkfState(CellState(v, np.array(dyn)), np.array(p).reshape(m, m))
     return soc_out, innov_out, vqst_out, final
 
 
@@ -410,7 +471,8 @@ def _builtin_sum(terms, compensated: bool = _COMPENSATED_SUM):
 
 
 def _psd_mask(p: np.ndarray) -> np.ndarray:
-    """``_is_psd`` of every matrix in an [m, m, ...] stack, with its arithmetic."""
+    """The PSD proof of ``_covariance_steps``'s correction for every matrix in an
+    [m, m, ...] stack, with its arithmetic: True where it would pass."""
     ok = np.ones(p.shape[2:], dtype=bool)
     low = []
     for i in range(p.shape[0]):

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .curves import MonotoneCurve
-from .errors import TraceParseError
+from .errors import ConfigurationError, TraceParseError
 from .estimator import EkfConfig
 from .model import CellParameters, CellState, RcGroup, Trace
 from .profiles import ProfileSpec
@@ -177,13 +177,47 @@ def ekf_config_to_dict(cfg: EkfConfig) -> dict:
     }
 
 
+def config_object(doc, what: str) -> dict:
+    """``doc`` if it is a JSON object, else ConfigurationError naming ``what``."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{what} must be a JSON object, got {doc!r}")
+    return doc
+
+
+def config_float(doc: dict, key: str, what: str, default: float | None = None) -> float:
+    """``float(doc[key])``, or ``default`` when one is given and the key is absent.
+
+    A missing required key raises KeyError; a value that float() refuses raises
+    ConfigurationError naming the field.
+    """
+    value = doc[key] if default is None else doc.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{what} field {key} must be a number, got {value!r}") from None
+
+
+def config_array(doc: dict, key: str, what: str) -> np.ndarray:
+    """``doc[key]`` as a float array; a missing key raises KeyError, a value
+    that is not a regular array of numbers raises ConfigurationError."""
+    value = doc[key]
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{what} field {key} must be an array of numbers, "
+                                 f"got {value!r}") from None
+
+
 def ekf_config_from_dict(d: dict) -> EkfConfig:
-    st = d["initial_state"]
+    what = "EKF config"
+    d = config_object(d, what)
+    st = config_object(d["initial_state"], f"{what} field initial_state")
     return EkfConfig(
-        process_noise_q=np.array(d["process_noise_q"]),
-        measurement_noise_r=float(d["measurement_noise_r"]),
-        initial_covariance_p0=np.array(d["initial_covariance_p0"]),
-        initial_state=CellState(float(st["v_qst"]), np.array(st["v_dyn_components"])),
+        process_noise_q=config_array(d, "process_noise_q", what),
+        measurement_noise_r=config_float(d, "measurement_noise_r", what),
+        initial_covariance_p0=config_array(d, "initial_covariance_p0", what),
+        initial_state=CellState(config_float(st, "v_qst", f"{what} initial_state"),
+                                config_array(st, "v_dyn_components", f"{what} initial_state")),
     )
 
 

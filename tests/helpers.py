@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import Counter
+from operator import getitem, mul
 
 import numpy as np
 
@@ -12,6 +14,7 @@ from cellsoc import (
     CellState,
     MonotoneCurve,
     RcGroup,
+    NumericalFailureError,
     Trace,
     estimate_soc,
     identification_profile,
@@ -20,7 +23,7 @@ from cellsoc import (
     run_filter,
     simulate,
 )
-from cellsoc.estimator import _correct
+from cellsoc.estimator import PSD_TOLERANCE, _correct
 from cellsoc.model import interval_currents
 
 
@@ -152,3 +155,59 @@ def assert_run_filter_matches_step_chain(params, trace, cfg):
     assert np.max(np.abs(run.final.mean.v_dyn_components - final.mean.v_dyn_components)) <= 1e-12
     assert np.max(np.abs(run.final.covariance - final.covariance)) <= 1e-12
     assert np.array_equal(run.final.covariance, run.final.covariance.T)
+
+
+# The covariance step of the fused kernel in its list form, the reference for
+# the straight-line code that estimator._covariance_steps generates. P is a
+# list of rows; Q*dt too.
+
+
+def list_predict(p, f, q_dt):
+    """F P F' + Q*dt for the diagonal f, with the predicted-covariance check."""
+    m = len(f)
+    p = [
+        [fa * fb * x + qx for fb, x, qx in zip(f, row, q_row)]
+        for fa, row, q_row in zip(f, p, q_dt)
+    ]
+    # Scaling by a diagonal and adding PSD noise preserves
+    # semidefiniteness, so finiteness and the diagonal suffice here.
+    diagonal = map(getitem, p, range(m))
+    if not math.isfinite(sum(map(sum, p))) or min(diagonal) < -PSD_TOLERANCE:
+        raise NumericalFailureError("predicted covariance lost positive semidefiniteness")
+    return p
+
+
+def list_correct(p, r):
+    """The Joseph update with H = 1' and its PSD proof; returns (P, gain)."""
+    p1 = list(map(sum, p))  # P 1
+    s = sum(p1) + r
+    if s <= 0.0 or not math.isfinite(s):
+        raise NumericalFailureError(f"innovation variance is not positive ({s})")
+    gain = [x / s for x in p1]
+    # Joseph form with H = 1': P - K p' - p K' + s K K'.
+    p = [
+        [x - (ka * pb + pa * kb) + ka * kb * s for x, pb, kb in zip(row, p1, gain)]
+        for row, ka, pa in zip(p, gain, p1)
+    ]
+    if not _is_psd(p):
+        raise NumericalFailureError("corrected covariance lost positive semidefiniteness")
+    return p, gain
+
+
+def _is_psd(p: list[list[float]]) -> bool:
+    """Whether p + PSD_TOLERANCE * I has a Cholesky factor, on plain floats.
+
+    The pivot test is LAPACK's, as run by np.linalg.cholesky: a pivot that is
+    not strictly positive (or is NaN) fails.
+    """
+    low: list[list[float]] = []
+    for i, row in enumerate(p):
+        li: list[float] = []
+        for lj, x in zip(low, row):  # lj ends with its diagonal entry
+            li.append((x - sum(map(mul, li, lj))) / lj[-1])
+        d = row[i] + PSD_TOLERANCE - sum(map(mul, li, li))
+        if not d > 0.0:
+            return False
+        li.append(math.sqrt(d))
+        low.append(li)
+    return True

@@ -6,6 +6,7 @@ import pytest
 from cellsoc import EkfConfig, run_filter
 from cellsoc.cli import main
 from cellsoc.traceio import (
+    ekf_config_to_dict,
     load_cell_parameters,
     load_trace,
     save_cell_parameters,
@@ -233,6 +234,31 @@ class TestEstimate:
         assert np.max(np.abs(innov)) < 1e-12
 
 
+    @pytest.mark.parametrize("field,value,expected", [
+        (None, [1, 2], "EKF config must be a JSON object"),
+        ("initial_state", 3.3, "initial_state must be a JSON object"),
+        ("measurement_noise_r", "low", "measurement_noise_r must be a number"),
+        ("process_noise_q", "x", "process_noise_q must be an array of numbers"),
+        ("initial_covariance_p0", [[1.0, 0.0], [0.0]],
+         "initial_covariance_p0 must be an array of numbers"),
+    ])
+    def test_malformed_ekf_config_exit_2(self, cell_files, tmp_path, capsys, field, value,
+                                         expected):
+        cell, params_path = cell_files
+        trace_path = tmp_path / "t.csv"
+        trace_path.write_text("t_s,current_a,voltage_v\n0.0,0.0,3.3\n1.0,0.0,3.3\n")
+        doc = ekf_config_to_dict(EkfConfig.default(cell))
+        doc = value if field is None else dict(doc, **{field: value})
+        cfg_path = tmp_path / "ekf.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "soc.csv"
+        assert main(["estimate", "--params", str(params_path), "--trace", str(trace_path),
+                     "--ekf-config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and expected in err
+        assert not out.exists()
+
+
 class TestMulticell:
     def make_pack(self, tmp_path, n_cells, t_slot, f_max):
         from cellsoc import CellState, Trace, simulate, vqst_from_soc
@@ -297,3 +323,30 @@ class TestMulticell:
         outdir = tmp_path / "out"
         assert main(["multicell", "--config", str(cfg_path), "--out-dir", str(outdir)]) == 0
         assert len(list(outdir.glob("soc_*.csv"))) == 18
+
+    @pytest.mark.parametrize("where,field,value,expected", [
+        ("doc", None, [1, 2], "multicell config must be a JSON object"),
+        ("doc", "t_slot_s", "fast", "t_slot_s must be a number"),
+        ("doc", "f_max_hz", [0.4], "f_max_hz must be a number"),
+        ("doc", "start_time_s", None, "start_time_s must be a number"),
+        ("doc", "cells", {"c00": {}}, "cells must be a list"),
+        ("cell", None, "c00", "multicell config cell must be a JSON object"),
+        ("cell", "initial_soc", "high", "initial_soc must be a number"),
+        ("cell", "ref_soc0", None, "ref_soc0 must be a number"),
+        ("cell", "ekf", "ekf.json", "EKF config must be a JSON object"),
+    ])
+    def test_malformed_config_exit_2(self, tmp_path, capsys, where, field, value, expected):
+        cfg_path, _ = self.make_pack(tmp_path, 1, 1.0, 0.4)
+        (tmp_path / "ekf.json").write_text("[1, 2]")
+        doc = json.loads(cfg_path.read_text())
+        if where == "cell":
+            cell = doc["cells"][0]
+            doc["cells"][0] = value if field is None else dict(cell, **{field: value})
+        else:
+            doc = value if field is None else dict(doc, **{field: value})
+        cfg_path.write_text(json.dumps(doc))
+        outdir = tmp_path / "out"
+        assert main(["multicell", "--config", str(cfg_path), "--out-dir", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and expected in err
+        assert not outdir.exists()

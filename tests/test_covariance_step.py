@@ -1,0 +1,173 @@
+"""The generated covariance step against its list form, bit for bit.
+
+``estimator._covariance_steps(m)`` generates the covariance predict and
+correction of ``_filter_series`` as straight-line code. They must return
+exactly what the list form in ``helpers`` returns, and raise the same error
+with the same message where a check fails. Bits are compared through
+``.view(np.int64)``, so a zero's sign and a NaN count.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from cellsoc import EkfConfig, EkfState, InvalidInputError, NumericalFailureError  # noqa: E402
+from cellsoc.estimator import _covariance_steps, _filter_series, make_filter  # noqa: E402
+from helpers import _is_psd, list_correct, list_predict, make_cell  # noqa: E402
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
+def flat(rows):
+    return tuple(x for row in rows for x in row)
+
+
+def rows(entries, m):
+    return [list(entries[a:a + m]) for a in range(0, m * m, m)]
+
+
+def outcome(fn):
+    """fn()'s result, or None and its error as (type, message)."""
+    try:
+        return fn(), None
+    except NumericalFailureError as exc:
+        return None, (type(exc), str(exc))
+
+
+@st.composite
+def covariance_cases(draw):
+    """(m, P, f, Q*dt, r) with P and Q*dt as lists of rows.
+
+    P is symmetric PSD, asymmetric, indefinite, not finite, made of signed
+    zeros, or arbitrary floats; f0 is 1 or not; Q*dt is zero, signed zeros,
+    a rate times a gap, or huge; r reaches down to the smallest subnormal.
+    """
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entries = m * m
+    kind = draw(st.sampled_from(
+        ["symmetric", "asymmetric", "indefinite", "non-finite", "zeros", "raw"]))
+    if kind == "zeros":
+        p = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=entries, max_size=entries))
+    elif kind == "raw":
+        p = draw(st.lists(st.floats(), min_size=entries, max_size=entries))
+    else:
+        basis, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        eig = rng.uniform(1e-3, 1.0, m) * 10.0 ** rng.uniform(-12, 3)
+        if kind == "indefinite":
+            eig[0] = -(10.0 ** rng.uniform(-12, 0))
+        p = basis @ np.diag(eig) @ basis.T
+        p = 0.5 * (p + p.T)
+        if kind == "asymmetric":
+            p = p + 1e-3 * np.abs(p).max() * rng.standard_normal((m, m))
+        elif kind == "non-finite":
+            p[rng.integers(m), rng.integers(m)] = draw(st.sampled_from([math.nan, math.inf,
+                                                                        -math.inf]))
+        p = p.ravel().tolist()
+    f0 = draw(st.one_of(st.just(1.0), st.floats(1e-3, 1e3)))
+    f = [f0] + draw(st.lists(st.floats(0.0, 1.0), min_size=m - 1, max_size=m - 1))
+    q_kind = draw(st.sampled_from(["zero", "signed zeros", "rate", "huge"]))
+    if q_kind == "zero":
+        q = [0.0] * entries
+    elif q_kind == "signed zeros":
+        q = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=entries, max_size=entries))
+    else:
+        a = rng.standard_normal((m, m))
+        h = draw(st.floats(1e-3, 1e6)) if q_kind == "rate" else 10.0 ** rng.uniform(250, 308)
+        q = ((1e-8 * a @ a.T) * h).ravel().tolist()
+    r = draw(st.one_of(st.sampled_from([1e-4, 1e-2, 1e-300, 5e-324]), st.floats(5e-324, 1.0)))
+    return m, rows(p, m), f, rows(q, m), r
+
+
+NEGATIVE_ZEROS = [[-0.0] * 3] * 3
+# Python 3.12 compensates sum(): these rows sum to 1.0 there, left to right to 0.0.
+CANCELLING = [[1e16, 1.0, -1e16], [1.0, 2.0, 0.5], [-1e16, 0.5, 1e16]]
+
+
+@PROPERTY
+@given(covariance_cases())
+@example((3, NEGATIVE_ZEROS, [0.5, 0.9, 0.1], NEGATIVE_ZEROS, 1e-4))
+@example((3, CANCELLING, [1.0, 1.0, 1.0], [[0.0] * 3] * 3, 1e-4))
+def test_generated_step_is_the_list_form_bit_for_bit(case):
+    """Predict, then correct; and correct alone, as on a filter's first sample."""
+    m, p, f, q_dt, r = case
+    predict_p, correct_p = _covariance_steps(m)
+    got, got_error = outcome(lambda: predict_p(flat(p), tuple(f), flat(q_dt)))
+    want, want_error = outcome(lambda: list_predict(p, f, q_dt))
+    assert got_error == want_error
+    corrections = [p]
+    if want is not None:
+        p_pred, t = got
+        assert bits(p_pred) == bits(flat(want))
+        assert bits(t) == bits([sum(row) for row in want])
+        corrections.append(want)
+    for start in corrections:
+        t = tuple(sum(row) for row in start)
+        got, got_error = outcome(lambda: correct_p(flat(start), t, r))
+        want, want_error = outcome(lambda: list_correct(start, r))
+        assert got_error == want_error
+        if want is not None:
+            assert bits(got[0]) == bits(flat(want[0]))
+            assert bits(got[1]) == bits(want[1])
+
+
+def proves_psd(p) -> bool:
+    """Whether the generated correction proves p PSD. With zero row sums and
+    r = 1 the gain is zero and the Joseph update leaves p as it is."""
+    m = len(p)
+    out, error = outcome(lambda: _covariance_steps(m)[1](flat(p), (0.0,) * m, 1.0))
+    assert error in (None, (NumericalFailureError,
+                            "corrected covariance lost positive semidefiniteness"))
+    assert out is None or out[0] == flat(p)
+    return error is None
+
+
+def test_psd_proof_is_is_psd():
+    """On the 3,000 draws that pin _is_psd to LAPACK, and on two near-singular
+    matrices that OpenBLAS 0.3.31's Cholesky accepted and _is_psd rejects."""
+    rng = np.random.default_rng(17)
+    verdicts = {True: 0, False: 0}
+    for k in range(3000):
+        n = int(rng.integers(2, 5))
+        basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        eig = rng.uniform(1e-3, 1.0, n) * 10.0 ** rng.uniform(-4, 1)
+        kind = k % 3
+        if kind == 1:
+            eig[0] = rng.choice([0.0, 1e-13, -1e-13])
+        elif kind == 2:
+            eig[0] = -(10.0 ** rng.uniform(-9.7, 0.0))
+        p = basis @ np.diag(eig) @ basis.T
+        p = (0.5 * (p + p.T)).tolist()
+        verdict = _is_psd(p)
+        assert proves_psd(p) == verdict, (kind, eig)
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 900
+    near_singular = [
+        [[0.39842188653103633, 0.21303985456058977, -0.5319934592760766],
+         [0.21303985456058977, 0.4906024609249652, 0.12901319548209203],
+         [-0.5319934592760766, 0.12901319548209203, 1.1641995953325273]],
+        [[4.5155238226933365, -2.1069458421215943, 3.466161623713374],
+         [-2.1069458421215943, 8.26894945800384, 1.4064190939055128],
+         [3.466161623713374, 1.4064190939055128, 3.9155530860793277]],
+    ]
+    for p in near_singular:
+        assert not _is_psd(p)
+        assert not proves_psd(p)
+
+
+def test_covariance_of_another_size_is_refused():
+    cell = make_cell()  # m = 3
+    cfg = EkfConfig.default(cell)
+    start = make_filter(cfg)
+    ekf = EkfState(start.mean, start.covariance[:2, :2])
+    with pytest.raises(InvalidInputError, match="covariance must be 3x3"):
+        _filter_series(ekf, cell, cfg, np.array([3.3]), np.array([0.0]), np.array([]),
+                       np.array([]))

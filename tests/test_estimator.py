@@ -23,8 +23,14 @@ from cellsoc import (
     vqst_from_soc,
 )
 from cellsoc import estimator
-from cellsoc.estimator import PSD_TOLERANCE, _is_psd
-from helpers import assert_run_filter_matches_step_chain, make_cell, make_resistor, random_cell
+from cellsoc.estimator import PSD_TOLERANCE
+from helpers import (
+    _is_psd,
+    assert_run_filter_matches_step_chain,
+    make_cell,
+    make_resistor,
+    random_cell,
+)
 
 
 def linear_cell(c=20000.0, tau=50.0, r=0.015, r0=0.03):
@@ -320,16 +326,17 @@ class TestStationaryReuse:
     def test_only_settled_rests_skip_the_covariance_step(self, case, monkeypatch):
         cell, trace = case
         cfg = EkfConfig.default(cell, initial_soc=0.7)
+        predict_p, correct_p = estimator._covariance_steps(cell.n_rc + 1)
 
         def skipped(end):
             """Samples up to ``end`` whose correction made no Cholesky proof."""
             proofs = []
 
-            def counted(p):
+            def counted(p, t, r):
                 proofs.append(None)
-                return _is_psd(p)
+                return correct_p(p, t, r)
 
-            monkeypatch.setattr(estimator, "_is_psd", counted)
+            monkeypatch.setattr(estimator, "_covariance_steps", lambda m: (predict_p, counted))
             run_filter(cell, trace.slice(0, end), cfg)
             return end - len(proofs)
 

@@ -5,6 +5,7 @@ The examples are derandomized so the suite is reproducible; raise
 """
 
 import math
+import warnings
 from bisect import bisect_right
 
 import numpy as np
@@ -22,13 +23,17 @@ from cellsoc import (  # noqa: E402
     RcGroup,
     Trace,
     charge_map,
+    correct,
+    make_filter,
     predict,
     run_filter,
     simulate,
     soc_from_vqst,
     vqst_from_soc,
 )
+from cellsoc.model import interval_currents  # noqa: E402
 from helpers import (  # noqa: E402
+    _is_psd,
     assert_run_filter_matches_step_chain,
     make_resistor,
     random_cell,
@@ -147,6 +152,33 @@ def filter_cases(draw):
 @given(filter_cases())
 def test_run_filter_equals_the_step_chain(case):
     assert_run_filter_matches_step_chain(*case)
+
+
+@PROPERTY
+@given(filter_cases(), st.data())
+def test_per_step_covariance_stays_symmetric_and_psd(case, data):
+    """Any predict/correct stream: every sample is predicted over its gap, then
+    corrected zero, one or two times with its measurement."""
+    cell, trace, cfg = case
+    t, current, voltage = trace.timestamps, trace.current, trace.voltage
+    i_eff = interval_currents(current)
+    corrections = data.draw(st.lists(st.integers(0, 2), min_size=t.size, max_size=t.size))
+
+    def check(state):
+        p = state.covariance
+        assert np.array_equal(p.view(np.int64), p.T.view(np.int64))
+        assert _is_psd(p.tolist())
+
+    state = make_filter(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for k in range(t.size):
+            if k > 0:
+                state = predict(state, cell, i_eff[k - 1], float(t[k] - t[k - 1]), cfg)
+                check(state)
+            for _ in range(corrections[k]):
+                state = correct(state, cell, float(voltage[k]), float(current[k]), cfg)
+                check(state)
 
 
 @PROPERTY

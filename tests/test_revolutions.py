@@ -34,10 +34,9 @@ from cellsoc.estimator import (  # noqa: E402
     _builtin_sum,
     _filter_revolutions,
     _filter_series,
-    _is_psd,
     _psd_mask,
 )
-from helpers import make_cell, make_resistor, random_cell  # noqa: E402
+from helpers import _is_psd, make_cell, make_resistor, random_cell  # noqa: E402
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
 
