@@ -14,7 +14,6 @@ import functools
 import json
 import sys
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -156,12 +155,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _soc_rows(cell_id, times, soc_est, soc_ref, innov):
-    # tolist() converts each column to Python floats in one call.
-    return list(zip(times.tolist(), repeat(cell_id), soc_est.tolist(), soc_ref.tolist(),
-                    innov.tolist()))
-
-
 def cmd_estimate(args) -> int:
     manifest = RunManifest("estimate", inputs={"params": args.params, "trace": args.trace})
     if args.ekf_config:
@@ -178,7 +171,7 @@ def cmd_estimate(args) -> int:
         ref = coulomb_count(trace, params.nominal_capacity_c_n, args.ref_soc0)
     else:
         ref = np.full(len(trace), np.nan)
-    traceio.save_soc_rows(_soc_rows(args.cell_id, run.times, run.soc, ref, run.innovations), args.out)
+    traceio.save_soc_rows(args.cell_id, args.out, run.times, run.soc, ref, run.innovations)
     manifest.outputs["soc"] = str(args.out)
     manifest.write(_manifest_path(args.out))
     print(f"estimated {run.times.size} samples; final SoC {run.soc[-1]:.4f}")
@@ -228,7 +221,7 @@ def cmd_multicell(args) -> int:
     for cid in cell_ids:
         s = series[cid]
         out = outdir / f"soc_{cid}.csv"
-        traceio.save_soc_rows(_soc_rows(cid, s.times, s.soc_est, s.soc_ref, s.innovations), out)
+        traceio.save_soc_rows(cid, out, s.times, s.soc_est, s.soc_ref, s.innovations)
         manifest.outputs[cid] = str(out)
     manifest.write(outdir / "manifest.json")
     print(f"estimated {len(cell_ids)} cells, "

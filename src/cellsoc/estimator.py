@@ -11,11 +11,11 @@ t = P*1 and s = 1'P1 + r the Joseph update is the rank-1 form
 P - K t' - t K' + s K K'. The kernel's covariance step is straight-line code,
 generated once per state size by ``_covariance_steps``. P is a flat tuple of
 all m*m entries, not a triangle, so an asymmetric start covariance keeps its
-bits, and every sum is the builtin ``sum()`` over the same terms in the same
-order, since Python 3.12 compensates ``sum()``. At rest the covariance step
-settles on a bitwise fixed point; while its inputs (f0 and dt) repeat, the
-kernel keeps that P and gain instead of recomputing them, which is exact
-because the skipped arithmetic would reproduce the same bits.
+bits. Every sum adds its terms left to right from the first (``_sum``), in
+plain IEEE arithmetic, whatever the builtin ``sum`` does. At rest the
+covariance step settles on a bitwise fixed point; while its inputs (f0 and
+dt) repeat, the kernel keeps that P and gain instead of recomputing them,
+which is exact because the skipped arithmetic would reproduce the same bits.
 
 ``_filter_revolutions`` (behind ``MultiCellEkf.run``) runs that kernel's step
 for many cells at once, one vectorised step per revolution, with its bits.
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -117,7 +118,8 @@ class EkfConfig:
 
 @dataclass(eq=False)
 class EkfState:
-    """Filter mean and covariance; covariance is re-symmetrized on every update."""
+    """Filter mean and covariance. ``predict`` and ``correct`` re-symmetrize the
+    covariance; the batch kernels keep an asymmetric start covariance bit for bit."""
 
     mean: CellState
     covariance: np.ndarray
@@ -236,6 +238,13 @@ class FilterRun:
     final: EkfState
 
 
+def _sum(terms):
+    """``terms[0] + terms[1] + ...`` left to right, on floats or arrays: the one
+    summation rule of the batch kernels. No terms sum to -0.0; x + -0.0 is x
+    bit for bit, so adding an empty sum is leaving it out."""
+    return functools.reduce(operator.add, terms) if terms else -0.0
+
+
 def _tuple(names) -> str:
     """A tuple display of ``names``: ``(a, b)``, or ``(a,)`` for one name."""
     return f"({', '.join(names)}{',' if len(names) == 1 else ''})"
@@ -246,51 +255,49 @@ def _covariance_source(m: int) -> str:
 
     P and Q*dt are flat row-major tuples of m*m floats with entries p_a_b and
     q_a_b; f is the diagonal of F, the row sums t = P 1 and the gain k are
-    tuples of m floats. Every sum is the builtin ``sum()`` over a tuple of its
-    terms in index order, since Python 3.12 compensates ``sum()`` and
-    ``a + b + c`` would change bits there; a one-term sum stays a sum, which
-    turns -0.0 into 0.0. Entries (a, b) and (b, a) are formed by commuted
+    tuples of m floats. Every sum is a chain of ``+`` over its terms in index
+    order, the rule of ``_sum``: a one-term sum is the term itself and an
+    empty sum is left out. Entries (a, b) and (b, a) are formed by commuted
     operations, so a symmetric P stays exactly symmetric.
     """
     idx = range(m)
     p = [[f"p_{a}_{b}" for b in idx] for a in idx]
     flat = [x for row in p for x in row]
     diagonal = [p[a][a] for a in idx]
-    row_sums = _tuple([f"sum({_tuple(row)})" for row in p])
+    t = [f"t{a}" for a in idx]
     lines = [
         "def predict_covariance(p, f, q):",
         f"    {_tuple(flat)} = p",
         f"    {_tuple([f'f{a}' for a in idx])} = f",
         f"    {_tuple([f'q_{a}_{b}' for a in idx for b in idx])} = q",
         *(f"    p_{a}_{b} = f{a} * f{b} * p_{a}_{b} + q_{a}_{b}" for a in idx for b in idx),
-        f"    t = {row_sums}",
+        *(f"    t{a} = {' + '.join(p[a])}" for a in idx),
         "    # Scaling by a diagonal and adding PSD noise preserves",
         "    # semidefiniteness, so finiteness and the diagonal suffice here.",
-        f"    if not isfinite(sum(t)) or min({_tuple(diagonal)}) < -PSD_TOLERANCE:",
+        f"    if not isfinite({' + '.join(t)}) or min({_tuple(diagonal)}) < -PSD_TOLERANCE:",
         '        raise NumericalFailureError("predicted covariance lost positive semidefiniteness")',
-        f"    return {_tuple(flat)}, t",
+        f"    return {_tuple(flat)}, {_tuple(t)}",
         "",
         "def correct_covariance(p, t, r):",
         f"    {_tuple(flat)} = p",
-        "    s = sum(t) + r",
+        f"    {_tuple(t)} = t",
+        f"    s = {' + '.join(t)} + r",
         "    if s <= 0.0 or not isfinite(s):",
         '        raise NumericalFailureError(f"innovation variance is not positive ({s})")',
-        f"    {_tuple([f't{a}' for a in idx])} = t",
         *(f"    k{a} = t{a} / s" for a in idx),
         "    # Joseph form with H = 1': P - K t' - t K' + s K K'.",
         *(f"    p_{a}_{b} = p_{a}_{b} - (k{a} * t{b} + t{a} * k{b}) + k{a} * k{b} * s"
           for a in idx for b in idx),
         "    # Cholesky factor of P + PSD_TOLERANCE * I, row by row; a pivot that is",
-        "    # not strictly positive (or is NaN) fails, as in LAPACK. An empty sum",
-        "    # is the int 0, and x - 0 is x, so it is left out.",
+        "    # not strictly positive (or is NaN) fails, as in LAPACK.",
     ]
     for i in idx:
         for j in range(i):
-            dots = [f"l_{i}_{c} * l_{j}_{c}" for c in range(j)]
-            x = f"(p_{i}_{j} - sum({_tuple(dots)}))" if dots else f"p_{i}_{j}"
+            dots = " + ".join(f"l_{i}_{c} * l_{j}_{c}" for c in range(j))
+            x = f"(p_{i}_{j} - ({dots}))" if j else f"p_{i}_{j}"
             lines.append(f"    l_{i}_{j} = {x} / l_{j}_{j}")
-        squares = [f"l_{i}_{c} * l_{i}_{c}" for c in range(i)]
-        minus = f" - sum({_tuple(squares)})" if squares else ""
+        squares = " + ".join(f"l_{i}_{c} * l_{i}_{c}" for c in range(i))
+        minus = f" - ({squares})" if i else ""
         lines += [
             f"    d = p_{i}_{i} + PSD_TOLERANCE{minus}",
             "    if not d > 0.0:",
@@ -349,9 +356,8 @@ def _filter_series(
 
     The covariance step is ``_covariance_steps(m)``: straight-line code on P
     as a flat tuple of all m*m entries, so an asymmetric start covariance
-    keeps its exact bits, with every sum a builtin ``sum()`` over a tuple of
-    the terms in order, so the bits hold on Python 3.12 too, whose ``sum()``
-    is compensated. The predict returns the row sums t = P 1, which serve both
+    keeps its exact bits. Every sum, there and here, adds left to right as
+    ``_sum`` does. The predict returns the row sums t = P 1, which serve both
     its finiteness check and the gain.
     """
     cap = params.capacitance
@@ -415,11 +421,11 @@ def _filter_series(
 
         if i < i_lo or i > i_hi:
             warnings.warn(current_clamped, OutOfRangeWarning, stacklevel=stacklevel)
-        innovation = z - (v + sum(dyn) + drop)
+        innovation = z - (v + _sum(dyn) + drop)
         if update:
             if not reuse:
                 if pred is None:
-                    t = tuple([sum(p[a:a + m]) for a in range(0, m * m, m)])
+                    t = tuple([_sum(p[a:a + m]) for a in range(0, m * m, m)])
                 p, gain = correct_covariance(p, t, r)
                 # Bits, since == would let a zero change its sign; == first is cheap.
                 settled = pred is not None and p == p_start and (
@@ -428,7 +434,7 @@ def _filter_series(
                 steady = (f0, h) if settled else None
             v += gain[0] * innovation
             dyn = [c + g * innovation for c, g in zip(dyn, gain[1:])]
-            if not math.isfinite(v) or not math.isfinite(sum(dyn)):
+            if not math.isfinite(v) or not math.isfinite(_sum(dyn)):
                 raise InvalidInputError("cell state must be finite")
         if v < soc_lo or v > soc_hi:
             warnings.warn(soc_clamped, OutOfRangeWarning, stacklevel=stacklevel)
@@ -441,45 +447,17 @@ def _filter_series(
     return soc_out, innov_out, vqst_out, final
 
 
-# Python's sum() of floats adds left to right up to 3.11 and is compensated
-# (Neumaier) from 3.12 on; _builtin_sum follows this interpreter.
-_COMPENSATED_SUM = sum([1e16, 1.0, -1e16]) == 1.0
-
-
-def _builtin_sum(terms, compensated: bool = _COMPENSATED_SUM):
-    """``sum(terms)`` as the builtin computes it on floats, elementwise on arrays.
-
-    The result has the builtin's bits wherever it is finite, and is not finite
-    where the builtin's is not. sum() starts from the int 0, so a leading -0.0
-    becomes 0.0, and no partial sum is ever -0.0. The compensated form adds the
-    exact rounding error of each addition at the end; CPython finds it with a
-    branch on |f| >= |x|, the branch-free two-sum below finds the same number.
-    With two terms the error cannot change the rounded sum, so it is skipped.
-    """
-    if not terms:
-        return 0.0
-    f = 0.0 + terms[0]
-    c = None
-    for x in terms[1:]:
-        t = f + x
-        if compensated and len(terms) > 2:
-            b = t - f
-            e = (f - (t - b)) + (x - b)
-            c = e if c is None else c + e
-        f = t
-    return f if c is None else f + c
-
-
 def _psd_mask(p: np.ndarray) -> np.ndarray:
     """The PSD proof of ``_covariance_steps``'s correction for every matrix in an
-    [m, m, ...] stack, with its arithmetic: True where it would pass."""
+    [m, m, ...] stack, with its arithmetic: True where it would pass. Subtracting
+    an empty sum (-0.0) can only turn -0.0 into 0.0, which no pivot test sees."""
     ok = np.ones(p.shape[2:], dtype=bool)
     low = []
     for i in range(p.shape[0]):
         li = []
         for j, lj in enumerate(low):
-            li.append((p[i, j] - _builtin_sum([a * b for a, b in zip(li, lj)])) / lj[-1])
-        d = p[i, i] + PSD_TOLERANCE - _builtin_sum([a * a for a in li])
+            li.append((p[i, j] - _sum([a * b for a, b in zip(li, lj)])) / lj[-1])
+        d = p[i, i] + PSD_TOLERANCE - _sum([a * a for a in li])
         ok &= d > 0.0
         li.append(np.sqrt(d))
         low.append(li)
@@ -611,9 +589,9 @@ def _revolutions(cells, steps: int):
                 p = f[:, None] * f * p + q_h[k]
                 diag_seen[k] = p.reshape(m * m, n)[:: m + 1]
 
-                innovation = z[k] - (v + _builtin_sum(list(dyn)) + drop[k])
-                p1 = _builtin_sum(list(p.transpose(1, 0, 2)))
-                s = _builtin_sum(list(p1)) + r
+                innovation = z[k] - (v + _sum(list(dyn)) + drop[k])
+                p1 = _sum(list(p.transpose(1, 0, 2)))
+                s = _sum(list(p1)) + r
                 gain = p1 / s
                 kp = gain[:, None] * p1
                 p = p - (kp + kp.transpose(1, 0, 2)) + gain[:, None] * gain * s
@@ -668,12 +646,13 @@ def _filter_revolutions(cells):
     step per revolution, for as many services as all of them have. Single
     cells, r = inf cells and the services past that count go through
     ``_filter_series``. The stacked step repeats the scalar arithmetic
-    operation by operation, so it gives the same bits; decays come from
-    ``math.exp`` per distinct dt, since ``np.exp`` may round differently. It
-    skips the stationary reuse, which only saves work. Its warnings are raised
-    afterwards, and if any check could fail every cell goes through
-    ``_filter_series`` instead, which raises where the scalar kernel does.
-    Every warning is attributed to this function's caller.
+    operation by operation, so it gives the same bits: ``_sum`` adds rows as
+    it adds floats, and decays come from ``math.exp`` per distinct dt, since
+    ``np.exp`` may round differently. It skips the stationary reuse, which
+    only saves work. Its warnings are raised afterwards, and if any check
+    could fail every cell goes through ``_filter_series`` instead, which
+    raises where the scalar kernel does. Every warning is attributed to this
+    function's caller.
     """
     groups: dict[int, list[int]] = {}
     for c, (ekf, params, cfg, voltage, *_) in enumerate(cells):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,11 +53,28 @@ class ProfileSpec:
             raise ConfigurationError("sample period must be positive")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ProfileSpec":
-        d = dict(d)
-        if d.get("charge_amplitudes_a") is not None:
-            d["charge_amplitudes_a"] = tuple(d["charge_amplitudes_a"])
-        return cls(**d)
+    def from_dict(cls, doc) -> "ProfileSpec":
+        """Spec from a parsed JSON document; unknown or mistyped fields are an error."""
+        from .traceio import config_array, config_float, config_object  # traceio imports us
+
+        what = "profile spec"
+        doc = config_object(doc, what)
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = sorted(set(doc) - set(defaults))
+        if unknown:
+            raise ConfigurationError(f"unknown {what} fields: {', '.join(unknown)}")
+        spec = {"kind": doc["kind"]}
+        for name, value in doc.items():
+            if name == "kind" or (value is None and defaults[name] is None):  # null = absent
+                continue
+            if name == "charge_amplitudes_a":
+                amps = config_array(doc, name, what)
+                if amps.ndim != 1:
+                    raise ConfigurationError(f"{what} field {name} must be a list, got {value!r}")
+                spec[name] = tuple(amps.tolist())
+            else:
+                spec[name] = config_float(doc, name, what)
+        return cls(**spec)
 
 
 def _segments_to_trace(values_per_segment, dts_per_segment, t0: float = 0.0) -> Trace:

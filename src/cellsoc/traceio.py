@@ -126,8 +126,9 @@ def _curve_to_dict(curve: MonotoneCurve) -> dict:
     return {"grid": curve.grid.tolist(), "values": curve.values.tolist()}
 
 
-def _curve_from_dict(d: dict) -> MonotoneCurve:
-    return MonotoneCurve(np.array(d["grid"]), np.array(d["values"]))
+def _curve_from_dict(doc: dict, key: str, what: str) -> MonotoneCurve:
+    curve = config_object(doc[key], f"{what} field {key}")
+    return MonotoneCurve(*(config_array(curve, k, f"{what} {key}") for k in ("grid", "values")))
 
 
 def cell_parameters_to_dict(params: CellParameters) -> dict:
@@ -143,16 +144,23 @@ def cell_parameters_to_dict(params: CellParameters) -> dict:
     }
 
 
-def cell_parameters_from_dict(d: dict) -> CellParameters:
+def cell_parameters_from_dict(d) -> CellParameters:
+    what = "cell parameters"
+    d = config_object(d, what)
+    groups, group = d["rc_groups"], f"{what} rc group"
+    if not isinstance(groups, list):
+        raise ConfigurationError(f"{what} field rc_groups must be a list, got {groups!r}")
+    groups = [config_object(g, group) for g in groups]
     return CellParameters(
-        v_min=float(d["v_min"]),
-        v_max=float(d["v_max"]),
-        capacitance=_curve_from_dict(d["capacitance"]),
-        rc_groups=tuple(RcGroup(float(g["r"]), float(g["tau"])) for g in d["rc_groups"]),
-        resistor=_curve_from_dict(d["resistor"]),
-        delta_q=float(d["delta_q"]),
-        nominal_capacity_c_n=float(d["nominal_capacity_c_n"]),
-        nominal_voltage_v_n=float(d["nominal_voltage_v_n"]),
+        v_min=config_float(d, "v_min", what),
+        v_max=config_float(d, "v_max", what),
+        capacitance=_curve_from_dict(d, "capacitance", what),
+        rc_groups=tuple(RcGroup(config_float(g, "r", group), config_float(g, "tau", group))
+                        for g in groups),
+        resistor=_curve_from_dict(d, "resistor", what),
+        delta_q=config_float(d, "delta_q", what),
+        nominal_capacity_c_n=config_float(d, "nominal_capacity_c_n", what),
+        nominal_voltage_v_n=config_float(d, "nominal_voltage_v_n", what),
     )
 
 
@@ -235,9 +243,10 @@ def load_profile_spec(path) -> ProfileSpec:
         return ProfileSpec.from_dict(json.load(fh))
 
 
-def save_soc_rows(rows, path) -> None:
-    """Write per-tick estimation rows: (t, cell_id, soc_est, soc_ref, innovation)."""
+def save_soc_rows(cell_id: str, path, times, soc_est, soc_ref, innovations) -> None:
+    """Write one cell's per-sample estimates as a SoC CSV, one row per entry
+    of the columns; each column becomes Python floats in one ``tolist()``."""
+    columns = (np.asarray(c, dtype=float).tolist() for c in (times, soc_est, soc_ref, innovations))
     lines = [SOC_HEADER]
-    for t, cell_id, soc_est, soc_ref, innov in rows:
-        lines.append(f"{float(t)!r},{cell_id},{float(soc_est)!r},{float(soc_ref)!r},{float(innov)!r}")
+    lines += [f"{t!r},{cell_id},{soc!r},{ref!r},{innov!r}" for t, soc, ref, innov in zip(*columns)]
     atomic_write_text(path, "\n".join(lines) + "\n")

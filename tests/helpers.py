@@ -159,7 +159,18 @@ def assert_run_filter_matches_step_chain(params, trace, cfg):
 
 # The covariance step of the fused kernel in its list form, the reference for
 # the straight-line code that estimator._covariance_steps generates. P is a
-# list of rows; Q*dt too.
+# list of rows; Q*dt too. Every sum adds left to right, as the kernel does.
+
+
+def left_to_right(terms):
+    """terms[0] + terms[1] + ..., added in order from the first term.
+
+    No terms sum to 0.0, so that x - left_to_right([]) is x bit for bit.
+    """
+    total = None
+    for x in terms:
+        total = x if total is None else total + x
+    return 0.0 if total is None else total
 
 
 def list_predict(p, f, q_dt):
@@ -172,15 +183,15 @@ def list_predict(p, f, q_dt):
     # Scaling by a diagonal and adding PSD noise preserves
     # semidefiniteness, so finiteness and the diagonal suffice here.
     diagonal = map(getitem, p, range(m))
-    if not math.isfinite(sum(map(sum, p))) or min(diagonal) < -PSD_TOLERANCE:
+    if not math.isfinite(left_to_right(map(left_to_right, p))) or min(diagonal) < -PSD_TOLERANCE:
         raise NumericalFailureError("predicted covariance lost positive semidefiniteness")
     return p
 
 
 def list_correct(p, r):
     """The Joseph update with H = 1' and its PSD proof; returns (P, gain)."""
-    p1 = list(map(sum, p))  # P 1
-    s = sum(p1) + r
+    p1 = list(map(left_to_right, p))  # P 1
+    s = left_to_right(p1) + r
     if s <= 0.0 or not math.isfinite(s):
         raise NumericalFailureError(f"innovation variance is not positive ({s})")
     gain = [x / s for x in p1]
@@ -204,8 +215,8 @@ def _is_psd(p: list[list[float]]) -> bool:
     for i, row in enumerate(p):
         li: list[float] = []
         for lj, x in zip(low, row):  # lj ends with its diagonal entry
-            li.append((x - sum(map(mul, li, lj))) / lj[-1])
-        d = row[i] + PSD_TOLERANCE - sum(map(mul, li, li))
+            li.append((x - left_to_right(map(mul, li, lj))) / lj[-1])
+        d = row[i] + PSD_TOLERANCE - left_to_right(map(mul, li, li))
         if not d > 0.0:
             return False
         li.append(math.sqrt(d))

@@ -111,6 +111,42 @@ class TestSimulate:
         soc_model = soc_from_vqst(cell, float(trace.voltage[-1]))
         assert soc_model == pytest.approx(soc_ref[-1], abs=1e-3)
 
+    @pytest.mark.parametrize("doc,expected", [
+        ([1], "profile spec must be a JSON object"),
+        ({"amplitude_a": 1.0, "duration_s": 10.0}, "missing config field 'kind'"),
+        ({"kind": "constant", "amplitude_a": 1.0, "duration_s": 10.0, "bogus": 1, "x": 2},
+         "unknown profile spec fields: bogus, x"),
+        ({"kind": "constant", "amplitude_a": "x", "duration_s": 10.0},
+         "amplitude_a must be a number"),
+        ({"kind": "constant", "amplitude_a": 1.0, "duration_s": 10.0, "sample_period_s": None},
+         "sample_period_s must be a number"),
+        ({"kind": "identification", "charge_amplitudes_a": ["a"], "delta_q_c": 1.0},
+         "charge_amplitudes_a must be an array of numbers"),
+        ({"kind": "identification", "charge_amplitudes_a": 2.0, "delta_q_c": 1.0},
+         "charge_amplitudes_a must be a list, got 2.0"),
+    ])
+    def test_malformed_spec_exit_2(self, cell_files, tmp_path, capsys, doc, expected):
+        _, params_path = cell_files
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--params", str(params_path), "--spec", str(spec),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and expected in err
+        assert not out.exists()
+
+    def test_null_optional_spec_field_is_absent(self, cell_files, tmp_path):
+        _, params_path = cell_files
+        outs = []
+        for extra in ({}, {"expected_tau_max_s": None, "charge_amplitudes_a": None}):
+            spec = write_spec(tmp_path, kind="constant", amplitude_a=-1, duration_s=30,
+                              **extra)
+            outs.append(tmp_path / f"trace{len(outs)}.csv")
+            assert main(["simulate", "--params", str(params_path), "--spec", str(spec),
+                         "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
 
 class TestIdentify:
     def test_round_trip_within_module_tolerances(self, tmp_path, capsys):
@@ -233,6 +269,32 @@ class TestEstimate:
         innov = np.array([float(r.split(",")[4]) for r in out.read_text().splitlines()[1:]])
         assert np.max(np.abs(innov)) < 1e-12
 
+
+    @pytest.mark.parametrize("field,value,expected", [
+        (None, [1], "cell parameters must be a JSON object"),
+        ("v_min", "low", "v_min must be a number"),
+        ("delta_q", None, "delta_q must be a number"),
+        ("capacitance", [1, 2], "capacitance must be a JSON object"),
+        ("resistor", {"grid": "x", "values": [0.0, 1.0]},
+         "resistor field grid must be an array of numbers"),
+        ("rc_groups", 2, "rc_groups must be a list"),
+        ("rc_groups", [[0.01, 60.0]], "rc group must be a JSON object"),
+        ("rc_groups", [{"r": "x", "tau": 60.0}], "rc group field r must be a number"),
+    ])
+    def test_malformed_cell_parameters_exit_2(self, cell_files, tmp_path, capsys, field,
+                                              value, expected):
+        _, params_path = cell_files
+        doc = json.loads(params_path.read_text())
+        doc = value if field is None else dict(doc, **{field: value})
+        params_path.write_text(json.dumps(doc))
+        trace_path = tmp_path / "t.csv"
+        trace_path.write_text("t_s,current_a,voltage_v\n0.0,0.0,3.3\n1.0,0.0,3.3\n")
+        out = tmp_path / "soc.csv"
+        assert main(["estimate", "--params", str(params_path), "--trace", str(trace_path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and expected in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("field,value,expected", [
         (None, [1, 2], "EKF config must be a JSON object"),

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from cellsoc import EkfConfig, EkfState, InvalidInputError, NumericalFailureError  # noqa: E402
 from cellsoc.estimator import _covariance_steps, _filter_series, make_filter  # noqa: E402
-from helpers import _is_psd, list_correct, list_predict, make_cell  # noqa: E402
+from helpers import _is_psd, left_to_right, list_correct, list_predict, make_cell  # noqa: E402
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -88,7 +88,8 @@ def covariance_cases(draw):
 
 
 NEGATIVE_ZEROS = [[-0.0] * 3] * 3
-# Python 3.12 compensates sum(): these rows sum to 1.0 there, left to right to 0.0.
+# Rows that add to 0.0 left to right and to 1.0 compensated, as Python 3.12's
+# sum() adds them: both sides must add left to right.
 CANCELLING = [[1e16, 1.0, -1e16], [1.0, 2.0, 0.5], [-1e16, 0.5, 1e16]]
 
 
@@ -107,10 +108,10 @@ def test_generated_step_is_the_list_form_bit_for_bit(case):
     if want is not None:
         p_pred, t = got
         assert bits(p_pred) == bits(flat(want))
-        assert bits(t) == bits([sum(row) for row in want])
+        assert bits(t) == bits([left_to_right(row) for row in want])
         corrections.append(want)
     for start in corrections:
-        t = tuple(sum(row) for row in start)
+        t = tuple(left_to_right(row) for row in start)
         got, got_error = outcome(lambda: correct_p(flat(start), t, r))
         want, want_error = outcome(lambda: list_correct(start, r))
         assert got_error == want_error

@@ -31,7 +31,6 @@ from cellsoc import (  # noqa: E402
 )
 from cellsoc import estimator  # noqa: E402
 from cellsoc.estimator import (  # noqa: E402
-    _builtin_sum,
     _filter_revolutions,
     _filter_series,
     _psd_mask,
@@ -281,49 +280,6 @@ def test_slot_isolation_under_a_perturbed_stream(case):
         assert np.array_equal(bits(sa.ekf.mean.v_dyn_components),
                               bits(sb.ekf.mean.v_dyn_components))
         assert np.array_equal(bits(sa.ekf.covariance), bits(sb.ekf.covariance))
-
-
-def neumaier(terms):
-    """CPython's sum() of floats from 3.12 on, transcribed."""
-    f, c = 0 + terms[0], 0.0
-    for x in terms[1:]:
-        t = f + x
-        if abs(f) >= abs(x):
-            c += (f - t) + x
-        else:
-            c += (x - t) + f
-        f = t
-    if c and math.isfinite(c):
-        f += c
-    return f
-
-
-def left_to_right(terms):
-    """CPython's sum() of floats up to 3.11."""
-    f = 0
-    for x in terms:
-        f = f + x
-    return f
-
-
-floats = st.one_of(st.floats(-1e308, 1e308),
-                   st.sampled_from([0.0, -0.0, 1e16, -1e16, 1.0, 1e308, -1e308]))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(floats, min_size=1, max_size=6))
-def test_builtin_sum_is_the_builtin(terms):
-    """Same bits wherever the builtin is finite, non-finite where it is not."""
-    arrays = [np.array([x]) for x in terms]
-    compensated = estimator._COMPENSATED_SUM
-    for flag, reference in ((True, neumaier), (False, left_to_right), (compensated, sum)):
-        want = reference(terms)
-        with np.errstate(all="ignore"):
-            got = _builtin_sum(arrays, flag)
-        if math.isfinite(want):
-            assert bits(got[0]) == bits(want)
-        else:
-            assert not math.isfinite(got[0])
 
 
 def test_psd_mask_is_is_psd_matrix_by_matrix():
