@@ -8,17 +8,17 @@ the per-step API: pure functions from filter state to filter state.
 Whole series go through one fused kernel, ``_filter_series``, that runs the
 same arithmetic on plain floats. F is diagonal and H is a row of ones, so with
 t = P*1 and s = 1'P1 + r the Joseph update is the rank-1 form
-P - K t' - t K' + s K K'. The kernel's covariance step is straight-line code,
-generated once per state size by ``_covariance_steps``. P is a flat tuple of
-all m*m entries, not a triangle, so an asymmetric start covariance keeps its
-bits. Every sum adds its terms left to right from the first (``_sum``), in
-plain IEEE arithmetic, whatever the builtin ``sum`` does. At rest the
-covariance step settles on a bitwise fixed point; while its inputs (f0 and
-dt) repeat, the kernel keeps that P and gain instead of recomputing them,
-which is exact because the skipped arithmetic would reproduce the same bits.
+P - K t' - t K' + s K K'. The kernel's covariance step is straight-line code
+on all m*m entries of P, generated once per state size by
+``_covariance_steps``. Every sum adds its terms left to right from the first
+(``_sum``), whatever the builtin ``sum`` does. At rest the kernel reuses a
+covariance step that settled on a bitwise fixed point (see ``_filter_series``).
+``_filter_revolutions`` (behind ``MultiCellEkf.run``) runs that step for many
+cells at once, one vectorised step per revolution, with its bits.
 
-``_filter_revolutions`` (behind ``MultiCellEkf.run``) runs that kernel's step
-for many cells at once, one vectorised step per revolution, with its bits.
+One rule decides whether a covariance is PSD: P + PSD_TOLERANCE * I has a
+Cholesky factor, by the proof that ``_proof_lines`` writes. ``EkfConfig``,
+``correct`` and both batch kernels run it, so no BLAS decides a verdict.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ PSD_TOLERANCE = 1e-10
 
 
 def _check_psd(matrix: np.ndarray, name: str) -> np.ndarray:
+    """``matrix`` symmetrized, if it is square, finite, symmetric to rounding and
+    PSD by the filters' own proof (``_psd_proofs``); else InvalidParametersError."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidParametersError(f"{name} must be a square matrix")
@@ -66,9 +68,10 @@ def _check_psd(matrix: np.ndarray, name: str) -> np.ndarray:
         raise InvalidParametersError(f"{name} must be finite")
     if np.max(np.abs(m - m.T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
         raise InvalidParametersError(f"{name} must be symmetric")
-    if np.min(np.linalg.eigvalsh(0.5 * (m + m.T))) < -PSD_TOLERANCE:
+    sym = 0.5 * (m + m.T)
+    if not _psd_proofs(m.shape[0])[0](sym.ravel().tolist()):
         raise InvalidParametersError(f"{name} must be positive semidefinite")
-    return 0.5 * (m + m.T)
+    return sym
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,14 +177,10 @@ def predict(
     return EkfState(mean, cov)
 
 
-def _correct(
-    ekf: EkfState,
-    params: CellParameters,
-    measured_v: float,
-    current: float,
-    cfg: EkfConfig,
-) -> tuple[EkfState, float]:
-    """correct() plus the innovation it used (reported even when r is infinite)."""
+def _correct(ekf: EkfState, params: CellParameters, measured_v: float, current: float,
+             cfg: EkfConfig) -> tuple[EkfState, float]:
+    """correct() plus the innovation it used (reported even when r is infinite).
+    The corrected covariance must pass the batch kernels' proof, ``_psd_proofs``."""
     _check_finite(measured_v=measured_v, current=current)
     innovation = measured_v - output_voltage(ekf.mean, params, current)
     if math.isinf(cfg.measurement_noise_r):
@@ -197,22 +196,13 @@ def _correct(
     a = np.eye(p.shape[0]) - gain[:, None]  # I - K H
     cov = a @ p @ a.T + r * np.outer(gain, gain)
     cov = 0.5 * (cov + cov.T)
-    try:
-        np.linalg.cholesky(cov + PSD_TOLERANCE * np.eye(cov.shape[0]))
-    except np.linalg.LinAlgError:
-        raise NumericalFailureError(
-            "corrected covariance lost positive semidefiniteness"
-        ) from None
+    if not _psd_proofs(cov.shape[0])[0](cov.ravel().tolist()):
+        raise NumericalFailureError("corrected covariance lost positive semidefiniteness")
     return EkfState(CellState.from_vector(x), cov), innovation
 
 
-def correct(
-    ekf: EkfState,
-    params: CellParameters,
-    measured_v: float,
-    current: float,
-    cfg: EkfConfig,
-) -> EkfState:
+def correct(ekf: EkfState, params: CellParameters, measured_v: float, current: float,
+            cfg: EkfConfig) -> EkfState:
     """A-posteriori estimate after one terminal-voltage measurement.
 
     The output map is the unweighted sum of the states plus the (input-only)
@@ -288,25 +278,45 @@ def _covariance_source(m: int) -> str:
         "    # Joseph form with H = 1': P - K t' - t K' + s K K'.",
         *(f"    p_{a}_{b} = p_{a}_{b} - (k{a} * t{b} + t{a} * k{b}) + k{a} * k{b} * s"
           for a in idx for b in idx),
-        "    # Cholesky factor of P + PSD_TOLERANCE * I, row by row; a pivot that is",
-        "    # not strictly positive (or is NaN) fails, as in LAPACK.",
+        *_proof_lines(m, ["    if not d > 0.0:", '        raise NumericalFailureError('
+                          '"corrected covariance lost positive semidefiniteness")']),
+        f"    return {_tuple(flat)}, {_tuple([f'k{a}' for a in idx])}",
     ]
-    for i in idx:
+    return "\n".join(lines) + "\n"
+
+
+def _proof_lines(m: int, check: list[str], sqrt: str = "sqrt") -> list[str]:
+    """The PSD proof on the entries p_a_b of a size-m P: each pivot d of the Cholesky
+    factor of P + PSD_TOLERANCE * I, read off the lower triangle, then ``check``,
+    the lines that must fail a pivot that is not ``> 0.0``."""
+    lines = ["    # Cholesky factor of P + PSD_TOLERANCE * I, row by row; a pivot that is",
+             "    # not strictly positive (or is NaN) fails, as in LAPACK."]
+    for i in range(m):
         for j in range(i):
             dots = " + ".join(f"l_{i}_{c} * l_{j}_{c}" for c in range(j))
             x = f"(p_{i}_{j} - ({dots}))" if j else f"p_{i}_{j}"
             lines.append(f"    l_{i}_{j} = {x} / l_{j}_{j}")
         squares = " + ".join(f"l_{i}_{c} * l_{i}_{c}" for c in range(i))
         minus = f" - ({squares})" if i else ""
-        lines += [
-            f"    d = p_{i}_{i} + PSD_TOLERANCE{minus}",
-            "    if not d > 0.0:",
-            '        raise NumericalFailureError("corrected covariance lost positive semidefiniteness")',
-        ]
+        lines += [f"    d = p_{i}_{i} + PSD_TOLERANCE{minus}", *check]
         if i < m - 1:
-            lines.append(f"    l_{i}_{i} = sqrt(d)")
-    lines.append(f"    return {_tuple(flat)}, {_tuple([f'k{a}' for a in idx])}")
-    return "\n".join(lines) + "\n"
+            lines.append(f"    l_{i}_{i} = {sqrt}(d)")
+    return lines
+
+
+@functools.cache
+def _psd_proofs(m: int):
+    """``_proof_lines`` for size m as ``is_psd(p) -> bool``, on P as a flat
+    row-major sequence of floats, and ``psd_mask(p)``, on the m*m entry arrays
+    of a stack of matrices, True where a matrix passes every pivot test."""
+    unpack = f"    {_tuple([f'p_{a}_{b}' for a in range(m) for b in range(m)])} = p"
+    source = "\n".join([
+        "def is_psd(p):", unpack, *_proof_lines(m, ["    if not d > 0.0:", "        return False"]),
+        "    return True", "", "def psd_mask(p):", unpack, "    ok = True",
+        *_proof_lines(m, ["    ok &= d > 0.0"], sqrt="np.sqrt"), "    return ok\n"])
+    namespace = {"__name__": __name__, "sqrt": math.sqrt, "np": np, "PSD_TOLERANCE": PSD_TOLERANCE}
+    exec(compile(source, f"<PSD proof, m={m}>", "exec"), namespace)
+    return namespace["is_psd"], namespace["psd_mask"]
 
 
 @functools.cache
@@ -448,20 +458,9 @@ def _filter_series(
 
 
 def _psd_mask(p: np.ndarray) -> np.ndarray:
-    """The PSD proof of ``_covariance_steps``'s correction for every matrix in an
-    [m, m, ...] stack, with its arithmetic: True where it would pass. Subtracting
-    an empty sum (-0.0) can only turn -0.0 into 0.0, which no pivot test sees."""
-    ok = np.ones(p.shape[2:], dtype=bool)
-    low = []
-    for i in range(p.shape[0]):
-        li = []
-        for j, lj in enumerate(low):
-            li.append((p[i, j] - _sum([a * b for a, b in zip(li, lj)])) / lj[-1])
-        d = p[i, i] + PSD_TOLERANCE - _sum([a * a for a in li])
-        ok &= d > 0.0
-        li.append(np.sqrt(d))
-        low.append(li)
-    return ok
+    """``_psd_proofs``' mask over an [m, m, ...] stack: True where a matrix passes."""
+    m = p.shape[0]
+    return _psd_proofs(m)[1](p.reshape(m * m, *p.shape[2:]))
 
 
 # Magnitude bound of the stacked path's inputs, tables and states. Within it no

@@ -24,7 +24,7 @@ from .errors import (
     InvalidParametersError,
     UnusableTraceError,
 )
-from .model import CellParameters, RcGroup, Trace, reconstruct_v_dyn
+from .model import CellParameters, RcGroup, Trace, interval_currents, reconstruct_v_dyn
 
 
 @dataclass(frozen=True)
@@ -439,7 +439,7 @@ def build_q_curve(
     t = np.asarray(timestamps, dtype=float)
     if not (v.shape == i.shape == t.shape):
         raise InvalidParametersError("series must be aligned")
-    dq = 0.5 * (i[1:] + i[:-1]) * np.diff(t)
+    dq = interval_currents(i) * np.diff(t)
     q = np.concatenate(([0.0], np.cumsum(dq)))
 
     def branch(mask: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:

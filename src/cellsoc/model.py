@@ -369,7 +369,7 @@ def coulomb_count(trace: Trace, c_n: float, soc0: float) -> np.ndarray:
     if not (math.isfinite(soc0) and 0.0 <= soc0 <= 1.0):
         raise InvalidInputError(f"initial SoC must be within [0, 1], got {soc0}")
     dt = np.diff(trace.timestamps)
-    increments = 0.5 * (trace.current[1:] + trace.current[:-1]) * dt
+    increments = interval_currents(trace.current) * dt
     soc = soc0 + np.concatenate(([0.0], np.cumsum(increments))) / c_n
     if np.any(soc < 0.0) or np.any(soc > 1.0):
         warnings.warn(

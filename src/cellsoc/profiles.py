@@ -49,7 +49,7 @@ class ProfileSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ConfigurationError(f"unknown profile kind {self.kind!r}; expected one of {self.KINDS}")
-        if self.sample_period_s <= 0.0:
+        if not self.sample_period_s > 0.0:
             raise ConfigurationError("sample period must be positive")
 
     @classmethod
@@ -98,7 +98,7 @@ def _segments_to_trace(values_per_segment, dts_per_segment, t0: float = 0.0) -> 
 
 def constant_profile(amplitude: float, duration: float, sample_period: float) -> Trace:
     """Constant current for ``duration`` seconds."""
-    if duration <= 0.0 or sample_period <= 0.0:
+    if not (duration > 0.0 and sample_period > 0.0):
         raise ConfigurationError("duration and sample period must be positive")
     n = int(round(duration / sample_period))
     if n < 1:
@@ -125,13 +125,13 @@ def identification_profile(
     expected relaxation.
     """
     amps = [float(a) for a in np.atleast_1d(charge_amplitudes)]
-    if not amps or any(a <= 0.0 for a in amps):
+    if not amps or not all(a > 0.0 for a in amps):
         raise ConfigurationError("charge amplitudes must be positive")
-    if delta_q <= 0.0 or t_empty <= 0.0:
+    if not (delta_q > 0.0 and t_empty > 0.0):
         raise ConfigurationError("delta_q and t_empty must be positive")
-    if rest1 <= 0.0 or rest2 <= 0.0:
+    if not (rest1 > 0.0 and rest2 > 0.0):
         raise ConfigurationError("rest durations must be positive")
-    if sample_period <= 0.0:
+    if not sample_period > 0.0:
         raise ConfigurationError("sample period must be positive")
     if expected_tau_max is not None and min(rest1, rest2) < 3.0 * expected_tau_max:
         warnings.warn(
@@ -176,7 +176,7 @@ def us06_like_profile(
     Gaussian noise shaped to the [f_low, bandwidth] band, zero mean, scaled to
     the requested peak. Deterministic for a fixed seed.
     """
-    if duration <= 0.0 or sample_period <= 0.0:
+    if not (duration > 0.0 and sample_period > 0.0):
         raise ConfigurationError("duration and sample period must be positive")
     nyquist = 0.5 / sample_period
     if bandwidth > nyquist:
@@ -209,7 +209,7 @@ def validation_profile(
     constant charge, twelve hours of rest, then one hour built from
     ``repetitions`` copies of the source cycle, clamped to ±``clamp`` amperes.
     """
-    if rate <= 0.0 or slow_sample_period <= 0.0 or repetitions < 1:
+    if not (rate > 0.0 and slow_sample_period > 0.0) or repetitions < 1:
         raise ConfigurationError("rate, sample period and repetitions must be positive")
     dt = slow_sample_period
     n6h = int(round(21600.0 / dt))

@@ -13,6 +13,7 @@ what is accepted and names the failing line.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import tempfile
 import warnings
@@ -195,14 +196,13 @@ def config_object(doc, what: str) -> dict:
 def config_float(doc: dict, key: str, what: str, default: float | None = None) -> float:
     """``float(doc[key])``, or ``default`` when one is given and the key is absent.
 
-    A missing required key raises KeyError; a value that float() refuses raises
-    ConfigurationError naming the field.
+    A missing required key raises KeyError; a value that is not a number (a
+    string, a boolean, null, ...) raises ConfigurationError naming the field.
     """
     value = doc[key] if default is None else doc.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{what} field {key} must be a number, got {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{what} field {key} must be a number, got {value!r}")
+    return float(value)
 
 
 def config_array(doc: dict, key: str, what: str) -> np.ndarray:

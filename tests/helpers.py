@@ -205,6 +205,36 @@ def list_correct(p, r):
     return p, gain
 
 
+def near_boundary_draws():
+    """(kind, eigenvalues, P): 3,000 symmetric 2x2 to 4x4 matrices, a third each
+    positive definite, near-singular and indefinite."""
+    rng = np.random.default_rng(17)
+    for k in range(3000):
+        n = int(rng.integers(2, 5))
+        basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        eig = rng.uniform(1e-3, 1.0, n) * 10.0 ** rng.uniform(-4, 1)
+        kind = k % 3
+        if kind == 1:  # near-singular: one eigenvalue at or within 1e-13 of zero
+            eig[0] = rng.choice([0.0, 1e-13, -1e-13])
+        elif kind == 2:  # indefinite, down to twice the tolerance below zero
+            eig[0] = -(10.0 ** rng.uniform(-9.7, 0.0))
+        p = basis @ np.diag(eig) @ basis.T
+        yield kind, eig, 0.5 * (p + p.T)
+
+
+# Two near-singular 3x3 covariances (the second has its least eigenvalue at
+# -9.99991e-11) that np.linalg.cholesky(P + PSD_TOLERANCE * I) accepted with
+# OpenBLAS 0.3.31; _is_psd rounds its pivots in another order and rejects them.
+OPENBLAS_ACCEPTED = (
+    [[0.39842188653103633, 0.21303985456058977, -0.5319934592760766],
+     [0.21303985456058977, 0.4906024609249652, 0.12901319548209203],
+     [-0.5319934592760766, 0.12901319548209203, 1.1641995953325273]],
+    [[4.5155238226933365, -2.1069458421215943, 3.466161623713374],
+     [-2.1069458421215943, 8.26894945800384, 1.4064190939055128],
+     [3.466161623713374, 1.4064190939055128, 3.9155530860793277]],
+)
+
+
 def _is_psd(p: list[list[float]]) -> bool:
     """Whether p + PSD_TOLERANCE * I has a Cholesky factor, on plain floats.
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -124,6 +125,9 @@ class TestSimulate:
          "charge_amplitudes_a must be an array of numbers"),
         ({"kind": "identification", "charge_amplitudes_a": 2.0, "delta_q_c": 1.0},
          "charge_amplitudes_a must be a list, got 2.0"),
+        ({"kind": "us06-like", "peak_a": True}, "peak_a must be a number, got True"),
+        ({"kind": "constant", "amplitude_a": 1.0, "duration_s": "nan"},
+         "duration_s must be a number, got 'nan'"),
     ])
     def test_malformed_spec_exit_2(self, cell_files, tmp_path, capsys, doc, expected):
         _, params_path = cell_files
@@ -134,6 +138,35 @@ class TestSimulate:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and expected in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,field", [
+        ("constant", "amplitude_a"), ("constant", "duration_s"), ("constant", "sample_period_s"),
+        ("identification", "charge_amplitudes_a"), ("identification", "delta_q_c"),
+        ("identification", "t_empty_s"), ("identification", "rest1_s"),
+        ("identification", "rest2_s"), ("identification", "sample_period_s"),
+        ("us06-like", "us06_duration_s"), ("us06-like", "us06_sample_period_s"),
+        ("us06-like", "peak_a"), ("us06-like", "bandwidth_hz"), ("us06-like", "f_low_hz"),
+        ("validation", "sample_period_s"),
+    ])
+    def test_nan_spec_field_exit_2(self, cell_files, tmp_path, capsys, kind, field):
+        """json.load reads NaN; no positivity check may let it through."""
+        _, params_path = cell_files
+        doc = {
+            "constant": {"amplitude_a": 1.0, "duration_s": 10.0},
+            "identification": {"charge_amplitudes_a": [1.0, 2.0], "delta_q_c": 100.0,
+                               "t_empty_s": 100.0, "rest1_s": 50.0, "rest2_s": 50.0},
+            "us06-like": {"us06_duration_s": 60.0},
+            "validation": {"sample_period_s": 600.0, "us06_duration_s": 60.0},
+        }[kind]
+        nan = [math.nan] if field == "charge_amplitudes_a" else math.nan
+        doc = dict(doc, kind=kind, **{field: nan})
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--params", str(params_path), "--spec", str(spec),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("data error:")
         assert not out.exists()
 
     def test_null_optional_spec_field_is_absent(self, cell_files, tmp_path):
@@ -396,6 +429,7 @@ class TestMulticell:
         ("cell", "initial_soc", "high", "initial_soc must be a number"),
         ("cell", "ref_soc0", None, "ref_soc0 must be a number"),
         ("cell", "ekf", "ekf.json", "EKF config must be a JSON object"),
+        ("doc", "t_slot_s", "0.01", "t_slot_s must be a number, got '0.01'"),
     ])
     def test_malformed_config_exit_2(self, tmp_path, capsys, where, field, value, expected):
         cfg_path, _ = self.make_pack(tmp_path, 1, 1.0, 0.4)

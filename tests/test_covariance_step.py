@@ -17,7 +17,9 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from cellsoc import EkfConfig, EkfState, InvalidInputError, NumericalFailureError  # noqa: E402
 from cellsoc.estimator import _covariance_steps, _filter_series, make_filter  # noqa: E402
-from helpers import _is_psd, left_to_right, list_correct, list_predict, make_cell  # noqa: E402
+from helpers import (  # noqa: E402
+    OPENBLAS_ACCEPTED, _is_psd, left_to_right, list_correct, list_predict, make_cell,
+    near_boundary_draws)
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -134,32 +136,14 @@ def proves_psd(p) -> bool:
 def test_psd_proof_is_is_psd():
     """On the 3,000 draws that pin _is_psd to LAPACK, and on two near-singular
     matrices that OpenBLAS 0.3.31's Cholesky accepted and _is_psd rejects."""
-    rng = np.random.default_rng(17)
     verdicts = {True: 0, False: 0}
-    for k in range(3000):
-        n = int(rng.integers(2, 5))
-        basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        eig = rng.uniform(1e-3, 1.0, n) * 10.0 ** rng.uniform(-4, 1)
-        kind = k % 3
-        if kind == 1:
-            eig[0] = rng.choice([0.0, 1e-13, -1e-13])
-        elif kind == 2:
-            eig[0] = -(10.0 ** rng.uniform(-9.7, 0.0))
-        p = basis @ np.diag(eig) @ basis.T
-        p = (0.5 * (p + p.T)).tolist()
+    for kind, eig, p in near_boundary_draws():
+        p = p.tolist()
         verdict = _is_psd(p)
         assert proves_psd(p) == verdict, (kind, eig)
         verdicts[verdict] += 1
     assert min(verdicts.values()) >= 900
-    near_singular = [
-        [[0.39842188653103633, 0.21303985456058977, -0.5319934592760766],
-         [0.21303985456058977, 0.4906024609249652, 0.12901319548209203],
-         [-0.5319934592760766, 0.12901319548209203, 1.1641995953325273]],
-        [[4.5155238226933365, -2.1069458421215943, 3.466161623713374],
-         [-2.1069458421215943, 8.26894945800384, 1.4064190939055128],
-         [3.466161623713374, 1.4064190939055128, 3.9155530860793277]],
-    ]
-    for p in near_singular:
+    for p in OPENBLAS_ACCEPTED:
         assert not _is_psd(p)
         assert not proves_psd(p)
 

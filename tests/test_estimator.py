@@ -5,6 +5,7 @@ from cellsoc import (
     CellParameters,
     CellState,
     EkfConfig,
+    EkfState,
     InvalidParametersError,
     MonotoneCurve,
     NumericalFailureError,
@@ -25,10 +26,12 @@ from cellsoc import (
 from cellsoc import estimator
 from cellsoc.estimator import PSD_TOLERANCE
 from helpers import (
+    OPENBLAS_ACCEPTED,
     _is_psd,
     assert_run_filter_matches_step_chain,
     make_cell,
     make_resistor,
+    near_boundary_draws,
     random_cell,
 )
 
@@ -174,22 +177,20 @@ class TestCorrect:
         assert abs(out.mean.v_qst - state.mean.v_qst) < 1e-8
 
 
+def raises_numerical_failure(fn) -> bool:
+    try:
+        fn()
+    except NumericalFailureError:
+        return True
+    return False
+
+
 class TestPsdCheck:
     def test_plain_float_check_agrees_with_numpy_cholesky(self):
         """_is_psd(P) == np.linalg.cholesky(P + PSD_TOLERANCE * I) succeeds."""
-        rng = np.random.default_rng(17)
         verdicts = {True: 0, False: 0}
-        for k in range(3000):
-            n = int(rng.integers(2, 5))
-            basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            eig = rng.uniform(1e-3, 1.0, n) * 10.0 ** rng.uniform(-4, 1)
-            kind = k % 3
-            if kind == 1:  # near-singular: one eigenvalue at or within 1e-13 of zero
-                eig[0] = rng.choice([0.0, 1e-13, -1e-13])
-            elif kind == 2:  # indefinite, down to twice the tolerance below zero
-                eig[0] = -(10.0 ** rng.uniform(-9.7, 0.0))
-            p = basis @ np.diag(eig) @ basis.T
-            p = 0.5 * (p + p.T)
+        for kind, eig, p in near_boundary_draws():
+            n = p.shape[0]
             try:
                 np.linalg.cholesky(p + PSD_TOLERANCE * np.eye(n))
                 expected = True
@@ -198,6 +199,43 @@ class TestPsdCheck:
             assert _is_psd(p.tolist()) == expected, (kind, eig)
             verdicts[expected] += 1
         assert min(verdicts.values()) >= 900
+
+    def test_config_per_step_and_batch_paths_share_one_verdict(self):
+        """One PSD rule: EkfConfig refuses P0 exactly where _is_psd does, and so
+        does correct. With r = 1e300 a correction leaves P as it is, so on a
+        two-sample trace the per-step chain (correct, predict, correct) raises
+        exactly where run_filter and _filter_series do."""
+        taus = ((0.012, 60.0), (0.02, 700.0), (0.01, 2000.0))
+        cells = {n: make_cell(rc=taus[:n - 1]) for n in (2, 3, 4)}
+        trace = Trace(np.array([0.0, 1.0]), np.zeros(2), np.array([3.3, 3.3]))
+        draws = [p for _, _, p in near_boundary_draws()]
+        draws += [np.array(p) for p in OPENBLAS_ACCEPTED]
+        refused = 0
+        for p in draws:
+            cell = cells[p.shape[0]]
+            base = EkfConfig.default(cell)
+            cfg = EkfConfig(base.process_noise_q, 1e300, base.initial_covariance_p0,
+                            base.initial_state)
+            ekf = EkfState(cfg.initial_state.copy(), p)
+            psd = _is_psd(p.tolist())
+            try:
+                own = EkfConfig(cfg.process_noise_q, 1e300, p, cfg.initial_state)
+            except InvalidParametersError:
+                own = None
+            assert (own is not None) == psd
+            assert raises_numerical_failure(lambda: correct(ekf, cell, 3.3, 0.0, cfg)) != psd
+
+            def per_step():
+                state = correct(ekf, cell, 3.3, 0.0, cfg)
+                correct(predict(state, cell, 0.0, 1.0, cfg), cell, 3.3, 0.0, cfg)
+
+            fails = raises_numerical_failure(per_step)
+            refused += fails
+            assert raises_numerical_failure(lambda: estimator._filter_series(
+                ekf, cell, cfg, trace.voltage, trace.current, np.ones(1), np.zeros(1))) == fails
+            if own is not None:
+                assert raises_numerical_failure(lambda: run_filter(cell, trace, own)) == fails
+        assert 900 <= refused <= 2100
 
 
 class TestLinearKalmanOracle:

@@ -35,7 +35,8 @@ from cellsoc.estimator import (  # noqa: E402
     _filter_series,
     _psd_mask,
 )
-from helpers import _is_psd, make_cell, make_resistor, random_cell  # noqa: E402
+from helpers import (  # noqa: E402
+    OPENBLAS_ACCEPTED, _is_psd, make_cell, make_resistor, random_cell)
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
 
@@ -297,15 +298,8 @@ def test_psd_mask_is_is_psd_matrix_by_matrix():
             p = basis @ np.diag(eig) @ basis.T
             stack.append(0.5 * (p + p.T))
         if n == 3:
-            # np.linalg.cholesky(P + PSD_TOLERANCE * I) accepted these with
-            # OpenBLAS 0.3.31; _is_psd rounds its pivots in another order and
-            # rejects them, so the stacked path must follow _is_psd.
-            stack += [[[0.39842188653103633, 0.21303985456058977, -0.5319934592760766],
-                       [0.21303985456058977, 0.4906024609249652, 0.12901319548209203],
-                       [-0.5319934592760766, 0.12901319548209203, 1.1641995953325273]],
-                      [[4.5155238226933365, -2.1069458421215943, 3.466161623713374],
-                       [-2.1069458421215943, 8.26894945800384, 1.4064190939055128],
-                       [3.466161623713374, 1.4064190939055128, 3.9155530860793277]]]
+            # LAPACK accepted these; the stacked path must follow _is_psd.
+            stack += OPENBLAS_ACCEPTED
         stack = np.array(stack)
         want = [_is_psd(p.tolist()) for p in stack]
         with np.errstate(invalid="ignore"):
