@@ -8,11 +8,14 @@ the per-step API: pure functions from filter state to filter state.
 Whole series go through one fused kernel, ``_filter_series``, that runs the
 same arithmetic on plain floats. F is diagonal and H is a row of ones, so with
 t = P*1 and s = 1'P1 + r the Joseph update is the rank-1 form
-P - K t' - t K' + s K K'. The kernel's covariance step is straight-line code
-on all m*m entries of P, generated once per state size by
-``_covariance_steps``. Every sum adds its terms left to right from the first
-(``_sum``), whatever the builtin ``sum`` does. At rest the kernel reuses a
-covariance step that settled on a bitwise fixed point (see ``_filter_series``).
+P - K t' - t K' + s K K'. The kernel's whole sample loop is straight-line code
+generated once per state size by ``_series_kernel``, with the state and all
+m*m entries of P as locals; it inlines the charge map
+(``model._charge_map_lines``) and the covariance step (``_predict_lines`` and
+``_correct_lines``, which ``_covariance_steps`` also compiles). Every sum adds
+its terms left to right from the first (``_sum``), whatever the builtin
+``sum`` does. At rest the kernel reuses a covariance step that settled on a
+bitwise fixed point (see ``_filter_series``).
 ``_filter_revolutions`` (behind ``MultiCellEkf.run``) runs that step for many
 cells at once, one vectorised step per revolution, with its bits.
 
@@ -27,8 +30,8 @@ import functools
 import math
 import operator
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -45,6 +48,7 @@ from .model import (
     DEFAULT_VQST_GUARD,
     Trace,
     _advance,
+    _charge_map_lines,
     _check_finite,
     _current_clamp_message,
     _soc_clamp_message,
@@ -240,6 +244,53 @@ def _tuple(names) -> str:
     return f"({', '.join(names)}{',' if len(names) == 1 else ''})"
 
 
+def _indent(lines: list[str], depth: int) -> list[str]:
+    """``lines``, written from indentation 0, indented by ``depth`` levels."""
+    return ["    " * depth + line for line in lines]
+
+
+def _entries(m: int, name: str = "p") -> list[str]:
+    """The names ``{name}_a_b`` of an m*m matrix's entries, row-major."""
+    return [f"{name}_{a}_{b}" for a in range(m) for b in range(m)]
+
+
+def _row_sum_lines(m: int) -> list[str]:
+    """The row sums t = P 1 of the entries p_a_b, each added in index order."""
+    return [f"t{a} = {' + '.join(f'p_{a}_{b}' for b in range(m))}" for a in range(m)]
+
+
+def _predict_lines(m: int) -> list[str]:
+    """F P F' + Q*dt on the entries p_a_b, for the diagonal f0.. of F and the
+    entries q_a_b of Q*dt, then its row sums t0.. and its check."""
+    idx = range(m)
+    return [
+        *(f"p_{a}_{b} = f{a} * f{b} * p_{a}_{b} + q_{a}_{b}" for a in idx for b in idx),
+        *_row_sum_lines(m),
+        "# Scaling by a diagonal and adding PSD noise preserves",
+        "# semidefiniteness, so finiteness and the diagonal suffice here.",
+        f"if not isfinite({' + '.join(f't{a}' for a in idx)})"
+        f" or min({_tuple([f'p_{a}_{a}' for a in idx])}) < -PSD_TOLERANCE:",
+        '    raise NumericalFailureError("predicted covariance lost positive semidefiniteness")',
+    ]
+
+
+def _correct_lines(m: int) -> list[str]:
+    """From the entries p_a_b, their row sums t0.. and r: s = 1'P1 + r, the gain
+    k0.. = t / s, the Joseph update of p_a_b and its PSD proof."""
+    idx = range(m)
+    return [
+        f"s = {' + '.join(f't{a}' for a in idx)} + r",
+        "if s <= 0.0 or not isfinite(s):",
+        '    raise NumericalFailureError(f"innovation variance is not positive ({s})")',
+        *(f"k{a} = t{a} / s" for a in idx),
+        "# Joseph form with H = 1': P - K t' - t K' + s K K'.",
+        *(f"p_{a}_{b} = p_{a}_{b} - (k{a} * t{b} + t{a} * k{b}) + k{a} * k{b} * s"
+          for a in idx for b in idx),
+        *_proof_lines(m, ["if not d > 0.0:", '    raise NumericalFailureError('
+                          '"corrected covariance lost positive semidefiniteness")']),
+    ]
+
+
 def _covariance_source(m: int) -> str:
     """Source of ``_covariance_steps(m)``: the covariance step, unrolled for size m.
 
@@ -250,37 +301,15 @@ def _covariance_source(m: int) -> str:
     empty sum is left out. Entries (a, b) and (b, a) are formed by commuted
     operations, so a symmetric P stays exactly symmetric.
     """
-    idx = range(m)
-    p = [[f"p_{a}_{b}" for b in idx] for a in idx]
-    flat = [x for row in p for x in row]
-    diagonal = [p[a][a] for a in idx]
-    t = [f"t{a}" for a in idx]
+    flat = _tuple(_entries(m))
+    f, t, k = (_tuple([f"{x}{a}" for a in range(m)]) for x in "ftk")
     lines = [
         "def predict_covariance(p, f, q):",
-        f"    {_tuple(flat)} = p",
-        f"    {_tuple([f'f{a}' for a in idx])} = f",
-        f"    {_tuple([f'q_{a}_{b}' for a in idx for b in idx])} = q",
-        *(f"    p_{a}_{b} = f{a} * f{b} * p_{a}_{b} + q_{a}_{b}" for a in idx for b in idx),
-        *(f"    t{a} = {' + '.join(p[a])}" for a in idx),
-        "    # Scaling by a diagonal and adding PSD noise preserves",
-        "    # semidefiniteness, so finiteness and the diagonal suffice here.",
-        f"    if not isfinite({' + '.join(t)}) or min({_tuple(diagonal)}) < -PSD_TOLERANCE:",
-        '        raise NumericalFailureError("predicted covariance lost positive semidefiniteness")',
-        f"    return {_tuple(flat)}, {_tuple(t)}",
+        *_indent([f"{flat} = p", f"{f} = f", f"{_tuple(_entries(m, 'q'))} = q",
+                  *_predict_lines(m), f"return {flat}, {t}"], 1),
         "",
         "def correct_covariance(p, t, r):",
-        f"    {_tuple(flat)} = p",
-        f"    {_tuple(t)} = t",
-        f"    s = {' + '.join(t)} + r",
-        "    if s <= 0.0 or not isfinite(s):",
-        '        raise NumericalFailureError(f"innovation variance is not positive ({s})")',
-        *(f"    k{a} = t{a} / s" for a in idx),
-        "    # Joseph form with H = 1': P - K t' - t K' + s K K'.",
-        *(f"    p_{a}_{b} = p_{a}_{b} - (k{a} * t{b} + t{a} * k{b}) + k{a} * k{b} * s"
-          for a in idx for b in idx),
-        *_proof_lines(m, ["    if not d > 0.0:", '        raise NumericalFailureError('
-                          '"corrected covariance lost positive semidefiniteness")']),
-        f"    return {_tuple(flat)}, {_tuple([f'k{a}' for a in idx])}",
+        *_indent([f"{flat} = p", f"{t} = t", *_correct_lines(m), f"return {flat}, {k}"], 1),
     ]
     return "\n".join(lines) + "\n"
 
@@ -289,19 +318,31 @@ def _proof_lines(m: int, check: list[str], sqrt: str = "sqrt") -> list[str]:
     """The PSD proof on the entries p_a_b of a size-m P: each pivot d of the Cholesky
     factor of P + PSD_TOLERANCE * I, read off the lower triangle, then ``check``,
     the lines that must fail a pivot that is not ``> 0.0``."""
-    lines = ["    # Cholesky factor of P + PSD_TOLERANCE * I, row by row; a pivot that is",
-             "    # not strictly positive (or is NaN) fails, as in LAPACK."]
+    lines = ["# Cholesky factor of P + PSD_TOLERANCE * I, row by row; a pivot that is",
+             "# not strictly positive (or is NaN) fails, as in LAPACK."]
     for i in range(m):
         for j in range(i):
             dots = " + ".join(f"l_{i}_{c} * l_{j}_{c}" for c in range(j))
             x = f"(p_{i}_{j} - ({dots}))" if j else f"p_{i}_{j}"
-            lines.append(f"    l_{i}_{j} = {x} / l_{j}_{j}")
+            lines.append(f"l_{i}_{j} = {x} / l_{j}_{j}")
         squares = " + ".join(f"l_{i}_{c} * l_{i}_{c}" for c in range(i))
         minus = f" - ({squares})" if i else ""
-        lines += [f"    d = p_{i}_{i} + PSD_TOLERANCE{minus}", *check]
+        lines += [f"d = p_{i}_{i} + PSD_TOLERANCE{minus}", *check]
         if i < m - 1:
-            lines.append(f"    l_{i}_{i} = {sqrt}(d)")
+            lines.append(f"l_{i}_{i} = {sqrt}(d)")
     return lines
+
+
+def _namespace(**names) -> dict:
+    """Globals for generated code: what its lines call and raise, plus ``names``."""
+    return {
+        "__name__": __name__,
+        "isfinite": math.isfinite,
+        "sqrt": math.sqrt,
+        "PSD_TOLERANCE": PSD_TOLERANCE,
+        "NumericalFailureError": NumericalFailureError,
+        **names,
+    }
 
 
 @functools.cache
@@ -309,19 +350,24 @@ def _psd_proofs(m: int):
     """``_proof_lines`` for size m as ``is_psd(p) -> bool``, on P as a flat
     row-major sequence of floats, and ``psd_mask(p)``, on the m*m entry arrays
     of a stack of matrices, True where a matrix passes every pivot test."""
-    unpack = f"    {_tuple([f'p_{a}_{b}' for a in range(m) for b in range(m)])} = p"
+    unpack = f"{_tuple(_entries(m))} = p"
     source = "\n".join([
-        "def is_psd(p):", unpack, *_proof_lines(m, ["    if not d > 0.0:", "        return False"]),
-        "    return True", "", "def psd_mask(p):", unpack, "    ok = True",
-        *_proof_lines(m, ["    ok &= d > 0.0"], sqrt="np.sqrt"), "    return ok\n"])
-    namespace = {"__name__": __name__, "sqrt": math.sqrt, "np": np, "PSD_TOLERANCE": PSD_TOLERANCE}
+        "def is_psd(p):",
+        *_indent([unpack, *_proof_lines(m, ["if not d > 0.0:", "    return False"]),
+                  "return True"], 1),
+        "",
+        "def psd_mask(p):",
+        *_indent([unpack, "ok = True", *_proof_lines(m, ["ok &= d > 0.0"], sqrt="np.sqrt"),
+                  "return ok"], 1),
+    ]) + "\n"
+    namespace = _namespace(np=np)
     exec(compile(source, f"<PSD proof, m={m}>", "exec"), namespace)
     return namespace["is_psd"], namespace["psd_mask"]
 
 
 @functools.cache
 def _covariance_steps(m: int):
-    """The covariance step of ``_filter_series`` for a state of size m.
+    """The covariance step of the EKF on plain floats for a state of size m.
 
     Returns two functions. ``predict_covariance(p, f, q) -> (p, t)`` forms
     F P F' + Q*dt for the diagonal f, its row sums t, and checks it.
@@ -330,17 +376,129 @@ def _covariance_steps(m: int):
     the result PSD. Both raise ``NumericalFailureError`` where a check fails.
     They are generated once per m from ``_covariance_source`` as straight-line
     code, as ``collections.namedtuple`` generates its classes: at these sizes
-    the loops of a list form cost more than its arithmetic.
+    the loops of a list form cost more than its arithmetic. No filter calls
+    them: ``_series_kernel`` inlines the same lines, and these functions let
+    the tests hold one step of them to its list form.
     """
-    namespace = {
-        "__name__": __name__,
-        "isfinite": math.isfinite,
-        "sqrt": math.sqrt,
-        "PSD_TOLERANCE": PSD_TOLERANCE,
-        "NumericalFailureError": NumericalFailureError,
-    }
+    namespace = _namespace()
     exec(compile(_covariance_source(m), f"<covariance step, m={m}>", "exec"), namespace)
     return namespace["predict_covariance"], namespace["correct_covariance"]
+
+
+def _series_source(m: int) -> str:
+    """Source of ``_series_kernel(m)``: ``_filter_series``' sample loop for size m.
+
+    The state is the float v and the RC states y0..; P is the m*m locals p_a_b,
+    which live across samples. The RC group j decays by f{j+1} = exp(-h / tau_j)
+    and fills by fill{j} = 1 - f{j+1}; these and Q*h (q_a_b, from the rate
+    entries qr_a_b) are recomputed only when h changes. f0 is the charge-map
+    slope. The covariance step is ``_predict_lines`` and ``_correct_lines``,
+    the charge map ``model._charge_map_lines``, every sum a ``+`` chain in
+    index order as ``_sum`` adds.
+    """
+    idx = range(m)
+    ys = [f"y{j}" for j in range(m - 1)]
+    entries = _entries(m)
+    dyn_sum = f" + ({' + '.join(ys)})" if ys else ""  # an empty sum is left out
+    innovation = f"innovation = z - (v{dyn_sum} + drop)"
+    finite = "not isfinite(v)" + (f" or not isfinite({' + '.join(ys)})" if ys else "")
+    warn = "warnings.warn({}, OutOfRangeWarning, stacklevel=stacklevel)"
+    measure = ["if i < i_lo or i > i_hi:", "    " + warn.format("current_clamped"), innovation]
+    gain = [
+        "v += k0 * innovation",
+        *(f"y{j} = y{j} + k{j + 1} * innovation" for j in range(m - 1)),
+        f"if {finite}:",
+        '    raise InvalidInputError("cell state must be finite")',
+    ]
+    record = ["if v < soc_lo or v > soc_hi:", "    " + warn.format("soc_clamped"),
+              "innov_out[n] = innovation", "vqst_out[n] = v"]
+    # The covariance step reads only P, f0, h (through the decays and Q*h) and
+    # r. At rest f0 and h repeat and P settles on a fixed point, so the step
+    # would reproduce the P and gain it holds; they passed every check when
+    # first made. f0 (a capacitance ratio) and h are positive, so == on them is
+    # bit equality; on P a zero may change its sign, so the bits decide after ==.
+    settled = " and ".join(f"{x} == prev_{x}" for x in entries)
+    bits = (f"np.array({_tuple(entries)}).tobytes()"
+            f" == np.array({_tuple(['prev_' + x for x in entries])}).tobytes()")
+    first = [*measure, "if update:", *_indent([*_row_sum_lines(m), *_correct_lines(m), *gain], 1),
+             *record]
+    step = [
+        "charge = u * h",
+        *_charge_map_lines(),
+        "if v < v_lo:",
+        "    v = v_lo",
+        "elif v > v_hi:",
+        "    v = v_hi",
+        "if h != h_prev:",
+        "    h_prev = h",
+        *(f"    f{j + 1} = exp(-h / tau{j})" for j in range(m - 1)),
+        *(f"    fill{j} = 1.0 - f{j + 1}" for j in range(m - 1)),
+        *(f"    q_{a}_{b} = qr_{a}_{b} * h" for a in idx for b in idx),
+        *(f"y{j} = y{j} * f{j + 1} + rd{j} * u * fill{j}" for j in range(m - 1)),
+        "reuse = f0 == f_steady and h == h_steady",
+        "if reuse:",
+        "    reused += 1",
+        "else:",
+        *_indent([*(f"prev_{x} = {x}" for x in entries), *_predict_lines(m)], 1),
+        *measure,
+        "if update:",
+        "    if not reuse:",
+        *_indent(_correct_lines(m), 2),
+        f"        if {settled} and {bits}:",
+        "            f_steady, h_steady = f0, h",
+        "        else:",
+        "            f_steady = nan",
+        *_indent(gain, 1),
+        *record,
+    ]
+    lines = [
+        "def filter_series(v, dyn, p, q_rate, taus, r_dyn, r, tables, bounds, messages,",
+        "                  stacklevel, dt, i_pred, voltage, current, drops, innov_out, vqst_out):",
+        *_indent([
+            f"{_tuple(ys)} = dyn" if ys else "del dyn",
+            f"{_tuple(entries)} = p",
+            f"{_tuple(_entries(m, 'qr'))} = q_rate",
+            *([f"{_tuple([f'tau{j}' for j in range(m - 1)])} = taus",
+               f"{_tuple([f'rd{j}' for j in range(m - 1)])} = r_dyn"] if ys else []),
+            "cg, cc, ck = tables",
+            "i_lo, i_hi, v_lo, v_hi, soc_lo, soc_hi = bounds",
+            "current_clamped, soc_clamped = messages",
+            "update = not isinf(r)",
+            "h_prev = f_steady = h_steady = nan",
+            "reused = 0",
+            "# Samples without a dt are corrections only; they come first.",
+            "extra = max(len(voltage) - len(dt), 0)",
+            "for n, (z, i, drop) in enumerate(zip(voltage[:extra], current[:extra],"
+            " drops[:extra])):",
+            *_indent(first, 1),
+            "for n, (h, u, z, i, drop) in enumerate(zip(dt, i_pred, voltage[extra:],"
+            " current[extra:], drops[extra:]), extra):",
+            *_indent(step, 1),
+            f"return v, {_tuple(ys)}, {_tuple(entries)}, reused",
+        ], 1),
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _series_kernel(m: int):
+    """``_filter_series``' sample loop for a state of size m, as straight-line code.
+
+    ``filter_series(v, dyn, p, q_rate, taus, r_dyn, r, tables, bounds, messages,
+    stacklevel, dt, i_pred, voltage, current, drops, innov_out, vqst_out)``
+    filters the columns, writes each sample's innovation and v_qst into the
+    outputs and returns (v, dyn, p, reused): the final state, P as a flat
+    row-major tuple, and the number of samples that reused a settled
+    covariance step. ``bounds`` is (i_lo, i_hi, v_lo, v_hi, soc_lo, soc_hi),
+    ``messages`` the current and v_qst clamp messages, ``tables`` the
+    capacitance's ``_tables``. Generated once per m from ``_series_source``.
+    """
+    namespace = _namespace(isinf=math.isinf, exp=math.exp, nan=math.nan, np=np,
+                           bisect_right=bisect_right, warnings=warnings,
+                           InvalidInputError=InvalidInputError,
+                           OutOfRangeWarning=OutOfRangeWarning)
+    exec(compile(_series_source(m), f"<filter series, m={m}>", "exec"), namespace)
+    return namespace["filter_series"]
 
 
 def _filter_series(
@@ -362,97 +520,43 @@ def _filter_series(
     arithmetic, checks and warnings are those of ``predict`` and ``_correct``;
     the inputs are trace columns, finite by construction. Returns per-sample
     SoC, innovation and v_qst, and the final filter state. Warnings are
-    attributed ``stacklevel`` frames up, as ``warnings.warn`` counts them.
+    attributed ``stacklevel`` frames up, as ``warnings.warn`` counts them from
+    here; the loop's own frame is one deeper, so it warns at ``stacklevel + 1``.
 
-    The covariance step is ``_covariance_steps(m)``: straight-line code on P
-    as a flat tuple of all m*m entries, so an asymmetric start covariance
-    keeps its exact bits. Every sum, there and here, adds left to right as
-    ``_sum`` does. The predict returns the row sums t = P 1, which serve both
-    its finiteness check and the gain.
+    The loop is ``_series_kernel(m)``: straight-line code generated for the
+    state size, with the RC states and all m*m entries of P as locals, so an
+    asymmetric start covariance keeps its exact bits. It inlines the charge
+    map and the covariance step, whose lines ``_covariance_steps`` compiles
+    too; every sum adds left to right as ``_sum`` does. The predict's row sums
+    t = P 1 serve both its finiteness check and the gain. At rest the loop
+    reuses a covariance step that left P bit for bit unchanged while f0 and dt
+    repeat, which only saves work.
     """
-    cap = params.capacitance
     res = params.resistor
-    i_lo, i_hi = res.x_min, res.x_max
-    v_lo, v_hi = params.v_min - DEFAULT_VQST_GUARD, params.v_max + DEFAULT_VQST_GUARD
-    soc_lo, soc_hi = params.v_min, params.v_max
-    current_clamped = _current_clamp_message(res)
-    soc_clamped = _soc_clamp_message(params)
-    taus = params.taus.tolist()
-    r_dyn = params.rs.tolist()
-    q = cfg.process_noise_q.ravel().tolist()
-    r = cfg.measurement_noise_r
-    update = not math.isinf(r)
-    m = len(taus) + 1
-    predict_covariance, correct_covariance = _covariance_steps(m)
-
-    v = ekf.mean.v_qst
+    m = params.n_rc + 1
     dyn = ekf.mean.v_dyn_components.tolist()
-    if len(dyn) != len(taus):
+    if len(dyn) != m - 1:
         raise InvalidInputError(
-            f"state has {len(dyn)} RC components, parameters define {len(taus)}"
+            f"state has {len(dyn)} RC components, parameters define {m - 1}"
         )
     if ekf.covariance.shape != (m, m):
         raise InvalidInputError(f"covariance must be {m}x{m}, got {ekf.covariance.shape}")
-    p = tuple(ekf.covariance.ravel().tolist())
-    h_prev = math.nan
-    decay = fill = q_dt = ()
-    steady = None  # (f0, h) of the last full step if it left P bit for bit unchanged
     innov_out, vqst_out = np.empty(len(voltage)), np.empty(len(voltage))
-
     drops = res.eval(np.asarray(current, dtype=float))
-    dt, i_pred, voltage, current, drops = (
-        memoryview(np.asarray(a, dtype=float)) for a in (dt, i_pred, voltage, current, drops)
-    )
-    preds = chain(repeat(None, len(voltage) - len(dt)), zip(dt, i_pred))
-    for k, (pred, z, i, drop) in enumerate(zip(preds, voltage, current, drops)):
-        reuse = False
-        if pred is not None:
-            h, u = pred
-            v, f0 = charge_map(cap, v, u * h)
-            if v < v_lo:
-                v = v_lo
-            elif v > v_hi:
-                v = v_hi
-            if h != h_prev:
-                h_prev = h
-                decay = [math.exp(-h / tau) for tau in taus]
-                fill = [1.0 - d for d in decay]
-                q_dt = tuple([x * h for x in q])
-            dyn = [c * d + rj * u * g for c, d, rj, g in zip(dyn, decay, r_dyn, fill)]
-            # The covariance step reads only P, f0, h (through the decay and
-            # Q*h) and r. At rest f0 and h repeat and P settles on a fixed
-            # point, so the step would reproduce the P and gain it holds; they
-            # passed every check when first made. f0 (a capacitance ratio) and
-            # h are positive, so == on them is bit equality.
-            reuse = (f0, h) == steady
-            if not reuse:
-                p_start = p
-                p, t = predict_covariance(p, (f0, *decay), q_dt)
-
-        if i < i_lo or i > i_hi:
-            warnings.warn(current_clamped, OutOfRangeWarning, stacklevel=stacklevel)
-        innovation = z - (v + _sum(dyn) + drop)
-        if update:
-            if not reuse:
-                if pred is None:
-                    t = tuple([_sum(p[a:a + m]) for a in range(0, m * m, m)])
-                p, gain = correct_covariance(p, t, r)
-                # Bits, since == would let a zero change its sign; == first is cheap.
-                settled = pred is not None and p == p_start and (
-                    np.array(p).tobytes() == np.array(p_start).tobytes()
-                )
-                steady = (f0, h) if settled else None
-            v += gain[0] * innovation
-            dyn = [c + g * innovation for c, g in zip(dyn, gain[1:])]
-            if not math.isfinite(v) or not math.isfinite(_sum(dyn)):
-                raise InvalidInputError("cell state must be finite")
-        if v < soc_lo or v > soc_hi:
-            warnings.warn(soc_clamped, OutOfRangeWarning, stacklevel=stacklevel)
-        innov_out[k] = innovation
-        vqst_out[k] = v
+    columns = (memoryview(np.asarray(a, dtype=float))
+               for a in (dt, i_pred, voltage, current, drops))
+    v, dyn, p, _ = _series_kernel(m)(
+        ekf.mean.v_qst, dyn, ekf.covariance.ravel().tolist(), cfg.process_noise_q.ravel().tolist(),
+        params.taus.tolist(), params.rs.tolist(), cfg.measurement_noise_r,
+        params.capacitance._tables,
+        (res.x_min, res.x_max, params.v_min - DEFAULT_VQST_GUARD,
+         params.v_max + DEFAULT_VQST_GUARD, params.v_min, params.v_max),
+        (_current_clamp_message(res), _soc_clamp_message(params)), stacklevel + 1,
+        *columns, memoryview(innov_out), memoryview(vqst_out))
 
     # soc_from_vqst over the whole column; its clamp warnings were raised above.
-    soc_out = cap.integral_array(np.clip(vqst_out, soc_lo, soc_hi)) / params.delta_q
+    soc_out = (params.capacitance.integral_array(np.clip(vqst_out, params.v_min, params.v_max))
+               / params.delta_q)
     final = EkfState(CellState(v, np.array(dyn)), np.array(p).reshape(m, m))
     return soc_out, innov_out, vqst_out, final
 

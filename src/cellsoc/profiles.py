@@ -133,13 +133,16 @@ def identification_profile(
         raise ConfigurationError("rest durations must be positive")
     if not sample_period > 0.0:
         raise ConfigurationError("sample period must be positive")
-    if expected_tau_max is not None and min(rest1, rest2) < 3.0 * expected_tau_max:
-        warnings.warn(
-            f"rest shorter than 3x the slowest expected relaxation ({expected_tau_max} s); "
-            "the dynamic contribution may not damp out",
-            ProfileWarning,
-            stacklevel=2,
-        )
+    if expected_tau_max is not None:
+        if not expected_tau_max > 0.0:
+            raise ConfigurationError(f"expected_tau_max must be positive, got {expected_tau_max}")
+        if min(rest1, rest2) < 3.0 * expected_tau_max:
+            warnings.warn(
+                f"rest shorter than 3x the slowest expected relaxation ({expected_tau_max} s); "
+                "the dynamic contribution may not damp out",
+                ProfileWarning,
+                stacklevel=2,
+            )
 
     dt = sample_period
     n_rest1 = max(1, int(round(rest1 / dt)))
@@ -184,10 +187,17 @@ def us06_like_profile(
             f"bandwidth {bandwidth} Hz exceeds the Nyquist rate {nyquist} Hz of the sampling"
         )
     n = int(round(duration / sample_period))
-    rng = np.random.default_rng(seed)
-    spectrum = np.fft.rfft(rng.standard_normal(n))
+    if n < 1:
+        raise ConfigurationError("duration shorter than one sample period")
     freqs = np.fft.rfftfreq(n, d=sample_period)
     mask = (freqs >= f_low) & (freqs <= bandwidth)
+    # A NaN bound selects no bin either; an empty band would scale zeros by 1/0.
+    if not mask.any():
+        raise ConfigurationError(
+            f"band [{f_low}, {bandwidth}] Hz holds no frequency bin of a {n}-sample cycle"
+        )
+    rng = np.random.default_rng(seed)
+    spectrum = np.fft.rfft(rng.standard_normal(n))
     spectrum[~mask] = 0.0
     signal = np.fft.irfft(spectrum, n)
     signal *= peak / np.max(np.abs(signal))

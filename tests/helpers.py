@@ -12,7 +12,10 @@ import numpy as np
 from cellsoc import (
     CellParameters,
     CellState,
+    EkfState,
+    InvalidInputError,
     MonotoneCurve,
+    OutOfRangeWarning,
     RcGroup,
     NumericalFailureError,
     Trace,
@@ -24,7 +27,9 @@ from cellsoc import (
     simulate,
 )
 from cellsoc.estimator import PSD_TOLERANCE, _correct
-from cellsoc.model import interval_currents
+from cellsoc.model import (
+    DEFAULT_VQST_GUARD, _current_clamp_message, _soc_clamp_message, charge_map,
+    interval_currents)
 
 
 def make_capacitance(
@@ -203,6 +208,59 @@ def list_correct(p, r):
     if not _is_psd(p):
         raise NumericalFailureError("corrected covariance lost positive semidefiniteness")
     return p, gain
+
+
+def list_filter_series(ekf, params, cfg, voltage, current, dt, i_pred):
+    """estimator._filter_series in list form, the reference for its generated loop.
+
+    Each sample past the first ``len(voltage) - len(dt)`` is predicted through
+    ``charge_map``, ``math.exp`` decays and ``list_predict``; every sample is
+    corrected through ``list_correct`` unless r is infinite. No step is reused.
+    Raises and warns as the kernel does; returns what it returns.
+    """
+    res = params.resistor
+    m = params.n_rc + 1
+    dyn = ekf.mean.v_dyn_components.tolist()
+    if len(dyn) != m - 1:
+        raise InvalidInputError(f"state has {len(dyn)} RC components, parameters define {m - 1}")
+    if ekf.covariance.shape != (m, m):
+        raise InvalidInputError(f"covariance must be {m}x{m}, got {ekf.covariance.shape}")
+    v, p = ekf.mean.v_qst, ekf.covariance.tolist()
+    q, r = cfg.process_noise_q.tolist(), cfg.measurement_noise_r
+    lo, hi = params.v_min - DEFAULT_VQST_GUARD, params.v_max + DEFAULT_VQST_GUARD
+    voltage, current, dt, i_pred = (np.asarray(a, dtype=float).tolist()
+                                    for a in (voltage, current, dt, i_pred))
+    drops = res.eval(np.asarray(current)).tolist()
+    extra = max(len(voltage) - len(dt), 0)
+    innovations, vqst = [], []
+    for k, (z, i, drop) in enumerate(zip(voltage, current, drops)):
+        if k >= extra:
+            h, u = dt[k - extra], i_pred[k - extra]
+            v, f0 = charge_map(params.capacitance, v, u * h)
+            if v < lo:
+                v = lo
+            elif v > hi:
+                v = hi
+            decay = [math.exp(-h / tau) for tau in params.taus.tolist()]
+            dyn = [c * d + rj * u * (1.0 - d) for c, d, rj in zip(dyn, decay, params.rs.tolist())]
+            p = list_predict(p, [f0, *decay], [[x * h for x in row] for row in q])
+        if i < res.x_min or i > res.x_max:
+            warnings.warn(_current_clamp_message(res), OutOfRangeWarning)
+        innovation = z - ((v + left_to_right(dyn) if dyn else v) + drop)
+        if not math.isinf(r):
+            p, gain = list_correct(p, r)
+            v += gain[0] * innovation
+            dyn = [c + g * innovation for c, g in zip(dyn, gain[1:])]
+            if not math.isfinite(v) or not math.isfinite(left_to_right(dyn)):
+                raise InvalidInputError("cell state must be finite")
+        if v < params.v_min or v > params.v_max:
+            warnings.warn(_soc_clamp_message(params), OutOfRangeWarning)
+        innovations.append(innovation)
+        vqst.append(v)
+    vqst = np.array(vqst)
+    soc = (params.capacitance.integral_array(np.clip(vqst, params.v_min, params.v_max))
+           / params.delta_q)
+    return soc, np.array(innovations), vqst, EkfState(CellState(v, np.array(dyn)), np.array(p))
 
 
 def near_boundary_draws():

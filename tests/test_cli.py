@@ -128,6 +128,9 @@ class TestSimulate:
         ({"kind": "us06-like", "peak_a": True}, "peak_a must be a number, got True"),
         ({"kind": "constant", "amplitude_a": 1.0, "duration_s": "nan"},
          "duration_s must be a number, got 'nan'"),
+        ({"kind": "us06-like", "f_low_hz": 1.5, "bandwidth_hz": 1.0},
+         "band [1.5, 1.0] Hz holds no frequency bin"),
+        ({"kind": "us06-like", "us06_duration_s": 0.04}, "duration shorter than one sample"),
     ])
     def test_malformed_spec_exit_2(self, cell_files, tmp_path, capsys, doc, expected):
         _, params_path = cell_files
@@ -147,7 +150,7 @@ class TestSimulate:
         ("identification", "rest2_s"), ("identification", "sample_period_s"),
         ("us06-like", "us06_duration_s"), ("us06-like", "us06_sample_period_s"),
         ("us06-like", "peak_a"), ("us06-like", "bandwidth_hz"), ("us06-like", "f_low_hz"),
-        ("validation", "sample_period_s"),
+        ("validation", "sample_period_s"), ("identification", "expected_tau_max_s"),
     ])
     def test_nan_spec_field_exit_2(self, cell_files, tmp_path, capsys, kind, field):
         """json.load reads NaN; no positivity check may let it through."""

@@ -364,19 +364,21 @@ class TestStationaryReuse:
     def test_only_settled_rests_skip_the_covariance_step(self, case, monkeypatch):
         cell, trace = case
         cfg = EkfConfig.default(cell, initial_soc=0.7)
-        predict_p, correct_p = estimator._covariance_steps(cell.n_rc + 1)
+        kernel = estimator._series_kernel(cell.n_rc + 1)
 
         def skipped(end):
-            """Samples up to ``end`` whose correction made no Cholesky proof."""
-            proofs = []
+            """Samples up to ``end`` that reused the covariance step."""
+            reused = []
 
-            def counted(p, t, r):
-                proofs.append(None)
-                return correct_p(p, t, r)
+            def counted(*args):
+                out = kernel(*args)
+                reused.append(out[-1])
+                return out
 
-            monkeypatch.setattr(estimator, "_covariance_steps", lambda m: (predict_p, counted))
+            monkeypatch.setattr(estimator, "_series_kernel", lambda m: counted)
             run_filter(cell, trace.slice(0, end), cfg)
-            return end - len(proofs)
+            (count,) = reused
+            return count
 
         ends = np.cumsum([1] + [n for *_, n in self.PHASES])
         counts = [skipped(int(end)) for end in ends[1:]]

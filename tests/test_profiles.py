@@ -65,6 +65,12 @@ class TestIdentificationProfile:
             identification_profile([2.0], 3600.0, 3600.0, rest1=600.0, rest2=600.0,
                                    sample_period=1.0, expected_tau_max=500.0)
 
+    @pytest.mark.parametrize("tau", [-500.0, 0.0, float("nan")])
+    def test_non_positive_expected_tau_max_rejected(self, tau):
+        with pytest.raises(ConfigurationError, match="expected_tau_max must be positive"):
+            identification_profile([2.0], 3600.0, 3600.0, rest1=600.0, rest2=600.0,
+                                   sample_period=1.0, expected_tau_max=tau)
+
 
 class TestValidationProfile:
     def test_duration_about_37_hours(self):
@@ -123,6 +129,14 @@ class TestUs06Standin:
     def test_bandwidth_above_nyquist_rejected(self):
         with pytest.raises(ConfigurationError):
             us06_like_profile(sample_period=1.0, bandwidth=2.0)
+
+    @pytest.mark.parametrize("f_low,bandwidth", [
+        (1.5, 1.0), (0.001, 0.001), (float("nan"), 2.0), (0.01, float("nan"))])
+    def test_band_without_a_bin_rejected(self, f_low, bandwidth):
+        """Refused before the FFT: no all-zero signal is scaled by 1 / 0."""
+        with pytest.raises(ConfigurationError, match="holds no frequency bin"):
+            us06_like_profile(duration=600.0, sample_period=0.1, f_low=f_low,
+                              bandwidth=bandwidth)
 
 
 class TestMaxFrequency:
