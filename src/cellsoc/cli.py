@@ -193,7 +193,7 @@ def cmd_multicell(args) -> int:
     if not isinstance(doc["cells"], list):
         raise ConfigurationError(f"{what} field cells must be a list, got {doc['cells']!r}")
     cells = [traceio.config_object(c, f"{what} cell") for c in doc["cells"]]
-    cell_ids = [c["id"] for c in cells]
+    cell_ids = [traceio.check_cell_id(c["id"], f"{what} cell id") for c in cells]
     sched = SchedulerConfig(
         t_slot=traceio.config_float(doc, "t_slot_s", what), cells=tuple(cell_ids),
         f_max=traceio.config_float(doc, "f_max_hz", what),
@@ -234,6 +234,13 @@ def cmd_budget(args) -> int:
     return EXIT_OK
 
 
+def _cell_id_arg(text: str) -> str:
+    try:
+        return traceio.check_cell_id(text)
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 @functools.cache  # parse_args keeps no state on the parser
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cellsoc", description=__doc__.splitlines()[0])
@@ -264,7 +271,8 @@ def _build_parser() -> _Parser:
                    help="initial SoC estimate when no EKF config is given")
     p.add_argument("--ref-soc0", type=float, default=None,
                    help="true initial SoC for the coulomb-counting reference column")
-    p.add_argument("--cell-id", default="cell0")
+    p.add_argument("--cell-id", type=_cell_id_arg, default="cell0",
+                   help="cell id written in every row (printable, no , \" / or \\)")
     p.add_argument("--out", required=True, help="output SoC CSV")
     p.set_defaults(func=cmd_estimate)
 

@@ -2,7 +2,12 @@
 
 Trace CSV schema: header ``t_s,current_a,voltage_v`` (or ``t_s,current_a``
 for voltage-less profiles), one sample per row, UTF-8, '.' decimal separator.
-Floats are written with repr so a save/load round-trip is bit-exact.
+SoC CSV schema: header ``t_s,cell_id,soc_est,soc_ref,v_innov``, one row per
+filtered sample or service.
+
+Every float is written with repr, so a save/load round-trip is bit-exact.
+repr depends only on a float's 64 bits, so the writers format each run of
+entries with equal bits once and repeat its text (``_float_texts``).
 
 Trace bodies are read in bulk by ``np.loadtxt``, whose float parser accepts
 a subset of what ``float()`` accepts and gives the same bits. Any body it
@@ -46,19 +51,35 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def _float_texts(column) -> list[str]:
+    """``[repr(x) for x in np.asarray(column, dtype=float).tolist()]`` for a
+    1-D column, calling repr once per run of entries with equal bits.
+
+    Bits, not ``==``, delimit runs, so -0.0 and 0.0 stay apart and each NaN
+    payload forms its own run (all of them print as ``'nan'``).
+    """
+    values = np.ascontiguousarray(column, dtype=np.float64)
+    bits = values.view(np.int64)
+    heads = np.ones(bits.size, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=heads[1:])
+    starts = np.flatnonzero(heads)
+    texts = list(map(repr, values[starts].tolist()))
+    if len(texts) == values.size:
+        return texts
+    counts = np.diff(starts, append=values.size)
+    return np.repeat(np.array(texts, dtype=object), counts).tolist()
+
+
 def save_trace(trace: Trace, path) -> None:
-    lines = []
-    if trace.voltage is None:
-        lines.append(PROFILE_HEADER)
-        for t, i in zip(trace.timestamps.tolist(), trace.current.tolist()):
-            lines.append(f"{t!r},{i!r}")
-    else:
-        lines.append(TRACE_HEADER)
-        for t, i, v in zip(
-            trace.timestamps.tolist(), trace.current.tolist(), trace.voltage.tolist()
-        ):
-            lines.append(f"{t!r},{i!r},{v!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write a trace CSV. Each float is written as its repr, formatted once per
+    run of equal bits in its column (``_float_texts``)."""
+    columns = [trace.timestamps, trace.current]
+    header = PROFILE_HEADER
+    if trace.voltage is not None:
+        columns.append(trace.voltage)
+        header = TRACE_HEADER
+    lines = [header, *map(",".join, zip(*map(_float_texts, columns))), ""]
+    atomic_write_text(path, "\n".join(lines))
 
 
 def _read_header(fh, path) -> int:
@@ -243,10 +264,24 @@ def load_profile_spec(path) -> ProfileSpec:
         return ProfileSpec.from_dict(json.load(fh))
 
 
+def check_cell_id(cell_id, what: str = "cell id") -> str:
+    """``cell_id`` if it is a non-empty printable string free of ``,`` ``"``
+    ``/`` and ``\\``, so it fits one SoC CSV field and one file name; else
+    ConfigurationError naming ``what``."""
+    if not (isinstance(cell_id, str) and cell_id and cell_id.isprintable()
+            and not any(c in cell_id for c in ',"/\\')):
+        raise ConfigurationError(f"{what} must be a non-empty printable string without "
+                                 f"',', '\"', '/' or '\\', got {cell_id!r}")
+    return cell_id
+
+
 def save_soc_rows(cell_id: str, path, times, soc_est, soc_ref, innovations) -> None:
     """Write one cell's per-sample estimates as a SoC CSV, one row per entry
-    of the columns; each column becomes Python floats in one ``tolist()``."""
-    columns = (np.asarray(c, dtype=float).tolist() for c in (times, soc_est, soc_ref, innovations))
-    lines = [SOC_HEADER]
-    lines += [f"{t!r},{cell_id},{soc!r},{ref!r},{innov!r}" for t, soc, ref, innov in zip(*columns)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    of the columns. Each float is written as its repr, formatted once per run
+    of equal bits in its column (``_float_texts``). A cell id that
+    ``check_cell_id`` refuses raises ConfigurationError before anything is
+    written."""
+    check_cell_id(cell_id)
+    t, soc, ref, innov = map(_float_texts, (times, soc_est, soc_ref, innovations))
+    rows = [f"{a},{cell_id},{b},{c},{d}" for a, b, c, d in zip(t, soc, ref, innov)]
+    atomic_write_text(path, "\n".join([SOC_HEADER, *rows, ""]))

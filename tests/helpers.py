@@ -310,3 +310,29 @@ def _is_psd(p: list[list[float]]) -> bool:
         li.append(math.sqrt(d))
         low.append(li)
     return True
+
+
+def oracle_soc_text(cell_id, times, soc_est, soc_ref, innovations) -> str:
+    """A SoC CSV formed row by row with one ``!r`` per float: the bytes that
+    ``traceio.save_soc_rows`` must write."""
+    columns = (np.asarray(c, dtype=float).tolist() for c in (times, soc_est, soc_ref, innovations))
+    lines = ["t_s,cell_id,soc_est,soc_ref,v_innov"]
+    lines += [f"{t!r},{cell_id},{soc!r},{ref!r},{innov!r}" for t, soc, ref, innov in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
+def oracle_trace_text(trace: Trace) -> str:
+    """A trace CSV formed row by row with one ``!r`` per float: the bytes that
+    ``traceio.save_trace`` must write."""
+    lines = []
+    if trace.voltage is None:
+        lines.append("t_s,current_a")
+        for t, i in zip(trace.timestamps.tolist(), trace.current.tolist()):
+            lines.append(f"{t!r},{i!r}")
+    else:
+        lines.append("t_s,current_a,voltage_v")
+        for t, i, v in zip(
+            trace.timestamps.tolist(), trace.current.tolist(), trace.voltage.tolist()
+        ):
+            lines.append(f"{t!r},{i!r},{v!r}")
+    return "\n".join(lines) + "\n"

@@ -13,7 +13,21 @@ from cellsoc.traceio import (
     save_cell_parameters,
     save_trace,
 )
-from helpers import identification_trace, make_cell
+from helpers import identification_trace, make_cell, oracle_soc_text
+
+BAD_CELL_IDS = ["a,b", "a\nb", "", 'a"b', "a/b", "a\\b", "a\tb"]
+
+
+def rest_trace(cell):
+    """Discharge, rest, charge, rest at 10 s: the rests repeat values in
+    every SoC column."""
+    from cellsoc import CellState, Trace, simulate, vqst_from_soc
+
+    t = 10.0 * np.arange(2161)
+    h = 3600.0
+    current = np.where(t < h, -4.0, 0.0) + np.where((t >= 3 * h) & (t < 4 * h), 4.0, 0.0)
+    initial = CellState.rest(vqst_from_soc(cell, 0.9), cell.n_rc)
+    return simulate(cell, Trace(t, current), initial).trace
 
 
 @pytest.fixture()
@@ -306,6 +320,40 @@ class TestEstimate:
         assert np.max(np.abs(innov)) < 1e-12
 
 
+    @pytest.mark.parametrize("ref_soc0", [None, "0.9"])
+    def test_writes_the_oracle_bytes(self, cell_files, tmp_path, ref_soc0):
+        from cellsoc import coulomb_count
+
+        cell, params_path = cell_files
+        trace = rest_trace(cell)
+        trace_path = tmp_path / "t.csv"
+        save_trace(trace, trace_path)
+        out = tmp_path / "soc.csv"
+        argv = ["estimate", "--params", str(params_path), "--trace", str(trace_path),
+                "--initial-soc", "0.6", "--cell-id", "pack1-c07", "--out", str(out)]
+        assert main(argv + (["--ref-soc0", ref_soc0] if ref_soc0 else [])) == 0
+        run = run_filter(cell, trace, EkfConfig.default(cell, initial_soc=0.6))
+        if ref_soc0 is None:
+            ref = np.full(len(trace), np.nan)
+        else:
+            ref = coulomb_count(trace, cell.nominal_capacity_c_n, 0.9)
+        assert np.mean(run.soc[1:] == run.soc[:-1]) > 0.5  # long runs of equal values
+        expected = oracle_soc_text("pack1-c07", run.times, run.soc, ref, run.innovations)
+        assert out.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("cell_id", BAD_CELL_IDS)
+    def test_bad_cell_id_usage_exit_1(self, cell_files, tmp_path, capsys, cell_id):
+        _, params_path = cell_files
+        trace_path = tmp_path / "t.csv"
+        trace_path.write_text("t_s,current_a,voltage_v\n0.0,0.0,3.3\n1.0,0.0,3.3\n")
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        assert main(["estimate", "--params", str(params_path), "--trace", str(trace_path),
+                     "--cell-id", cell_id, "--out", str(outdir / "soc.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "cell id must be" in err
+        assert list(outdir.iterdir()) == []
+
     @pytest.mark.parametrize("field,value,expected", [
         (None, [1], "cell parameters must be a JSON object"),
         ("v_min", "low", "v_min must be a number"),
@@ -403,6 +451,33 @@ class TestMulticell:
             expected.append(estimate_soc(state, cell))
         assert np.allclose(soc_mc, expected, atol=1e-12)
         assert (outdir / "manifest.json").exists()
+
+    def test_two_cells_write_the_oracle_bytes(self, tmp_path):
+        from cellsoc import MultiCellEkf, SchedulerConfig
+
+        cfg_path, cells = self.make_pack(tmp_path, 2, 0.5, 0.5)
+        outdir = tmp_path / "out"
+        assert main(["multicell", "--config", str(cfg_path), "--out-dir", str(outdir)]) == 0
+        sched = SchedulerConfig(t_slot=0.5, cells=tuple(cells), f_max=0.5)
+        setups = {cid: (cell, EkfConfig.default(cell, initial_soc=0.8))
+                  for cid, cell in cells.items()}
+        traces = {cid: load_trace(tmp_path / f"{cid}.csv") for cid in cells}
+        series = MultiCellEkf(sched, setups).run(traces, ref_soc0=dict.fromkeys(cells, 1.0))
+        for cid, s in series.items():
+            expected = oracle_soc_text(cid, s.times, s.soc_est, s.soc_ref, s.innovations)
+            assert (outdir / f"soc_{cid}.csv").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("cell_id", [*BAD_CELL_IDS, 7, None, [1]])
+    def test_bad_cell_id_exit_2(self, tmp_path, capsys, cell_id):
+        cfg_path, _ = self.make_pack(tmp_path, 2, 0.5, 0.5)
+        doc = json.loads(cfg_path.read_text())
+        doc["cells"][1]["id"] = cell_id
+        cfg_path.write_text(json.dumps(doc))
+        outdir = tmp_path / "out"
+        assert main(["multicell", "--config", str(cfg_path), "--out-dir", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: multicell config cell id must be")
+        assert not outdir.exists() or list(outdir.iterdir()) == []
 
     def test_26_cells_refused(self, tmp_path):
         cfg_path, _ = self.make_pack(tmp_path, 26, 0.01, 2.0)

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from cellsoc import EkfConfig, Trace, TraceParseError
+from cellsoc import ConfigurationError, EkfConfig, Trace, TraceParseError
 from cellsoc.traceio import (
     load_cell_parameters,
     load_ekf_config,
     load_trace,
     save_cell_parameters,
     save_ekf_config,
+    save_soc_rows,
     save_trace,
 )
-from helpers import make_cell
+from helpers import make_cell, oracle_soc_text, oracle_trace_text
 
 
 def test_trace_round_trip_bit_exact(tmp_path):
@@ -123,3 +124,54 @@ def test_atomic_write_leaves_no_partial_output(tmp_path, monkeypatch):
     assert target.read_bytes() == before
     assert list(tmp_path.glob("*.tmp")) == []
     assert os.path.exists(target)
+
+
+def from_bits(pattern: int) -> float:
+    return float(np.array([pattern], dtype=np.uint64).view(np.float64)[0])
+
+
+def test_soc_rows_exact_bytes(tmp_path):
+    """Runs, both zeros, NaN payloads, infinities and subnormals, written out."""
+    columns = ([0.0, 1.0, 2.0, 3.0, 4.5],
+               [0.5, 0.5, 0.0, -0.0, -0.0],
+               [np.nan, from_bits(0x7FF8000000000001), from_bits(0xFFF8000000000000),
+                np.inf, np.inf],
+               [5e-324, 5e-324, -1e-310, 2.2250738585072014e-308, -np.inf])
+    path = tmp_path / "soc.csv"
+    save_soc_rows("c-7", path, *columns)
+    expected = (b"t_s,cell_id,soc_est,soc_ref,v_innov\n"
+                b"0.0,c-7,0.5,nan,5e-324\n"
+                b"1.0,c-7,0.5,nan,5e-324\n"
+                b"2.0,c-7,0.0,nan,-1e-310\n"
+                b"3.0,c-7,-0.0,inf,2.2250738585072014e-308\n"
+                b"4.5,c-7,-0.0,inf,-inf\n")
+    assert path.read_bytes() == expected
+    assert oracle_soc_text("c-7", *columns).encode() == expected
+
+
+def test_trace_exact_bytes(tmp_path):
+    trace = Trace(np.array([-0.0, 0.1, 0.2, 1e16]),
+                  np.array([0.0, 0.0, -0.0, 1.7976931348623157e308]),
+                  np.array([3.3, 3.3, 3.3, 5e-324]))
+    profile = Trace(np.array([0.0, 1.0, 2.0]), np.array([-2.5, -2.5, 1e-310]))
+    expected = {
+        "trace.csv": (b"t_s,current_a,voltage_v\n-0.0,0.0,3.3\n0.1,0.0,3.3\n0.2,-0.0,3.3\n"
+                      b"1e+16,1.7976931348623157e+308,5e-324\n"),
+        "profile.csv": b"t_s,current_a\n0.0,-2.5\n1.0,-2.5\n2.0,1e-310\n",
+    }
+    for name, tr in (("trace.csv", trace), ("profile.csv", profile)):
+        save_trace(tr, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == expected[name]
+        assert oracle_trace_text(tr).encode() == expected[name]
+
+
+def test_empty_soc_rows_is_the_header(tmp_path):
+    save_soc_rows("c0", tmp_path / "soc.csv", [], [], [], [])
+    assert (tmp_path / "soc.csv").read_bytes() == b"t_s,cell_id,soc_est,soc_ref,v_innov\n"
+
+
+@pytest.mark.parametrize("cell_id", ["a,b", "a\nb", "", 'a"b', "a/b", "a\\b", 7, None, [1]])
+def test_soc_rows_refuse_bad_cell_id(tmp_path, cell_id):
+    with pytest.raises(ConfigurationError, match="cell id must be"):
+        save_soc_rows(cell_id, tmp_path / "soc.csv", [0.0], [0.5], [0.5], [0.0])
+    assert list(tmp_path.iterdir()) == []

@@ -140,3 +140,49 @@ def test_clean_file_is_read_without_the_line_parser(tmp_path, monkeypatch):
     monkeypatch.setattr(traceio, "_parse_trace_lines", refuse)
     again = load_trace(path)
     assert np.array_equal(again.voltage, trace.voltage)
+
+
+# Bit patterns the formatter must keep apart or treat alike: both zeros,
+# both infinities, NaNs with different signs and payloads, subnormals.
+SPECIAL_BITS = [0x0, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+                0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                0x7FFFFFFFFFFFFFFF, 0x7FF4000000000000, 0x1, 0x800FFFFFFFFFFFFF,
+                0x000FFFFFFFFFFFFF]
+bit_patterns = st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2**64 - 1))
+
+
+def floats_from_bits(patterns):
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+@st.composite
+def float_columns(draw):
+    """A column with forced runs, in one of the forms callers hand in."""
+    kind = draw(st.sampled_from(["runs", "zeros", "ints"]))
+    if kind == "zeros":
+        col = np.array([-0.0 if b else 0.0 for b in draw(st.lists(st.booleans(), max_size=12))])
+    elif kind == "ints":
+        runs = draw(st.lists(st.tuples(st.integers(-2**62, 2**62), st.integers(1, 4)),
+                             max_size=10))
+        col = np.array([v for v, n in runs for _ in range(n)], dtype=np.int64)
+    else:
+        runs = draw(st.lists(st.tuples(bit_patterns, st.integers(1, 4)), max_size=10))
+        col = floats_from_bits([b for b, n in runs for _ in range(n)])
+    form = draw(st.sampled_from(["array", "strided", "list"]))
+    if form == "strided":
+        wide = np.zeros((col.size, 2), dtype=col.dtype)
+        wide[:, 0] = col
+        return wide[:, 0]
+    return col.tolist() if form == "list" else col
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(float_columns())
+@example([])
+@example(np.array([0.0]))
+@example(floats_from_bits([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000]))
+@example(np.array([0.0, -0.0, 0.0, -0.0, -0.0]))
+@example(np.arange(5))
+def test_float_texts_is_repr_of_each_value(col):
+    expected = [repr(x) for x in np.asarray(col, dtype=float).tolist()]
+    assert traceio._float_texts(col) == expected
