@@ -106,30 +106,6 @@ class MonotoneCurve:
         above = knots[-1] + (x - g[-1]) * v[-1]
         return np.where(x <= g[0], below, np.where(x >= g[-1], above, inner))
 
-    def segments(self) -> np.ndarray:
-        """The constants of ``integral_and_value`` and ``inverse_integral`` per segment.
-
-        Segment s holds the points that s knots lie at or below, as
-        ``bisect_right`` counts them: s = 0 is below the grid, s = L at or above
-        its end, and 0 < s < L the interpolated segment s - 1. Returns an
-        [5, L + 1] array with rows g (lower knot), c (value there), dc and dg
-        (steps to the next knot) and K (integral up to g), so that, with
-        dx = x - g and dq = q - K, the scalar expressions read
-
-            y = c + dc * dx / dg            F = K + 0.5 * (c + y) * dx
-            x = g + 2 * dq / (c + sqrt(c * c + 2 * (dc / dg) * dq)).
-
-        The two end segments are flat (dc = 0, dg = 1). There the expressions
-        give the scalar end branches, y = c, F = K + c * dx and x = g + dq / c,
-        bit for bit as long as 0.5 * (c + c) == c == sqrt(c * c) and nothing
-        overflows or underflows.
-        """
-        g, v, knots = (np.array(t) for t in self._tables)
-        dv = np.concatenate(([0.0], np.diff(v), [0.0]))
-        dg = np.concatenate(([1.0], np.diff(g), [1.0]))
-        return np.array([np.concatenate(([g[0]], g)), np.concatenate(([v[0]], v)),
-                         dv, dg, np.concatenate(([0.0], knots))])
-
     def inverse_integral(self, q: float) -> tuple[float, float]:
         """The ``x`` with F(x) = ``q``, and the curve's value there.
 

@@ -12,23 +12,21 @@ P - K t' - t K' + s K K'. The kernel's whole sample loop is straight-line code
 generated once per state size by ``_series_kernel``, with the state and all
 m*m entries of P as locals; it inlines the charge map
 (``model._charge_map_lines``) and the covariance step (``_predict_lines`` and
-``_correct_lines``, which ``_covariance_steps`` also compiles). Every sum adds
-its terms left to right from the first (``_sum``), whatever the builtin
-``sum`` does. At rest the kernel reuses a covariance step that settled on a
-bitwise fixed point (see ``_filter_series``).
-``_filter_revolutions`` (behind ``MultiCellEkf.run``) runs that step for many
-cells at once, one vectorised step per revolution, with its bits.
+``_correct_lines``). Every sum adds its terms left to right from the first,
+whatever the builtin ``sum`` does. At rest the kernel reuses a covariance
+step that settled on a bitwise fixed point (see ``_filter_series``). It is
+the one batch kernel: ``run_filter`` runs it on one trace and
+``MultiCellEkf.run`` once per cell.
 
 One rule decides whether a covariance is PSD: P + PSD_TOLERANCE * I has a
 Cholesky factor, by the proof that ``_proof_lines`` writes. ``EkfConfig``,
-``correct`` and both batch kernels run it, so no BLAS decides a verdict.
+``correct`` and the batch kernel run it, so no BLAS decides a verdict.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -64,7 +62,7 @@ PSD_TOLERANCE = 1e-10
 
 def _check_psd(matrix: np.ndarray, name: str) -> np.ndarray:
     """``matrix`` symmetrized, if it is square, finite, symmetric to rounding and
-    PSD by the filters' own proof (``_psd_proofs``); else InvalidParametersError."""
+    PSD by the filters' own proof (``_psd_proof``); else InvalidParametersError."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidParametersError(f"{name} must be a square matrix")
@@ -73,7 +71,7 @@ def _check_psd(matrix: np.ndarray, name: str) -> np.ndarray:
     if np.max(np.abs(m - m.T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
         raise InvalidParametersError(f"{name} must be symmetric")
     sym = 0.5 * (m + m.T)
-    if not _psd_proofs(m.shape[0])[0](sym.ravel().tolist()):
+    if not _psd_proof(m.shape[0])(sym.ravel().tolist()):
         raise InvalidParametersError(f"{name} must be positive semidefinite")
     return sym
 
@@ -126,7 +124,7 @@ class EkfConfig:
 @dataclass(eq=False)
 class EkfState:
     """Filter mean and covariance. ``predict`` and ``correct`` re-symmetrize the
-    covariance; the batch kernels keep an asymmetric start covariance bit for bit."""
+    covariance; the batch kernel keeps an asymmetric start covariance bit for bit."""
 
     mean: CellState
     covariance: np.ndarray
@@ -184,7 +182,7 @@ def predict(
 def _correct(ekf: EkfState, params: CellParameters, measured_v: float, current: float,
              cfg: EkfConfig) -> tuple[EkfState, float]:
     """correct() plus the innovation it used (reported even when r is infinite).
-    The corrected covariance must pass the batch kernels' proof, ``_psd_proofs``."""
+    The corrected covariance must pass the batch kernel's proof, ``_psd_proof``."""
     _check_finite(measured_v=measured_v, current=current)
     innovation = measured_v - output_voltage(ekf.mean, params, current)
     if math.isinf(cfg.measurement_noise_r):
@@ -200,7 +198,7 @@ def _correct(ekf: EkfState, params: CellParameters, measured_v: float, current: 
     a = np.eye(p.shape[0]) - gain[:, None]  # I - K H
     cov = a @ p @ a.T + r * np.outer(gain, gain)
     cov = 0.5 * (cov + cov.T)
-    if not _psd_proofs(cov.shape[0])[0](cov.ravel().tolist()):
+    if not _psd_proof(cov.shape[0])(cov.ravel().tolist()):
         raise NumericalFailureError("corrected covariance lost positive semidefiniteness")
     return EkfState(CellState.from_vector(x), cov), innovation
 
@@ -230,13 +228,6 @@ class FilterRun:
     innovations: np.ndarray
     v_qst: np.ndarray
     final: EkfState
-
-
-def _sum(terms):
-    """``terms[0] + terms[1] + ...`` left to right, on floats or arrays: the one
-    summation rule of the batch kernels. No terms sum to -0.0; x + -0.0 is x
-    bit for bit, so adding an empty sum is leaving it out."""
-    return functools.reduce(operator.add, terms) if terms else -0.0
 
 
 def _tuple(names) -> str:
@@ -291,30 +282,7 @@ def _correct_lines(m: int) -> list[str]:
     ]
 
 
-def _covariance_source(m: int) -> str:
-    """Source of ``_covariance_steps(m)``: the covariance step, unrolled for size m.
-
-    P and Q*dt are flat row-major tuples of m*m floats with entries p_a_b and
-    q_a_b; f is the diagonal of F, the row sums t = P 1 and the gain k are
-    tuples of m floats. Every sum is a chain of ``+`` over its terms in index
-    order, the rule of ``_sum``: a one-term sum is the term itself and an
-    empty sum is left out. Entries (a, b) and (b, a) are formed by commuted
-    operations, so a symmetric P stays exactly symmetric.
-    """
-    flat = _tuple(_entries(m))
-    f, t, k = (_tuple([f"{x}{a}" for a in range(m)]) for x in "ftk")
-    lines = [
-        "def predict_covariance(p, f, q):",
-        *_indent([f"{flat} = p", f"{f} = f", f"{_tuple(_entries(m, 'q'))} = q",
-                  *_predict_lines(m), f"return {flat}, {t}"], 1),
-        "",
-        "def correct_covariance(p, t, r):",
-        *_indent([f"{flat} = p", f"{t} = t", *_correct_lines(m), f"return {flat}, {k}"], 1),
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _proof_lines(m: int, check: list[str], sqrt: str = "sqrt") -> list[str]:
+def _proof_lines(m: int, check: list[str]) -> list[str]:
     """The PSD proof on the entries p_a_b of a size-m P: each pivot d of the Cholesky
     factor of P + PSD_TOLERANCE * I, read off the lower triangle, then ``check``,
     the lines that must fail a pivot that is not ``> 0.0``."""
@@ -329,7 +297,7 @@ def _proof_lines(m: int, check: list[str], sqrt: str = "sqrt") -> list[str]:
         minus = f" - ({squares})" if i else ""
         lines += [f"d = p_{i}_{i} + PSD_TOLERANCE{minus}", *check]
         if i < m - 1:
-            lines.append(f"l_{i}_{i} = {sqrt}(d)")
+            lines.append(f"l_{i}_{i} = sqrt(d)")
     return lines
 
 
@@ -346,43 +314,17 @@ def _namespace(**names) -> dict:
 
 
 @functools.cache
-def _psd_proofs(m: int):
+def _psd_proof(m: int):
     """``_proof_lines`` for size m as ``is_psd(p) -> bool``, on P as a flat
-    row-major sequence of floats, and ``psd_mask(p)``, on the m*m entry arrays
-    of a stack of matrices, True where a matrix passes every pivot test."""
-    unpack = f"{_tuple(_entries(m))} = p"
+    row-major sequence of floats."""
     source = "\n".join([
         "def is_psd(p):",
-        *_indent([unpack, *_proof_lines(m, ["if not d > 0.0:", "    return False"]),
-                  "return True"], 1),
-        "",
-        "def psd_mask(p):",
-        *_indent([unpack, "ok = True", *_proof_lines(m, ["ok &= d > 0.0"], sqrt="np.sqrt"),
-                  "return ok"], 1),
+        *_indent([f"{_tuple(_entries(m))} = p",
+                  *_proof_lines(m, ["if not d > 0.0:", "    return False"]), "return True"], 1),
     ]) + "\n"
-    namespace = _namespace(np=np)
-    exec(compile(source, f"<PSD proof, m={m}>", "exec"), namespace)
-    return namespace["is_psd"], namespace["psd_mask"]
-
-
-@functools.cache
-def _covariance_steps(m: int):
-    """The covariance step of the EKF on plain floats for a state of size m.
-
-    Returns two functions. ``predict_covariance(p, f, q) -> (p, t)`` forms
-    F P F' + Q*dt for the diagonal f, its row sums t, and checks it.
-    ``correct_covariance(p, t, r) -> (p, k)`` takes the row sums t of P, forms
-    s = 1'P1 + r and the gain k = t / s, applies the Joseph update and proves
-    the result PSD. Both raise ``NumericalFailureError`` where a check fails.
-    They are generated once per m from ``_covariance_source`` as straight-line
-    code, as ``collections.namedtuple`` generates its classes: at these sizes
-    the loops of a list form cost more than its arithmetic. No filter calls
-    them: ``_series_kernel`` inlines the same lines, and these functions let
-    the tests hold one step of them to its list form.
-    """
     namespace = _namespace()
-    exec(compile(_covariance_source(m), f"<covariance step, m={m}>", "exec"), namespace)
-    return namespace["predict_covariance"], namespace["correct_covariance"]
+    exec(compile(source, f"<PSD proof, m={m}>", "exec"), namespace)
+    return namespace["is_psd"]
 
 
 def _series_source(m: int) -> str:
@@ -394,7 +336,7 @@ def _series_source(m: int) -> str:
     entries qr_a_b) are recomputed only when h changes. f0 is the charge-map
     slope. The covariance step is ``_predict_lines`` and ``_correct_lines``,
     the charge map ``model._charge_map_lines``, every sum a ``+`` chain in
-    index order as ``_sum`` adds.
+    index order, added left to right.
     """
     idx = range(m)
     ys = [f"y{j}" for j in range(m - 1)]
@@ -526,9 +468,8 @@ def _filter_series(
     The loop is ``_series_kernel(m)``: straight-line code generated for the
     state size, with the RC states and all m*m entries of P as locals, so an
     asymmetric start covariance keeps its exact bits. It inlines the charge
-    map and the covariance step, whose lines ``_covariance_steps`` compiles
-    too; every sum adds left to right as ``_sum`` does. The predict's row sums
-    t = P 1 serve both its finiteness check and the gain. At rest the loop
+    map and the covariance step; every sum adds left to right. The predict's
+    row sums t = P 1 serve both its finiteness check and the gain. At rest the loop
     reuses a covariance step that left P bit for bit unchanged while f0 and dt
     repeat, which only saves work.
     """
@@ -559,237 +500,6 @@ def _filter_series(
                / params.delta_q)
     final = EkfState(CellState(v, np.array(dyn)), np.array(p).reshape(m, m))
     return soc_out, innov_out, vqst_out, final
-
-
-def _psd_mask(p: np.ndarray) -> np.ndarray:
-    """``_psd_proofs``' mask over an [m, m, ...] stack: True where a matrix passes."""
-    m = p.shape[0]
-    return _psd_proofs(m)[1](p.reshape(m * m, *p.shape[2:]))
-
-
-# Magnitude bound of the stacked path's inputs, tables and states. Within it no
-# intermediate of the charge map overflows or underflows, which the end
-# segments of MonotoneCurve.segments rely on; past it _filter_series runs.
-_STACK_BOUND = 1e100
-_CHUNK = 16  # revolutions filtered and checked at once by the stacked path
-
-
-def _stack_segments(curves):
-    """Rows of ``MonotoneCurve.segments`` of n curves, and their search keys.
-
-    Rows are padded to one width. The keys are complex, row + 1j * knot, padded
-    with +inf; complex order is lexicographic, so one ``searchsorted`` of
-    row + 1j * x counts the knots at or below x in every row and lands on the
-    flat index of its segment. Returns the grid keys, the knot-integral keys
-    and the [5, n * width] table, or None unless every curve keeps its values
-    within ``_STACK_BOUND``, has a first knot integral above 0.0 (so a charge
-    of exactly 0.0 finds the first segment) and meets the end-segment
-    identities of ``MonotoneCurve.segments``.
-    """
-    n = len(curves)
-    width = max(cap.grid.size for cap in curves) + 1
-    table = np.ones((5, n, width))
-    keys = np.empty((2, n, width), dtype=complex)
-    keys.real = np.arange(n)[:, None]
-    keys.imag = np.inf
-    for row, cap in enumerate(curves):
-        t = cap.segments()
-        g, c, knots = t[0], t[1], t[4]
-        if not (max(-g[0], g[-1], knots[-1], c.max()) <= _STACK_BOUND
-                and c.min() >= 1.0 / _STACK_BOUND and knots[2] > 0.0
-                and all(0.5 * (x + x) == x == math.sqrt(x * x) for x in (c[0], c[-1]))):
-            return None
-        table[:, row, : t.shape[1]] = t
-        keys.imag[:, row, : t.shape[1] - 1] = g[1:], knots[1:]
-    return keys[0].ravel(), keys[1].ravel(), table.reshape(5, -1)
-
-
-def _revolutions(cells, steps: int):
-    """The stacked core of ``_filter_revolutions``: ``steps`` services of every cell.
-
-    Returns (soc, innovation, v_qst, final) per cell, as ``_filter_series``
-    would for those services, or None if one of its checks could fail on any
-    of them, or if the stacked arithmetic might not be exact: a value past
-    ``_STACK_BOUND`` (see ``_stack_segments`` for the curves) or a clamp bound
-    that is a zero, whose sign np.maximum may not keep. Work goes in chunks of
-    ``_CHUNK`` revolutions, which bounds the memory; each chunk's checks run
-    on its recorded values when it ends.
-    """
-    n = len(cells)
-    ekfs, params, cfgs, voltage, current, dt = zip(*cells)
-    m = params[0].n_rc + 1
-    voltage, current, dt = ([np.asarray(a, dtype=float)[:steps] for a in arrays]
-                            for arrays in (voltage, current, dt))
-    v_lo = np.array([prm.v_min for prm in params]) - DEFAULT_VQST_GUARD
-    v_hi = np.array([prm.v_max for prm in params]) + DEFAULT_VQST_GUARD
-    v = np.array([e.mean.v_qst for e in ekfs], dtype=float)
-    stacked = _stack_segments([prm.capacitance for prm in params])
-    if stacked is None or not (np.all(v_lo != 0.0) and np.all(v_hi != 0.0)
-                               and np.abs(v).max() <= _STACK_BOUND):
-        return None
-    # Decays from math.exp once per distinct (cell, dt), as the scalar kernel
-    # computes them: np.exp may round differently.
-    decays, pair = [], np.empty((steps, n), dtype=np.int32)
-    for c, (prm, h) in enumerate(zip(params, dt)):
-        distinct, which = np.unique(h, return_inverse=True)
-        pair[:, c] = which + len(decays)
-        decays += [[math.exp(-x / tau) for tau in prm.taus.tolist()] for x in distinct.tolist()]
-    decays = np.array(decays)
-    # Cells run along the last axis: [m, n] rows, [m, m, n] covariances.
-    rs = np.array([prm.rs for prm in params]).T
-    q = np.array([cfg.process_noise_q for cfg in cfgs]).transpose(1, 2, 0)
-    r = np.array([cfg.measurement_noise_r for cfg in cfgs])
-    grid_keys, knot_keys, table = stacked
-    probe = np.empty(n, dtype=complex)
-    probe.real = np.arange(n)
-
-    dyn = np.array([e.mean.v_dyn_components for e in ekfs]).T
-    p = np.array([e.covariance for e in ekfs]).transpose(1, 2, 0)
-    innov_out, vqst_out = np.empty((n, steps)), np.empty((n, steps))
-    dyn_seen, diag_seen = np.empty((_CHUNK, m - 1, n)), np.empty((_CHUNK, m, n))
-    s_seen, p_seen = np.empty((_CHUNK, n)), np.empty((_CHUNK, m, m, n))
-    # Values past a failing check must neither warn nor raise before it is seen.
-    with np.errstate(all="ignore"):
-        for start in range(0, steps, _CHUNK):
-            stop = min(start + _CHUNK, steps)
-            z, i, h = (np.stack([x[start:stop] for x in columns], axis=1)
-                       for columns in (voltage, current, dt))
-            drop = np.stack([prm.resistor.eval(i[:, c]) for c, prm in enumerate(params)], axis=1)
-            charge = i * h
-            if not np.abs(charge).max() <= _STACK_BOUND:
-                return None
-            held = (charge == 0.0).any(axis=1).tolist()
-            f_diag = np.empty((stop - start, m, n))  # row 0 takes the charge-map slope
-            f_diag[:, 1:] = decays[pair[start:stop]].transpose(0, 2, 1)
-            forced = rs * i[:, None] * (1.0 - f_diag[:, 1:])
-            q_h = q * h[:, None, None]
-            for k in range(stop - start):
-                # charge_map: Q(v1) = Q(v) + i*dt through both segment tables. A
-                # NaN or inf query may index one past the end: clip, and let
-                # the checks catch it.
-                probe.imag = v
-                g0, c, dc, dg, knot = table.take(
-                    np.searchsorted(grid_keys, probe, side="right"), axis=1, mode="clip")
-                dx = v - g0
-                c0 = c + dc * dx / dg
-                q1 = knot + 0.5 * (c + c0) * dx + charge[k]
-                probe.imag = q1
-                g0, c, dc, dg, knot = table.take(
-                    np.searchsorted(knot_keys, probe, side="right"), axis=1, mode="clip")
-                dq = q1 - knot
-                # max(x, 0.0) unless x is a zero; then c1 = 0, f0 is infinite
-                # and the s check fails, whichever sign the zero has.
-                c1 = np.sqrt(np.maximum(c * c + 2.0 * (dc / dg) * dq, 0.0))
-                v1 = g0 + 2.0 * dq / (c + c1)
-                f = f_diag[k]
-                f[0] = c0 / c1
-                if held[k]:  # zero charge leaves v where it is
-                    still = charge[k] == 0.0
-                    v1 = np.where(still, v, v1)
-                    f[0] = np.where(still, 1.0, f[0])
-                v = np.minimum(np.maximum(v1, v_lo), v_hi)
-                dyn = dyn * f[1:] + forced[k]
-                p = f[:, None] * f * p + q_h[k]
-                diag_seen[k] = p.reshape(m * m, n)[:: m + 1]
-
-                innovation = z[k] - (v + _sum(list(dyn)) + drop[k])
-                p1 = _sum(list(p.transpose(1, 0, 2)))
-                s = _sum(list(p1)) + r
-                gain = p1 / s
-                kp = gain[:, None] * p1
-                p = p - (kp + kp.transpose(1, 0, 2)) + gain[:, None] * gain * s
-                v = v + gain[0] * innovation
-                dyn = dyn + gain[1:] * innovation
-                s_seen[k], p_seen[k], dyn_seen[k] = s, p, dyn
-                innov_out[:, start + k], vqst_out[:, start + k] = innovation, v
-            # The checks of _filter_series: the predicted diagonal and the sum
-            # of P (s is not finite if it is not), s, the corrected P and the
-            # state. States inside the bound also keep the end segments exact.
-            size = stop - start
-            if not (diag_seen[:size].min() >= -PSD_TOLERANCE
-                    and s_seen[:size].min() > 0.0 and s_seen[:size].max() < math.inf
-                    and _psd_mask(p_seen[:size].transpose(1, 2, 0, 3)).all()
-                    and np.abs(vqst_out[:, start:stop]).max() <= _STACK_BOUND
-                    and np.abs(dyn_seen[:size]).max() <= _STACK_BOUND):
-                return None
-
-    out = []
-    for c, prm in enumerate(params):
-        vqst = vqst_out[c]
-        soc = prm.capacitance.integral_array(np.clip(vqst, prm.v_min, prm.v_max)) / prm.delta_q
-        final = EkfState(CellState(float(v[c]), dyn[:, c].copy()), p[:, :, c].copy())
-        out.append((soc, innov_out[c], vqst, final))
-    return out
-
-
-def _warn_samples(params: CellParameters, current: np.ndarray, vqst: np.ndarray) -> None:
-    """The per-sample warnings ``_filter_series`` raised over these samples, in order,
-    attributed to the caller of ``_filter_revolutions``."""
-    res = params.resistor
-    clamped_i = (current < res.x_min) | (current > res.x_max)
-    clamped_v = (vqst < params.v_min) | (vqst > params.v_max)
-    for k in np.flatnonzero(clamped_i | clamped_v).tolist():
-        if clamped_i[k]:
-            warnings.warn(_current_clamp_message(res), OutOfRangeWarning, stacklevel=3)
-        if clamped_v[k]:
-            warnings.warn(_soc_clamp_message(params), OutOfRangeWarning, stacklevel=3)
-
-
-def _filter_revolutions(cells):
-    """``_filter_series`` for many cells at once, one revolution per step.
-
-    ``cells`` holds one (ekf, params, cfg, voltage, current, dt) per cell.
-    Each service predicts over its ``dt`` at its own current (the sample held
-    through the revolution) and corrects with its voltage. Returns, per cell,
-    ``_filter_series(ekf, params, cfg, voltage, current, dt, current)`` bit for
-    bit; the warnings and errors are those of these calls in cell order.
-
-    Cells with the same number of RC groups and a finite r advance together:
-    [N] means, [n-1, N] RC states and [n, n, N] covariances, one vectorised
-    step per revolution, for as many services as all of them have. Single
-    cells, r = inf cells and the services past that count go through
-    ``_filter_series``. The stacked step repeats the scalar arithmetic
-    operation by operation, so it gives the same bits: ``_sum`` adds rows as
-    it adds floats, and decays come from ``math.exp`` per distinct dt, since
-    ``np.exp`` may round differently. It skips the stationary reuse, which
-    only saves work. Its warnings are raised afterwards, and if any check
-    could fail every cell goes through ``_filter_series`` instead, which
-    raises where the scalar kernel does. Every warning is attributed to this
-    function's caller.
-    """
-    groups: dict[int, list[int]] = {}
-    for c, (ekf, params, cfg, voltage, *_) in enumerate(cells):
-        if (len(voltage) and not math.isinf(cfg.measurement_noise_r)
-                and ekf.mean.v_dyn_components.size == params.n_rc):
-            groups.setdefault(params.n_rc, []).append(c)
-    heads = {}
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        steps = min(len(cells[c][3]) for c in members)
-        head = _revolutions([cells[c] for c in members], steps)
-        if head is None:
-            heads = {}
-            break
-        heads.update(zip(members, head))
-
-    out = []
-    for c, (ekf, params, cfg, voltage, current, dt) in enumerate(cells):
-        if c not in heads:
-            out.append(_filter_series(ekf, params, cfg, voltage, current, dt, current,
-                                      stacklevel=3))
-            continue
-        soc, innovations, vqst, final = heads[c]
-        steps = soc.size
-        _warn_samples(params, np.asarray(current[:steps], dtype=float), vqst)
-        if len(voltage) > steps:
-            tail = _filter_series(final, params, cfg, voltage[steps:], current[steps:],
-                                  dt[steps:], current[steps:], stacklevel=3)
-            soc, innovations, vqst = (np.concatenate(pair) for pair in
-                                      zip((soc, innovations, vqst), tail[:3]))
-            final = tail[3]
-        out.append((soc, innovations, vqst, final))
-    return out
 
 
 def run_filter(

@@ -9,23 +9,9 @@ construction and the arithmetic is identical to N independent filters each
 stepped at period N * t_slot.
 
 ``tick`` is the online path, one service per call. ``run`` uses the isolation
-directly and takes one of three paths per cell (``_filter_revolutions`` in
-the estimator module):
-
-- cells with the same number of RC groups and a finite measurement noise r
-  advance together, one vectorised predict-and-correct per revolution on
-  stacked arrays;
-- a cell alone in its group, or with r = inf, is filtered as one series by
-  the plain-float kernel ``_filter_series``;
-- so is the one leftover service of a cell that has one more service than
-  the rest of its group.
-
-All three give the same bits as ``_filter_series`` on each cell alone, with
-its warnings and errors. The stacked path repeats its arithmetic operation by
-operation and takes the RC decays from ``math.exp`` on the distinct dt values,
-as the plain-float kernel does: ``np.exp`` is a separate implementation that
-differs in the last bit for a few percent of arguments. Whenever a check could
-fail, the run hands every cell to ``_filter_series``, which raises as before.
+directly: it filters each cell's whole schedule as one series through the
+batch kernel ``_filter_series`` (in the estimator module), in cell order, so
+its bits, warnings and errors are those of that kernel on each cell alone.
 """
 
 from __future__ import annotations
@@ -47,12 +33,13 @@ from .estimator import (
     EkfConfig,
     EkfState,
     _correct,
-    _filter_revolutions,
+    _filter_series,
     estimate_soc,
     make_filter,
     predict,
 )
 from .model import CellParameters, coulomb_count
+from .traceio import check_cell_id
 
 
 def max_cells(f_max: float, t_slot: float) -> int:
@@ -71,7 +58,11 @@ def max_cells(f_max: float, t_slot: float) -> int:
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Round-robin schedule: slice length, fixed cell order, signal bandwidth."""
+    """Round-robin schedule: slice length, fixed cell order, signal bandwidth.
+
+    Cell ids must be ids that ``traceio.check_cell_id`` accepts, so every
+    cell's estimates can be written as a SoC CSV.
+    """
 
     t_slot: float
     cells: tuple[str, ...]
@@ -85,6 +76,8 @@ class SchedulerConfig:
         cells = tuple(self.cells)
         if not cells:
             raise InvalidParametersError("at least one cell is required")
+        for cell_id in cells:
+            check_cell_id(cell_id)
         if len(set(cells)) != len(cells):
             raise InvalidParametersError("cell ids must be unique")
         object.__setattr__(self, "cells", cells)
@@ -206,16 +199,14 @@ class MultiCellEkf:
         per-cell mapping) seeds the coulomb-counting reference series; without
         it the reference column is NaN.
 
-        Slots are isolated, so the cells are filtered together, one revolution
-        at a time, wherever their state sizes match and r is finite; the rest
-        and each cell's one leftover service go through the plain-float
-        kernel. Every path gives the bits of that kernel run on each cell
-        alone (see the module docstring). The engine ends in the state that
-        ticking the same schedule would leave: slots, service times and ring
-        position. A run that raises leaves the engine unchanged. One
-        ``SchedulingWarning`` counts the services whose held sample is older
-        than two revolutions, and one names the cells whose trace runs more
-        than a revolution past the horizon.
+        Slots are isolated, so each cell's services are filtered as one
+        series by the batch kernel ``_filter_series``, cell by cell in ring
+        order; its warnings are attributed to the caller. The engine ends in
+        the state that ticking the same schedule would leave: slots, service
+        times and ring position. A run that raises leaves the engine
+        unchanged. One ``SchedulingWarning`` counts the services whose held
+        sample is older than two revolutions, and one names the cells whose
+        trace runs more than a revolution past the horizon.
         """
         cells = self.config.cells
         n = len(cells)
@@ -272,25 +263,22 @@ class MultiCellEkf:
                 stacklevel=2,
             )
 
-        jobs, stuck_error = [], None
+        filtered = []
         for cell_id, now, idx in picks:
             slot = self.slots[cell_id]
             prev = np.concatenate(([slot.last_serviced_t], now[:-1]))
             dt = now - prev
             stuck = np.flatnonzero(dt <= 0.0)
             if stuck.size:
-                # Raised once the cells before this one are filtered.
                 k = stuck[0]
-                stuck_error = SchedulingViolationError(
+                raise SchedulingViolationError(
                     f"service time {float(now[k])} does not advance past {float(prev[k])}"
                 )
-                break
             trace = traces[cell_id]
-            jobs.append((slot.ekf, slot.params_ref, slot.ekf_config, trace.voltage[idx],
-                         trace.current[idx], dt))
-        filtered = _filter_revolutions(jobs)
-        if stuck_error is not None:
-            raise stuck_error
+            current = trace.current[idx]  # held through the revolution
+            filtered.append(_filter_series(slot.ekf, slot.params_ref, slot.ekf_config,
+                                           trace.voltage[idx], current, dt, current,
+                                           stacklevel=3))
 
         series = {}
         for (cell_id, now, idx), (soc, innovations, _, final) in zip(picks, filtered):

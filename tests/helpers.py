@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections import Counter
@@ -26,7 +27,9 @@ from cellsoc import (
     run_filter,
     simulate,
 )
-from cellsoc.estimator import PSD_TOLERANCE, _correct
+from cellsoc.estimator import (
+    PSD_TOLERANCE, _correct, _correct_lines, _entries, _indent, _namespace, _predict_lines,
+    _tuple)
 from cellsoc.model import (
     DEFAULT_VQST_GUARD, _current_clamp_message, _soc_clamp_message, charge_map,
     interval_currents)
@@ -163,8 +166,9 @@ def assert_run_filter_matches_step_chain(params, trace, cfg):
 
 
 # The covariance step of the fused kernel in its list form, the reference for
-# the straight-line code that estimator._covariance_steps generates. P is a
-# list of rows; Q*dt too. Every sum adds left to right, as the kernel does.
+# the straight-line code that covariance_steps compiles from the kernel's own
+# lines. P is a list of rows; Q*dt too. Every sum adds left to right, as the
+# kernel does.
 
 
 def left_to_right(terms):
@@ -208,6 +212,37 @@ def list_correct(p, r):
     if not _is_psd(p):
         raise NumericalFailureError("corrected covariance lost positive semidefiniteness")
     return p, gain
+
+
+@functools.cache
+def covariance_steps(m: int):
+    """The covariance step of ``estimator._filter_series`` on its own, for size m,
+    compiled from the lines the kernel inlines (``_predict_lines`` and
+    ``_correct_lines``), so one step of the kernel can be held to its list form.
+
+    Returns two functions on flat row-major tuples of m*m floats for P and
+    Q*dt and tuples of m floats for f, t and k. ``predict_covariance(p, f, q)
+    -> (p, t)`` forms F P F' + Q*dt for the diagonal f, its row sums t, and
+    checks it. ``correct_covariance(p, t, r) -> (p, k)`` takes the row sums t
+    of P, forms s = 1'P1 + r and the gain k = t / s, applies the Joseph update
+    and proves the result PSD. Both raise ``NumericalFailureError`` where a
+    check fails. Every sum adds its terms left to right, and entries (a, b)
+    and (b, a) are formed by commuted operations, so a symmetric P stays
+    exactly symmetric.
+    """
+    flat = _tuple(_entries(m))
+    f, t, k = (_tuple([f"{x}{a}" for a in range(m)]) for x in "ftk")
+    source = "\n".join([
+        "def predict_covariance(p, f, q):",
+        *_indent([f"{flat} = p", f"{f} = f", f"{_tuple(_entries(m, 'q'))} = q",
+                  *_predict_lines(m), f"return {flat}, {t}"], 1),
+        "",
+        "def correct_covariance(p, t, r):",
+        *_indent([f"{flat} = p", f"{t} = t", *_correct_lines(m), f"return {flat}, {k}"], 1),
+    ]) + "\n"
+    namespace = _namespace()
+    exec(compile(source, f"<covariance step, m={m}>", "exec"), namespace)
+    return namespace["predict_covariance"], namespace["correct_covariance"]
 
 
 def list_filter_series(ekf, params, cfg, voltage, current, dt, i_pred):

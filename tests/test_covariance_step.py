@@ -1,9 +1,9 @@
 """The generated covariance step against its list form, bit for bit.
 
-``estimator._covariance_steps(m)`` generates the covariance predict and
-correction of ``_filter_series`` as straight-line code. They must return
-exactly what the list form in ``helpers`` returns, and raise the same error
-with the same message where a check fails. Bits are compared through
+``helpers.covariance_steps(m)`` compiles the covariance predict and
+correction that ``_filter_series`` inlines as straight-line code. They must
+return exactly what the list form in ``helpers`` returns, and raise the same
+error with the same message where a check fails. Bits are compared through
 ``.view(np.int64)``, so a zero's sign and a NaN count.
 """
 
@@ -16,10 +16,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from cellsoc import EkfConfig, EkfState, InvalidInputError, NumericalFailureError  # noqa: E402
-from cellsoc.estimator import _covariance_steps, _filter_series, make_filter  # noqa: E402
+from cellsoc.estimator import _filter_series, make_filter  # noqa: E402
 from helpers import (  # noqa: E402
-    OPENBLAS_ACCEPTED, _is_psd, left_to_right, list_correct, list_predict, make_cell,
-    near_boundary_draws)
+    OPENBLAS_ACCEPTED, _is_psd, covariance_steps, left_to_right, list_correct, list_predict,
+    make_cell, near_boundary_draws)
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -102,7 +102,7 @@ CANCELLING = [[1e16, 1.0, -1e16], [1.0, 2.0, 0.5], [-1e16, 0.5, 1e16]]
 def test_generated_step_is_the_list_form_bit_for_bit(case):
     """Predict, then correct; and correct alone, as on a filter's first sample."""
     m, p, f, q_dt, r = case
-    predict_p, correct_p = _covariance_steps(m)
+    predict_p, correct_p = covariance_steps(m)
     got, got_error = outcome(lambda: predict_p(flat(p), tuple(f), flat(q_dt)))
     want, want_error = outcome(lambda: list_predict(p, f, q_dt))
     assert got_error == want_error
@@ -126,7 +126,7 @@ def proves_psd(p) -> bool:
     """Whether the generated correction proves p PSD. With zero row sums and
     r = 1 the gain is zero and the Joseph update leaves p as it is."""
     m = len(p)
-    out, error = outcome(lambda: _covariance_steps(m)[1](flat(p), (0.0,) * m, 1.0))
+    out, error = outcome(lambda: covariance_steps(m)[1](flat(p), (0.0,) * m, 1.0))
     assert error in (None, (NumericalFailureError,
                             "corrected covariance lost positive semidefiniteness"))
     assert out is None or out[0] == flat(p)

@@ -2,14 +2,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellsoc import (
     BudgetExceededError,
     CellState,
+    ConfigurationError,
     EkfConfig,
     InvalidInputError,
     Measurement,
     MultiCellEkf,
+    OutOfRangeWarning,
     SchedulerConfig,
     SchedulingViolationError,
     SchedulingWarning,
@@ -21,7 +24,12 @@ from cellsoc import (
     simulate,
     vqst_from_soc,
 )
+from cellsoc.model import _current_clamp_message, _soc_clamp_message
 from helpers import make_cell, random_cell
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
 
 
 class TestMaxCells:
@@ -55,6 +63,13 @@ class TestSchedulerConfig:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(Exception):
             SchedulerConfig(t_slot=0.01, cells=("a", "a"), f_max=2.0)
+
+    @pytest.mark.parametrize("bad", [7, None, "", "a,b", "a/b", 'a"b', "a\\b", "a\nb"])
+    def test_ids_the_soc_writer_refuses_are_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="cell id must be a non-empty printable"):
+            SchedulerConfig(t_slot=0.5, cells=(bad,), f_max=0.5)
+        with pytest.raises(ConfigurationError):
+            SchedulerConfig(t_slot=0.25, cells=("ok", bad), f_max=0.5)
 
 
 def service_grid_trace(cell, n_services, period, first_time, current_fn, initial_soc=1.0):
@@ -351,3 +366,78 @@ class TestRunWarnings:
         assert self.scheduling_warnings(MultiCellEkf(sched, setups), traces((20, 20.5, 20))) == []
         (message,) = self.scheduling_warnings(MultiCellEkf(sched, setups), traces((20, 30, 25)))
         assert message.startswith("traces of 'b', 'c' run more than one revolution")
+
+    def test_per_sample_warnings_name_the_caller_of_run(self):
+        """Two cells of two RC groups each, driven at 80 A (past the resistor
+        curve's 50 A) and read at 10 V (v_qst leaves the window)."""
+        ids = ("a", "b")
+        cells = {cid: random_cell(np.random.default_rng(j)) for j, cid in enumerate(ids)}
+        sched = SchedulerConfig(t_slot=0.25, cells=ids, f_max=1.0)
+        engine = MultiCellEkf(sched, {cid: (cells[cid], EkfConfig.default(cells[cid]))
+                                      for cid in ids})
+        t = np.arange(0.0, 20.0, 0.5)
+        traces = {cid: Trace(t, np.full(t.size, 80.0), np.full(t.size, 10.0)) for cid in ids}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            engine.run(traces)
+        out_of_range = [w for w in caught if w.category is OutOfRangeWarning]
+        want = set()
+        for cell in cells.values():
+            want |= {_current_clamp_message(cell.resistor), _soc_clamp_message(cell)}
+        assert {str(w.message) for w in out_of_range} == want
+        assert {w.filename for w in out_of_range} == {__file__}
+
+
+@st.composite
+def perturbed_packs(draw):
+    n_cells = draw(st.integers(2, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    victim = draw(st.integers(0, n_cells - 1))
+    glitch = draw(st.lists(st.one_of(st.floats(-0.5, 0.5), st.sampled_from([5.0, 1e9])),
+                           min_size=1, max_size=5))
+    return n_cells, seed, victim, glitch
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(perturbed_packs())
+def test_slot_isolation_under_a_perturbed_stream(case):
+    """Glitching one cell's voltages changes no bit of any other cell's run or slot."""
+    n_cells, seed, victim, glitch = case
+    rng = np.random.default_rng(seed)
+    ids = tuple(f"c{j}" for j in range(n_cells))
+    cells = {cid: random_cell(rng) for cid in ids}
+    t_slot = 0.5 / n_cells
+    sched = SchedulerConfig(t_slot=t_slot, cells=ids, f_max=1.0)
+    setups = {cid: (cells[cid], EkfConfig.default(cells[cid], initial_soc=0.7)) for cid in ids}
+    t = np.arange(0.0, 30.0, 0.1)
+    traces = {}
+    for cid in ids:
+        current = 3.0 * np.sin(2 * np.pi * t / rng.uniform(5.0, 20.0))
+        start = CellState.rest(vqst_from_soc(cells[cid], 0.6), cells[cid].n_rc)
+        traces[cid] = simulate(cells[cid], Trace(t, current), start).trace
+    bad = dict(traces)
+    trace = traces[ids[victim]]
+    voltage = trace.voltage.copy()
+    where = rng.choice(t.size, size=len(glitch), replace=False)
+    voltage[where] += glitch
+    bad[ids[victim]] = Trace(trace.timestamps, trace.current, voltage)
+
+    def run(traces):
+        engine = MultiCellEkf(sched, setups)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return engine, engine.run(traces)
+
+    (clean, clean_series), (glitched, glitched_series) = run(traces), run(bad)
+    for cid in ids:
+        if cid == ids[victim]:
+            continue
+        a, b = clean_series[cid], glitched_series[cid]
+        assert np.array_equal(bits(a.soc_est), bits(b.soc_est))
+        assert np.array_equal(bits(a.innovations), bits(b.innovations))
+        sa, sb = clean.slots[cid], glitched.slots[cid]
+        assert sa.last_serviced_t == sb.last_serviced_t
+        assert np.array_equal(bits(sa.ekf.mean.v_qst), bits(sb.ekf.mean.v_qst))
+        assert np.array_equal(bits(sa.ekf.mean.v_dyn_components),
+                              bits(sb.ekf.mean.v_dyn_components))
+        assert np.array_equal(bits(sa.ekf.covariance), bits(sb.ekf.covariance))

@@ -1,9 +1,10 @@
-"""The batch kernels add left to right, whatever the interpreter's sum() does.
+"""The batch kernel adds left to right, whatever the interpreter's sum() does.
 
 Python's ``sum()`` of floats adds left to right up to 3.11 and is compensated
-(Neumaier) from 3.12 on. ``run_filter`` and ``_filter_revolutions`` must give
-the same bits under either, so each run here is repeated with ``builtins.sum``
-replaced by the 3.12 algorithm and compared through ``.view(np.int64)``.
+(Neumaier) from 3.12 on. ``run_filter``, and so ``MultiCellEkf.run``, must
+give the same bits under either, so each run here is repeated with
+``builtins.sum`` replaced by the 3.12 algorithm and compared through
+``.view(np.int64)``.
 """
 
 import builtins
@@ -15,15 +16,12 @@ import numpy as np
 from cellsoc import (
     CellState,
     EkfConfig,
-    EkfState,
     Trace,
     run_filter,
     simulate,
     vqst_from_soc,
 )
-from cellsoc import estimator
-from cellsoc.estimator import _filter_revolutions
-from helpers import make_cell, random_cell
+from helpers import random_cell
 
 BUILTIN_SUM = builtins.sum
 
@@ -95,31 +93,3 @@ def test_run_filter_does_not_depend_on_sum(monkeypatch):
                 == filter_bits(compensated.soc, compensated.innovations, compensated.v_qst,
                                compensated.final))
 
-
-def test_filter_revolutions_does_not_depend_on_sum(monkeypatch):
-    """Three stacked cells, one with a service left over, and a lone n_rc."""
-    cells = []
-    for j, services in enumerate((9, 10, 9)):
-        cell = random_cell(np.random.default_rng(100 + j))
-        cells.append((cell, noisy_trace(cell, j, seconds=0.5 * services)))
-    lone = make_cell(rc=((0.01, 30.0),))
-    cells.append((lone, noisy_trace(lone, 7, seconds=4.5)))
-    pack = []
-    for cell, trace in cells:
-        cfg = EkfConfig.default(cell, initial_soc=0.5)
-        start = EkfState(cfg.initial_state, cfg.initial_covariance_p0)
-        pack.append((start, cell, cfg, trace.voltage, trace.current,
-                     np.full(len(trace), 0.5)))
-    runs = []
-    core = estimator._revolutions
-
-    def counted(*args):
-        out = core(*args)
-        runs.append(out is not None)
-        return out
-
-    monkeypatch.setattr(estimator, "_revolutions", counted)
-    plain, compensated = both_ways(monkeypatch, lambda: _filter_revolutions(pack))
-    assert runs == [True, True]
-    for a, b in zip(plain, compensated):
-        assert filter_bits(*a) == filter_bits(*b)
