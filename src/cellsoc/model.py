@@ -484,10 +484,16 @@ def simulate(
 ) -> SimulationResult:
     """Integrate the cell along a current profile and record terminal voltage.
 
-    Each sample interval is one exact step, however long; the RC columns come
-    from reconstruct_v_dyn. Saturation events (time, clamped value) are
-    collected on the result, and a single warning summarizes any currents
-    clamped by the resistor curve.
+    The charge map composes exactly, so v_qst is Q⁻¹ of the running charge
+    S_k = Q(v0) + (sum of the interval charges up to sample k), added left to
+    right. The sum is clamped in charge space to [Q(lo), Q(hi)], the window
+    plus the saturation guard: a clamp restarts it at the bound, the sample
+    takes exactly the bound voltage and a saturation event (time, bound) is
+    collected on the result. A sample whose running charge equals, bit for
+    bit, the one at its anchor (the start or the last clamp) keeps the
+    anchor's voltage, so a rest moves nothing. The RC columns come from
+    reconstruct_v_dyn, and a single warning summarizes any currents clamped
+    by the resistor curve.
     """
     t = profile.timestamps
     current = profile.current
@@ -497,17 +503,32 @@ def simulate(
     res = params.resistor
     lo = params.v_min - DEFAULT_VQST_GUARD
     hi = params.v_max + DEFAULT_VQST_GUARD
+    q_lo = cap.integral_and_value(lo)[0]
+    q_hi = cap.integral_and_value(hi)[0]
 
-    v_qst = np.empty(t.size)
-    v = v_qst[0] = float(initial.v_qst)
-    events: list[tuple[float, float]] = []
-    charges = interval_currents(current) * np.diff(t)
-    for k, charge in enumerate(charges.tolist(), start=1):
-        v, _ = charge_map(cap, v, charge)
-        if v < lo or v > hi:
-            v = lo if v < lo else hi
-            events.append((float(t[k]), v))
-        v_qst[k] = v
+    v0 = float(initial.v_qst)
+    s = cap.integral_and_value(v0)[0]
+    running = np.empty(t.size)
+    sums = memoryview(running)  # stores each sum's 8 bytes, no float object per sample
+    sums[0] = s
+    clamped: list[int] = []
+    bounds: list[float] = []
+    for k, charge in enumerate((interval_currents(current) * np.diff(t)).tolist(), start=1):
+        s += charge
+        if s < q_lo or s > q_hi:
+            s, bound = (q_lo, lo) if s < q_lo else (q_hi, hi)
+            clamped.append(k)
+            bounds.append(bound)
+        sums[k] = s
+    v_qst = cap.inverse_integral_array(running)
+    v_qst[0] = v0
+    v_qst[clamped] = bounds
+    anchor = np.zeros(t.size, dtype=np.intp)
+    anchor[clamped] = clamped
+    np.maximum.accumulate(anchor, out=anchor)
+    bits = running.view(np.int64)
+    v_qst = np.where(bits == bits[anchor], v_qst[anchor], v_qst)
+    events = [(float(t[k]), bound) for k, bound in zip(clamped, bounds)]
     v_dyn = reconstruct_v_dyn(t, current, params.rc_groups, initial.v_dyn_components)
 
     total = v_qst + v_dyn.sum(axis=1) + res.eval(current)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, fields
 
@@ -18,6 +19,9 @@ from .model import Trace
 # Peak current magnitude (amperes) allowed into the pack on the aggressive
 # segment; applied as a symmetric clamp.
 DEFAULT_CURRENT_CLAMP = 44.0
+
+# The most float64 samples one array can hold.
+_MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
 @dataclass(frozen=True)
@@ -96,11 +100,21 @@ def _segments_to_trace(values_per_segment, dts_per_segment, t0: float = 0.0) -> 
     return Trace(np.concatenate(times), np.concatenate(currents))
 
 
+def _sample_count(duration: float, period: float) -> int:
+    """``round(duration / period)``, refused when no array could hold that many samples."""
+    ratio = duration / period if period else math.inf  # amp * dt may underflow to 0
+    if not ratio <= _MAX_SAMPLES:
+        raise ConfigurationError(
+            f"sample count {duration} / {period} is more than one array holds ({_MAX_SAMPLES})"
+        )
+    return round(ratio)
+
+
 def constant_profile(amplitude: float, duration: float, sample_period: float) -> Trace:
     """Constant current for ``duration`` seconds."""
     if not (duration > 0.0 and sample_period > 0.0):
         raise ConfigurationError("duration and sample period must be positive")
-    n = int(round(duration / sample_period))
+    n = _sample_count(duration, sample_period)
     if n < 1:
         raise ConfigurationError("duration shorter than one sample period")
     t = sample_period * np.arange(n + 1)
@@ -145,15 +159,15 @@ def identification_profile(
             )
 
     dt = sample_period
-    n_rest1 = max(1, int(round(rest1 / dt)))
-    n_rest2 = max(1, int(round(rest2 / dt)))
-    n_empty = max(1, int(round(t_empty / dt)))
+    n_rest1 = max(1, _sample_count(rest1, dt))
+    n_rest2 = max(1, _sample_count(rest2, dt))
+    n_empty = max(1, _sample_count(t_empty, dt))
     # A leading rest sample makes every pulse zero-surrounded, which keeps the
     # trapezoidal charge of a pulse exactly amplitude * samples * dt.
     segments = [np.zeros(1)]
     dts = [dt]
     for amp in amps:
-        n_charge = max(1, int(round(delta_q / (amp * dt))))
+        n_charge = max(1, _sample_count(delta_q, amp * dt))
         moved = amp * n_charge * dt
         discharge_rate = moved / (n_empty * dt)
         segments += [
@@ -186,7 +200,7 @@ def us06_like_profile(
         raise ConfigurationError(
             f"bandwidth {bandwidth} Hz exceeds the Nyquist rate {nyquist} Hz of the sampling"
         )
-    n = int(round(duration / sample_period))
+    n = _sample_count(duration, sample_period)
     if n < 1:
         raise ConfigurationError("duration shorter than one sample period")
     freqs = np.fft.rfftfreq(n, d=sample_period)
@@ -222,8 +236,8 @@ def validation_profile(
     if not (rate > 0.0 and slow_sample_period > 0.0) or repetitions < 1:
         raise ConfigurationError("rate, sample period and repetitions must be positive")
     dt = slow_sample_period
-    n6h = int(round(21600.0 / dt))
-    n12h = int(round(43200.0 / dt))
+    n6h = _sample_count(21600.0, dt)
+    n12h = _sample_count(43200.0, dt)
     src_t = us06_source.timestamps
     src_steps = np.diff(src_t)
     src_dt = float(src_steps[0])

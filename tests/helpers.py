@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 import warnings
 from collections import Counter
 from operator import getitem, mul
@@ -126,6 +127,39 @@ def relative_rms(estimate: np.ndarray, truth: np.ndarray) -> float:
     estimate = np.asarray(estimate, float)
     truth = np.asarray(truth, float)
     return float(np.sqrt(np.mean((estimate - truth) ** 2)) / np.sqrt(np.mean(truth**2)))
+
+
+def running_charge_vqst(params, timestamps, current, v0):
+    """simulate's v_qst and saturation events, one sample at a time.
+
+    The reference for ``simulate``: the running charge starts at Q(v0) and
+    adds each trapezoidal interval charge in order; leaving [Q(lo), Q(hi)]
+    restarts it at the bound, sets the sample to the bound voltage and
+    records (t_k, bound). Every other sample is Q⁻¹ of the running charge, or
+    the voltage at the start or the last clamp when its running charge has the
+    same bits as there.
+    """
+    cap = params.capacitance
+    lo = params.v_min - DEFAULT_VQST_GUARD
+    hi = params.v_max + DEFAULT_VQST_GUARD
+    q_lo = cap.integral_and_value(lo)[0]
+    q_hi = cap.integral_and_value(hi)[0]
+    t = np.asarray(timestamps, dtype=float).tolist()
+    i = np.asarray(current, dtype=float).tolist()
+    s = anchor_q = cap.integral_and_value(v0)[0]
+    anchor_v = v0
+    v_qst, events = [v0], []
+    for k in range(1, len(t)):
+        s = s + 0.5 * (i[k - 1] + i[k]) * (t[k] - t[k - 1])
+        if s < q_lo or s > q_hi:
+            s, anchor_v = (q_lo, lo) if s < q_lo else (q_hi, hi)
+            anchor_q = s
+            events.append((t[k], anchor_v))
+        if struct.pack("<d", s) == struct.pack("<d", anchor_q):
+            v_qst.append(anchor_v)
+        else:
+            v_qst.append(cap.inverse_integral(s)[0])
+    return np.array(v_qst), events
 
 
 def step_chain(params, trace, cfg):

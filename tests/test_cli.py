@@ -16,6 +16,8 @@ from cellsoc.traceio import (
 from helpers import identification_trace, make_cell, oracle_soc_text
 
 BAD_CELL_IDS = ["a,b", "a\nb", "", 'a"b', "a/b", "a\\b", "a\tb"]
+PULSE = {"kind": "identification", "charge_amplitudes_a": [1.0], "delta_q_c": 100.0,
+         "t_empty_s": 100.0, "rest1_s": 50.0, "rest2_s": 50.0}
 
 
 def rest_trace(cell):
@@ -145,6 +147,20 @@ class TestSimulate:
         ({"kind": "us06-like", "f_low_hz": 1.5, "bandwidth_hz": 1.0},
          "band [1.5, 1.0] Hz holds no frequency bin"),
         ({"kind": "us06-like", "us06_duration_s": 0.04}, "duration shorter than one sample"),
+        # Sample counts no array can hold.
+        ({"kind": "constant", "amplitude_a": 1.0, "duration_s": 1e300},
+         "sample count 1e+300 / 1.0 is more than one array holds"),
+        ({"kind": "constant", "amplitude_a": 1.0, "duration_s": 10.0, "sample_period_s": 1e-320},
+         "sample count 10.0 / 1e-320 is more than one array holds"),
+        ({"kind": "us06-like", "us06_duration_s": 1e300},
+         "sample count 1e+300 / 0.1 is more than one array holds"),
+        (dict(PULSE, t_empty_s=1e300), "sample count 1e+300 / 1.0 is more than one array holds"),
+        (dict(PULSE, sample_period_s=1e-320),
+         "sample count 50.0 / 1e-320 is more than one array holds"),
+        (dict(PULSE, charge_amplitudes_a=[1e-310], sample_period_s=1e-15),
+         "sample count 100.0 / 0.0 is more than one array holds"),
+        ({"kind": "validation", "us06_duration_s": 60.0, "sample_period_s": 1e-320},
+         "sample count 21600.0 / 1e-320 is more than one array holds"),
     ])
     def test_malformed_spec_exit_2(self, cell_files, tmp_path, capsys, doc, expected):
         _, params_path = cell_files

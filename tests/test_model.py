@@ -24,7 +24,7 @@ from cellsoc import (
     v_dyn_steady,
     vqst_from_soc,
 )
-from helpers import make_cell, make_resistor, random_cell
+from helpers import make_cell, make_resistor, random_cell, running_charge_vqst
 
 
 def constant_c_cell(c=3600.0, v_min=2.9, v_max=3.7, rc=((0.01, 10.0), (0.02, 40.0)), r0=0.05):
@@ -261,6 +261,7 @@ class TestSimulate:
         cell = make_cell()
         profile = constant_profile(0.0, 600.0, 2.0)
         res = simulate(cell, profile, CellState(3.2, np.zeros(2)))
+        assert np.all(res.v_qst == 3.2)
         assert np.allclose(res.trace.voltage, 3.2, atol=1e-15)
 
     def test_rest_tail_is_pure_multiexponential(self):
@@ -315,8 +316,32 @@ class TestSimulate:
         res_fine = simulate(cell, fine, CellState(3.1, np.zeros(2)))
         assert res.v_qst[-1] == pytest.approx(res_fine.v_qst[-1], abs=1e-6)
 
-    def test_matches_step_chain_bit_for_bit(self):
-        # simulate and step share one kernel: the same intervals give the same bits.
+    def test_matches_running_charge_oracle_bit_for_bit(self):
+        # Both ends of the window clamp, rests sit between the pulses and one
+        # interval lasts an hour. The profile starts at rest, at a level v0
+        # where Q⁻¹(Q(v0)) is not v0 bit for bit: the rest must keep v0.
+        cell = make_cell()
+        rng = np.random.default_rng(3)
+        t = np.cumsum(rng.uniform(0.5, 30.0, 3000))
+        t[1500:] += 3600.0
+        current = rng.normal(0.0, 3.0, t.size) + np.repeat([-40.0, 0.0, 40.0, 0.0, -5.0], 600)
+        current[rng.random(t.size) < 0.2] = 0.0
+        current[:5] = 0.0
+        v0 = 3.5801418779996874
+        assert cell.capacitance.inverse_integral(cell.capacitance.integral_and_value(v0)[0])[0] != v0
+        res = simulate(cell, Trace(t, current), CellState(v0, np.array([0.01, -0.005])))
+        assert np.all(res.v_qst[:5] == v0)
+        want, events = running_charge_vqst(cell, t, current, v0)
+        assert {v for _, v in events} == {cell.v_min - 0.05, cell.v_max + 0.05}
+        assert res.saturation_events == events
+        assert np.array_equal(res.v_qst.view(np.int64), want.view(np.int64))
+        total = want + res.v_dyn.sum(axis=1) + cell.resistor.eval(current)
+        assert np.array_equal(res.trace.voltage.view(np.int64), total.view(np.int64))
+
+    def test_step_chain_agrees_within_rounding(self):
+        # step chains the charge map, simulate inverts the running charge once
+        # per sample; they differ by rounding only (3.6e-15 V measured here).
+        # The RC columns come from the same recurrence and keep every bit.
         cell = make_cell()
         t = np.cumsum(np.random.default_rng(3).uniform(0.5, cell.dt_guard, 400))
         current = np.random.default_rng(4).normal(0.0, 3.0, t.size)
@@ -325,7 +350,7 @@ class TestSimulate:
         s = initial
         for k, i_k in enumerate(interval_currents(current), start=1):
             s = step(s, cell, float(i_k), float(t[k] - t[k - 1]))
-            assert s.v_qst == res.v_qst[k]
+            assert abs(s.v_qst - res.v_qst[k]) <= 1e-14
             assert np.array_equal(s.v_dyn_components, res.v_dyn[k])
 
     def test_saturation_events_collected(self):

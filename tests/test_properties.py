@@ -29,12 +29,13 @@ from cellsoc import (  # noqa: E402
     soc_from_vqst,
     vqst_from_soc,
 )
-from cellsoc.model import interval_currents  # noqa: E402
+from cellsoc.model import DEFAULT_VQST_GUARD, interval_currents  # noqa: E402
 from helpers import (  # noqa: E402
     _is_psd,
     assert_run_filter_matches_step_chain,
     make_resistor,
     random_cell,
+    running_charge_vqst,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -192,3 +193,67 @@ def test_integral_array_is_the_scalar_form_bit_for_bit(cell, fracs):
     ))
     want = np.array([cap.integral_and_value(float(xi))[0] for xi in x])
     assert np.array_equal(cap.integral_array(x).view(np.int64), want.view(np.int64))
+
+
+@PROPERTY
+@given(cells(), st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=20))
+def test_inverse_integral_array_is_the_scalar_form_bit_for_bit(cell, fracs):
+    """On random charges, every knot integral and its neighbours, 0, the total
+    and beyond both ends."""
+    cap = cell.capacitance
+    knots = np.array(cap._tables[2])
+    q = np.concatenate((
+        np.array(fracs) * knots[-1],
+        knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+        [0.0, knots[-1], -knots[-1], 2.0 * knots[-1]],
+    ))
+    want = np.array([cap.inverse_integral(float(qi))[0] for qi in q])
+    assert np.array_equal(cap.inverse_integral_array(q).view(np.int64), want.view(np.int64))
+
+
+def profile_trace(gaps, fracs, scale):
+    """A profile with the drawn sample gaps whose currents are ``scale * frac``."""
+    t = np.concatenate(([0.0], np.cumsum(gaps)))
+    return Trace(t, scale * np.array(fracs[:t.size]))
+
+
+rest_or_current = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+gaps = st.lists(st.floats(0.5, 600.0), min_size=1, max_size=30)
+
+
+@PROPERTY
+@given(cells(), fractions, gaps, st.lists(rest_or_current, min_size=31, max_size=31))
+def test_simulate_conserves_charge(cell, frac, dts, fracs):
+    """Q(v_k) is the running charge Q(v0) + sum of the interval charges.
+
+    Currents are scaled so the charge moved in total stays under 0.4 delta_q
+    from a SoC within 0.05 of one half: the profile never clamps.
+    """
+    v0 = vqst_from_soc(cell, 0.45 + 0.1 * frac)
+    profile = profile_trace(dts, fracs, 0.4 * cell.delta_q / (30 * 600.0))
+    res = simulate(cell, profile, CellState(v0, np.zeros(cell.n_rc)))
+    assert not res.saturation_events
+    charges = interval_currents(profile.current) * np.diff(profile.timestamps)
+    running = np.cumsum(np.concatenate(([charge(cell, v0)], charges)))
+    moved = cell.capacitance.integral_array(res.v_qst)
+    assert np.max(np.abs(moved - running)) <= 1e-12 * cell.delta_q
+
+
+@PROPERTY
+@given(cells(), fractions, gaps, st.lists(rest_or_current, min_size=31, max_size=31))
+def test_simulate_saturates_at_the_bounds(cell, frac, dts, fracs):
+    """v_qst stays within the guarded window, each event sits at a clamped
+    sample with its bound voltage, and a rest moves nothing."""
+    v0 = inside(cell, frac)
+    profile = profile_trace(dts, fracs, 3.0 * cell.delta_q / 600.0)
+    res = simulate(cell, profile, CellState(v0, np.zeros(cell.n_rc)))
+    lo, hi = cell.v_min - DEFAULT_VQST_GUARD, cell.v_max + DEFAULT_VQST_GUARD
+    assert np.all((lo <= res.v_qst) & (res.v_qst <= hi))
+    want, events = running_charge_vqst(cell, profile.timestamps, profile.current, v0)
+    assert res.saturation_events == events
+    t = profile.timestamps.tolist()
+    for t_k, bound in events:
+        assert bound in (lo, hi) and res.v_qst[t.index(t_k)] == bound
+    rest = np.flatnonzero(interval_currents(profile.current) == 0.0) + 1
+    assert np.array_equal(res.v_qst[rest].view(np.int64), res.v_qst[rest - 1].view(np.int64))
+    assert np.array_equal(res.v_qst.view(np.int64), want.view(np.int64))
