@@ -186,8 +186,8 @@ def cmd_multicell(args) -> int:
         doc = traceio.config_object(json.load(fh), what)
     base = Path(args.config).parent
 
-    def _resolve(p):
-        p = Path(p)
+    def _resolve(cell, key):
+        p = traceio.config_path(cell, key, f"{what} cell")
         return p if p.is_absolute() else base / p
 
     if not isinstance(doc["cells"], list):
@@ -203,10 +203,10 @@ def cmd_multicell(args) -> int:
     refs = {}
     for cell in cells:
         cid = cell["id"]
-        params = traceio.load_cell_parameters(_resolve(cell["params"]))
-        traces[cid] = traceio.load_trace(_resolve(cell["trace"]))
+        params = traceio.load_cell_parameters(_resolve(cell, "params"))
+        traces[cid] = traceio.load_trace(_resolve(cell, "trace"))
         if "ekf" in cell:
-            cfg = traceio.load_ekf_config(_resolve(cell["ekf"]))
+            cfg = traceio.load_ekf_config(_resolve(cell, "ekf"))
         else:
             initial_soc = traceio.config_float(cell, "initial_soc", f"{what} cell", 0.5)
             cfg = EkfConfig.default(params, initial_soc=initial_soc)

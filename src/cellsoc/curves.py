@@ -68,12 +68,16 @@ class MonotoneCurve:
     __call__ = eval
 
     @cached_property
+    def _knots(self) -> np.ndarray:
+        """F at every grid point: the running trapezoid integral from grid[0]."""
+        seg = 0.5 * (self.values[1:] + self.values[:-1]) * np.diff(self.grid)
+        return np.concatenate(([0.0], np.cumsum(seg)))
+
+    @cached_property
     def _tables(self) -> tuple[list[float], list[float], list[float]]:
         # Grid, values and knot integrals as Python floats: the scalar paths
         # below bisect these, which is several times cheaper than numpy calls.
-        seg = 0.5 * (self.values[1:] + self.values[:-1]) * np.diff(self.grid)
-        knots = np.concatenate(([0.0], np.cumsum(seg)))
-        return self.grid.tolist(), self.values.tolist(), knots.tolist()
+        return self.grid.tolist(), self.values.tolist(), self._knots.tolist()
 
     def integral_and_value(self, x: float) -> tuple[float, float]:
         """F(x) = integral of the interpolant from grid[0] to ``x``, and its value there.
@@ -96,7 +100,7 @@ class MonotoneCurve:
         (``searchsorted(side="right") - 1`` breaks ties like ``bisect_right``)
         and the same expressions, evaluated in the same order.
         """
-        g, v, knots = (np.array(t) for t in self._tables)
+        g, v, knots = self.grid, self.values, self._knots
         x = np.asarray(x, dtype=float)
         idx = np.clip(np.searchsorted(g, x, side="right") - 1, 0, g.size - 2)
         g0, v0 = g[idx], v[idx]
@@ -134,7 +138,7 @@ class MonotoneCurve:
         tables, ``searchsorted(side="right") - 1`` for ``bisect_right`` and the
         same expressions, evaluated in the same order.
         """
-        g, v, knots = (np.array(t) for t in self._tables)
+        g, v, knots = self.grid, self.values, self._knots
         q = np.asarray(q, dtype=float)
         idx = np.clip(np.searchsorted(knots, q, side="right") - 1, 0, g.size - 2)
         dq = q - knots[idx]

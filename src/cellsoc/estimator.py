@@ -2,25 +2,25 @@
 
 Prediction advances the mean with the cell model and the covariance with the
 state-transition Jacobian; correction incorporates one terminal-voltage
-measurement through the Joseph-form update. ``predict`` and ``correct`` are
-the per-step API: pure functions from filter state to filter state.
+measurement through the Joseph-form update.
 
-Whole series go through one fused kernel, ``_filter_series``, that runs the
-same arithmetic on plain floats. F is diagonal and H is a row of ones, so with
-t = P*1 and s = 1'P1 + r the Joseph update is the rank-1 form
-P - K t' - t K' + s K K'. The kernel's whole sample loop is straight-line code
-generated once per state size by ``_series_kernel``, with the state and all
-m*m entries of P as locals; it inlines the charge map
-(``model._charge_map_lines``) and the covariance step (``_predict_lines`` and
-``_correct_lines``). Every sum adds its terms left to right from the first,
-whatever the builtin ``sum`` does. At rest the kernel reuses a covariance
-step that settled on a bitwise fixed point (see ``_filter_series``). It is
-the one batch kernel: ``run_filter`` runs it on one trace and
-``MultiCellEkf.run`` once per cell.
+One kernel, ``_filter_series``, runs every EKF step, on plain floats. F is
+diagonal and H is a row of ones, so with t = P*1 and s = 1'P1 + r the Joseph
+update is the rank-1 form P - K t' - t K' + s K K'. The kernel's whole sample
+loop is straight-line code generated once per state size by
+``_series_kernel``, with the state and all m*m entries of P as locals; it
+inlines the charge map (``model._charge_map_lines``) and the covariance step
+(``_predict_lines`` and ``_update_lines``). Every sum adds its terms left to
+right from the first, whatever the builtin ``sum`` does. At rest the kernel
+reuses a covariance step that settled on a bitwise fixed point (see
+``_filter_series``). ``run_filter`` runs it on one trace and
+``MultiCellEkf.run`` once per cell; the per-step API, ``predict`` and
+``correct`` (pure functions from filter state to filter state) and
+``MultiCellEkf.tick``, runs it on one sample.
 
 One rule decides whether a covariance is PSD: P + PSD_TOLERANCE * I has a
-Cholesky factor, by the proof that ``_proof_lines`` writes. ``EkfConfig``,
-``correct`` and the batch kernel run it, so no BLAS decides a verdict.
+Cholesky factor, by the proof that ``_proof_lines`` writes. ``EkfConfig`` and
+the kernel run it, so no BLAS decides a verdict.
 """
 
 from __future__ import annotations
@@ -45,14 +45,12 @@ from .model import (
     CellState,
     DEFAULT_VQST_GUARD,
     Trace,
-    _advance,
     _charge_map_lines,
     _check_finite,
     _current_clamp_message,
     _soc_clamp_message,
     charge_map,
     interval_currents,
-    output_voltage,
     soc_from_vqst,
     vqst_from_soc,
 )
@@ -123,17 +121,14 @@ class EkfConfig:
 
 @dataclass(eq=False)
 class EkfState:
-    """Filter mean and covariance. ``predict`` and ``correct`` re-symmetrize the
-    covariance; the batch kernel keeps an asymmetric start covariance bit for bit."""
+    """Filter mean and covariance. The kernel keeps every entry of the
+    covariance as it is, so an asymmetric one is not re-symmetrized."""
 
     mean: CellState
     covariance: np.ndarray
 
     def __post_init__(self):
         self.covariance = np.asarray(self.covariance, dtype=float)
-
-    def copy(self) -> "EkfState":
-        return EkfState(self.mean.copy(), self.covariance.copy())
 
 
 def make_filter(cfg: EkfConfig) -> EkfState:
@@ -162,45 +157,14 @@ def predict(
 ) -> EkfState:
     """A-priori estimate after ``dt`` seconds at the given current.
 
-    The model step is exact for any ``dt``, so a long gap is one step.
+    The model step is exact for any ``dt``, so a long gap is one step. This is
+    one sample of ``_filter_series`` with the measurement switched off, so it
+    warns about nothing.
     """
     _check_finite(current=current, dt=dt)
     if dt <= 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    mean, _, f00, decay = _advance(ekf.mean, params, current, dt)
-    f_diag = np.concatenate(([f00], decay))
-    cov = np.outer(f_diag, f_diag) * ekf.covariance + cfg.process_noise_q * dt
-    cov = 0.5 * (cov + cov.T)
-    # Scaling by a diagonal and adding PSD noise preserves semidefiniteness, so
-    # a finiteness/diagonal check suffices here; correct() re-proves PSD.
-    d = np.diagonal(cov)
-    if not math.isfinite(float(np.sum(cov))) or np.any(d < -PSD_TOLERANCE):
-        raise NumericalFailureError("predicted covariance lost positive semidefiniteness")
-    return EkfState(mean, cov)
-
-
-def _correct(ekf: EkfState, params: CellParameters, measured_v: float, current: float,
-             cfg: EkfConfig) -> tuple[EkfState, float]:
-    """correct() plus the innovation it used (reported even when r is infinite).
-    The corrected covariance must pass the batch kernel's proof, ``_psd_proof``."""
-    _check_finite(measured_v=measured_v, current=current)
-    innovation = measured_v - output_voltage(ekf.mean, params, current)
-    if math.isinf(cfg.measurement_noise_r):
-        # Infinite measurement noise: the measurement carries no information.
-        return ekf.copy(), innovation
-    p = ekf.covariance
-    r = cfg.measurement_noise_r
-    s = float(np.sum(p)) + r  # H P H^T with H = [1, 1, ..., 1]
-    if s <= 0.0 or not math.isfinite(s):
-        raise NumericalFailureError(f"innovation variance is not positive ({s})")
-    gain = p.sum(axis=1) / s
-    x = ekf.mean.as_vector() + gain * innovation
-    a = np.eye(p.shape[0]) - gain[:, None]  # I - K H
-    cov = a @ p @ a.T + r * np.outer(gain, gain)
-    cov = 0.5 * (cov + cov.T)
-    if not _psd_proof(cov.shape[0])(cov.ravel().tolist()):
-        raise NumericalFailureError("corrected covariance lost positive semidefiniteness")
-    return EkfState(CellState.from_vector(x), cov), innovation
+    return _filter_series(ekf, params, cfg, [0.0], [current], [dt], [current], measure=False)[3]
 
 
 def correct(ekf: EkfState, params: CellParameters, measured_v: float, current: float,
@@ -209,9 +173,11 @@ def correct(ekf: EkfState, params: CellParameters, measured_v: float, current: f
 
     The output map is the unweighted sum of the states plus the (input-only)
     instantaneous drop, so H is a row of ones. Joseph form keeps the
-    covariance positive semidefinite.
+    covariance positive semidefinite. This is the correction-only first
+    sample of ``_filter_series``; its clamp warnings name the caller.
     """
-    return _correct(ekf, params, measured_v, current, cfg)[0]
+    _check_finite(measured_v=measured_v, current=current)
+    return _filter_series(ekf, params, cfg, [measured_v], [current], [], [], stacklevel=3)[3]
 
 
 def estimate_soc(ekf: EkfState, params: CellParameters) -> float:
@@ -265,7 +231,7 @@ def _predict_lines(m: int) -> list[str]:
     ]
 
 
-def _correct_lines(m: int) -> list[str]:
+def _update_lines(m: int) -> list[str]:
     """From the entries p_a_b, their row sums t0.. and r: s = 1'P1 + r, the gain
     k0.. = t / s, the Joseph update of p_a_b and its PSD proof."""
     idx = range(m)
@@ -334,7 +300,7 @@ def _series_source(m: int) -> str:
     which live across samples. The RC group j decays by f{j+1} = exp(-h / tau_j)
     and fills by fill{j} = 1 - f{j+1}; these and Q*h (q_a_b, from the rate
     entries qr_a_b) are recomputed only when h changes. f0 is the charge-map
-    slope. The covariance step is ``_predict_lines`` and ``_correct_lines``,
+    slope. The covariance step is ``_predict_lines`` and ``_update_lines``,
     the charge map ``model._charge_map_lines``, every sum a ``+`` chain in
     index order, added left to right.
     """
@@ -362,7 +328,7 @@ def _series_source(m: int) -> str:
     settled = " and ".join(f"{x} == prev_{x}" for x in entries)
     bits = (f"np.array({_tuple(entries)}).tobytes()"
             f" == np.array({_tuple(['prev_' + x for x in entries])}).tobytes()")
-    first = [*measure, "if update:", *_indent([*_row_sum_lines(m), *_correct_lines(m), *gain], 1),
+    first = [*measure, "if update:", *_indent([*_row_sum_lines(m), *_update_lines(m), *gain], 1),
              *record]
     step = [
         "charge = u * h",
@@ -385,7 +351,7 @@ def _series_source(m: int) -> str:
         *measure,
         "if update:",
         "    if not reuse:",
-        *_indent(_correct_lines(m), 2),
+        *_indent(_update_lines(m), 2),
         f"        if {settled} and {bits}:",
         "            f_steady, h_steady = f0, h",
         "        else:",
@@ -452,6 +418,7 @@ def _filter_series(
     dt: np.ndarray,
     i_pred: np.ndarray,
     stacklevel: int = 2,
+    measure: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, EkfState]:
     """Predict and correct over a whole series on plain floats.
 
@@ -459,11 +426,13 @@ def _filter_series(
     ``i_pred``, then corrected with its ``voltage`` measured at its
     ``current``. When ``dt`` and ``i_pred`` are one entry shorter, they belong
     to the second sample on and the first sample is a correction only. The
-    arithmetic, checks and warnings are those of ``predict`` and ``_correct``;
-    the inputs are trace columns, finite by construction. Returns per-sample
-    SoC, innovation and v_qst, and the final filter state. Warnings are
-    attributed ``stacklevel`` frames up, as ``warnings.warn`` counts them from
-    here; the loop's own frame is one deeper, so it warns at ``stacklevel + 1``.
+    inputs must be finite: trace columns are by construction, and the per-step
+    callers check theirs. Returns per-sample SoC, innovation and v_qst, and
+    the final filter state. Warnings are attributed ``stacklevel`` frames up,
+    as ``warnings.warn`` counts them from here; the loop's own frame is one
+    deeper, so it warns at ``stacklevel + 1``. ``measure=False`` is
+    ``predict``'s switch: r is infinite and the current and v_qst clamp bounds
+    are infinite, so no sample is corrected and none warns.
 
     The loop is ``_series_kernel(m)``: straight-line code generated for the
     state size, with the RC states and all m*m entries of P as locals, so an
@@ -486,12 +455,15 @@ def _filter_series(
     drops = res.eval(np.asarray(current, dtype=float))
     columns = (memoryview(np.asarray(a, dtype=float))
                for a in (dt, i_pred, voltage, current, drops))
+    guard = (params.v_min - DEFAULT_VQST_GUARD, params.v_max + DEFAULT_VQST_GUARD)
+    if measure:
+        r, bounds = cfg.measurement_noise_r, (res.x_min, res.x_max, *guard,
+                                              params.v_min, params.v_max)
+    else:
+        r, bounds = math.inf, (-math.inf, math.inf, *guard, -math.inf, math.inf)
     v, dyn, p, _ = _series_kernel(m)(
         ekf.mean.v_qst, dyn, ekf.covariance.ravel().tolist(), cfg.process_noise_q.ravel().tolist(),
-        params.taus.tolist(), params.rs.tolist(), cfg.measurement_noise_r,
-        params.capacitance._tables,
-        (res.x_min, res.x_max, params.v_min - DEFAULT_VQST_GUARD,
-         params.v_max + DEFAULT_VQST_GUARD, params.v_min, params.v_max),
+        params.taus.tolist(), params.rs.tolist(), r, params.capacitance._tables, bounds,
         (_current_clamp_message(res), _soc_clamp_message(params)), stacklevel + 1,
         *columns, memoryview(innov_out), memoryview(vqst_out))
 

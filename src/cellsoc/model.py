@@ -171,14 +171,6 @@ class CellState:
         """Relaxed state (all RC voltages zero) at the given level."""
         return cls(v_qst, np.zeros(n_rc))
 
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate(([self.v_qst], self.v_dyn_components))
-
-    @classmethod
-    def from_vector(cls, x: np.ndarray) -> "CellState":
-        x = np.asarray(x, dtype=float)
-        return cls(float(x[0]), x[1:].copy())
-
 
 @dataclass(frozen=True, eq=False)
 class Trace:
@@ -307,28 +299,6 @@ def _charge_map_lines() -> list[str]:
     ]
 
 
-def _advance(
-    state: CellState,
-    params: CellParameters,
-    current: float,
-    dt: float,
-) -> tuple[CellState, bool, float, np.ndarray]:
-    """One exact step without guard-rails.
-
-    Returns (state, saturated, dv_qst/dv_qst0, RC decay factors); the last two
-    are the diagonal of the transition Jacobian.
-    """
-    v_new, f00 = charge_map(params.capacitance, state.v_qst, float(current * dt))
-    lo = params.v_min - DEFAULT_VQST_GUARD
-    hi = params.v_max + DEFAULT_VQST_GUARD
-    saturated = v_new < lo or v_new > hi
-    if saturated:
-        v_new = lo if v_new < lo else hi
-    decay = np.exp(-dt / params.taus)
-    v_dyn = state.v_dyn_components * decay + params.rs * current * (1.0 - decay)
-    return CellState(v_new, v_dyn), saturated, f00, decay
-
-
 def step(
     state: CellState,
     params: CellParameters,
@@ -348,15 +318,19 @@ def step(
         raise ConfigurationError(
             f"dt = {dt} s violates the stability guard tau_min/5 = {params.dt_guard} s"
         )
-    new_state, saturated, _, _ = _advance(state, params, current, dt)
-    if saturated:
+    v_new, _ = charge_map(params.capacitance, state.v_qst, float(current * dt))
+    lo = params.v_min - DEFAULT_VQST_GUARD
+    hi = params.v_max + DEFAULT_VQST_GUARD
+    if v_new < lo or v_new > hi:
         warnings.warn(
             f"v_qst left [{params.v_min}, {params.v_max}] beyond the "
             f"{DEFAULT_VQST_GUARD} V guard; clamped",
             SaturationWarning,
             stacklevel=2,
         )
-    return new_state
+        v_new = lo if v_new < lo else hi
+    decay = np.exp(-dt / params.taus)
+    return CellState(v_new, state.v_dyn_components * decay + params.rs * current * (1.0 - decay))
 
 
 def v_dyn_steady(params: CellParameters, current: float) -> float:

@@ -8,10 +8,11 @@ slot back. All other slots are untouched, so cells are isolated by
 construction and the arithmetic is identical to N independent filters each
 stepped at period N * t_slot.
 
-``tick`` is the online path, one service per call. ``run`` uses the isolation
-directly: it filters each cell's whole schedule as one series through the
-batch kernel ``_filter_series`` (in the estimator module), in cell order, so
-its bits, warnings and errors are those of that kernel on each cell alone.
+Both paths run the estimator module's one EKF kernel, ``_filter_series``.
+``tick`` is the online path, one service per call: one sample of the kernel.
+``run`` uses the isolation directly: it filters each cell's whole schedule as
+one series, in cell order, so its bits, warnings and errors are those of that
+kernel on each cell alone, and ticking the same schedule gives the same bits.
 """
 
 from __future__ import annotations
@@ -29,16 +30,8 @@ from .errors import (
     SchedulingViolationError,
     SchedulingWarning,
 )
-from .estimator import (
-    EkfConfig,
-    EkfState,
-    _correct,
-    _filter_series,
-    estimate_soc,
-    make_filter,
-    predict,
-)
-from .model import CellParameters, coulomb_count
+from .estimator import EkfConfig, EkfState, _filter_series, make_filter
+from .model import CellParameters, _check_finite, coulomb_count
 from .traceio import check_cell_id
 
 
@@ -52,8 +45,12 @@ def max_cells(f_max: float, t_slot: float) -> int:
         raise InvalidInputError(f"f_max must be positive, got {f_max}")
     if not (math.isfinite(t_slot) and t_slot > 0.0):
         raise InvalidInputError(f"t_slot must be positive, got {t_slot}")
+    product = 2.0 * f_max * t_slot  # underflows to 0 for tiny inputs
+    budget = 1.0 / product if product > 0.0 else math.inf
+    if not math.isfinite(budget):
+        raise InvalidInputError(f"cell budget 1 / (2 * {f_max} Hz * {t_slot} s) is not finite")
     # The 1e-12 nudge absorbs representation dust when the bound is an integer.
-    return int(math.floor(1.0 / (2.0 * f_max * t_slot) + 1e-12))
+    return int(math.floor(budget + 1e-12))
 
 
 @dataclass(frozen=True)
@@ -160,8 +157,11 @@ class MultiCellEkf:
     def tick(self, now: float, measurement: Measurement) -> TickResult:
         """Service the due cell: predict over its elapsed time, correct, store.
 
-        Out-of-order measurements are refused; a measurement older than two
-        revolutions is accepted with a degraded-update warning.
+        The service is one sample of ``_filter_series``, so ticking a
+        schedule gives ``run``'s bits; its warnings name the caller.
+        Out-of-order measurements are refused, and so are non-finite inputs,
+        before the slot changes. A measurement older than two revolutions is
+        accepted with a degraded-update warning.
         """
         expected = self.due_cell
         if measurement.cell_id != expected:
@@ -174,6 +174,7 @@ class MultiCellEkf:
             raise SchedulingViolationError(
                 f"service time {now} does not advance past {slot.last_serviced_t}"
             )
+        _check_finite(current=measurement.current, dt=dt, measured_v=measurement.voltage)
         revolution = len(self.config.cells) * self.config.t_slot
         if dt > 2.0 * revolution * (1.0 + 1e-9):
             warnings.warn(
@@ -182,14 +183,12 @@ class MultiCellEkf:
                 SchedulingWarning,
                 stacklevel=2,
             )
-        ekf = predict(slot.ekf, slot.params_ref, measurement.current, dt, slot.ekf_config)
-        ekf, innovation = _correct(
-            ekf, slot.params_ref, measurement.voltage, measurement.current, slot.ekf_config
-        )
-        slot.ekf = ekf
+        i, z = measurement.current, measurement.voltage
+        soc, innovation, _, slot.ekf = _filter_series(
+            slot.ekf, slot.params_ref, slot.ekf_config, [z], [i], [dt], [i], stacklevel=3)
         slot.last_serviced_t = now
         self._ring = (self._ring + 1) % len(self.config.cells)
-        return TickResult(expected, now, estimate_soc(ekf, slot.params_ref), innovation)
+        return TickResult(expected, now, float(soc[0]), float(innovation[0]))
 
     def run(self, traces, ref_soc0=None) -> dict[str, CellSeries]:
         """Execute the schedule over the shared horizon of the given traces.

@@ -226,6 +226,15 @@ def config_float(doc: dict, key: str, what: str, default: float | None = None) -
     return float(value)
 
 
+def config_path(doc: dict, key: str, what: str) -> Path:
+    """``Path(doc[key])``; a missing key raises KeyError, a value that is not a
+    string (null, a number, a list, ...) raises ConfigurationError naming the field."""
+    value = doc[key]
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{what} field {key} must be a path string, got {value!r}")
+    return Path(value)
+
+
 def config_array(doc: dict, key: str, what: str) -> np.ndarray:
     """``doc[key]`` as a float array; a missing key raises KeyError, a value
     that is not a regular array of numbers raises ConfigurationError."""

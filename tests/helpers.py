@@ -14,6 +14,7 @@ import numpy as np
 from cellsoc import (
     CellParameters,
     CellState,
+    ConfigurationError,
     EkfState,
     InvalidInputError,
     MonotoneCurve,
@@ -24,15 +25,14 @@ from cellsoc import (
     estimate_soc,
     identification_profile,
     make_filter,
-    predict,
+    output_voltage,
     run_filter,
     simulate,
 )
 from cellsoc.estimator import (
-    PSD_TOLERANCE, _correct, _correct_lines, _entries, _indent, _namespace, _predict_lines,
-    _tuple)
+    PSD_TOLERANCE, _entries, _indent, _namespace, _predict_lines, _tuple, _update_lines)
 from cellsoc.model import (
-    DEFAULT_VQST_GUARD, _current_clamp_message, _soc_clamp_message, charge_map,
+    DEFAULT_VQST_GUARD, _check_finite, _current_clamp_message, _soc_clamp_message, charge_map,
     interval_currents)
 
 
@@ -162,16 +162,84 @@ def running_charge_vqst(params, timestamps, current, v0):
     return np.array(v_qst), events
 
 
+# The EKF step on numpy arrays: the independent oracle for the generated
+# kernel that predict, correct, MultiCellEkf.tick and the batch paths run.
+# The step as textbook matrix algebra (Plett, J. Power Sources 134 (2004),
+# part 3): F P F' + Q*dt, then the Joseph form (I - K H) P (I - K H)' + r K K'.
+# Sums are numpy's, so the oracle agrees with the kernel to rounding.
+
+
+def numpy_predict(ekf, params, current, dt, cfg):
+    """A-priori estimate after ``dt`` seconds at ``current``, as matrix algebra."""
+    _check_finite(current=current, dt=dt)
+    if dt <= 0.0:
+        raise ConfigurationError(f"dt must be positive, got {dt}")
+    v_new, f00 = charge_map(params.capacitance, ekf.mean.v_qst, float(current * dt))
+    lo = params.v_min - DEFAULT_VQST_GUARD
+    hi = params.v_max + DEFAULT_VQST_GUARD
+    if v_new < lo or v_new > hi:
+        v_new = lo if v_new < lo else hi
+    decay = np.exp(-dt / params.taus)
+    v_dyn = ekf.mean.v_dyn_components * decay + params.rs * current * (1.0 - decay)
+    f_diag = np.concatenate(([f00], decay))
+    cov = np.outer(f_diag, f_diag) * ekf.covariance + cfg.process_noise_q * dt
+    cov = 0.5 * (cov + cov.T)
+    # Scaling by a diagonal and adding PSD noise preserves semidefiniteness, so
+    # a finiteness/diagonal check suffices here; the correction re-proves PSD.
+    d = np.diagonal(cov)
+    if not math.isfinite(float(np.sum(cov))) or np.any(d < -PSD_TOLERANCE):
+        raise NumericalFailureError("predicted covariance lost positive semidefiniteness")
+    return EkfState(CellState(v_new, v_dyn), cov)
+
+
+def numpy_correct(ekf, params, measured_v, current, cfg):
+    """(a-posteriori estimate, innovation) after one terminal-voltage
+    measurement, as matrix algebra; the innovation is reported even when r is
+    infinite."""
+    _check_finite(measured_v=measured_v, current=current)
+    innovation = measured_v - output_voltage(ekf.mean, params, current)
+    if math.isinf(cfg.measurement_noise_r):
+        # Infinite measurement noise: the measurement carries no information.
+        mean = CellState(ekf.mean.v_qst, ekf.mean.v_dyn_components.copy())
+        return EkfState(mean, ekf.covariance.copy()), innovation
+    p = ekf.covariance
+    r = cfg.measurement_noise_r
+    s = float(np.sum(p)) + r  # H P H^T with H = [1, 1, ..., 1]
+    if s <= 0.0 or not math.isfinite(s):
+        raise NumericalFailureError(f"innovation variance is not positive ({s})")
+    gain = p.sum(axis=1) / s
+    x = np.concatenate(([ekf.mean.v_qst], ekf.mean.v_dyn_components)) + gain * innovation
+    a = np.eye(p.shape[0]) - gain[:, None]  # I - K H
+    cov = a @ p @ a.T + r * np.outer(gain, gain)
+    cov = 0.5 * (cov + cov.T)
+    if not _is_psd(cov.tolist()):
+        raise NumericalFailureError("corrected covariance lost positive semidefiniteness")
+    return EkfState(CellState(float(x[0]), x[1:].copy()), cov), innovation
+
+
+def oracle_service_soc(params, cfg, current, voltage, period):
+    """SoC after each service of one cell that a round-robin engine services
+    every ``period`` seconds with these readings: numpy_predict over the
+    period at the held current, then numpy_correct."""
+    state = make_filter(cfg)
+    soc = []
+    for i_k, v_k in zip(np.asarray(current, float).tolist(), np.asarray(voltage, float).tolist()):
+        state = numpy_predict(state, params, i_k, period, cfg)
+        state, _ = numpy_correct(state, params, v_k, i_k, cfg)
+        soc.append(estimate_soc(state, params))
+    return np.array(soc)
+
+
 def step_chain(params, trace, cfg):
-    """run_filter spelled out as the per-step API: predict, then _correct."""
+    """run_filter spelled out through the oracle: numpy_predict, then numpy_correct."""
     t, current, voltage = trace.timestamps, trace.current, trace.voltage
     i_eff = interval_currents(current)
     soc, innov, v_qst = (np.empty(t.size) for _ in range(3))
     state = make_filter(cfg)
     for k in range(t.size):
         if k > 0:
-            state = predict(state, params, i_eff[k - 1], float(t[k] - t[k - 1]), cfg)
-        state, innov[k] = _correct(state, params, float(voltage[k]), float(current[k]), cfg)
+            state = numpy_predict(state, params, i_eff[k - 1], float(t[k] - t[k - 1]), cfg)
+        state, innov[k] = numpy_correct(state, params, float(voltage[k]), float(current[k]), cfg)
         soc[k] = estimate_soc(state, params)
         v_qst[k] = state.mean.v_qst
     return soc, innov, v_qst, state
@@ -252,7 +320,7 @@ def list_correct(p, r):
 def covariance_steps(m: int):
     """The covariance step of ``estimator._filter_series`` on its own, for size m,
     compiled from the lines the kernel inlines (``_predict_lines`` and
-    ``_correct_lines``), so one step of the kernel can be held to its list form.
+    ``_update_lines``), so one step of the kernel can be held to its list form.
 
     Returns two functions on flat row-major tuples of m*m floats for P and
     Q*dt and tuples of m floats for f, t and k. ``predict_covariance(p, f, q)
@@ -272,7 +340,7 @@ def covariance_steps(m: int):
                   *_predict_lines(m), f"return {flat}, {t}"], 1),
         "",
         "def correct_covariance(p, t, r):",
-        *_indent([f"{flat} = p", f"{t} = t", *_correct_lines(m), f"return {flat}, {k}"], 1),
+        *_indent([f"{flat} = p", f"{t} = t", *_update_lines(m), f"return {flat}, {k}"], 1),
     ]) + "\n"
     namespace = _namespace()
     exec(compile(source, f"<covariance step, m={m}>", "exec"), namespace)

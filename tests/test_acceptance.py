@@ -32,7 +32,8 @@ from cellsoc import (
     vqst_from_soc,
 )
 from cellsoc.cli import main
-from helpers import identification_trace, make_cell, random_cell, relative_rms
+from helpers import (
+    identification_trace, make_cell, oracle_service_soc, random_cell, relative_rms)
 
 
 @contextmanager
@@ -98,15 +99,10 @@ def test_criterion_2_round_robin_equivalence():
 
             worst = 0.0
             for cid in ids:
-                state = make_filter(cfgs[cid])
-                cell = cells[cid]
+                n = series[cid].soc_est.size
                 trace = traces[cid]
-                oracle = np.empty(series[cid].soc_est.size)
-                for k in range(oracle.size):
-                    i_k = float(trace.current[k])
-                    state = predict(state, cell, i_k, n_cells * t_slot, cfgs[cid])
-                    state = correct(state, cell, float(trace.voltage[k]), i_k, cfgs[cid])
-                    oracle[k] = estimate_soc(state, cell)
+                oracle = oracle_service_soc(cells[cid], cfgs[cid], trace.current[:n],
+                                            trace.voltage[:n], n_cells * t_slot)
                 worst = max(worst, float(np.max(np.abs(series[cid].soc_est - oracle))))
             assert worst <= 1e-10, f"N={n_cells}: max SoC difference {worst:.3e}"
 

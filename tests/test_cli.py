@@ -13,7 +13,7 @@ from cellsoc.traceio import (
     save_cell_parameters,
     save_trace,
 )
-from helpers import identification_trace, make_cell, oracle_soc_text
+from helpers import identification_trace, make_cell, oracle_service_soc, oracle_soc_text
 
 BAD_CELL_IDS = ["a,b", "a\nb", "", 'a"b', "a/b", "a\\b", "a\tb"]
 PULSE = {"kind": "identification", "charge_amplitudes_a": [1.0], "delta_q_c": 100.0,
@@ -70,6 +70,13 @@ class TestBudget:
 
     def test_bad_value_is_data_error(self, capsys):
         assert main(["budget", "0", "0.01"]) == 2
+
+    def test_budget_that_overflows_is_data_error(self, capsys):
+        # 2 * f_max * t_slot is subnormal, and its reciprocal overflows.
+        assert main(["budget", "1e-320", "0.01"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("data error:")
+        assert "is not finite" in captured.err
 
 
 class TestSimulate:
@@ -457,14 +464,8 @@ class TestMulticell:
         trace = load_trace(tmp_path / "c00.csv")
         cfg = EkfConfig.default(cell, initial_soc=0.8)
         # tick semantics: predict over one revolution then correct, every sample
-        from cellsoc import correct, estimate_soc, make_filter, predict
-
-        state = make_filter(cfg)
-        expected = []
-        for k in range(soc_mc.size):
-            state = predict(state, cell, float(trace.current[k]), 1.0, cfg)
-            state = correct(state, cell, float(trace.voltage[k]), float(trace.current[k]), cfg)
-            expected.append(estimate_soc(state, cell))
+        n = soc_mc.size
+        expected = oracle_service_soc(cell, cfg, trace.current[:n], trace.voltage[:n], 1.0)
         assert np.allclose(soc_mc, expected, atol=1e-12)
         assert (outdir / "manifest.json").exists()
 
@@ -524,6 +525,9 @@ class TestMulticell:
         ("cell", "ref_soc0", None, "ref_soc0 must be a number"),
         ("cell", "ekf", "ekf.json", "EKF config must be a JSON object"),
         ("doc", "t_slot_s", "0.01", "t_slot_s must be a number, got '0.01'"),
+        ("doc", "f_max_hz", 1e-320, "cell budget 1 / (2 * 1e-320 Hz * 1.0 s) is not finite"),
+        *(("cell", key, value, f"cell field {key} must be a path string, got {value!r}")
+          for key in ("params", "trace", "ekf") for value in (None, 7, ["c00.json"])),
     ])
     def test_malformed_config_exit_2(self, tmp_path, capsys, where, field, value, expected):
         cfg_path, _ = self.make_pack(tmp_path, 1, 1.0, 0.4)

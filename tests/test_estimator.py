@@ -32,6 +32,8 @@ from helpers import (
     make_cell,
     make_resistor,
     near_boundary_draws,
+    numpy_correct,
+    numpy_predict,
     random_cell,
 )
 
@@ -203,8 +205,8 @@ class TestPsdCheck:
     def test_config_per_step_and_batch_paths_share_one_verdict(self):
         """One PSD rule: EkfConfig refuses P0 exactly where _is_psd does, and so
         does correct. With r = 1e300 a correction leaves P as it is, so on a
-        two-sample trace the per-step chain (correct, predict, correct) raises
-        exactly where run_filter and _filter_series do."""
+        two-sample trace the numpy oracle's chain (correct, predict, correct)
+        raises exactly where run_filter and _filter_series do."""
         taus = ((0.012, 60.0), (0.02, 700.0), (0.01, 2000.0))
         cells = {n: make_cell(rc=taus[:n - 1]) for n in (2, 3, 4)}
         trace = Trace(np.array([0.0, 1.0]), np.zeros(2), np.array([3.3, 3.3]))
@@ -226,8 +228,8 @@ class TestPsdCheck:
             assert raises_numerical_failure(lambda: correct(ekf, cell, 3.3, 0.0, cfg)) != psd
 
             def per_step():
-                state = correct(ekf, cell, 3.3, 0.0, cfg)
-                correct(predict(state, cell, 0.0, 1.0, cfg), cell, 3.3, 0.0, cfg)
+                state, _ = numpy_correct(ekf, cell, 3.3, 0.0, cfg)
+                numpy_correct(numpy_predict(state, cell, 0.0, 1.0, cfg), cell, 3.3, 0.0, cfg)
 
             fails = raises_numerical_failure(per_step)
             refused += fails

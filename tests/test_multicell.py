@@ -17,15 +17,12 @@ from cellsoc import (
     SchedulingViolationError,
     SchedulingWarning,
     Trace,
-    correct,
-    make_filter,
     max_cells,
-    predict,
     simulate,
     vqst_from_soc,
 )
 from cellsoc.model import _current_clamp_message, _soc_clamp_message
-from helpers import make_cell, random_cell
+from helpers import make_cell, oracle_service_soc, random_cell
 
 
 def bits(x):
@@ -47,6 +44,9 @@ class TestMaxCells:
             max_cells(0.0, 0.01)
         with pytest.raises(InvalidInputError):
             max_cells(2.0, -1.0)
+        # 2 * f_max * t_slot is subnormal, and its reciprocal overflows.
+        with pytest.raises(InvalidInputError, match="is not finite"):
+            max_cells(1e-320, 0.01)
 
 
 class TestSchedulerConfig:
@@ -88,17 +88,13 @@ class TestTick:
         trace = service_grid_trace(cell, 600, 1.0, 1.0, lambda t: -2.0 * np.ones_like(t))
         engine = MultiCellEkf(sched, {"only": (cell, cfg)}, start_time=0.0)
 
-        reference = make_filter(cfg)
+        reference = oracle_service_soc(cell, cfg, trace.current, trace.voltage, 1.0)
         for k in range(len(trace)):
             now = float(trace.timestamps[k])
             i_k = float(trace.current[k])
             v_k = float(trace.voltage[k])
             result = engine.tick(now, Measurement("only", i_k, v_k))
-            reference = predict(reference, cell, i_k, 1.0, cfg)
-            reference = correct(reference, cell, v_k, i_k, cfg)
-            assert result.soc == pytest.approx(
-                __import__("cellsoc").estimate_soc(reference, cell), abs=1e-12
-            )
+            assert result.soc == pytest.approx(reference[k], abs=1e-12)
 
     def test_out_of_order_rejected(self):
         cell = make_cell()
@@ -125,6 +121,88 @@ class TestTick:
         with pytest.warns(SchedulingWarning):
             result = engine.tick(10.0, Measurement("a", 0.0, 3.3))
         assert np.isfinite(result.soc)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("current", np.nan, "current must be finite"),
+        ("current", -np.inf, "current must be finite"),
+        ("voltage", np.nan, "measured_v must be finite"),
+        ("voltage", np.inf, "measured_v must be finite"),
+        ("now", np.nan, "dt must be finite"),
+        ("now", np.inf, "dt must be finite"),
+    ])
+    def test_non_finite_inputs_leave_the_engine_unchanged(self, field, value, message):
+        cell = make_cell()
+        cfg = EkfConfig.default(cell, initial_soc=0.7)
+        sched = SchedulerConfig(t_slot=0.25, cells=("a", "b"), f_max=1.0)
+        engine = MultiCellEkf(sched, {"a": (cell, cfg), "b": (cell, cfg)})
+        for k in range(5):
+            engine.tick((k + 1) * 0.25, Measurement(engine.due_cell, -1.0, 3.3))
+
+        def snapshot():
+            return engine.due_cell, [
+                (slot.last_serviced_t, bits(slot.ekf.mean.v_qst).tolist(),
+                 bits(slot.ekf.mean.v_dyn_components).tolist(),
+                 bits(slot.ekf.covariance).tolist())
+                for slot in engine.slots.values()]
+
+        before = snapshot()
+        reading = {"current": -1.0, "voltage": 3.3, "now": 1.5, field: value}
+        with pytest.raises(InvalidInputError, match=message):
+            engine.tick(reading["now"], Measurement("b", reading["current"], reading["voltage"]))
+        assert snapshot() == before
+
+    def test_warnings_name_the_caller_of_tick(self):
+        """Driven at 80 A (past the resistor curve's 50 A) and read at 10 V."""
+        cell = make_cell()
+        sched = SchedulerConfig(t_slot=0.5, cells=("a",), f_max=1.0)
+        engine = MultiCellEkf(sched, {"a": (cell, EkfConfig.default(cell))})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for k in range(5):
+                engine.tick((k + 1) * 0.5, Measurement("a", 80.0, 10.0))
+        out_of_range = [w for w in caught if w.category is OutOfRangeWarning]
+        assert ({str(w.message) for w in out_of_range}
+                == {_current_clamp_message(cell.resistor), _soc_clamp_message(cell)})
+        assert {w.filename for w in out_of_range} == {__file__}
+
+    def test_ticking_a_schedule_is_run_bit_for_bit(self):
+        """Every SoC, innovation and final slot, across a discharge and a rest
+        long enough for run's kernel to reuse a settled covariance step (P
+        settles after about 2,600 services at rest, so each cell reuses the
+        step for its last few hundred)."""
+        cell = make_cell(rc=((0.012, 20.0), (0.02, 100.0)))
+        ids = ("a", "b")
+        sched = SchedulerConfig(t_slot=0.5, cells=ids, f_max=0.5)
+        setups = {cid: (cell, EkfConfig.default(cell, initial_soc=0.6 + 0.1 * j))
+                  for j, cid in enumerate(ids)}
+        traces = {cid: service_grid_trace(cell, 3200, 1.0, 0.0,
+                                          lambda t, amp=-1.0 - j: np.where(t < 300.0, amp, 0.0))
+                  for j, cid in enumerate(ids)}
+        batch = MultiCellEkf(sched, setups)
+        series = batch.run(traces)
+
+        online = MultiCellEkf(sched, setups)
+        soc = {cid: np.empty(series[cid].times.size) for cid in ids}
+        innovations = {cid: np.empty(series[cid].times.size) for cid in ids}
+        for k in range(sum(s.times.size for s in series.values())):
+            cid, n = ids[k % 2], k // 2
+            now = float(series[cid].times[n])
+            trace = traces[cid]
+            idx = int(np.searchsorted(trace.timestamps, now + 1e-9 * 0.5, side="right")) - 1
+            out = online.tick(now, Measurement(cid, float(trace.current[idx]),
+                                               float(trace.voltage[idx])))
+            soc[cid][n], innovations[cid][n] = out.soc, out.innovation
+
+        assert online.due_cell == batch.due_cell
+        for cid in ids:
+            assert np.array_equal(bits(soc[cid]), bits(series[cid].soc_est))
+            assert np.array_equal(bits(innovations[cid]), bits(series[cid].innovations))
+            got, want = online.slots[cid], batch.slots[cid]
+            assert got.last_serviced_t == want.last_serviced_t
+            assert np.array_equal(bits(got.ekf.mean.v_qst), bits(want.ekf.mean.v_qst))
+            assert np.array_equal(bits(got.ekf.mean.v_dyn_components),
+                                  bits(want.ekf.mean.v_dyn_components))
+            assert np.array_equal(bits(got.ekf.covariance), bits(want.ekf.covariance))
 
     def test_identical_cells_identical_slots_bit_exact(self):
         # Exactly representable t_slot makes every cell's arithmetic identical.
@@ -208,17 +286,11 @@ class TestRunEquivalence:
 
         worst = 0.0
         for cid in ids:
-            state = make_filter(cfgs[cid])
-            cell = cells[cid]
+            n = series[cid].times.size
             trace = traces[cid]
-            soc_ref = []
-            for k in range(series[cid].times.size):
-                i_k = float(trace.current[k])
-                v_k = float(trace.voltage[k])
-                state = predict(state, cell, i_k, n_cells * t_slot, cfgs[cid])
-                state = correct(state, cell, v_k, i_k, cfgs[cid])
-                soc_ref.append(__import__("cellsoc").estimate_soc(state, cell))
-            worst = max(worst, float(np.max(np.abs(series[cid].soc_est - np.array(soc_ref)))))
+            soc_ref = oracle_service_soc(cells[cid], cfgs[cid], trace.current[:n],
+                                         trace.voltage[:n], n_cells * t_slot)
+            worst = max(worst, float(np.max(np.abs(series[cid].soc_est - soc_ref))))
         return worst
 
     def test_equivalence_small(self):
