@@ -21,12 +21,18 @@ reuses a covariance step that settled on a bitwise fixed point (see
 One rule decides whether a covariance is PSD: P + PSD_TOLERANCE * I has a
 Cholesky factor, by the proof that ``_proof_lines`` writes. ``EkfConfig`` and
 the kernel run it, so no BLAS decides a verdict.
+
+The kernel counts the samples it clamps instead of warning on each one:
+every call of ``_filter_series`` emits at most one ``OutOfRangeWarning`` per
+kind (current outside the resistor curve, v_qst outside the window), and
+``FilterRun`` carries the counts.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -66,9 +72,14 @@ def _check_psd(matrix: np.ndarray, name: str) -> np.ndarray:
         raise InvalidParametersError(f"{name} must be a square matrix")
     if not np.all(np.isfinite(m)):
         raise InvalidParametersError(f"{name} must be finite")
-    if np.max(np.abs(m - m.T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
+    scale = float(np.max(np.abs(m)))
+    if scale <= 0.5 * sys.float_info.max:
+        asymmetry, sym = float(np.max(np.abs(m - m.T))), 0.5 * (m + m.T)
+    else:  # a sum or difference of two entries can overflow; halve them first
+        half = 0.5 * m
+        asymmetry, sym = 2.0 * float(np.max(np.abs(half - half.T))), half + half.T
+    if asymmetry > 1e-12 * max(1.0, scale):
         raise InvalidParametersError(f"{name} must be symmetric")
-    sym = 0.5 * (m + m.T)
     if not _psd_proof(m.shape[0])(sym.ravel().tolist()):
         raise InvalidParametersError(f"{name} must be positive semidefinite")
     return sym
@@ -187,13 +198,19 @@ def estimate_soc(ekf: EkfState, params: CellParameters) -> float:
 
 @dataclass(eq=False)
 class FilterRun:
-    """Per-sample log of a single-cell estimation run."""
+    """Per-sample log of a single-cell estimation run, and its counts: the
+    samples whose current was clamped to the resistor curve, those whose
+    v_qst was clamped to [v_min, v_max] for its SoC, and those that reused a
+    settled covariance step."""
 
     times: np.ndarray
     soc: np.ndarray
     innovations: np.ndarray
     v_qst: np.ndarray
     final: EkfState
+    current_clamps: int = 0
+    soc_clamps: int = 0
+    reused_steps: int = 0
 
 
 def _tuple(names) -> str:
@@ -310,15 +327,14 @@ def _series_source(m: int) -> str:
     dyn_sum = f" + ({' + '.join(ys)})" if ys else ""  # an empty sum is left out
     innovation = f"innovation = z - (v{dyn_sum} + drop)"
     finite = "not isfinite(v)" + (f" or not isfinite({' + '.join(ys)})" if ys else "")
-    warn = "warnings.warn({}, OutOfRangeWarning, stacklevel=stacklevel)"
-    measure = ["if i < i_lo or i > i_hi:", "    " + warn.format("current_clamped"), innovation]
+    measure = ["if i < i_lo or i > i_hi:", "    n_cur += 1", innovation]
     gain = [
         "v += k0 * innovation",
         *(f"y{j} = y{j} + k{j + 1} * innovation" for j in range(m - 1)),
         f"if {finite}:",
         '    raise InvalidInputError("cell state must be finite")',
     ]
-    record = ["if v < soc_lo or v > soc_hi:", "    " + warn.format("soc_clamped"),
+    record = ["if v < soc_lo or v > soc_hi:", "    n_soc += 1",
               "innov_out[n] = innovation", "vqst_out[n] = v"]
     # The covariance step reads only P, f0, h (through the decays and Q*h) and
     # r. At rest f0 and h repeat and P settles on a fixed point, so the step
@@ -360,8 +376,8 @@ def _series_source(m: int) -> str:
         *record,
     ]
     lines = [
-        "def filter_series(v, dyn, p, q_rate, taus, r_dyn, r, tables, bounds, messages,",
-        "                  stacklevel, dt, i_pred, voltage, current, drops, innov_out, vqst_out):",
+        "def filter_series(v, dyn, p, q_rate, taus, r_dyn, r, tables, bounds, counts,",
+        "                  dt, i_pred, voltage, current, drops, innov_out, vqst_out):",
         *_indent([
             f"{_tuple(ys)} = dyn" if ys else "del dyn",
             f"{_tuple(entries)} = p",
@@ -370,19 +386,21 @@ def _series_source(m: int) -> str:
                f"{_tuple([f'rd{j}' for j in range(m - 1)])} = r_dyn"] if ys else []),
             "cg, cc, ck = tables",
             "i_lo, i_hi, v_lo, v_hi, soc_lo, soc_hi = bounds",
-            "current_clamped, soc_clamped = messages",
             "update = not isinf(r)",
             "h_prev = f_steady = h_steady = nan",
-            "reused = 0",
+            "n_cur = n_soc = reused = 0",
             "# Samples without a dt are corrections only; they come first.",
             "extra = max(len(voltage) - len(dt), 0)",
-            "for n, (z, i, drop) in enumerate(zip(voltage[:extra], current[:extra],"
+            "try:",
+            "    for n, (z, i, drop) in enumerate(zip(voltage[:extra], current[:extra],"
             " drops[:extra])):",
-            *_indent(first, 1),
-            "for n, (h, u, z, i, drop) in enumerate(zip(dt, i_pred, voltage[extra:],"
+            *_indent(first, 2),
+            "    for n, (h, u, z, i, drop) in enumerate(zip(dt, i_pred, voltage[extra:],"
             " current[extra:], drops[extra:]), extra):",
-            *_indent(step, 1),
-            f"return v, {_tuple(ys)}, {_tuple(entries)}, reused",
+            *_indent(step, 2),
+            "finally:",
+            "    counts[:] = n_cur, n_soc, reused",
+            f"return v, {_tuple(ys)}, {_tuple(entries)}",
         ], 1),
     ]
     return "\n".join(lines) + "\n"
@@ -392,19 +410,19 @@ def _series_source(m: int) -> str:
 def _series_kernel(m: int):
     """``_filter_series``' sample loop for a state of size m, as straight-line code.
 
-    ``filter_series(v, dyn, p, q_rate, taus, r_dyn, r, tables, bounds, messages,
-    stacklevel, dt, i_pred, voltage, current, drops, innov_out, vqst_out)``
-    filters the columns, writes each sample's innovation and v_qst into the
-    outputs and returns (v, dyn, p, reused): the final state, P as a flat
-    row-major tuple, and the number of samples that reused a settled
-    covariance step. ``bounds`` is (i_lo, i_hi, v_lo, v_hi, soc_lo, soc_hi),
-    ``messages`` the current and v_qst clamp messages, ``tables`` the
-    capacitance's ``_tables``. Generated once per m from ``_series_source``.
+    ``filter_series(v, dyn, p, q_rate, taus, r_dyn, r, tables, bounds, counts,
+    dt, i_pred, voltage, current, drops, innov_out, vqst_out)`` filters the
+    columns, writes each sample's innovation and v_qst into the outputs and
+    returns (v, dyn, p): the final state and P as a flat row-major tuple.
+    ``bounds`` is (i_lo, i_hi, v_lo, v_hi, soc_lo, soc_hi), ``tables`` the
+    capacitance's ``_tables``. It warns about nothing: it counts the samples
+    whose current lies outside [i_lo, i_hi], those whose v_qst lies outside
+    [soc_lo, soc_hi] and those that reused a settled covariance step, and
+    stores the three counts in the list ``counts`` when it returns or raises.
+    Generated once per m from ``_series_source``.
     """
     namespace = _namespace(isinf=math.isinf, exp=math.exp, nan=math.nan, np=np,
-                           bisect_right=bisect_right, warnings=warnings,
-                           InvalidInputError=InvalidInputError,
-                           OutOfRangeWarning=OutOfRangeWarning)
+                           bisect_right=bisect_right, InvalidInputError=InvalidInputError)
     exec(compile(_series_source(m), f"<filter series, m={m}>", "exec"), namespace)
     return namespace["filter_series"]
 
@@ -419,7 +437,7 @@ def _filter_series(
     i_pred: np.ndarray,
     stacklevel: int = 2,
     measure: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, EkfState]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, EkfState, tuple[int, int, int]]:
     """Predict and correct over a whole series on plain floats.
 
     Each sample is predicted over its entry of ``dt`` at its entry of
@@ -427,12 +445,17 @@ def _filter_series(
     ``current``. When ``dt`` and ``i_pred`` are one entry shorter, they belong
     to the second sample on and the first sample is a correction only. The
     inputs must be finite: trace columns are by construction, and the per-step
-    callers check theirs. Returns per-sample SoC, innovation and v_qst, and
-    the final filter state. Warnings are attributed ``stacklevel`` frames up,
-    as ``warnings.warn`` counts them from here; the loop's own frame is one
-    deeper, so it warns at ``stacklevel + 1``. ``measure=False`` is
+    callers check theirs. Returns per-sample SoC, innovation and v_qst, the
+    final filter state and the counts (current clamps, v_qst clamps, reused
+    steps): the samples whose current lies outside the resistor curve, those
+    whose v_qst lies outside [v_min, v_max], and those that reused a settled
+    covariance step. The loop only counts; once it has ended, returned or
+    raised, this function emits at most one ``OutOfRangeWarning`` per kind,
+    the current clamp first, so a run that raises still reports the clamps it
+    made. Warnings are attributed ``stacklevel`` frames up, as
+    ``warnings.warn`` counts them from here. ``measure=False`` is
     ``predict``'s switch: r is infinite and the current and v_qst clamp bounds
-    are infinite, so no sample is corrected and none warns.
+    are infinite, so no sample is corrected, counted or warned about.
 
     The loop is ``_series_kernel(m)``: straight-line code generated for the
     state size, with the RC states and all m*m entries of P as locals, so an
@@ -461,17 +484,25 @@ def _filter_series(
                                               params.v_min, params.v_max)
     else:
         r, bounds = math.inf, (-math.inf, math.inf, *guard, -math.inf, math.inf)
-    v, dyn, p, _ = _series_kernel(m)(
-        ekf.mean.v_qst, dyn, ekf.covariance.ravel().tolist(), cfg.process_noise_q.ravel().tolist(),
-        params.taus.tolist(), params.rs.tolist(), r, params.capacitance._tables, bounds,
-        (_current_clamp_message(res), _soc_clamp_message(params)), stacklevel + 1,
-        *columns, memoryview(innov_out), memoryview(vqst_out))
+    counts = [0, 0, 0]
+    try:
+        v, dyn, p = _series_kernel(m)(
+            ekf.mean.v_qst, dyn, ekf.covariance.ravel().tolist(),
+            cfg.process_noise_q.ravel().tolist(), params.taus.tolist(), params.rs.tolist(), r,
+            params.capacitance._tables, bounds, counts, *columns,
+            memoryview(innov_out), memoryview(vqst_out))
+    finally:
+        n_cur, n_soc, _ = counts
+        if n_cur:
+            warnings.warn(_current_clamp_message(res), OutOfRangeWarning, stacklevel=stacklevel)
+        if n_soc:
+            warnings.warn(_soc_clamp_message(params), OutOfRangeWarning, stacklevel=stacklevel)
 
-    # soc_from_vqst over the whole column; its clamp warnings were raised above.
+    # soc_from_vqst over the whole column; its clamp warning was raised above.
     soc_out = (params.capacitance.integral_array(np.clip(vqst_out, params.v_min, params.v_max))
                / params.delta_q)
     final = EkfState(CellState(v, np.array(dyn)), np.array(p).reshape(m, m))
-    return soc_out, innov_out, vqst_out, final
+    return soc_out, innov_out, vqst_out, final, tuple(counts)
 
 
 def run_filter(
@@ -483,12 +514,14 @@ def run_filter(
 
     The first sample is a correction only; every later sample predicts over
     the elapsed interval with the trapezoid-consistent interval current (the
-    same convention the simulator uses) and then corrects.
+    same convention the simulator uses) and then corrects. Each kind of
+    clamp warns once per call, however many samples it clamped; the counts
+    are in the returned ``FilterRun``.
     """
     voltage = trace.require_voltage()
     t = trace.timestamps
-    soc, innov, v_qst, final = _filter_series(
+    soc, innov, v_qst, final, counts = _filter_series(
         make_filter(cfg), params, cfg, voltage, trace.current,
         np.diff(t), interval_currents(trace.current),
     )
-    return FilterRun(t.copy(), soc, innov, v_qst, final)
+    return FilterRun(t.copy(), soc, innov, v_qst, final, *counts)

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .estimator import EkfConfig, EkfState, _filter_series, make_filter
 from .model import CellParameters, _check_finite, coulomb_count
+from .profiles import _MAX_SAMPLES
 from .traceio import check_cell_id
 
 
@@ -114,12 +115,16 @@ class TickResult:
 
 @dataclass(eq=False)
 class CellSeries:
-    """Per-cell output of a scheduled run."""
+    """Per-cell output of a scheduled run, with the cell's counts of clamped
+    currents, clamped v_qst and reused covariance steps (see ``FilterRun``)."""
 
     times: np.ndarray
     soc_est: np.ndarray
     soc_ref: np.ndarray
     innovations: np.ndarray
+    current_clamps: int = 0
+    soc_clamps: int = 0
+    reused_steps: int = 0
 
 
 class MultiCellEkf:
@@ -134,6 +139,8 @@ class MultiCellEkf:
         """
         self.config = config
         self.start_time = float(start_time)
+        if not math.isfinite(self.start_time):
+            raise InvalidParametersError(f"start time must be finite, got {start_time}")
         n = len(config.cells)
         self.slots: dict[str, CellSlot] = {}
         for j, cell_id in enumerate(config.cells):
@@ -184,7 +191,7 @@ class MultiCellEkf:
                 stacklevel=2,
             )
         i, z = measurement.current, measurement.voltage
-        soc, innovation, _, slot.ekf = _filter_series(
+        soc, innovation, _, slot.ekf, _ = _filter_series(
             slot.ekf, slot.params_ref, slot.ekf_config, [z], [i], [dt], [i], stacklevel=3)
         slot.last_serviced_t = now
         self._ring = (self._ring + 1) % len(self.config.cells)
@@ -200,12 +207,14 @@ class MultiCellEkf:
 
         Slots are isolated, so each cell's services are filtered as one
         series by the batch kernel ``_filter_series``, cell by cell in ring
-        order; its warnings are attributed to the caller. The engine ends in
-        the state that ticking the same schedule would leave: slots, service
-        times and ring position. A run that raises leaves the engine
-        unchanged. One ``SchedulingWarning`` counts the services whose held
-        sample is older than two revolutions, and one names the cells whose
-        trace runs more than a revolution past the horizon.
+        order; its warnings, at most one per kind of clamp and cell, are
+        attributed to the caller, and each ``CellSeries`` carries its cell's
+        counts. The engine ends in the state that ticking the same schedule
+        would leave: slots, service times and ring position. A run that
+        raises leaves the engine unchanged. One ``SchedulingWarning`` counts
+        the services whose held sample is older than two revolutions, and
+        one names the cells whose trace runs more than a revolution past the
+        horizon.
         """
         cells = self.config.cells
         n = len(cells)
@@ -280,8 +289,8 @@ class MultiCellEkf:
                                            stacklevel=3))
 
         series = {}
-        for (cell_id, now, idx), (soc, innovations, _, final) in zip(picks, filtered):
-            series[cell_id] = CellSeries(now, soc, refs[cell_id][idx], innovations)
+        for (cell_id, now, idx), (soc, innovations, _, final, counts) in zip(picks, filtered):
+            series[cell_id] = CellSeries(now, soc, refs[cell_id][idx], innovations, *counts)
             slot = self.slots[cell_id]
             slot.ekf = final
             if now.size:
@@ -291,8 +300,15 @@ class MultiCellEkf:
 
 
 def _service_count(start: float, t_slot: float, horizon: float) -> int:
-    """How many services start + (k + 1) * t_slot, k = 0, 1, ..., fit by the horizon."""
-    k = max(int((horizon - start) / t_slot), 0)
+    """How many services start + (k + 1) * t_slot, k = 0, 1, ..., fit by the horizon;
+    InvalidInputError when no array could hold their times."""
+    ratio = (horizon - start) / t_slot
+    if not ratio <= _MAX_SAMPLES:
+        raise InvalidInputError(
+            f"services every {t_slot} s from {start} s to {horizon} s are more than one "
+            f"array holds ({_MAX_SAMPLES})"
+        )
+    k = max(int(ratio), 0)
     # The quotient is a first guess; settle it with the service-time expression.
     while k > 0 and start + k * t_slot > horizon:
         k -= 1

@@ -6,8 +6,8 @@ SoC CSV schema: header ``t_s,cell_id,soc_est,soc_ref,v_innov``, one row per
 filtered sample or service.
 
 Every float is written with repr, so a save/load round-trip is bit-exact.
-repr depends only on a float's 64 bits, so the writers format each run of
-entries with equal bits once and repeat its text (``_float_texts``).
+repr depends only on a float's 64 bits, so the writers format each distinct
+bit pattern of a column once and repeat its text (``_float_texts``).
 
 Trace bodies are read in bulk by ``np.loadtxt``, whose float parser accepts
 a subset of what ``float()`` accepts and gives the same bits. Any body it
@@ -53,26 +53,38 @@ def atomic_write_text(path, text: str) -> None:
 
 def _float_texts(column) -> list[str]:
     """``[repr(x) for x in np.asarray(column, dtype=float).tolist()]`` for a
-    1-D column, calling repr once per run of entries with equal bits.
+    1-D column, calling repr once per distinct bit pattern.
 
-    Bits, not ``==``, delimit runs, so -0.0 and 0.0 stay apart and each NaN
-    payload forms its own run (all of them print as ``'nan'``).
+    The column is cut into runs of entries with equal bits, and the runs'
+    heads are deduplicated by bits. One sort of the head bits finds whether
+    any head recurs; only then does ``np.unique`` map heads to distinct
+    values, so a column without repeats (timestamps, simulated voltages) pays
+    that one sort. Bits, not ``==``, decide equality, so -0.0 and 0.0 stay
+    apart and each NaN payload is its own value (all of them print as
+    ``'nan'``).
     """
     values = np.ascontiguousarray(column, dtype=np.float64)
     bits = values.view(np.int64)
     heads = np.ones(bits.size, dtype=bool)
     np.not_equal(bits[1:], bits[:-1], out=heads[1:])
     starts = np.flatnonzero(heads)
-    texts = list(map(repr, values[starts].tolist()))
-    if len(texts) == values.size:
-        return texts
-    counts = np.diff(starts, append=values.size)
-    return np.repeat(np.array(texts, dtype=object), counts).tolist()
+    head_bits = bits[starts]
+    ordered = np.sort(head_bits)
+    if np.any(ordered[1:] == ordered[:-1]):
+        distinct, which = np.unique(head_bits, return_inverse=True)
+        texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+        texts = texts[which]
+    else:
+        texts = list(map(repr, values[starts].tolist()))
+        if len(texts) == values.size:
+            return texts
+        texts = np.array(texts, dtype=object)
+    return np.repeat(texts, np.diff(starts, append=values.size)).tolist()
 
 
 def save_trace(trace: Trace, path) -> None:
     """Write a trace CSV. Each float is written as its repr, formatted once per
-    run of equal bits in its column (``_float_texts``)."""
+    distinct bit pattern in its column (``_float_texts``)."""
     columns = [trace.timestamps, trace.current]
     header = PROFILE_HEADER
     if trace.voltage is not None:
@@ -286,8 +298,8 @@ def check_cell_id(cell_id, what: str = "cell id") -> str:
 
 def save_soc_rows(cell_id: str, path, times, soc_est, soc_ref, innovations) -> None:
     """Write one cell's per-sample estimates as a SoC CSV, one row per entry
-    of the columns. Each float is written as its repr, formatted once per run
-    of equal bits in its column (``_float_texts``). A cell id that
+    of the columns. Each float is written as its repr, formatted once per
+    distinct bit pattern in its column (``_float_texts``). A cell id that
     ``check_cell_id`` refuses raises ConfigurationError before anything is
     written."""
     check_cell_id(cell_id)

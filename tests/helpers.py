@@ -254,10 +254,16 @@ def warning_counts(fn, *args):
 
 
 def assert_run_filter_matches_step_chain(params, trace, cfg):
-    """run_filter equals the per-step chain within 1e-12, with the same warnings."""
+    """run_filter equals the per-step chain within 1e-12. Its clamp counts are
+    the chain's per-sample warnings, and it warns once for each kind the chain
+    warns about."""
     run, got = warning_counts(run_filter, params, trace, cfg)
     (soc, innov, v_qst, final), expected = warning_counts(step_chain, params, trace, cfg)
-    assert got == expected
+    counted = Counter({(OutOfRangeWarning, _current_clamp_message(params.resistor)):
+                       run.current_clamps,
+                       (OutOfRangeWarning, _soc_clamp_message(params)): run.soc_clamps})
+    assert +counted == expected
+    assert got == Counter(set(expected))
     assert np.max(np.abs(run.soc - soc)) <= 1e-12
     assert np.max(np.abs(run.innovations - innov)) <= 1e-12
     assert np.max(np.abs(run.v_qst - v_qst)) <= 1e-12
@@ -353,7 +359,10 @@ def list_filter_series(ekf, params, cfg, voltage, current, dt, i_pred):
     Each sample past the first ``len(voltage) - len(dt)`` is predicted through
     ``charge_map``, ``math.exp`` decays and ``list_predict``; every sample is
     corrected through ``list_correct`` unless r is infinite. No step is reused.
-    Raises and warns as the kernel does; returns what it returns.
+    Raises and warns as the kernel does: it counts the samples whose current
+    and whose v_qst it clamps, and warns once for each kind with a count
+    above 0, also when it raises. Returns what the kernel returns, with the
+    counts (current clamps, v_qst clamps).
     """
     res = params.resistor
     m = params.n_rc + 1
@@ -370,34 +379,43 @@ def list_filter_series(ekf, params, cfg, voltage, current, dt, i_pred):
     drops = res.eval(np.asarray(current)).tolist()
     extra = max(len(voltage) - len(dt), 0)
     innovations, vqst = [], []
-    for k, (z, i, drop) in enumerate(zip(voltage, current, drops)):
-        if k >= extra:
-            h, u = dt[k - extra], i_pred[k - extra]
-            v, f0 = charge_map(params.capacitance, v, u * h)
-            if v < lo:
-                v = lo
-            elif v > hi:
-                v = hi
-            decay = [math.exp(-h / tau) for tau in params.taus.tolist()]
-            dyn = [c * d + rj * u * (1.0 - d) for c, d, rj in zip(dyn, decay, params.rs.tolist())]
-            p = list_predict(p, [f0, *decay], [[x * h for x in row] for row in q])
-        if i < res.x_min or i > res.x_max:
+    n_cur = n_soc = 0
+    try:
+        for k, (z, i, drop) in enumerate(zip(voltage, current, drops)):
+            if k >= extra:
+                h, u = dt[k - extra], i_pred[k - extra]
+                v, f0 = charge_map(params.capacitance, v, u * h)
+                if v < lo:
+                    v = lo
+                elif v > hi:
+                    v = hi
+                decay = [math.exp(-h / tau) for tau in params.taus.tolist()]
+                dyn = [c * d + rj * u * (1.0 - d)
+                       for c, d, rj in zip(dyn, decay, params.rs.tolist())]
+                p = list_predict(p, [f0, *decay], [[x * h for x in row] for row in q])
+            if i < res.x_min or i > res.x_max:
+                n_cur += 1
+            innovation = z - ((v + left_to_right(dyn) if dyn else v) + drop)
+            if not math.isinf(r):
+                p, gain = list_correct(p, r)
+                v += gain[0] * innovation
+                dyn = [c + g * innovation for c, g in zip(dyn, gain[1:])]
+                if not math.isfinite(v) or not math.isfinite(left_to_right(dyn)):
+                    raise InvalidInputError("cell state must be finite")
+            if v < params.v_min or v > params.v_max:
+                n_soc += 1
+            innovations.append(innovation)
+            vqst.append(v)
+    finally:
+        if n_cur:
             warnings.warn(_current_clamp_message(res), OutOfRangeWarning)
-        innovation = z - ((v + left_to_right(dyn) if dyn else v) + drop)
-        if not math.isinf(r):
-            p, gain = list_correct(p, r)
-            v += gain[0] * innovation
-            dyn = [c + g * innovation for c, g in zip(dyn, gain[1:])]
-            if not math.isfinite(v) or not math.isfinite(left_to_right(dyn)):
-                raise InvalidInputError("cell state must be finite")
-        if v < params.v_min or v > params.v_max:
+        if n_soc:
             warnings.warn(_soc_clamp_message(params), OutOfRangeWarning)
-        innovations.append(innovation)
-        vqst.append(v)
     vqst = np.array(vqst)
     soc = (params.capacitance.integral_array(np.clip(vqst, params.v_min, params.v_max))
            / params.delta_q)
-    return soc, np.array(innovations), vqst, EkfState(CellState(v, np.array(dyn)), np.array(p))
+    state = EkfState(CellState(v, np.array(dyn)), np.array(p))
+    return soc, np.array(innovations), vqst, state, (n_cur, n_soc)
 
 
 def near_boundary_draws():

@@ -1,11 +1,18 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import shutil
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cellsoc import EkfConfig, run_filter
 from cellsoc.cli import main
+from cellsoc.errors import CellSocWarning
 from cellsoc.traceio import (
     ekf_config_to_dict,
     load_cell_parameters,
@@ -427,6 +434,24 @@ class TestEstimate:
         assert err.startswith("data error:") and expected in err
         assert not out.exists()
 
+    def test_process_noise_at_the_float_limit_is_a_numerical_failure(self, cell_files,
+                                                                    tmp_path, capsys):
+        """Q's diagonal at the largest float: accepted, and its first predict
+        overflows."""
+        cell, params_path = cell_files
+        trace_path = tmp_path / "t.csv"
+        trace_path.write_text("t_s,current_a,voltage_v\n0.0,0.0,3.3\n1.0,0.0,3.3\n")
+        doc = ekf_config_to_dict(EkfConfig.default(cell))
+        doc["process_noise_q"] = (1.7976931348623157e308 * np.eye(3)).tolist()
+        cfg_path = tmp_path / "ekf.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "soc.csv"
+        assert main(["estimate", "--params", str(params_path), "--trace", str(trace_path),
+                     "--ekf-config", str(cfg_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: predicted covariance")
+        assert not out.exists()
+
 
 class TestMulticell:
     def make_pack(self, tmp_path, n_cells, t_slot, f_max):
@@ -528,6 +553,10 @@ class TestMulticell:
         ("doc", "f_max_hz", 1e-320, "cell budget 1 / (2 * 1e-320 Hz * 1.0 s) is not finite"),
         *(("cell", key, value, f"cell field {key} must be a path string, got {value!r}")
           for key in ("params", "trace", "ekf") for value in (None, 7, ["c00.json"])),
+        *(("doc", "start_time_s", value, f"start time must be finite, got {value}")
+          for value in (math.nan, math.inf, -math.inf)),
+        # Services from a start this far back: too many to count.
+        ("doc", "start_time_s", -1e300, "more than one array holds"),
     ])
     def test_malformed_config_exit_2(self, tmp_path, capsys, where, field, value, expected):
         cfg_path, _ = self.make_pack(tmp_path, 1, 1.0, 0.4)
@@ -544,3 +573,233 @@ class TestMulticell:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and expected in err
         assert not outdir.exists()
+
+
+# Fuzzing: 1-3 random mutations of a valid input document or trace body must
+# end in exit 0, 2 (data error) or 3 (numerical failure), never in a
+# traceback, and a failed command must leave no output behind.
+#
+# Every value is drawn from a fixed pool. The fields that set how many
+# samples, services or grid points a command makes (SIZE_KEYS) draw only the
+# document's own value halved or doubled, a small integer, or a value that
+# leaves the count at most 1 or is refused before anything is allocated (a
+# non-number, a non-positive or non-finite number, 1e-320 or ±1e300). So no
+# draw allocates more than a few times what the valid input does, and none
+# starts a process.
+
+BIG = 1.7976931348623157e308
+POOL = [None, True, False, "x", "", [], {}, [1.0], [[1.0]], {"bogus": 1}, 0, -1, 2, 0.0, -0.0,
+        5e-324, 1e-320, 0.5, 1.0, 3.3, 60.0, 1e300, -1e300, BIG, -BIG,
+        math.nan, math.inf, -math.inf]
+SIZE_POOL = [None, True, "x", [], 0.0, -0.0, -1.0, 1e-320, 1e300, -1e300,
+             math.nan, math.inf, -math.inf]
+SIZE_KEYS = {"sample_period_s", "duration_s", "delta_q_c", "t_empty_s", "rest1_s", "rest2_s",
+             "charge_amplitudes_a", "us06_duration_s", "us06_sample_period_s",
+             "t_slot_s", "start_time_s", "n_rc", "capacitance_grid_size",
+             "smoothing_halfwidth"}
+INT_POOL = [-1, 0, 1, 2, 3, 15, 16, 17, 64, 200, 2.5, "2"]
+TOKENS = ["nan", "inf", "-inf", "", " ", "x", "1e999", "-0.0", "5e-324", "1e300", "-1e300",
+          "0", "1_0", "0x10", "3.3"]
+
+
+def json_paths(doc, path=()):
+    """The path of keys and indices to every node of a JSON document, the root's () first."""
+    yield path
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        children = ()
+    for key, child in children:
+        yield from json_paths(child, (*path, key))
+
+
+def sized(path):
+    """Whether the node at ``path`` is, or lies inside, a field in SIZE_KEYS."""
+    return any(key in SIZE_KEYS for key in path if isinstance(key, str))
+
+
+def pick(pool):
+    """A copy of a value from ``pool``, so a later mutation cannot change the pool."""
+    return st.sampled_from(pool).map(copy.deepcopy)
+
+
+@st.composite
+def replacement(draw, path, old):
+    """A value for the node at ``path`` that holds ``old``; half the time, for
+    a number, the number scaled."""
+    if not sized(path):
+        if type(old) in (int, float) and draw(st.booleans()):
+            return draw(st.sampled_from([-1.0, 1e-6, 0.5, 2.0, 1e6])) * old
+        return draw(pick(POOL))
+    if path[-1] in ("n_rc", "capacitance_grid_size", "smoothing_halfwidth"):
+        return draw(pick(INT_POOL + SIZE_POOL))
+    halved = [old * 0.5, old * 2.0] if type(old) in (int, float) else []
+    return draw(pick(SIZE_POOL + halved))
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with 1-3 nodes below its root replaced, deleted or given an
+    unknown field. (A document that is not an object has its own tests.)"""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(json_paths(doc))[1:]
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]]
+        op = draw(st.sampled_from(["replace", "replace", "delete", "add"]))
+        if op == "add" and isinstance(node, dict):
+            node["bogus"] = draw(pick(POOL))
+        elif op == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(replacement(path, node))
+    return doc
+
+
+@st.composite
+def mutated_body(draw, text):
+    """A trace CSV body with 1-3 fields replaced, dropped or added, or rows
+    dropped, repeated or swapped."""
+    lines = text.splitlines()  # 41 lines, so dropping three leaves some
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["field", "field", "drop field", "add field", "drop row",
+                                   "repeat row", "swap rows"]))
+        if op.endswith("field"):
+            fields = lines[k].split(",")
+            j = draw(st.integers(0, len(fields) - 1))
+            if op == "field":
+                fields[j] = draw(st.sampled_from(TOKENS))
+            elif op == "drop field":
+                del fields[j]
+            else:
+                fields.insert(j, draw(st.sampled_from(TOKENS)))
+            lines[k] = ",".join(fields)
+        elif op == "drop row":
+            del lines[k]
+        elif op == "repeat row":
+            lines.insert(k, lines[k])
+        else:
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[k], lines[j] = lines[j], lines[k]
+    return "\n".join(lines) + "\n"
+
+
+def fuzz_inputs(root):
+    """The valid documents and trace bodies the fuzz cases mutate."""
+    from cellsoc import CellState, Trace, simulate, vqst_from_soc
+    from cellsoc.traceio import cell_parameters_to_dict
+
+    cell = make_cell()
+    t = 1.0 + np.arange(40.0)
+    current = np.where(t < 20.0, -2.0, 0.0)
+    start = CellState.rest(vqst_from_soc(cell, 0.9), cell.n_rc)
+    trace = simulate(cell, Trace(t, current), start).trace
+    save_trace(trace, root / "trace.csv")
+    pulse, _ = identification_trace(cell, sample_period=10.0, rest=3000.0, t_empty=7200.0)
+    save_trace(pulse, root / "pulse.csv")
+    return {
+        "cell": cell_parameters_to_dict(cell),
+        "ekf": ekf_config_to_dict(EkfConfig.default(cell, initial_soc=0.7)),
+        "multicell": {"t_slot_s": 0.5, "f_max_hz": 0.5, "start_time_s": 0.0, "cells": [
+            {"id": "a", "params": "cell.json", "trace": "trace.csv", "initial_soc": 0.8,
+             "ref_soc0": 0.9},
+            {"id": "b", "params": "cell.json", "trace": "trace.csv", "ekf": "ekf.json"}]},
+        "spec": [{"kind": "constant", "amplitude_a": -1.0, "duration_s": 30.0},
+                 dict(PULSE, expected_tau_max_s=10.0),
+                 {"kind": "us06-like", "us06_duration_s": 20.0, "us06_sample_period_s": 0.5},
+                 {"kind": "validation", "sample_period_s": 600.0, "us06_duration_s": 20.0,
+                  "us06_sample_period_s": 0.5}],
+        "identify": {"n_rc": 2, "capacitance_grid_size": 32, "smoothing_halfwidth": 1,
+                     "current_zero_threshold": 0.01},
+        "trace": (root / "trace.csv").read_text(),
+    }
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz-base")
+    return root, fuzz_inputs(root)
+
+
+def run_fuzzed(root, base, kind, doc):
+    """Write ``doc`` in place of the ``kind`` input, run its command on a fresh
+    copy of the inputs and return (exit code, stderr, outputs left behind)."""
+    inputs = {"cell.json": base["cell"], "ekf.json": base["ekf"]}
+    files = {"trace.csv": base["trace"], "pulse.csv": (root / "pulse.csv").read_text()}
+    if kind == "trace":
+        files["trace.csv"] = doc
+    else:
+        inputs[{"cell": "cell.json", "ekf": "ekf.json", "multicell": "pack.json",
+                "spec": "spec.json", "identify": "id.json"}[kind]] = doc
+    work = root / "run"
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir()
+    for name, value in inputs.items():
+        (work / name).write_text(json.dumps(value))
+    for name, text in files.items():
+        (work / name).write_text(text)
+    w = {name: str(work / name) for name in (*inputs, *files, "out", "sim.csv", "fit.json",
+                                             "fit.txt", "soc.csv")}
+    if kind == "multicell":
+        argv, outs = ["multicell", "--config", w["pack.json"], "--out-dir", w["out"]], ["out"]
+    elif kind == "spec":
+        argv, outs = ["simulate", "--params", w["cell.json"], "--spec", w["spec.json"],
+                      "--out", w["sim.csv"]], ["sim.csv", "sim.csv.manifest.json"]
+    elif kind == "identify":
+        argv = ["identify", w["pulse.csv"], "--config", w["id.json"],
+                "--out-params", w["fit.json"], "--out-report", w["fit.txt"]]
+        outs = ["fit.json", "fit.txt", "fit.json.manifest.json"]
+    else:
+        argv = ["estimate", "--params", w["cell.json"], "--trace", w["trace.csv"],
+                "--ekf-config", w["ekf.json"], "--ref-soc0", "0.9", "--out", w["soc.csv"]]
+        outs = ["soc.csv", "soc.csv.manifest.json"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", CellSocWarning)
+        code = main(argv)
+    left = [name for name in outs if (work / name).exists()
+            and not ((work / name).is_dir() and not any((work / name).iterdir()))]
+    return code, err.getvalue(), left
+
+
+def assert_clean_exit(code, err, left):
+    assert code in (0, 2, 3), err
+    if code:
+        assert err.startswith(("data error:", "numerical failure:")), err
+        assert left == []
+
+
+FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("kind", ["cell", "ekf", "multicell", "identify"])
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_document_exits_cleanly(self, fuzz_base, kind, data):
+        root, base = fuzz_base
+        doc = data.draw(mutated(base[kind]), label=kind)
+        assert_clean_exit(*run_fuzzed(root, base, kind, doc))
+
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_profile_spec_exits_cleanly(self, fuzz_base, data):
+        root, base = fuzz_base
+        spec = data.draw(st.sampled_from(base["spec"]))
+        assert_clean_exit(*run_fuzzed(root, base, "spec", data.draw(mutated(spec))))
+
+    @FUZZ
+    @given(data=st.data())
+    def test_mutated_trace_body_exits_cleanly(self, fuzz_base, data):
+        root, base = fuzz_base
+        body = data.draw(mutated_body(base["trace"]))
+        assert_clean_exit(*run_fuzzed(root, base, "trace", body))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from cellsoc import (
     InvalidParametersError,
     MonotoneCurve,
     NumericalFailureError,
+    OutOfRangeWarning,
     RcGroup,
     Trace,
     constant_profile,
@@ -25,6 +28,7 @@ from cellsoc import (
 )
 from cellsoc import estimator
 from cellsoc.estimator import PSD_TOLERANCE
+from cellsoc.model import _current_clamp_message, _soc_clamp_message
 from helpers import (
     OPENBLAS_ACCEPTED,
     _is_psd,
@@ -71,6 +75,18 @@ class TestConfig:
                 initial_covariance_p0=np.eye(2),
                 initial_state=CellState(3.3, np.zeros(2)),
             )
+
+    def test_entries_near_the_float_limit_are_kept(self):
+        """Symmetrizing adds Q to its transpose; past about 9e307 that sum
+        overflows, so such entries are halved before they are added. A
+        difference from the transpose that overflows is asymmetry."""
+        big = np.array([[1.7976931348623157e308, 1e300], [1e300, 1e308]])
+        cfg = EkfConfig(big, 1e-4, big, CellState(3.3, np.zeros(1)))
+        assert np.array_equal(cfg.process_noise_q, big)
+        assert np.array_equal(cfg.initial_covariance_p0, big)
+        opposite = np.array([[1.0, -1.7976931348623157e308], [1.7976931348623157e308, 1.0]])
+        with pytest.raises(InvalidParametersError, match="must be symmetric"):
+            EkfConfig(opposite, 1e-4, big, CellState(3.3, np.zeros(1)))
 
 
 class TestPredict:
@@ -326,6 +342,37 @@ class TestFilterRuns:
         # ... and must lock onto the truth well within the hour.
         assert np.max(err[-100:]) < 0.005
 
+    def test_clamps_are_counted_and_warned_once_per_kind(self):
+        """Driven at 80 A (past the resistor curve's 50 A) and read at 10 V, so
+        every sample clamps both its current and its v_qst."""
+        cell = make_cell()
+        t = np.arange(0.0, 50.0)
+        trace = Trace(t, np.full(t.size, 80.0), np.full(t.size, 10.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run = run_filter(cell, trace, EkfConfig.default(cell))
+        assert (run.current_clamps, run.soc_clamps) == (50, 50)
+        assert [(w.category, str(w.message), w.filename) for w in caught] == [
+            (OutOfRangeWarning, _current_clamp_message(cell.resistor), estimator.__file__),
+            (OutOfRangeWarning, _soc_clamp_message(cell), estimator.__file__)]
+
+    def test_a_run_that_raises_still_warns_of_its_clamps(self):
+        """The first sample, a correction only, clamps its current (80 A) and its
+        v_qst (read at 10 V); the second predicts Q * dt = 1e307 * 100, which
+        overflows, so the run raises after those clamps."""
+        cell = make_cell()
+        base = EkfConfig.default(cell)
+        cfg = EkfConfig(1e307 * np.eye(3), base.measurement_noise_r,
+                        base.initial_covariance_p0, base.initial_state)
+        trace = Trace(np.array([0.0, 100.0]), np.array([80.0, 0.0]), np.array([10.0, 3.3]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalFailureError, match="predicted covariance"):
+                run_filter(cell, trace, cfg)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (OutOfRangeWarning, _current_clamp_message(cell.resistor)),
+            (OutOfRangeWarning, _soc_clamp_message(cell))]
+
     def test_innovation_variance_guard(self):
         cell = linear_cell()
         cfg = EkfConfig.default(cell)
@@ -363,24 +410,13 @@ class TestStationaryReuse:
         cfg = EkfConfig(base.process_noise_q, r, base.initial_covariance_p0, base.initial_state)
         assert_run_filter_matches_step_chain(cell, trace, cfg)
 
-    def test_only_settled_rests_skip_the_covariance_step(self, case, monkeypatch):
+    def test_only_settled_rests_skip_the_covariance_step(self, case):
         cell, trace = case
         cfg = EkfConfig.default(cell, initial_soc=0.7)
-        kernel = estimator._series_kernel(cell.n_rc + 1)
 
         def skipped(end):
             """Samples up to ``end`` that reused the covariance step."""
-            reused = []
-
-            def counted(*args):
-                out = kernel(*args)
-                reused.append(out[-1])
-                return out
-
-            monkeypatch.setattr(estimator, "_series_kernel", lambda m: counted)
-            run_filter(cell, trace.slice(0, end), cfg)
-            (count,) = reused
-            return count
+            return run_filter(cell, trace.slice(0, end), cfg).reused_steps
 
         ends = np.cumsum([1] + [n for *_, n in self.PHASES])
         counts = [skipped(int(end)) for end in ends[1:]]

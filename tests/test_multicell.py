@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -458,6 +459,48 @@ class TestRunWarnings:
             want |= {_current_clamp_message(cell.resistor), _soc_clamp_message(cell)}
         assert {str(w.message) for w in out_of_range} == want
         assert {w.filename for w in out_of_range} == {__file__}
+
+    def test_cell_series_counts_sum_to_the_clamps_of_run(self):
+        """Two cells driven past the resistor curve now and then, and read at 10 V
+        for a while. Ticking the same schedule warns once per clamped service;
+        run warns once per kind and cell, and each cell's counts are its ticks'
+        warnings."""
+        ids = ("a", "b")
+        cells = {cid: random_cell(np.random.default_rng(7 + j)) for j, cid in enumerate(ids)}
+        setups = {cid: (cells[cid], EkfConfig.default(cells[cid])) for cid in ids}
+        sched = SchedulerConfig(t_slot=0.25, cells=ids, f_max=1.0)
+        t = np.arange(0.0, 30.0, 0.5)
+        traces = {cid: Trace(t, np.where(t % (3 + j) < 1, 80.0, -1.0),
+                             np.where(t < 10 * (j + 1), 10.0, 3.3))
+                  for j, cid in enumerate(ids)}
+
+        def kinds(caught):
+            return Counter(str(w.message) for w in caught if w.category is OutOfRangeWarning)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            series = MultiCellEkf(sched, setups).run(traces)
+        online = MultiCellEkf(sched, setups)
+        ticked = {cid: Counter() for cid in ids}
+        for k in range(sum(s.times.size for s in series.values())):
+            cid, n = ids[k % 2], k // 2
+            now = float(series[cid].times[n])
+            idx = int(np.searchsorted(t, now + 1e-9 * 0.25, side="right")) - 1
+            with warnings.catch_warnings(record=True) as one:
+                warnings.simplefilter("always")
+                online.tick(now, Measurement(cid, float(traces[cid].current[idx]),
+                                             float(traces[cid].voltage[idx])))
+            ticked[cid] += kinds(one)
+
+        for cid in ids:
+            s = series[cid]
+            assert s.current_clamps > 0 and s.soc_clamps > 0
+            assert ticked[cid] == Counter({_current_clamp_message(cells[cid].resistor):
+                                           s.current_clamps,
+                                           _soc_clamp_message(cells[cid]): s.soc_clamps})
+        assert kinds(caught) == sum((Counter(set(c)) for c in ticked.values()), Counter())
+        assert sum(s.current_clamps + s.soc_clamps for s in series.values()) == sum(
+            sum(c.values()) for c in ticked.values())
 
 
 @st.composite

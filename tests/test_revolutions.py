@@ -98,7 +98,7 @@ def test_final_covariance_is_symmetric_and_psd(cells):
     result, error = outcome(lambda: one_by_one(cells))
     if error is not None:
         return
-    for *_, final in result:
+    for *_, final, _ in result:
         p = final.covariance
         assert np.array_equal(bits(p), bits(p.T))
         assert _is_psd(p.tolist())

@@ -4,15 +4,14 @@
 the charge map of ``model._charge_map_lines`` inlined and a covariance step
 that is reused at rest. It must return exactly what ``helpers.list_filter_series``
 returns (``charge_map``, ``math.exp`` decays, ``list_predict`` and
-``list_correct``, no reuse), with the same error and the same warnings in the
-same order. Bits are compared through ``.view(np.int64)``, so a zero's sign
-and a NaN count.
+``list_correct``, no reuse), with the same clamp counts, the same error and
+the same warnings in the same order. Bits are compared through
+``.view(np.int64)``, so a zero's sign and a NaN count.
 """
 
 import math
 import warnings
 from bisect import bisect_right
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,29 +90,22 @@ def series_case(seed, n_rc, phases, q_rate, r, p0_kind, first_is_correction):
 
 def reuse_count(case):
     """_filter_series(*case) against list_filter_series(*case), bit for bit, with
-    the same error and warnings; returns how many samples reused the step."""
-    counts = []
-    kernel = estimator._series_kernel
-
-    def counted(m):
-        def run(*args):
-            out = kernel(m)(*args)
-            counts.append(out[-1])
-            return out
-        return run
-
-    with mock.patch.object(estimator, "_series_kernel", counted):
-        got, got_error, got_warnings = outcome(lambda: estimator._filter_series(*case))
+    the same clamp counts, error and warnings; returns how many samples reused
+    the step."""
+    got, got_error, got_warnings = outcome(lambda: estimator._filter_series(*case))
     want, want_error, want_warnings = outcome(lambda: list_filter_series(*case))
     assert got_error == want_error
     assert [w[:2] for w in got_warnings] == [w[:2] for w in want_warnings]
-    if want is not None:
-        for a, b in zip(got[:3], want[:3]):
-            assert bits(a) == bits(b)
-        assert bits(got[3].mean.v_qst) == bits(want[3].mean.v_qst)
-        assert bits(got[3].mean.v_dyn_components) == bits(want[3].mean.v_dyn_components)
-        assert bits(got[3].covariance) == bits(want[3].covariance)
-    return counts[0] if counts else 0
+    if want is None:
+        return 0
+    for a, b in zip(got[:3], want[:3]):
+        assert bits(a) == bits(b)
+    assert bits(got[3].mean.v_qst) == bits(want[3].mean.v_qst)
+    assert bits(got[3].mean.v_dyn_components) == bits(want[3].mean.v_dyn_components)
+    assert bits(got[3].covariance) == bits(want[3].covariance)
+    current_clamps, soc_clamps, reused = got[4]
+    assert (current_clamps, soc_clamps) == want[4]
+    return reused
 
 
 phase = st.tuples(st.sampled_from(["drive", "rest", "rest", "charge"]),
@@ -143,7 +135,7 @@ def test_settled_rests_reuse_the_step_bit_for_bit(n_rc, p0_kind):
 
 
 def test_warnings_name_the_caller_of_filter_series():
-    """The loop warns from its own frame, one below ``_filter_series``."""
+    """The loop only counts; ``_filter_series`` warns, naming its caller."""
     case = series_case(5, 2, [("charge", 40, 2.0)], 1e-6, 1e-4, "default", True)
     _, error, caught = outcome(lambda: estimator._filter_series(*case))
     assert error is None and caught

@@ -151,15 +151,27 @@ SPECIAL_BITS = [0x0, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
 bit_patterns = st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2**64 - 1))
 
 
+# A small pool, so drawn values come back after a different value: both
+# zeros, two NaN payloads, both infinities, a subnormal and two plain values.
+RECURRING_BITS = [0x0, 0x8000000000000000, 0x7FF8000000000000, 0x7FF4000000000000,
+                  0x7FF0000000000000, 0xFFF0000000000000, 0x1, 0x3FF0000000000000,
+                  0xBFB999999999999A]
+
+
 def floats_from_bits(patterns):
     return np.array(patterns, dtype=np.uint64).view(np.float64)
 
 
 @st.composite
 def float_columns(draw):
-    """A column with forced runs, in one of the forms callers hand in."""
-    kind = draw(st.sampled_from(["runs", "zeros", "ints"]))
-    if kind == "zeros":
+    """A column with forced runs, or with values that recur after others, in
+    one of the forms callers hand in."""
+    kind = draw(st.sampled_from(["runs", "zeros", "ints", "recurring"]))
+    if kind == "recurring":
+        runs = draw(st.lists(st.tuples(st.sampled_from(RECURRING_BITS), st.integers(1, 3)),
+                             max_size=16))
+        col = floats_from_bits([b for b, n in runs for _ in range(n)])
+    elif kind == "zeros":
         col = np.array([-0.0 if b else 0.0 for b in draw(st.lists(st.booleans(), max_size=12))])
     elif kind == "ints":
         runs = draw(st.lists(st.tuples(st.integers(-2**62, 2**62), st.integers(1, 4)),
@@ -183,6 +195,22 @@ def float_columns(draw):
 @example(floats_from_bits([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000]))
 @example(np.array([0.0, -0.0, 0.0, -0.0, -0.0]))
 @example(np.arange(5))
+@example(floats_from_bits([0x0, 0x1, 0x0, 0x8000000000000000, 0x1, 0x8000000000000000]))
+@example(floats_from_bits([0x7FF8000000000000, 0x7FF0000000000000, 0x7FF4000000000000,
+                           0xFFF0000000000000, 0x7FF8000000000000]))
 def test_float_texts_is_repr_of_each_value(col):
     expected = [repr(x) for x in np.asarray(col, dtype=float).tolist()]
     assert traceio._float_texts(col) == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(RECURRING_BITS), min_size=32, max_size=160))
+def test_soc_rows_are_repr_of_each_value(tmp_path_factory, patterns):
+    """save_soc_rows on four columns of 8 to 40 values whose values recur
+    writes the text of a repr per value, row by row."""
+    n = len(patterns) // 4
+    columns = floats_from_bits(patterns[:4 * n]).reshape(4, n)
+    path = tmp_path_factory.mktemp("soc") / "soc.csv"
+    traceio.save_soc_rows("c0", path, *columns)
+    rows = [f"{t!r},c0,{a!r},{b!r},{c!r}" for t, a, b, c in zip(*columns.tolist())]
+    assert path.read_text(encoding="utf-8") == "\n".join([traceio.SOC_HEADER, *rows, ""])
