@@ -20,22 +20,16 @@ import numpy as np
 
 from . import traceio
 from .errors import (
-    BudgetExceededError,
     CellSocError,
     ConfigurationError,
     FitConvergenceError,
     InvalidInputError,
-    InvalidParametersError,
-    NonUniformSamplingError,
     NumericalFailureError,
-    SchedulingViolationError,
-    TraceParseError,
-    UnusableTraceError,
 )
 from .estimator import EkfConfig, run_filter
 from .identification import IdentificationConfig, identify
 from .model import CellState, coulomb_count, simulate, vqst_from_soc
-from .multicell import MultiCellEkf, SchedulerConfig, max_cells
+from .multicell import check_cell_id, max_cells
 from .profiles import build_profile
 
 EXIT_OK = 0
@@ -43,19 +37,9 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
-_DATA_ERRORS = (
-    TraceParseError,
-    UnusableTraceError,
-    InvalidInputError,
-    InvalidParametersError,
-    ConfigurationError,
-    BudgetExceededError,
-    NonUniformSamplingError,
-    SchedulingViolationError,
-    OSError,
-    json.JSONDecodeError,
-)
 _NUMERICAL_ERRORS = (NumericalFailureError, FitConvergenceError)
+# Every other package error, and any file or JSON syntax error, is a data error.
+_DATA_ERRORS = (CellSocError, OSError, json.JSONDecodeError)
 
 
 class _UsageExit(SystemExit):
@@ -71,22 +55,18 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class RunManifest:
-    """What a command ran with; written beside its outputs."""
+    """What a command ran with; written beside its outputs. An input whose
+    option was not given is left out."""
 
     command: str
     inputs: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)
     seed: int | None = None
 
-    def validate(self) -> None:
-        for name, path in self.inputs.items():
-            if not Path(path).exists():
-                raise InvalidInputError(f"input {name} does not exist: {path}")
-
     def write(self, path) -> None:
         doc = {
             "command": self.command,
-            "inputs": dict(sorted(self.inputs.items())),
+            "inputs": {name: path for name, path in sorted(self.inputs.items()) if path},
             "outputs": dict(sorted(self.outputs.items())),
             "seed": self.seed,
         }
@@ -98,19 +78,11 @@ def _manifest_path(primary_output) -> Path:
     return p.with_name(p.name + ".manifest.json")
 
 
-def _identification_config(path) -> IdentificationConfig:
-    if path is None:
-        return IdentificationConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        return IdentificationConfig.from_dict(json.load(fh))
-
-
 def cmd_identify(args) -> int:
-    manifest = RunManifest("identify", inputs={"trace": args.trace})
-    if args.config:
-        manifest.inputs["config"] = args.config
-    manifest.validate()
-    cfg = _identification_config(args.config)
+    manifest = RunManifest("identify", inputs={"trace": args.trace, "config": args.config})
+    cfg = IdentificationConfig()
+    if args.config is not None:
+        cfg = traceio.load_identification_config(args.config)
     if args.n_rc is not None:
         cfg = dataclasses.replace(cfg, n_rc=args.n_rc)
     trace = traceio.load_trace(args.trace)
@@ -129,12 +101,8 @@ def cmd_identify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    manifest = RunManifest("simulate", inputs={"params": args.params}, seed=args.seed)
-    if args.profile:
-        manifest.inputs["profile"] = args.profile
-    if args.spec:
-        manifest.inputs["spec"] = args.spec
-    manifest.validate()
+    manifest = RunManifest("simulate", seed=args.seed, inputs={
+        "params": args.params, "profile": args.profile, "spec": args.spec})
     params = traceio.load_cell_parameters(args.params)
     if args.profile:
         profile = traceio.load_trace(args.profile)
@@ -156,10 +124,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    manifest = RunManifest("estimate", inputs={"params": args.params, "trace": args.trace})
-    if args.ekf_config:
-        manifest.inputs["ekf_config"] = args.ekf_config
-    manifest.validate()
+    manifest = RunManifest("estimate", inputs={
+        "params": args.params, "trace": args.trace, "ekf_config": args.ekf_config})
     params = traceio.load_cell_parameters(args.params)
     trace = traceio.load_trace(args.trace)
     if args.ekf_config:
@@ -180,42 +146,9 @@ def cmd_estimate(args) -> int:
 
 def cmd_multicell(args) -> int:
     manifest = RunManifest("multicell", inputs={"config": args.config})
-    manifest.validate()
-    what = "multicell config"
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = traceio.config_object(json.load(fh), what)
-    base = Path(args.config).parent
-
-    def _resolve(cell, key):
-        p = traceio.config_path(cell, key, f"{what} cell")
-        return p if p.is_absolute() else base / p
-
-    if not isinstance(doc["cells"], list):
-        raise ConfigurationError(f"{what} field cells must be a list, got {doc['cells']!r}")
-    cells = [traceio.config_object(c, f"{what} cell") for c in doc["cells"]]
-    cell_ids = [traceio.check_cell_id(c["id"], f"{what} cell id") for c in cells]
-    sched = SchedulerConfig(
-        t_slot=traceio.config_float(doc, "t_slot_s", what), cells=tuple(cell_ids),
-        f_max=traceio.config_float(doc, "f_max_hz", what),
-    )
-    setups = {}
-    traces = {}
-    refs = {}
-    for cell in cells:
-        cid = cell["id"]
-        params = traceio.load_cell_parameters(_resolve(cell, "params"))
-        traces[cid] = traceio.load_trace(_resolve(cell, "trace"))
-        if "ekf" in cell:
-            cfg = traceio.load_ekf_config(_resolve(cell, "ekf"))
-        else:
-            initial_soc = traceio.config_float(cell, "initial_soc", f"{what} cell", 0.5)
-            cfg = EkfConfig.default(params, initial_soc=initial_soc)
-        setups[cid] = (params, cfg)
-        refs[cid] = traceio.config_float(cell, "ref_soc0", f"{what} cell", 1.0)
-    start_time = traceio.config_float(doc, "start_time_s", what, 0.0)
-    engine = MultiCellEkf(sched, setups, start_time=start_time)
+    engine, traces, refs = traceio.load_multicell_config(args.config)
     series = engine.run(traces, ref_soc0=refs)
-
+    cell_ids = engine.config.cells
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     for cid in cell_ids:
@@ -236,7 +169,7 @@ def cmd_budget(args) -> int:
 
 def _cell_id_arg(text: str) -> str:
     try:
-        return traceio.check_cell_id(text)
+        return check_cell_id(text)
     except ConfigurationError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -302,11 +235,11 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"data error: missing config field {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:  # a size field larger than this machine can hold
+        print(f"data error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except _DATA_ERRORS as exc:
         print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except CellSocError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,29 +42,14 @@ class IdentificationConfig:
     def __post_init__(self):
         if self.n_rc < 1:
             raise ConfigurationError("n_rc must be at least 1")
-        if self.current_zero_threshold <= 0.0:
-            raise ConfigurationError("current-zero threshold must be positive")
+        threshold = self.current_zero_threshold
+        if not (threshold > 0.0) or not math.isfinite(threshold):
+            raise ConfigurationError(f"current-zero threshold must be positive and finite, "
+                                     f"got {threshold}")
         if self.capacitance_grid_size < 16:
             raise ConfigurationError("capacitance grid needs at least 16 points")
         if self.smoothing_halfwidth < 0:
             raise ConfigurationError("smoothing halfwidth cannot be negative")
-
-    @classmethod
-    def from_dict(cls, doc) -> "IdentificationConfig":
-        """Config from a parsed JSON document; unknown or mistyped fields are an error."""
-        if not isinstance(doc, dict):
-            raise ConfigurationError("identification config must be a JSON object")
-        types = {f.name: f.type for f in fields(cls)}
-        unknown = sorted(set(doc) - set(types))
-        if unknown:
-            raise ConfigurationError(f"unknown identification config fields: {', '.join(unknown)}")
-        for name, value in doc.items():
-            allowed = (int,) if types[name] == "int" else (int, float)
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                raise ConfigurationError(
-                    f"identification config field {name} must be {types[name]}, got {value!r}"
-                )
-        return cls(**doc)
 
 
 @dataclass(frozen=True)

@@ -145,7 +145,7 @@ class CellParameters:
 
     @property
     def dt_guard(self) -> float:
-        """Largest admissible integration step (stability guard)."""
+        """tau_min / 5: a step size that resolves the fastest RC relaxation."""
         return self.tau_min / 5.0
 
 
@@ -308,16 +308,12 @@ def step(
     """Advance the state by ``dt`` seconds under a constant current.
 
     Both parts are exact for a constant current: the quasi-stationary voltage
-    moves by the charge map and each RC voltage by the zero-order-hold map.
-    ``dt`` must still satisfy the stability guard dt <= tau_min / 5.
+    moves by the charge map and each RC voltage by the zero-order-hold map,
+    so any positive ``dt`` is one step.
     """
     _check_finite(current=current, dt=dt)
     if dt <= 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    if dt > params.dt_guard * (1.0 + 1e-12):
-        raise ConfigurationError(
-            f"dt = {dt} s violates the stability guard tau_min/5 = {params.dt_guard} s"
-        )
     v_new, _ = charge_map(params.capacitance, state.v_qst, float(current * dt))
     lo = params.v_min - DEFAULT_VQST_GUARD
     hi = params.v_max + DEFAULT_VQST_GUARD

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     BudgetExceededError,
+    ConfigurationError,
     InvalidInputError,
     InvalidParametersError,
     SchedulingViolationError,
@@ -33,7 +34,6 @@ from .errors import (
 from .estimator import EkfConfig, EkfState, _filter_series, make_filter
 from .model import CellParameters, _check_finite, coulomb_count
 from .profiles import _MAX_SAMPLES
-from .traceio import check_cell_id
 
 
 def max_cells(f_max: float, t_slot: float) -> int:
@@ -54,11 +54,22 @@ def max_cells(f_max: float, t_slot: float) -> int:
     return int(math.floor(budget + 1e-12))
 
 
+def check_cell_id(cell_id, what: str = "cell id") -> str:
+    """``cell_id`` if it is a non-empty printable string free of ``,`` ``"``
+    ``/`` and ``\\``, so it fits one SoC CSV field and one file name; else
+    ConfigurationError naming ``what``."""
+    if not (isinstance(cell_id, str) and cell_id and cell_id.isprintable()
+            and not any(c in cell_id for c in ',"/\\')):
+        raise ConfigurationError(f"{what} must be a non-empty printable string without "
+                                 f"',', '\"', '/' or '\\', got {cell_id!r}")
+    return cell_id
+
+
 @dataclass(frozen=True)
 class SchedulerConfig:
     """Round-robin schedule: slice length, fixed cell order, signal bandwidth.
 
-    Cell ids must be ids that ``traceio.check_cell_id`` accepts, so every
+    Cell ids must be ids that ``check_cell_id`` accepts, so every
     cell's estimates can be written as a SoC CSV.
     """
 

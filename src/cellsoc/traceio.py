@@ -1,5 +1,12 @@
 """File formats: trace CSV, parameter/config JSON, atomic writes.
 
+Every input document is read here: cell parameters, EKF config, multicell
+config, profile spec and identification config. One rule checks them all:
+a document, and each object nested in it, is a JSON object whose fields all
+come from a known list (``config_object``). An unknown field, or a value of
+the wrong type, raises ConfigurationError naming the document and the field;
+a missing required field raises KeyError.
+
 Trace CSV schema: header ``t_s,current_a,voltage_v`` (or ``t_s,current_a``
 for voltage-less profiles), one sample per row, UTF-8, '.' decimal separator.
 SoC CSV schema: header ``t_s,cell_id,soc_est,soc_ref,v_innov``, one row per
@@ -22,6 +29,7 @@ import numbers
 import os
 import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +37,9 @@ import numpy as np
 from .curves import MonotoneCurve
 from .errors import ConfigurationError, TraceParseError
 from .estimator import EkfConfig
+from .identification import IdentificationConfig
 from .model import CellParameters, CellState, RcGroup, Trace
+from .multicell import MultiCellEkf, SchedulerConfig, check_cell_id
 from .profiles import ProfileSpec
 
 TRACE_HEADER = "t_s,current_a,voltage_v"
@@ -156,13 +166,69 @@ def load_trace(path) -> Trace:
     return _trace_from_columns(path, np.ascontiguousarray(data.T))
 
 
+def config_object(doc, what: str, known) -> dict:
+    """``doc`` if it is a JSON object whose fields all appear in ``known``;
+    else ConfigurationError naming ``what`` (and the unknown fields)."""
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{what} must be a JSON object, got {doc!r}")
+    unknown = sorted(set(doc).difference(known))
+    if unknown:
+        raise ConfigurationError(f"unknown {what} fields: {', '.join(unknown)}")
+    return doc
+
+
+def config_field(doc: dict, key: str, what: str, kind, description: str, default=None):
+    """``doc[key]``, or ``default`` when one is given and the key is absent.
+
+    A missing required key raises KeyError; a value that is not a ``kind``
+    (a boolean never is) raises ConfigurationError naming the field.
+    """
+    value = doc[key] if default is None else doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigurationError(f"{what} field {key} must be {description}, got {value!r}")
+    return value
+
+
+def config_float(doc: dict, key: str, what: str, default: float | None = None) -> float:
+    return float(config_field(doc, key, what, numbers.Real, "a number", default))
+
+
+def config_int(doc: dict, key: str, what: str) -> int:
+    return config_field(doc, key, what, int, "int")
+
+
+def config_path(doc: dict, key: str, what: str) -> Path:
+    return Path(config_field(doc, key, what, str, "a path string"))
+
+
+def config_array(doc: dict, key: str, what: str) -> np.ndarray:
+    """``doc[key]`` as a float array; a missing key raises KeyError, a value
+    that is not a regular array of numbers raises ConfigurationError."""
+    value = doc[key]
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{what} field {key} must be an array of numbers, "
+                                 f"got {value!r}") from None
+
+
+def _load_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _save_json(doc: dict, path) -> None:
+    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def _curve_to_dict(curve: MonotoneCurve) -> dict:
     return {"grid": curve.grid.tolist(), "values": curve.values.tolist()}
 
 
 def _curve_from_dict(doc: dict, key: str, what: str) -> MonotoneCurve:
-    curve = config_object(doc[key], f"{what} field {key}")
-    return MonotoneCurve(*(config_array(curve, k, f"{what} {key}") for k in ("grid", "values")))
+    what = f"{what} {key}"
+    curve = config_object(doc[key], what, ("grid", "values"))
+    return MonotoneCurve(*(config_array(curve, k, what) for k in ("grid", "values")))
 
 
 def cell_parameters_to_dict(params: CellParameters) -> dict:
@@ -179,12 +245,11 @@ def cell_parameters_to_dict(params: CellParameters) -> dict:
 
 
 def cell_parameters_from_dict(d) -> CellParameters:
-    what = "cell parameters"
-    d = config_object(d, what)
-    groups, group = d["rc_groups"], f"{what} rc group"
-    if not isinstance(groups, list):
-        raise ConfigurationError(f"{what} field rc_groups must be a list, got {groups!r}")
-    groups = [config_object(g, group) for g in groups]
+    what, group = "cell parameters", "cell parameters rc group"
+    d = config_object(d, what, ("v_min", "v_max", "capacitance", "rc_groups", "resistor",
+                                "delta_q", "nominal_capacity_c_n", "nominal_voltage_v_n"))
+    groups = [config_object(g, group, ("r", "tau"))
+              for g in config_field(d, "rc_groups", what, list, "a list")]
     return CellParameters(
         v_min=config_float(d, "v_min", what),
         v_max=config_float(d, "v_max", what),
@@ -199,12 +264,11 @@ def cell_parameters_from_dict(d) -> CellParameters:
 
 
 def save_cell_parameters(params: CellParameters, path) -> None:
-    atomic_write_text(path, json.dumps(cell_parameters_to_dict(params), indent=2, sort_keys=True) + "\n")
+    _save_json(cell_parameters_to_dict(params), path)
 
 
 def load_cell_parameters(path) -> CellParameters:
-    with open(path, "r", encoding="utf-8") as fh:
-        return cell_parameters_from_dict(json.load(fh))
+    return cell_parameters_from_dict(_load_json(path))
 
 
 def ekf_config_to_dict(cfg: EkfConfig) -> dict:
@@ -219,89 +283,112 @@ def ekf_config_to_dict(cfg: EkfConfig) -> dict:
     }
 
 
-def config_object(doc, what: str) -> dict:
-    """``doc`` if it is a JSON object, else ConfigurationError naming ``what``."""
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"{what} must be a JSON object, got {doc!r}")
-    return doc
-
-
-def config_float(doc: dict, key: str, what: str, default: float | None = None) -> float:
-    """``float(doc[key])``, or ``default`` when one is given and the key is absent.
-
-    A missing required key raises KeyError; a value that is not a number (a
-    string, a boolean, null, ...) raises ConfigurationError naming the field.
-    """
-    value = doc[key] if default is None else doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigurationError(f"{what} field {key} must be a number, got {value!r}")
-    return float(value)
-
-
-def config_path(doc: dict, key: str, what: str) -> Path:
-    """``Path(doc[key])``; a missing key raises KeyError, a value that is not a
-    string (null, a number, a list, ...) raises ConfigurationError naming the field."""
-    value = doc[key]
-    if not isinstance(value, str):
-        raise ConfigurationError(f"{what} field {key} must be a path string, got {value!r}")
-    return Path(value)
-
-
-def config_array(doc: dict, key: str, what: str) -> np.ndarray:
-    """``doc[key]`` as a float array; a missing key raises KeyError, a value
-    that is not a regular array of numbers raises ConfigurationError."""
-    value = doc[key]
-    try:
-        return np.array(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{what} field {key} must be an array of numbers, "
-                                 f"got {value!r}") from None
-
-
-def ekf_config_from_dict(d: dict) -> EkfConfig:
-    what = "EKF config"
-    d = config_object(d, what)
-    st = config_object(d["initial_state"], f"{what} field initial_state")
+def ekf_config_from_dict(d) -> EkfConfig:
+    what, state = "EKF config", "EKF config initial_state"
+    d = config_object(d, what, ("process_noise_q", "measurement_noise_r",
+                                "initial_covariance_p0", "initial_state"))
+    st = config_object(d["initial_state"], state, ("v_qst", "v_dyn_components"))
     return EkfConfig(
         process_noise_q=config_array(d, "process_noise_q", what),
         measurement_noise_r=config_float(d, "measurement_noise_r", what),
         initial_covariance_p0=config_array(d, "initial_covariance_p0", what),
-        initial_state=CellState(config_float(st, "v_qst", f"{what} initial_state"),
-                                config_array(st, "v_dyn_components", f"{what} initial_state")),
+        initial_state=CellState(config_float(st, "v_qst", state),
+                                config_array(st, "v_dyn_components", state)),
     )
 
 
 def save_ekf_config(cfg: EkfConfig, path) -> None:
-    atomic_write_text(path, json.dumps(ekf_config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
+    _save_json(ekf_config_to_dict(cfg), path)
 
 
 def load_ekf_config(path) -> EkfConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ekf_config_from_dict(json.load(fh))
+    return ekf_config_from_dict(_load_json(path))
+
+
+def profile_spec_from_dict(doc) -> ProfileSpec:
+    """Spec from a parsed JSON document; a field that defaults to none may be null."""
+    what = "profile spec"
+    defaults = {f.name: f.default for f in fields(ProfileSpec)}
+    doc = config_object(doc, what, defaults)
+    spec = {"kind": doc["kind"]}
+    for name, value in doc.items():
+        if name == "kind" or (value is None and defaults[name] is None):  # null = absent
+            continue
+        if name == "charge_amplitudes_a":
+            amps = config_array(doc, name, what)
+            if amps.ndim != 1:
+                raise ConfigurationError(f"{what} field {name} must be a list, got {value!r}")
+            spec[name] = tuple(amps.tolist())
+        else:
+            spec[name] = config_float(doc, name, what)
+    return ProfileSpec(**spec)
 
 
 def load_profile_spec(path) -> ProfileSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ProfileSpec.from_dict(json.load(fh))
+    return profile_spec_from_dict(_load_json(path))
 
 
-def check_cell_id(cell_id, what: str = "cell id") -> str:
-    """``cell_id`` if it is a non-empty printable string free of ``,`` ``"``
-    ``/`` and ``\\``, so it fits one SoC CSV field and one file name; else
-    ConfigurationError naming ``what``."""
-    if not (isinstance(cell_id, str) and cell_id and cell_id.isprintable()
-            and not any(c in cell_id for c in ',"/\\')):
-        raise ConfigurationError(f"{what} must be a non-empty printable string without "
-                                 f"',', '\"', '/' or '\\', got {cell_id!r}")
-    return cell_id
+def identification_config_from_dict(doc) -> IdentificationConfig:
+    """Config from a parsed JSON document; every field is optional, and a
+    field whose default is an int must be a JSON integer."""
+    what = "identification config"
+    defaults = {f.name: f.default for f in fields(IdentificationConfig)}
+    doc = config_object(doc, what, defaults)
+    return IdentificationConfig(**{
+        key: (config_int if isinstance(defaults[key], int) else config_float)(doc, key, what)
+        for key in doc
+    })
+
+
+def load_identification_config(path) -> IdentificationConfig:
+    return identification_config_from_dict(_load_json(path))
+
+
+def load_multicell_config(path) -> tuple[MultiCellEkf, dict[str, Trace], dict[str, float]]:
+    """The engine a multicell config describes, with the traces and reference
+    initial SoCs to run it on: ``(engine, traces, ref_soc0)``. Each cell's
+    parameters, trace and EKF config are read from the files it names; a
+    relative path names a file beside the config.
+
+    A cell without ``ekf`` gets the default EKF config at its ``initial_soc``
+    (0.5 when absent). A cell may not set both: ``initial_soc`` would be
+    ignored. That check runs once the cell's EKF config has been read.
+    """
+    what, cell_what = "multicell config", "multicell config cell"
+    doc = config_object(_load_json(path), what, ("t_slot_s", "f_max_hz", "start_time_s", "cells"))
+    cells = [config_object(c, cell_what, ("id", "params", "trace", "ekf", "initial_soc",
+                                          "ref_soc0"))
+             for c in config_field(doc, "cells", what, list, "a list")]
+    scheduler = SchedulerConfig(
+        t_slot=config_float(doc, "t_slot_s", what),
+        cells=tuple(check_cell_id(c["id"], f"{cell_what} id") for c in cells),
+        f_max=config_float(doc, "f_max_hz", what),
+    )
+    base = Path(path).parent
+    setups, traces, refs = {}, {}, {}
+    for cid, cell in zip(scheduler.cells, cells):
+        params = load_cell_parameters(base / config_path(cell, "params", cell_what))
+        traces[cid] = load_trace(base / config_path(cell, "trace", cell_what))
+        if "ekf" in cell:
+            cfg = load_ekf_config(base / config_path(cell, "ekf", cell_what))
+            if "initial_soc" in cell:
+                raise ConfigurationError(f"{cell_what} {cid} sets both ekf and initial_soc; "
+                                         "initial_soc only seeds the default EKF config")
+        else:
+            initial_soc = config_float(cell, "initial_soc", cell_what, 0.5)
+            cfg = EkfConfig.default(params, initial_soc=initial_soc)
+        setups[cid] = (params, cfg)
+        refs[cid] = config_float(cell, "ref_soc0", cell_what, 1.0)
+    start_time = config_float(doc, "start_time_s", what, 0.0)
+    return MultiCellEkf(scheduler, setups, start_time=start_time), traces, refs
 
 
 def save_soc_rows(cell_id: str, path, times, soc_est, soc_ref, innovations) -> None:
     """Write one cell's per-sample estimates as a SoC CSV, one row per entry
     of the columns. Each float is written as its repr, formatted once per
     distinct bit pattern in its column (``_float_texts``). A cell id that
-    ``check_cell_id`` refuses raises ConfigurationError before anything is
-    written."""
+    ``multicell.check_cell_id`` refuses raises ConfigurationError before
+    anything is written."""
     check_cell_id(cell_id)
     t, soc, ref, innov = map(_float_texts, (times, soc_est, soc_ref, innovations))
     rows = [f"{a},{cell_id},{b},{c},{d}" for a, b, c, d in zip(t, soc, ref, innov)]

@@ -216,6 +216,21 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("data error:")
         assert not out.exists()
 
+    def test_out_of_memory_exit_2(self, cell_files, tmp_path, capsys, monkeypatch):
+        """A spec whose arrays do not fit in memory is a data error. The
+        allocation is simulated: a real one could succeed under overcommit."""
+        def build_profile(spec, seed):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr("cellsoc.cli.build_profile", build_profile)
+        _, params_path = cell_files
+        spec = write_spec(tmp_path, kind="constant", amplitude_a=-1, duration_s=30)
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--params", str(params_path), "--spec", str(spec),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "data error: out of memory: Unable to allocate 7.28 TiB\n"
+        assert not out.exists() and not (tmp_path / "trace.csv.manifest.json").exists()
+
     def test_null_optional_spec_field_is_absent(self, cell_files, tmp_path):
         _, params_path = cell_files
         outs = []
@@ -249,6 +264,16 @@ class TestIdentify:
                      str(tmp_path / "p.json"), "--out-report", str(tmp_path / "r.txt")]) == 2
         assert not (tmp_path / "p.json").exists()
 
+    def test_missing_input_prints_the_os_error(self, tmp_path, capsys):
+        missing = tmp_path / "none.json"
+        assert main(["identify", str(tmp_path / "none.csv"), "--config", str(missing),
+                     "--out-params", str(tmp_path / "p.json"),
+                     "--out-report", str(tmp_path / "r.txt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: [Errno 2] No such file or directory")
+        assert str(missing) in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_file_loaded(self, tmp_path):
         cell = make_cell()
         trace, _ = identification_trace(cell, sample_period=4.0)
@@ -270,6 +295,9 @@ class TestIdentify:
         ([2], "JSON object"),
         ({"n_rc": "2"}, "n_rc must be int"),
         ({"capacitance_grid_size": 40.5}, "capacitance_grid_size must be int"),
+        *(({"current_zero_threshold": x},
+           f"current-zero threshold must be positive and finite, got {x}")
+          for x in (math.nan, math.inf, -math.inf)),
     ])
     def test_bad_config_document_exit_2(self, tmp_path, capsys, doc, expected):
         trace_path = tmp_path / "id.csv"
@@ -539,6 +567,22 @@ class TestMulticell:
         assert main(["multicell", "--config", str(cfg_path), "--out-dir", str(outdir)]) == 0
         assert len(list(outdir.glob("soc_*.csv"))) == 18
 
+    def test_ekf_with_initial_soc_refused(self, tmp_path, capsys):
+        """``initial_soc`` seeds only the default EKF config, so a cell that
+        also names an EKF config is refused rather than run on that file."""
+        cfg_path, cells = self.make_pack(tmp_path, 1, 1.0, 0.4)  # initial_soc 0.8
+        (tmp_path / "ekf.json").write_text(
+            json.dumps(ekf_config_to_dict(EkfConfig.default(cells["c00"], initial_soc=0.3))))
+        doc = json.loads(cfg_path.read_text())
+        doc["cells"][0]["ekf"] = "ekf.json"
+        cfg_path.write_text(json.dumps(doc))
+        outdir = tmp_path / "out"
+        assert main(["multicell", "--config", str(cfg_path), "--out-dir", str(outdir)]) == 2
+        assert capsys.readouterr().err == (
+            "data error: multicell config cell c00 sets both ekf and initial_soc; "
+            "initial_soc only seeds the default EKF config\n")
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("where,field,value,expected", [
         ("doc", None, [1, 2], "multicell config must be a JSON object"),
         ("doc", "t_slot_s", "fast", "t_slot_s must be a number"),
@@ -803,3 +847,38 @@ class TestFuzz:
         root, base = fuzz_base
         body = data.draw(mutated_body(base["trace"]))
         assert_clean_exit(*run_fuzzed(root, base, "trace", body))
+
+
+# Each input document, and each object nested in it, refuses a field it does
+# not know: (document, path to the object, the name the error gives it).
+UNKNOWN_FIELD_CASES = [
+    ("cell", (), "cell parameters"),
+    ("cell", ("capacitance",), "cell parameters capacitance"),
+    ("cell", ("resistor",), "cell parameters resistor"),
+    ("cell", ("rc_groups", 1), "cell parameters rc group"),
+    ("ekf", (), "EKF config"),
+    ("ekf", ("initial_state",), "EKF config initial_state"),
+    ("multicell", (), "multicell config"),
+    ("multicell", ("cells", 1), "multicell config cell"),
+    ("spec", (), "profile spec"),
+    ("identify", (), "identification config"),
+]
+
+
+class TestUnknownFields:
+    @pytest.mark.parametrize("kind,path,what", UNKNOWN_FIELD_CASES,
+                             ids=[f"{k}-{'.'.join(map(str, p)) or 'root'}"
+                                  for k, p, _ in UNKNOWN_FIELD_CASES])
+    def test_unknown_field_exit_2(self, fuzz_base, kind, path, what):
+        root, base = fuzz_base
+        doc = copy.deepcopy(base[kind][0] if kind == "spec" else base[kind])
+        node = doc
+        for key in path:
+            node = node[key]
+        node["bogus"] = 1
+        code, err, left = run_fuzzed(root, base, kind, doc)
+        assert code == 2
+        assert err == f"data error: unknown {what} fields: bogus\n"
+        inputs = {"cell.json", "ekf.json", "trace.csv", "pulse.csv", "pack.json", "spec.json",
+                  "id.json"}
+        assert left == [] and {p.name for p in (root / "run").iterdir()} <= inputs

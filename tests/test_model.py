@@ -150,9 +150,21 @@ class TestStep:
     def test_dt_guard(self):
         cell = constant_c_cell(rc=((0.01, 10.0), (0.02, 40.0)))
         with pytest.raises(ConfigurationError):
-            step(CellState(3.3, np.zeros(2)), cell, 0.0, 2.1)  # tau_min/5 = 2.0
-        with pytest.raises(ConfigurationError):
             step(CellState(3.3, np.zeros(2)), cell, 0.0, -1.0)
+
+    def test_one_long_step_equals_the_chained_short_steps(self):
+        """Both maps are exact, so a step 30x tau_min/5 long is the chain of
+        30 steps of tau_min/5 to rounding."""
+        cell = make_cell(rc=((0.012, 10.0), (0.02, 40.0)))  # tau_min/5 = 2 s
+        start = CellState(3.3, np.array([0.01, -0.02]))
+        long = step(start, cell, -2.0, 60.0)
+        chained = start
+        for _ in range(30):
+            chained = step(chained, cell, -2.0, 2.0)
+        assert long.v_qst != start.v_qst
+        assert long.v_qst == pytest.approx(chained.v_qst, abs=1e-12)
+        np.testing.assert_allclose(long.v_dyn_components, chained.v_dyn_components,
+                                   rtol=0.0, atol=1e-12)
 
     def test_rc_group_converges_to_steady_state(self):
         cell = constant_c_cell(c=1e7, rc=((0.01, 10.0),), r0=0.0)
