@@ -414,27 +414,27 @@ def reconstruct_v_dyn(
     """RC voltages driven by a sampled current, one row per sample.
 
     Exact zero-order-hold integration of each group with the interval current
-    convention; starts from rest unless ``initial`` is given.
+    convention; starts from rest unless ``initial`` is given. Interval k maps
+    x to a_k x + b_k, a_k = exp(-dt_k / tau), b_k = r i_k (1 - a_k). A doubling
+    (Hillis–Steele) prefix scan composes the maps into x_k = A_k x_0 + B_k in
+    ceil(log2 n) whole-array passes, O(n log n) work; A_k is a product of
+    decays ≤ 1, so a long gap underflows to 0 and nothing overflows. The scan
+    adds in another order than the per-sample recurrence x_k = a_k x_{k-1} +
+    b_k (``step``, the filter), so the two agree to rounding, not bit for bit.
     """
     t = np.asarray(timestamps, dtype=float)
     groups = tuple(rc_groups)
-    taus = np.array([g.tau for g in groups])
-    rs = np.array([g.r for g in groups])
-    decay = np.exp(-np.diff(t)[:, None] / taus)
-    forced = rs * interval_currents(current)[:, None] * (1.0 - decay)
-    out = np.zeros((t.size, len(groups)))
-    if initial is not None:
-        out[0] = np.asarray(initial, dtype=float)
-    # One float recurrence per group: the same multiply and add, bit for bit,
-    # as the row form out[k] = out[k-1] * decay[k-1] + forced[k-1].
-    for j, (d_col, f_col) in enumerate(zip(decay.T.tolist(), forced.T.tolist())):
-        x = float(out[0, j])
-        col = [x]
-        for d, f in zip(d_col, f_col):
-            x = x * d + f
-            col.append(x)
-        out[:, j] = col
-    return out
+    taus = np.array([g.tau for g in groups])[:, None]
+    rs = np.array([g.r for g in groups])[:, None]
+    x0 = np.zeros(len(groups)) if initial is None else np.asarray(initial, dtype=float)
+    a = np.exp(-np.diff(t) / taus)
+    b = rs * interval_currents(current) * (1.0 - a)
+    s = 1
+    while s < a.shape[1]:
+        b[:, s:] += a[:, s:] * b[:, :-s]
+        a[:, s:] *= a[:, :-s]
+        s *= 2
+    return np.vstack((x0, (a * x0[:, None] + b).T))
 
 
 @dataclass(eq=False)

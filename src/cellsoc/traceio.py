@@ -65,13 +65,12 @@ def _float_texts(column) -> list[str]:
     """``[repr(x) for x in np.asarray(column, dtype=float).tolist()]`` for a
     1-D column, calling repr once per distinct bit pattern.
 
-    The column is cut into runs of entries with equal bits, and the runs'
-    heads are deduplicated by bits. One sort of the head bits finds whether
-    any head recurs; only then does ``np.unique`` map heads to distinct
-    values, so a column without repeats (timestamps, simulated voltages) pays
-    that one sort. Bits, not ``==``, decide equality, so -0.0 and 0.0 stay
-    apart and each NaN payload is its own value (all of them print as
-    ``'nan'``).
+    The column is cut into runs of equal bits; one sort of the run heads
+    counts the heads that recur. A repeat saves a repr (0.5–1.2 µs) and
+    ``np.unique`` costs up to 90 ns per head (2-core VM, numpy 2.4), so it maps
+    heads to distinct values only once repeats exceed a sixth of the heads.
+    Bits, not ``==``, decide equality, so -0.0 and 0.0 stay apart and each
+    NaN payload is its own value (all of them print as ``'nan'``).
     """
     values = np.ascontiguousarray(column, dtype=np.float64)
     bits = values.view(np.int64)
@@ -80,7 +79,7 @@ def _float_texts(column) -> list[str]:
     starts = np.flatnonzero(heads)
     head_bits = bits[starts]
     ordered = np.sort(head_bits)
-    if np.any(ordered[1:] == ordered[:-1]):
+    if 6 * np.count_nonzero(ordered[1:] == ordered[:-1]) > head_bits.size:
         distinct, which = np.unique(head_bits, return_inverse=True)
         texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
         texts = texts[which]

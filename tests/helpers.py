@@ -162,6 +162,32 @@ def running_charge_vqst(params, timestamps, current, v0):
     return np.array(v_qst), events
 
 
+def rc_recurrence(timestamps, current, rc_groups, initial=None, dtype=float):
+    """reconstruct_v_dyn's RC columns, one sample at a time.
+
+    The reference for the prefix scan: each group runs x_k = x_{k-1} * a_k + b_k
+    with a_k = exp(-dt_k / tau) and b_k = r * i_k * (1 - a_k), the same float
+    expressions as ``step``, from rest or from ``initial``. With
+    ``dtype=np.longdouble`` the decays, forcings and recurrence are carried in
+    extended precision, as an accuracy yardstick for both forms.
+    """
+    t = np.asarray(timestamps, dtype=dtype)
+    i_eff = interval_currents(np.asarray(current, dtype=float)).astype(dtype)
+    out = np.zeros((t.size, len(rc_groups)), dtype=dtype)
+    if initial is not None:
+        out[0] = np.asarray(initial, dtype=float)
+    for j, g in enumerate(rc_groups):
+        decay = np.exp(-np.diff(t) / dtype(g.tau))
+        forced = dtype(g.r) * i_eff * (dtype(1.0) - decay)
+        x = out[0, j].item()
+        col = [x]
+        for d, f in zip(decay.tolist(), forced.tolist()):
+            x = x * d + f
+            col.append(x)
+        out[:, j] = col
+    return out
+
+
 # The EKF step on numpy arrays: the independent oracle for the generated
 # kernel that predict, correct, MultiCellEkf.tick and the batch paths run.
 # The step as textbook matrix algebra (Plett, J. Power Sources 134 (2004),

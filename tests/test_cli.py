@@ -752,7 +752,7 @@ def fuzz_inputs(root):
     return {
         "cell": cell_parameters_to_dict(cell),
         "ekf": ekf_config_to_dict(EkfConfig.default(cell, initial_soc=0.7)),
-        "multicell": {"t_slot_s": 0.5, "f_max_hz": 0.5, "start_time_s": 0.0, "cells": [
+        "multicell": {"t_slot_s": 0.5, "f_max_hz": 0.5, "start_time_s": 1.0, "cells": [
             {"id": "a", "params": "cell.json", "trace": "trace.csv", "initial_soc": 0.8,
              "ref_soc0": 0.9},
             {"id": "b", "params": "cell.json", "trace": "trace.csv", "ekf": "ekf.json"}]},
@@ -826,6 +826,14 @@ FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
 
 
 class TestFuzz:
+    def test_unmutated_multicell_document_runs(self, fuzz_base):
+        """The document the multicell draws mutate reaches the engine."""
+        root, base = fuzz_base
+        code, err, left = run_fuzzed(root, base, "multicell", base["multicell"])
+        assert (code, err, left) == (0, "", ["out"])
+        assert sorted(p.name for p in (root / "run" / "out").iterdir()) == [
+            "manifest.json", "soc_a.csv", "soc_b.csv"]
+
     @pytest.mark.parametrize("kind", ["cell", "ekf", "multicell", "identify"])
     @FUZZ
     @given(data=st.data())

