@@ -11,12 +11,16 @@ loop is straight-line code generated once per state size by
 ``_series_kernel``, with the state and all m*m entries of P as locals; it
 inlines the charge map (``model._charge_map_lines``) and the covariance step
 (``_predict_lines`` and ``_update_lines``). Every sum adds its terms left to
-right from the first, whatever the builtin ``sum`` does. At rest the kernel
-reuses a covariance step that settled on a bitwise fixed point (see
+right from the first, whatever the builtin ``sum`` does. Entries (a, b) and
+(b, a) of P share their terms, which swapped operands leave bit for bit the
+same, the decay products are formed only when the step changes, and each
+check is a comparison rather than a call. At rest the kernel reuses a
+covariance step that settled on a bitwise fixed point (see
 ``_filter_series``). ``run_filter`` runs it on one trace and
 ``MultiCellEkf.run`` once per cell; the per-step API, ``predict`` and
 ``correct`` (pure functions from filter state to filter state) and
-``MultiCellEkf.tick``, runs it on one sample.
+``MultiCellEkf.tick``, runs it on one sample. The SoC column is formed from
+the kernel's v_qst by ``_soc_column``, only by the callers that report it.
 
 One rule decides whether a covariance is PSD: P + PSD_TOLERANCE * I has a
 Cholesky factor, by the proof that ``_proof_lines`` writes. ``EkfConfig`` and
@@ -175,7 +179,7 @@ def predict(
     _check_finite(current=current, dt=dt)
     if dt <= 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    return _filter_series(ekf, params, cfg, [0.0], [current], [dt], [current], measure=False)[3]
+    return _filter_series(ekf, params, cfg, [0.0], [current], [dt], [current], measure=False)[2]
 
 
 def correct(ekf: EkfState, params: CellParameters, measured_v: float, current: float,
@@ -188,7 +192,7 @@ def correct(ekf: EkfState, params: CellParameters, measured_v: float, current: f
     sample of ``_filter_series``; its clamp warnings name the caller.
     """
     _check_finite(measured_v=measured_v, current=current)
-    return _filter_series(ekf, params, cfg, [measured_v], [current], [], [], stacklevel=3)[3]
+    return _filter_series(ekf, params, cfg, [measured_v], [current], [], [], stacklevel=3)[2]
 
 
 def estimate_soc(ekf: EkfState, params: CellParameters) -> float:
@@ -233,33 +237,51 @@ def _row_sum_lines(m: int) -> list[str]:
     return [f"t{a} = {' + '.join(f'p_{a}_{b}' for b in range(m))}" for a in range(m)]
 
 
+def _decay_product_lines(m: int) -> list[str]:
+    """The products ff_a_b = f{a} * f{b} of the RC decays, 1 <= a <= b < m,
+    which scale P's RC block in F P F'."""
+    return [f"ff_{a}_{b} = f{a} * f{b}" for a in range(1, m) for b in range(a, m)]
+
+
 def _predict_lines(m: int) -> list[str]:
-    """F P F' + Q*dt on the entries p_a_b, for the diagonal f0.. of F and the
-    entries q_a_b of Q*dt, then its row sums t0.. and its check."""
+    """F P F' + Q*dt on the entries p_a_b, for the diagonal f0.. of F, the decay
+    products ff_a_b and the entries q_a_b of Q*dt, then its row sums t0.. and
+    its check. Entries (a, b) and (b, a) share one product; only those with
+    f0 are formed here. A finite total of the row sums means every entry is
+    finite, so the diagonal is then checked with an or-chain."""
     idx = range(m)
     return [
-        *(f"p_{a}_{b} = f{a} * f{b} * p_{a}_{b} + q_{a}_{b}" for a in idx for b in idx),
+        *(f"ff_0_{b} = f0 * f{b}" for b in idx),
+        *(f"p_{a}_{b} = ff_{min(a, b)}_{max(a, b)} * p_{a}_{b} + q_{a}_{b}"
+          for a in idx for b in idx),
         *_row_sum_lines(m),
         "# Scaling by a diagonal and adding PSD noise preserves",
         "# semidefiniteness, so finiteness and the diagonal suffice here.",
-        f"if not isfinite({' + '.join(f't{a}' for a in idx)})"
-        f" or min({_tuple([f'p_{a}_{a}' for a in idx])}) < -PSD_TOLERANCE:",
+        f"if not -inf < {' + '.join(f't{a}' for a in idx)} < inf"
+        f" or {' or '.join(f'p_{a}_{a} < -PSD_TOLERANCE' for a in idx)}:",
         '    raise NumericalFailureError("predicted covariance lost positive semidefiniteness")',
     ]
 
 
 def _update_lines(m: int) -> list[str]:
     """From the entries p_a_b, their row sums t0.. and r: s = 1'P1 + r, the gain
-    k0.. = t / s, the Joseph update of p_a_b and its PSD proof."""
+    k0.. = t / s, the Joseph update of p_a_b and its PSD proof. Entries (a, b)
+    and (b, a) share the terms k_a*t_b + t_a*k_b and k_a*k_b*s, which have
+    the same bits with the operands swapped, even for an asymmetric P."""
     idx = range(m)
+    joseph = []
+    for a in idx:
+        joseph.append(f"p_{a}_{a} = p_{a}_{a} - (k{a} * t{a} + t{a} * k{a}) + k{a} * k{a} * s")
+        for b in range(a + 1, m):
+            joseph += [f"kt = k{a} * t{b} + t{a} * k{b}", f"kks = k{a} * k{b} * s",
+                       f"p_{a}_{b} = p_{a}_{b} - kt + kks", f"p_{b}_{a} = p_{b}_{a} - kt + kks"]
     return [
         f"s = {' + '.join(f't{a}' for a in idx)} + r",
-        "if s <= 0.0 or not isfinite(s):",
+        "if not 0.0 < s < inf:",
         '    raise NumericalFailureError(f"innovation variance is not positive ({s})")',
         *(f"k{a} = t{a} / s" for a in idx),
         "# Joseph form with H = 1': P - K t' - t K' + s K K'.",
-        *(f"p_{a}_{b} = p_{a}_{b} - (k{a} * t{b} + t{a} * k{b}) + k{a} * k{b} * s"
-          for a in idx for b in idx),
+        *joseph,
         *_proof_lines(m, ["if not d > 0.0:", '    raise NumericalFailureError('
                           '"corrected covariance lost positive semidefiniteness")']),
     ]
@@ -288,7 +310,7 @@ def _namespace(**names) -> dict:
     """Globals for generated code: what its lines call and raise, plus ``names``."""
     return {
         "__name__": __name__,
-        "isfinite": math.isfinite,
+        "inf": math.inf,
         "sqrt": math.sqrt,
         "PSD_TOLERANCE": PSD_TOLERANCE,
         "NumericalFailureError": NumericalFailureError,
@@ -314,24 +336,27 @@ def _series_source(m: int) -> str:
     """Source of ``_series_kernel(m)``: ``_filter_series``' sample loop for size m.
 
     The state is the float v and the RC states y0..; P is the m*m locals p_a_b,
-    which live across samples. The RC group j decays by f{j+1} = exp(-h / tau_j)
-    and fills by fill{j} = 1 - f{j+1}; these and Q*h (q_a_b, from the rate
-    entries qr_a_b) are recomputed only when h changes. f0 is the charge-map
-    slope. The covariance step is ``_predict_lines`` and ``_update_lines``,
-    the charge map ``model._charge_map_lines``, every sum a ``+`` chain in
-    index order, added left to right.
+    which live across samples; a cell has an RC group, so m >= 2. The RC group
+    j decays by f{j+1} = exp(-h / tau_j) and fills by fill{j} = 1 - f{j+1};
+    these, their products ff_a_b and Q*h (q_a_b, from the rate entries
+    qr_a_b) are recomputed only when h changes. f0 is the charge-map slope.
+    The covariance step is ``_predict_lines`` and ``_update_lines``, the
+    charge map ``model._charge_map_lines``. Each check is a chain of
+    comparisons with the verdict ``math.isfinite``, ``min`` or ``max`` would
+    give; the loop calls only ``bisect_right``, ``sqrt``, ``exp``, the
+    settled check's ``np.array(...).tobytes()`` and the error constructors.
+    Every sum is a ``+`` chain in index order, added left to right.
     """
     idx = range(m)
     ys = [f"y{j}" for j in range(m - 1)]
     entries = _entries(m)
-    dyn_sum = f" + ({' + '.join(ys)})" if ys else ""  # an empty sum is left out
-    innovation = f"innovation = z - (v{dyn_sum} + drop)"
-    finite = "not isfinite(v)" + (f" or not isfinite({' + '.join(ys)})" if ys else "")
-    measure = ["if i < i_lo or i > i_hi:", "    n_cur += 1", innovation]
+    dyn_sum = " + ".join(ys)
+    measure = ["if i < i_lo or i > i_hi:", "    n_cur += 1",
+               f"innovation = z - (v + ({dyn_sum}) + drop)"]
     gain = [
         "v += k0 * innovation",
         *(f"y{j} = y{j} + k{j + 1} * innovation" for j in range(m - 1)),
-        f"if {finite}:",
+        f"if not -inf < v < inf or not -inf < {dyn_sum} < inf:",
         '    raise InvalidInputError("cell state must be finite")',
     ]
     record = ["if v < soc_lo or v > soc_hi:", "    n_soc += 1",
@@ -346,9 +371,10 @@ def _series_source(m: int) -> str:
             f" == np.array({_tuple(['prev_' + x for x in entries])}).tobytes()")
     first = [*measure, "if update:", *_indent([*_row_sum_lines(m), *_update_lines(m), *gain], 1),
              *record]
+    charge_setup, charge_map = _charge_map_lines()
     step = [
         "charge = u * h",
-        *_charge_map_lines(),
+        *charge_map,
         "if v < v_lo:",
         "    v = v_lo",
         "elif v > v_hi:",
@@ -357,6 +383,7 @@ def _series_source(m: int) -> str:
         "    h_prev = h",
         *(f"    f{j + 1} = exp(-h / tau{j})" for j in range(m - 1)),
         *(f"    fill{j} = 1.0 - f{j + 1}" for j in range(m - 1)),
+        *_indent(_decay_product_lines(m), 1),
         *(f"    q_{a}_{b} = qr_{a}_{b} * h" for a in idx for b in idx),
         *(f"y{j} = y{j} * f{j + 1} + rd{j} * u * fill{j}" for j in range(m - 1)),
         "reuse = f0 == f_steady and h == h_steady",
@@ -379,12 +406,13 @@ def _series_source(m: int) -> str:
         "def filter_series(v, dyn, p, q_rate, taus, r_dyn, r, tables, bounds, counts,",
         "                  dt, i_pred, voltage, current, drops, innov_out, vqst_out):",
         *_indent([
-            f"{_tuple(ys)} = dyn" if ys else "del dyn",
+            f"{_tuple(ys)} = dyn",
             f"{_tuple(entries)} = p",
             f"{_tuple(_entries(m, 'qr'))} = q_rate",
-            *([f"{_tuple([f'tau{j}' for j in range(m - 1)])} = taus",
-               f"{_tuple([f'rd{j}' for j in range(m - 1)])} = r_dyn"] if ys else []),
+            f"{_tuple([f'tau{j}' for j in range(m - 1)])} = taus",
+            f"{_tuple([f'rd{j}' for j in range(m - 1)])} = r_dyn",
             "cg, cc, ck = tables",
+            *charge_setup,
             "i_lo, i_hi, v_lo, v_hi, soc_lo, soc_hi = bounds",
             "update = not isinf(r)",
             "h_prev = f_steady = h_steady = nan",
@@ -437,7 +465,7 @@ def _filter_series(
     i_pred: np.ndarray,
     stacklevel: int = 2,
     measure: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, EkfState, tuple[int, int, int]]:
+) -> tuple[np.ndarray, np.ndarray, EkfState, tuple[int, int, int]]:
     """Predict and correct over a whole series on plain floats.
 
     Each sample is predicted over its entry of ``dt`` at its entry of
@@ -445,17 +473,18 @@ def _filter_series(
     ``current``. When ``dt`` and ``i_pred`` are one entry shorter, they belong
     to the second sample on and the first sample is a correction only. The
     inputs must be finite: trace columns are by construction, and the per-step
-    callers check theirs. Returns per-sample SoC, innovation and v_qst, the
-    final filter state and the counts (current clamps, v_qst clamps, reused
-    steps): the samples whose current lies outside the resistor curve, those
-    whose v_qst lies outside [v_min, v_max], and those that reused a settled
-    covariance step. The loop only counts; once it has ended, returned or
-    raised, this function emits at most one ``OutOfRangeWarning`` per kind,
-    the current clamp first, so a run that raises still reports the clamps it
-    made. Warnings are attributed ``stacklevel`` frames up, as
-    ``warnings.warn`` counts them from here. ``measure=False`` is
-    ``predict``'s switch: r is infinite and the current and v_qst clamp bounds
-    are infinite, so no sample is corrected, counted or warned about.
+    callers check theirs. Returns per-sample innovation and v_qst (the callers
+    that report SoC take it from v_qst with ``_soc_column``), the final filter
+    state and the counts (current clamps, v_qst clamps, reused steps): the
+    samples whose current lies outside the resistor curve, those whose v_qst
+    lies outside [v_min, v_max], and those that reused a settled covariance
+    step. The loop only counts; once it has ended, returned or raised, this
+    function emits at most one ``OutOfRangeWarning`` per kind, the current
+    clamp first, so a run that raises still reports the clamps it made.
+    Warnings are attributed ``stacklevel`` frames up, as ``warnings.warn``
+    counts them from here. ``measure=False`` is ``predict``'s switch: r is
+    infinite and the current and v_qst clamp bounds are infinite, so no
+    sample is corrected, counted or warned about.
 
     The loop is ``_series_kernel(m)``: straight-line code generated for the
     state size, with the RC states and all m*m entries of P as locals, so an
@@ -498,11 +527,15 @@ def _filter_series(
         if n_soc:
             warnings.warn(_soc_clamp_message(params), OutOfRangeWarning, stacklevel=stacklevel)
 
-    # soc_from_vqst over the whole column; its clamp warning was raised above.
-    soc_out = (params.capacitance.integral_array(np.clip(vqst_out, params.v_min, params.v_max))
-               / params.delta_q)
     final = EkfState(CellState(v, np.array(dyn)), np.array(p).reshape(m, m))
-    return soc_out, innov_out, vqst_out, final, tuple(counts)
+    return innov_out, vqst_out, final, tuple(counts)
+
+
+def _soc_column(params: CellParameters, v_qst: np.ndarray) -> np.ndarray:
+    """``soc_from_vqst`` over a v_qst column of ``_filter_series``, which has
+    already warned about the samples it clamps."""
+    return (params.capacitance.integral_array(np.clip(v_qst, params.v_min, params.v_max))
+            / params.delta_q)
 
 
 def run_filter(
@@ -520,8 +553,8 @@ def run_filter(
     """
     voltage = trace.require_voltage()
     t = trace.timestamps
-    soc, innov, v_qst, final, counts = _filter_series(
+    innov, v_qst, final, counts = _filter_series(
         make_filter(cfg), params, cfg, voltage, trace.current,
         np.diff(t), interval_currents(trace.current),
     )
-    return FilterRun(t.copy(), soc, innov, v_qst, final, *counts)
+    return FilterRun(t.copy(), _soc_column(params, v_qst), innov, v_qst, final, *counts)

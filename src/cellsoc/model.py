@@ -255,27 +255,32 @@ def charge_map(capacitance: MonotoneCurve, v0: float, charge: float) -> tuple[fl
     return v1, c0 / c1
 
 
-def _charge_map_lines() -> list[str]:
-    """``charge_map`` as source lines, for kernels that inline it per sample.
+def _charge_map_lines() -> tuple[list[str], list[str]]:
+    """``charge_map`` as source lines (setup, body), for kernels that inline it
+    per sample.
 
-    The lines read the locals ``v`` and ``charge`` and the capacitance tables
-    ``cg, cc, ck`` (grid, values and knot integrals, ``MonotoneCurve._tables``),
-    and set ``v, f0`` to what ``charge_map(capacitance, v, charge)`` returns,
-    bit for bit: ``integral_and_value`` then ``inverse_integral``, the same
-    expressions in the same order. They need ``bisect_right`` and ``sqrt`` in
-    scope, use the temporaries ``cj, cx, cq, dq, slope, c0, c1`` and are
-    indented from 0.
+    The setup, run once before the loop, reads the ends of the capacitance
+    tables ``cg, cc, ck`` (grid, values and knot integrals,
+    ``MonotoneCurve._tables``) into ``cg_lo, cg_hi, cc_lo, cc_hi, ck_hi``.
+    The body reads those, the tables and the locals ``v`` and ``charge``, and
+    sets ``v, f0`` to what ``charge_map(capacitance, v, charge)`` returns, bit
+    for bit: ``integral_and_value`` then ``inverse_integral``, the same
+    expressions in the same order (``if w < 0.0: w = 0.0`` keeps a NaN and a
+    -0.0 as ``max(w, 0.0)`` does). The body needs ``bisect_right`` and
+    ``sqrt`` in scope, uses the temporaries ``cj, cx, cq, dq, slope, w, c0,
+    c1`` and both lists are indented from 0.
     """
-    return [
+    setup = ["cg_lo, cg_hi, cc_lo, cc_hi, ck_hi = cg[0], cg[-1], cc[0], cc[-1], ck[-1]"]
+    body = [
         "if charge == 0.0:",
         "    f0 = 1.0",
         "else:",
-        "    if v <= cg[0]:",
-        "        c0 = cc[0]",
-        "        cq = (v - cg[0]) * c0",
-        "    elif v >= cg[-1]:",
-        "        c0 = cc[-1]",
-        "        cq = ck[-1] + (v - cg[-1]) * c0",
+        "    if v <= cg_lo:",
+        "        c0 = cc_lo",
+        "        cq = (v - cg_lo) * c0",
+        "    elif v >= cg_hi:",
+        "        c0 = cc_hi",
+        "        cq = ck_hi + (v - cg_hi) * c0",
         "    else:",
         "        cj = bisect_right(cg, v) - 1",
         "        cx = v - cg[cj]",
@@ -283,20 +288,24 @@ def _charge_map_lines() -> list[str]:
         "        cq = ck[cj] + 0.5 * (cc[cj] + c0) * cx",
         "    cq = cq + charge",
         "    if cq <= 0.0:",
-        "        c1 = cc[0]",
-        "        v = cg[0] + cq / c1",
-        "    elif cq >= ck[-1]:",
-        "        c1 = cc[-1]",
-        "        v = cg[-1] + (cq - ck[-1]) / c1",
+        "        c1 = cc_lo",
+        "        v = cg_lo + cq / c1",
+        "    elif cq >= ck_hi:",
+        "        c1 = cc_hi",
+        "        v = cg_hi + (cq - ck_hi) / c1",
         "    else:",
         "        cj = bisect_right(ck, cq) - 1",
         "        dq = cq - ck[cj]",
         "        cx = cc[cj]",
         "        slope = (cc[cj + 1] - cx) / (cg[cj + 1] - cg[cj])",
-        "        c1 = sqrt(max(cx * cx + 2.0 * slope * dq, 0.0))",
+        "        w = cx * cx + 2.0 * slope * dq",
+        "        if w < 0.0:",
+        "            w = 0.0",
+        "        c1 = sqrt(w)",
         "        v = cg[cj] + 2.0 * dq / (cx + c1)",
         "    f0 = c0 / c1",
     ]
+    return setup, body
 
 
 def step(

@@ -31,7 +31,7 @@ from .errors import (
     SchedulingViolationError,
     SchedulingWarning,
 )
-from .estimator import EkfConfig, EkfState, _filter_series, make_filter
+from .estimator import EkfConfig, EkfState, _filter_series, _soc_column, make_filter
 from .model import CellParameters, _check_finite, coulomb_count
 from .profiles import _MAX_SAMPLES
 
@@ -202,8 +202,9 @@ class MultiCellEkf:
                 stacklevel=2,
             )
         i, z = measurement.current, measurement.voltage
-        soc, innovation, _, slot.ekf, _ = _filter_series(
+        innovation, v_qst, slot.ekf, _ = _filter_series(
             slot.ekf, slot.params_ref, slot.ekf_config, [z], [i], [dt], [i], stacklevel=3)
+        soc = _soc_column(slot.params_ref, v_qst)
         slot.last_serviced_t = now
         self._ring = (self._ring + 1) % len(self.config.cells)
         return TickResult(expected, now, float(soc[0]), float(innovation[0]))
@@ -300,9 +301,10 @@ class MultiCellEkf:
                                            stacklevel=3))
 
         series = {}
-        for (cell_id, now, idx), (soc, innovations, _, final, counts) in zip(picks, filtered):
-            series[cell_id] = CellSeries(now, soc, refs[cell_id][idx], innovations, *counts)
+        for (cell_id, now, idx), (innovations, v_qst, final, counts) in zip(picks, filtered):
             slot = self.slots[cell_id]
+            soc = _soc_column(slot.params_ref, v_qst)
+            series[cell_id] = CellSeries(now, soc, refs[cell_id][idx], innovations, *counts)
             slot.ekf = final
             if now.size:
                 slot.last_serviced_t = float(now[-1])

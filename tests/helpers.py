@@ -30,7 +30,8 @@ from cellsoc import (
     simulate,
 )
 from cellsoc.estimator import (
-    PSD_TOLERANCE, _entries, _indent, _namespace, _predict_lines, _tuple, _update_lines)
+    PSD_TOLERANCE, _decay_product_lines, _entries, _indent, _namespace, _predict_lines, _tuple,
+    _update_lines)
 from cellsoc.model import (
     DEFAULT_VQST_GUARD, _check_finite, _current_clamp_message, _soc_clamp_message, charge_map,
     interval_currents)
@@ -352,7 +353,9 @@ def list_correct(p, r):
 def covariance_steps(m: int):
     """The covariance step of ``estimator._filter_series`` on its own, for size m,
     compiled from the lines the kernel inlines (``_predict_lines`` and
-    ``_update_lines``), so one step of the kernel can be held to its list form.
+    ``_update_lines``), so one step of the kernel can be held to its list form;
+    the predict first forms the decay products of ``_decay_product_lines``, as
+    the kernel does when h changes.
 
     Returns two functions on flat row-major tuples of m*m floats for P and
     Q*dt and tuples of m floats for f, t and k. ``predict_covariance(p, f, q)
@@ -369,7 +372,7 @@ def covariance_steps(m: int):
     source = "\n".join([
         "def predict_covariance(p, f, q):",
         *_indent([f"{flat} = p", f"{f} = f", f"{_tuple(_entries(m, 'q'))} = q",
-                  *_predict_lines(m), f"return {flat}, {t}"], 1),
+                  *_decay_product_lines(m), *_predict_lines(m), f"return {flat}, {t}"], 1),
         "",
         "def correct_covariance(p, t, r):",
         *_indent([f"{flat} = p", f"{t} = t", *_update_lines(m), f"return {flat}, {k}"], 1),
@@ -437,11 +440,8 @@ def list_filter_series(ekf, params, cfg, voltage, current, dt, i_pred):
             warnings.warn(_current_clamp_message(res), OutOfRangeWarning)
         if n_soc:
             warnings.warn(_soc_clamp_message(params), OutOfRangeWarning)
-    vqst = np.array(vqst)
-    soc = (params.capacitance.integral_array(np.clip(vqst, params.v_min, params.v_max))
-           / params.delta_q)
     state = EkfState(CellState(v, np.array(dyn)), np.array(p))
-    return soc, np.array(innovations), vqst, state, (n_cur, n_soc)
+    return np.array(innovations), np.array(vqst), state, (n_cur, n_soc)
 
 
 def near_boundary_draws():

@@ -93,12 +93,25 @@ NEGATIVE_ZEROS = [[-0.0] * 3] * 3
 # Rows that add to 0.0 left to right and to 1.0 compensated, as Python 3.12's
 # sum() adds them: both sides must add left to right.
 CANCELLING = [[1e16, 1.0, -1e16], [1.0, 2.0, 0.5], [-1e16, 0.5, 1e16]]
+ZEROS = [[0.0] * 2] * 2
 
 
 @PROPERTY
 @given(covariance_cases())
 @example((3, NEGATIVE_ZEROS, [0.5, 0.9, 0.1], NEGATIVE_ZEROS, 1e-4))
 @example((3, CANCELLING, [1.0, 1.0, 1.0], [[0.0] * 3] * 3, 1e-4))
+# Each check written as a comparison, failing. Q*dt overflows the predicted P,
+# or is infinite itself:
+@example((2, [[1e308, 0.0], [0.0, 1.0]], [1.0, 1.0], [[1e308, 0.0], [0.0, 0.0]], 1e-4))
+@example((2, [[1.0, 0.0], [0.0, 1.0]], [1.0, 0.5], [[math.inf, 0.0], [0.0, math.inf]], 1e-4))
+# a negative diagonal entry last in the or-chain, alone and beside a NaN:
+@example((3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]], [1.0, 1.0, 1.0],
+          [[0.0] * 3] * 3, 1e-4))
+@example((2, [[math.nan, 0.0], [0.0, -1.0]], [1.0, 1.0], ZEROS, 1e-4))
+# s negative, NaN and infinite:
+@example((1, [[-1.0]], [1.0], [[0.0]], 1e-4))
+@example((2, [[math.nan, 0.0], [0.0, 1.0]], [1.0, 1.0], ZEROS, 1e-4))
+@example((2, [[1e308, 1e308], [1e308, 1e308]], [1.0, 1.0], ZEROS, 1e-4))
 def test_generated_step_is_the_list_form_bit_for_bit(case):
     """Predict, then correct; and correct alone, as on a filter's first sample."""
     m, p, f, q_dt, r = case

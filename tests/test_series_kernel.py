@@ -9,6 +9,7 @@ the same warnings in the same order. Bits are compared through
 ``.view(np.int64)``, so a zero's sign and a NaN count.
 """
 
+import ast
 import math
 import warnings
 from bisect import bisect_right
@@ -98,13 +99,13 @@ def reuse_count(case):
     assert [w[:2] for w in got_warnings] == [w[:2] for w in want_warnings]
     if want is None:
         return 0
-    for a, b in zip(got[:3], want[:3]):
+    for a, b in zip(got[:2], want[:2]):
         assert bits(a) == bits(b)
-    assert bits(got[3].mean.v_qst) == bits(want[3].mean.v_qst)
-    assert bits(got[3].mean.v_dyn_components) == bits(want[3].mean.v_dyn_components)
-    assert bits(got[3].covariance) == bits(want[3].covariance)
-    current_clamps, soc_clamps, reused = got[4]
-    assert (current_clamps, soc_clamps) == want[4]
+    assert bits(got[2].mean.v_qst) == bits(want[2].mean.v_qst)
+    assert bits(got[2].mean.v_dyn_components) == bits(want[2].mean.v_dyn_components)
+    assert bits(got[2].covariance) == bits(want[2].covariance)
+    current_clamps, soc_clamps, reused = got[3]
+    assert (current_clamps, soc_clamps) == want[3]
     return reused
 
 
@@ -134,6 +135,89 @@ def test_settled_rests_reuse_the_step_bit_for_bit(n_rc, p0_kind):
         assert reuse_count(series_case(seed, n_rc, phases, 1e-6, 1e-4, p0_kind, first)) > 1500
 
 
+PREDICTED = (NumericalFailureError, "predicted covariance lost positive semidefiniteness")
+
+
+def failing_case(seed, n_rc, kind, first):
+    """A 20-sample drive of ``series_case`` at 2 s made extreme so that one check
+    of the loop fails, and the error it must raise.
+
+    "predicted": Q = 1e308 per second, so Q*dt overflows and the predicted P is
+    not finite. "indefinite": P0 = -I, so s < 0 on a first correction and the
+    predicted diagonal is negative otherwise. "huge": P0 is all 1e308, so s
+    overflows to inf, or the predicted row sums do. "state": P0 = u u' +
+    I/100 with u = (2, -1, 0, ...), a gain on v_qst near 2, and a voltage
+    glitch of 1.7e308 V on the first sample, so v_qst overflows; "rc state":
+    u = (-1, 2, 0, ...), so the first RC state overflows instead.
+    """
+    ekf, cell, cfg, voltage, current, dt, i_pred = series_case(
+        seed, n_rc, [("drive", 20, 2.0)], 1e-6, 1e-4, "default", first)
+    m = n_rc + 1
+    q, p0 = cfg.process_noise_q, ekf.covariance
+    if kind == "predicted":
+        q, error = 1e308 * np.eye(m), PREDICTED
+    elif kind == "indefinite":
+        p0, error = -np.eye(m), PREDICTED
+        if first:
+            error = (NumericalFailureError, f"innovation variance is not positive ({-m + 1e-4})")
+    elif kind == "huge":
+        p0, error = np.full((m, m), 1e308), PREDICTED
+        if first:
+            error = (NumericalFailureError, "innovation variance is not positive (inf)")
+    else:
+        u = np.zeros(m)
+        u[:2] = (2.0, -1.0) if kind == "state" else (-1.0, 2.0)
+        p0 = np.outer(u, u) + 0.01 * np.eye(m)
+        voltage = voltage.copy()
+        voltage[0] = 1.7e308
+        error = (InvalidInputError, "cell state must be finite")
+    cfg = EkfConfig(q, cfg.measurement_noise_r, cfg.initial_covariance_p0, cfg.initial_state)
+    return (EkfState(ekf.mean, p0), cell, cfg, voltage, current, dt, i_pred), error
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3),
+       st.sampled_from(["predicted", "indefinite", "huge", "state", "rc state"]), st.booleans())
+@example(1, 2, "predicted", False)
+@example(1, 2, "predicted", True)
+@example(2, 1, "indefinite", True)
+@example(2, 3, "indefinite", False)
+@example(3, 2, "huge", True)
+@example(3, 2, "huge", False)
+@example(4, 2, "state", True)
+@example(4, 3, "state", False)
+@example(5, 1, "rc state", True)
+@example(5, 3, "rc state", False)
+def test_failing_checks_raise_as_the_list_form(seed, n_rc, kind, first):
+    """Each check of the loop, written as a comparison, raises where the list
+    form's ``isfinite``, ``min`` and ``<=`` checks do, with the same message."""
+    case, error = failing_case(seed, n_rc, kind, first)
+    reuse_count(case)
+    assert outcome(lambda: estimator._filter_series(*case))[1] == error
+
+
+def call_name(call: ast.Call) -> str:
+    """The callee of ``call`` as source, with ``f(...).tobytes`` for a call's bytes."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Call):
+        return f"{ast.unparse(func.value.func)}(...).{func.attr}"
+    return ast.unparse(func)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_sample_loops_call_only_what_they_must(m):
+    """Per sample, the loops call the curve lookups, roots and decays, the settled
+    check's bytes and the error constructors, and nothing else: a check written
+    with ``isfinite``, ``min`` or ``max`` again fails here."""
+    loops = [node for node in ast.walk(ast.parse(estimator._series_source(m)))
+             if isinstance(node, ast.For)]
+    assert len(loops) == 2
+    calls = {call_name(node) for loop in loops for statement in loop.body
+             for node in ast.walk(statement) if isinstance(node, ast.Call)}
+    assert calls == {"bisect_right", "sqrt", "exp", "np.array", "np.array(...).tobytes",
+                     "NumericalFailureError", "InvalidInputError"}
+
+
 def test_warnings_name_the_caller_of_filter_series():
     """The loop only counts; ``_filter_series`` warns, naming its caller."""
     case = series_case(5, 2, [("charge", 40, 2.0)], 1e-6, 1e-4, "default", True)
@@ -143,8 +227,10 @@ def test_warnings_name_the_caller_of_filter_series():
 
 
 def compiled_charge_map():
-    """``_charge_map_lines`` compiled as ``cm(v, charge, cg, cc, ck) -> (v1, f0)``."""
-    body = "".join(f"    {line}\n" for line in _charge_map_lines())
+    """``_charge_map_lines`` compiled as ``cm(v, charge, cg, cc, ck) -> (v1, f0)``:
+    its setup lines, then its body."""
+    setup, lines = _charge_map_lines()
+    body = "".join(f"    {line}\n" for line in [*setup, *lines])
     namespace = {"bisect_right": bisect_right, "sqrt": math.sqrt}
     exec(f"def cm(v, charge, cg, cc, ck):\n{body}    return v, f0\n", namespace)
     return namespace["cm"]
@@ -176,12 +262,28 @@ def charge_map_cases(draw):
     return curve, v0, charge
 
 
+def value_or_error(fn):
+    """The bits of fn()'s result, or None and its error as (type, message)."""
+    try:
+        return bits(fn()), None
+    except ZeroDivisionError as exc:
+        return None, (type(exc), str(exc))
+
+
+# A curve falling to 1e-12 of its start, and the charge one ulp below its
+# integral: the radicand c0*c0 + 2*slope*dq rounds to -2.2e-16, is set to 0.0,
+# and C(v1) = 0 fails the division by it.
+SINKING = MonotoneCurve([0.0, 0.447488222510825],
+                        [1.0201056859227466, 1.0201056859227466 * 1e-12])
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(charge_map_cases())
+@example((SINKING, 0.0, 0.22824264008360612))
 def test_charge_map_lines_are_charge_map_bit_for_bit(case):
     curve, v0, charge = case
-    assert bits(CHARGE_MAP(v0, charge, *curve._tables)) == bits(
-        charge_map(curve, v0, charge))
+    assert value_or_error(lambda: CHARGE_MAP(v0, charge, *curve._tables)) == value_or_error(
+        lambda: charge_map(curve, v0, charge))
 
 
 def test_state_of_another_size_is_refused():
