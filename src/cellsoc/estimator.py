@@ -339,7 +339,8 @@ def _series_source(m: int) -> str:
     which live across samples; a cell has an RC group, so m >= 2. The RC group
     j decays by f{j+1} = exp(-h / tau_j) and fills by fill{j} = 1 - f{j+1};
     these, their products ff_a_b and Q*h (q_a_b, from the rate entries
-    qr_a_b) are recomputed only when h changes. f0 is the charge-map slope.
+    qr_a_b) are recomputed only when h changes, when a diagonal entry of Q*h
+    that is not finite raises. f0 is the charge-map slope.
     The covariance step is ``_predict_lines`` and ``_update_lines``, the
     charge map ``model._charge_map_lines``. Each check is a chain of
     comparisons with the verdict ``math.isfinite``, ``min`` or ``max`` would
@@ -385,6 +386,9 @@ def _series_source(m: int) -> str:
         *(f"    fill{j} = 1.0 - f{j + 1}" for j in range(m - 1)),
         *_indent(_decay_product_lines(m), 1),
         *(f"    q_{a}_{b} = qr_{a}_{b} * h" for a in idx for b in idx),
+        # Q is PSD, so a finite diagonal bounds every entry of Q*h.
+        f"    if {' or '.join(f'not -inf < q_{a}_{a} < inf' for a in idx)}:",
+        '        raise NumericalFailureError(f"process noise Q * dt is not finite (dt = {h})")',
         *(f"y{j} = y{j} * f{j + 1} + rd{j} * u * fill{j}" for j in range(m - 1)),
         "reuse = f0 == f_steady and h == h_steady",
         "if reuse:",

@@ -13,8 +13,10 @@ SoC CSV schema: header ``t_s,cell_id,soc_est,soc_ref,v_innov``, one row per
 filtered sample or service.
 
 Every float is written with repr, so a save/load round-trip is bit-exact.
-repr depends only on a float's 64 bits, so the writers format each distinct
-bit pattern of a column once and repeat its text (``_float_texts``).
+The CSV writers stream: they format and write ``_BLOCK_ROWS`` rows at a
+time, so the text they hold is one block's, whatever the row count. repr
+depends only on a float's 64 bits, so they format each distinct bit pattern
+of a block once and repeat its text (``_float_texts``).
 
 Trace bodies are read in bulk by ``np.loadtxt``, whose float parser accepts
 a subset of what ``float()`` accepts and gives the same bits. Any body it
@@ -30,12 +32,13 @@ import os
 import tempfile
 import warnings
 from dataclasses import fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .curves import MonotoneCurve
-from .errors import ConfigurationError, TraceParseError
+from .errors import ConfigurationError, InvalidInputError, TraceParseError
 from .estimator import EkfConfig
 from .identification import IdentificationConfig
 from .model import CellParameters, CellState, RcGroup, Trace
@@ -46,19 +49,29 @@ TRACE_HEADER = "t_s,current_a,voltage_v"
 PROFILE_HEADER = "t_s,current_a"
 SOC_HEADER = "t_s,cell_id,soc_est,soc_ref,v_innov"
 
+# Rows a CSV writer formats and writes at a time.
+_BLOCK_ROWS = 4096
 
-def atomic_write_text(path, text: str) -> None:
-    """Write a file via temp-then-rename so failures leave no partial output."""
+
+def atomic_write_chunks(path, chunks) -> None:
+    """Write the text chunks of an iterable, in order, into one temp file, then
+    rename it into place. A failure, in any chunk included, leaves neither the
+    file nor the temp file; a file already at ``path`` is kept as it was."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write a file via temp-then-rename so failures leave no partial output."""
+    atomic_write_chunks(path, (text,))
 
 
 def _float_texts(column) -> list[str]:
@@ -91,16 +104,31 @@ def _float_texts(column) -> list[str]:
     return np.repeat(texts, np.diff(starts, append=values.size)).tolist()
 
 
+def _csv_chunks(header: str, parts: list):
+    """A CSV's text in chunks: the header line, then the rows ``_BLOCK_ROWS`` at a
+    time, every line ending in a newline. ``parts`` holds a row's fields in
+    order: a column of floats, written as repr per value (``_float_texts`` of
+    the block's slice), or a str that every row repeats. The columns have
+    equal lengths."""
+    yield header + "\n"
+    n = next(len(part) for part in parts if not isinstance(part, str))
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        texts = [repeat(part) if isinstance(part, str) else _float_texts(part[start:stop])
+                 for part in parts]
+        yield "\n".join([*map(",".join, zip(*texts)), ""])
+
+
 def save_trace(trace: Trace, path) -> None:
-    """Write a trace CSV. Each float is written as its repr, formatted once per
-    distinct bit pattern in its column (``_float_texts``)."""
+    """Write a trace CSV, streamed ``_BLOCK_ROWS`` rows at a time. Each float is
+    written as its repr, formatted once per distinct bit pattern in its
+    column's block (``_float_texts``)."""
     columns = [trace.timestamps, trace.current]
     header = PROFILE_HEADER
     if trace.voltage is not None:
         columns.append(trace.voltage)
         header = TRACE_HEADER
-    lines = [header, *map(",".join, zip(*map(_float_texts, columns))), ""]
-    atomic_write_text(path, "\n".join(lines))
+    atomic_write_chunks(path, _csv_chunks(header, columns))
 
 
 def _read_header(fh, path) -> int:
@@ -384,11 +412,17 @@ def load_multicell_config(path) -> tuple[MultiCellEkf, dict[str, Trace], dict[st
 
 def save_soc_rows(cell_id: str, path, times, soc_est, soc_ref, innovations) -> None:
     """Write one cell's per-sample estimates as a SoC CSV, one row per entry
-    of the columns. Each float is written as its repr, formatted once per
-    distinct bit pattern in its column (``_float_texts``). A cell id that
-    ``multicell.check_cell_id`` refuses raises ConfigurationError before
-    anything is written."""
+    of the columns, streamed ``_BLOCK_ROWS`` rows at a time. Each float is
+    written as its repr, formatted once per distinct bit pattern in its
+    column's block (``_float_texts``). A cell id that
+    ``multicell.check_cell_id`` refuses raises ConfigurationError, and columns
+    of unequal lengths raise InvalidInputError, before anything is written."""
     check_cell_id(cell_id)
-    t, soc, ref, innov = map(_float_texts, (times, soc_est, soc_ref, innovations))
-    rows = [f"{a},{cell_id},{b},{c},{d}" for a, b, c, d in zip(t, soc, ref, innov)]
-    atomic_write_text(path, "\n".join([SOC_HEADER, *rows, ""]))
+    columns = {"times": times, "soc_est": soc_est, "soc_ref": soc_ref,
+               "innovations": innovations}
+    lengths = {name: len(c) for name, c in columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise InvalidInputError("SoC columns must have equal lengths, got "
+                                + ", ".join(f"{name} {n}" for name, n in lengths.items()))
+    atomic_write_chunks(path, _csv_chunks(SOC_HEADER, [times, cell_id, soc_est, soc_ref,
+                                                       innovations]))

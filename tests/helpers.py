@@ -209,6 +209,8 @@ def numpy_predict(ekf, params, current, dt, cfg):
     decay = np.exp(-dt / params.taus)
     v_dyn = ekf.mean.v_dyn_components * decay + params.rs * current * (1.0 - decay)
     f_diag = np.concatenate(([f00], decay))
+    if not all(math.isfinite(q * dt) for q in np.diagonal(cfg.process_noise_q).tolist()):
+        raise NumericalFailureError(f"process noise Q * dt is not finite (dt = {float(dt)})")
     cov = np.outer(f_diag, f_diag) * ekf.covariance + cfg.process_noise_q * dt
     cov = 0.5 * (cov + cov.T)
     # Scaling by a diagonal and adding PSD noise preserves semidefiniteness, so
@@ -386,8 +388,9 @@ def list_filter_series(ekf, params, cfg, voltage, current, dt, i_pred):
     """estimator._filter_series in list form, the reference for its generated loop.
 
     Each sample past the first ``len(voltage) - len(dt)`` is predicted through
-    ``charge_map``, ``math.exp`` decays and ``list_predict``; every sample is
-    corrected through ``list_correct`` unless r is infinite. No step is reused.
+    ``charge_map``, ``math.exp`` decays and ``list_predict``, after a check that
+    Q*dt has a finite diagonal; every sample is corrected through
+    ``list_correct`` unless r is infinite. No step is reused.
     Raises and warns as the kernel does: it counts the samples whose current
     and whose v_qst it clamps, and warns once for each kind with a count
     above 0, also when it raises. Returns what the kernel returns, with the
@@ -421,7 +424,10 @@ def list_filter_series(ekf, params, cfg, voltage, current, dt, i_pred):
                 decay = [math.exp(-h / tau) for tau in params.taus.tolist()]
                 dyn = [c * d + rj * u * (1.0 - d)
                        for c, d, rj in zip(dyn, decay, params.rs.tolist())]
-                p = list_predict(p, [f0, *decay], [[x * h for x in row] for row in q])
+                q_dt = [[x * h for x in row] for row in q]
+                if not all(math.isfinite(q_dt[a][a]) for a in range(m)):
+                    raise NumericalFailureError(f"process noise Q * dt is not finite (dt = {h})")
+                p = list_predict(p, [f0, *decay], q_dt)
             if i < res.x_min or i > res.x_max:
                 n_cur += 1
             innovation = z - ((v + left_to_right(dyn) if dyn else v) + drop)

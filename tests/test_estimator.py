@@ -155,6 +155,24 @@ class TestPredict:
             assert np.array_equal(p, p.T)
             assert np.min(np.linalg.eigvalsh(p)) >= -1e-10
 
+    def test_process_noise_that_overflows_over_dt_is_named(self):
+        """Q = 1e308 per second is a valid config; over a 2 s step Q*dt overflows,
+        and every predict names that rather than a loss of semidefiniteness."""
+        cell = make_cell()
+        base = EkfConfig.default(cell)
+        cfg = EkfConfig(1e308 * np.eye(3), base.measurement_noise_r,
+                        base.initial_covariance_p0, base.initial_state)
+        trace = Trace(np.array([0.0, 2.0]), np.zeros(2), np.full(2, 3.3))
+        message = r"^process noise Q \* dt is not finite \(dt = 2\.0\)$"
+        for run in (lambda: run_filter(cell, trace, cfg),
+                    lambda: predict(make_filter(cfg), cell, 0.0, 2.0, cfg),
+                    lambda: numpy_predict(make_filter(cfg), cell, 0.0, 2.0, cfg)):
+            with pytest.raises(NumericalFailureError, match=message):
+                run()
+        # Over 1 s, Q*dt is finite and the predicted covariance overflows instead.
+        with pytest.raises(NumericalFailureError, match="predicted covariance lost"):
+            predict(make_filter(cfg), cell, 0.0, 1.0, cfg)
+
 
 class TestCorrect:
     def test_zero_innovation_keeps_mean_shrinks_covariance(self):
@@ -358,7 +376,7 @@ class TestFilterRuns:
 
     def test_a_run_that_raises_still_warns_of_its_clamps(self):
         """The first sample, a correction only, clamps its current (80 A) and its
-        v_qst (read at 10 V); the second predicts Q * dt = 1e307 * 100, which
+        v_qst (read at 10 V); the second predicts with Q * dt = 1e307 * 100, which
         overflows, so the run raises after those clamps."""
         cell = make_cell()
         base = EkfConfig.default(cell)
@@ -367,7 +385,7 @@ class TestFilterRuns:
         trace = Trace(np.array([0.0, 100.0]), np.array([80.0, 0.0]), np.array([10.0, 3.3]))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(NumericalFailureError, match="predicted covariance"):
+            with pytest.raises(NumericalFailureError, match=r"process noise Q \* dt"):
                 run_filter(cell, trace, cfg)
         assert [(w.category, str(w.message)) for w in caught] == [
             (OutOfRangeWarning, _current_clamp_message(cell.resistor)),

@@ -142,9 +142,9 @@ def failing_case(seed, n_rc, kind, first):
     """A 20-sample drive of ``series_case`` at 2 s made extreme so that one check
     of the loop fails, and the error it must raise.
 
-    "predicted": Q = 1e308 per second, so Q*dt overflows and the predicted P is
-    not finite. "indefinite": P0 = -I, so s < 0 on a first correction and the
-    predicted diagonal is negative otherwise. "huge": P0 is all 1e308, so s
+    "predicted": Q = 1e308 per second, so Q*dt overflows at the first predict.
+    "indefinite": P0 = -I, so s < 0 on a first correction and the predicted
+    diagonal is negative otherwise. "huge": P0 is all 1e308, so s
     overflows to inf, or the predicted row sums do. "state": P0 = u u' +
     I/100 with u = (2, -1, 0, ...), a gain on v_qst near 2, and a voltage
     glitch of 1.7e308 V on the first sample, so v_qst overflows; "rc state":
@@ -155,7 +155,8 @@ def failing_case(seed, n_rc, kind, first):
     m = n_rc + 1
     q, p0 = cfg.process_noise_q, ekf.covariance
     if kind == "predicted":
-        q, error = 1e308 * np.eye(m), PREDICTED
+        q, error = 1e308 * np.eye(m), (NumericalFailureError,
+                                       "process noise Q * dt is not finite (dt = 2.0)")
     elif kind == "indefinite":
         p0, error = -np.eye(m), PREDICTED
         if first:

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cellsoc import ConfigurationError, EkfConfig, Trace, TraceParseError
+from cellsoc import ConfigurationError, EkfConfig, InvalidInputError, Trace, TraceParseError
+from cellsoc import traceio
 from cellsoc.traceio import (
     load_cell_parameters,
     load_ekf_config,
@@ -103,20 +106,15 @@ def test_ekf_config_round_trip(tmp_path):
 def test_atomic_write_leaves_no_partial_output(tmp_path, monkeypatch):
     import os
 
-    import cellsoc.traceio as tio
-
     target = tmp_path / "out.csv"
     trace = Trace(np.arange(3.0), np.zeros(3))
     save_trace(trace, target)
     before = target.read_bytes()
 
-    class Boom(RuntimeError):
-        pass
-
     def exploding_replace(src, dst):
         raise Boom()
 
-    monkeypatch.setattr(tio.os, "replace", exploding_replace)
+    monkeypatch.setattr(traceio.os, "replace", exploding_replace)
     with pytest.raises(Boom):
         save_trace(Trace(np.arange(4.0), np.ones(4)), target)
     monkeypatch.undo()
@@ -126,30 +124,71 @@ def test_atomic_write_leaves_no_partial_output(tmp_path, monkeypatch):
     assert os.path.exists(target)
 
 
+class Boom(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("writer", ["soc", "trace"])
+def test_a_failure_in_a_later_block_leaves_no_output(tmp_path, monkeypatch, writer):
+    """The writers stream: the header and the first block have gone to the temp
+    file when formatting the second block fails, and neither the temp file
+    nor the target is left."""
+    monkeypatch.setattr(traceio, "_BLOCK_ROWS", 3)
+    n_columns = 4 if writer == "soc" else 3
+    float_texts, calls = traceio._float_texts, []
+
+    def failing_in_the_second_block(column):
+        calls.append(len(column))
+        if len(calls) > n_columns:
+            raise Boom()
+        return float_texts(column)
+
+    monkeypatch.setattr(traceio, "_float_texts", failing_in_the_second_block)
+    target = tmp_path / "out.csv"
+    t = np.arange(7.0)
+    with pytest.raises(Boom):
+        if writer == "soc":
+            save_soc_rows("c0", target, t, t, t, t)
+        else:
+            save_trace(Trace(t, t, t), target)
+    assert calls == [3] * (n_columns + 1)
+    assert list(tmp_path.iterdir()) == []
+
+
 def from_bits(pattern: int) -> float:
     return float(np.array([pattern], dtype=np.uint64).view(np.float64)[0])
 
 
-def test_soc_rows_exact_bytes(tmp_path):
-    """Runs, both zeros, NaN payloads, infinities and subnormals, written out."""
+# The module's own block size, then blocks of a few rows, so that the rows of
+# a small file fall into several blocks.
+BLOCK_SIZES = (traceio._BLOCK_ROWS, 2, 3)
+
+
+def test_soc_rows_exact_bytes(tmp_path, monkeypatch):
+    """Runs, both zeros, NaN payloads, infinities and subnormals, written out,
+    at each of BLOCK_SIZES; with 2-row blocks the runs of -0.0 and inf cross a
+    block boundary."""
     columns = ([0.0, 1.0, 2.0, 3.0, 4.5],
                [0.5, 0.5, 0.0, -0.0, -0.0],
                [np.nan, from_bits(0x7FF8000000000001), from_bits(0xFFF8000000000000),
                 np.inf, np.inf],
                [5e-324, 5e-324, -1e-310, 2.2250738585072014e-308, -np.inf])
     path = tmp_path / "soc.csv"
-    save_soc_rows("c-7", path, *columns)
     expected = (b"t_s,cell_id,soc_est,soc_ref,v_innov\n"
                 b"0.0,c-7,0.5,nan,5e-324\n"
                 b"1.0,c-7,0.5,nan,5e-324\n"
                 b"2.0,c-7,0.0,nan,-1e-310\n"
                 b"3.0,c-7,-0.0,inf,2.2250738585072014e-308\n"
                 b"4.5,c-7,-0.0,inf,-inf\n")
-    assert path.read_bytes() == expected
+    for block_rows in BLOCK_SIZES:
+        monkeypatch.setattr(traceio, "_BLOCK_ROWS", block_rows)
+        save_soc_rows("c-7", path, *columns)
+        assert path.read_bytes() == expected
     assert oracle_soc_text("c-7", *columns).encode() == expected
 
 
-def test_trace_exact_bytes(tmp_path):
+def test_trace_exact_bytes(tmp_path, monkeypatch):
+    """Exact trace and profile bytes at each of BLOCK_SIZES."""
     trace = Trace(np.array([-0.0, 0.1, 0.2, 1e16]),
                   np.array([0.0, 0.0, -0.0, 1.7976931348623157e308]),
                   np.array([3.3, 3.3, 3.3, 5e-324]))
@@ -160,14 +199,77 @@ def test_trace_exact_bytes(tmp_path):
         "profile.csv": b"t_s,current_a\n0.0,-2.5\n1.0,-2.5\n2.0,1e-310\n",
     }
     for name, tr in (("trace.csv", trace), ("profile.csv", profile)):
-        save_trace(tr, tmp_path / name)
-        assert (tmp_path / name).read_bytes() == expected[name]
+        for block_rows in BLOCK_SIZES:
+            monkeypatch.setattr(traceio, "_BLOCK_ROWS", block_rows)
+            save_trace(tr, tmp_path / name)
+            assert (tmp_path / name).read_bytes() == expected[name]
         assert oracle_trace_text(tr).encode() == expected[name]
 
 
-def test_empty_soc_rows_is_the_header(tmp_path):
-    save_soc_rows("c0", tmp_path / "soc.csv", [], [], [], [])
-    assert (tmp_path / "soc.csv").read_bytes() == b"t_s,cell_id,soc_est,soc_ref,v_innov\n"
+def test_empty_soc_rows_is_the_header(tmp_path, monkeypatch):
+    for block_rows in BLOCK_SIZES:
+        monkeypatch.setattr(traceio, "_BLOCK_ROWS", block_rows)
+        save_soc_rows("c0", tmp_path / "soc.csv", [], [], [], [])
+        assert (tmp_path / "soc.csv").read_bytes() == b"t_s,cell_id,soc_est,soc_ref,v_innov\n"
+
+
+# Seven rows, cut by 3-row blocks after rows 3 and 6: a run through both
+# boundaries, distinct values that come back in later blocks, and runs of
+# 3.0 and of 5e-324 that each cross one boundary.
+STRADDLING = {
+    "t": [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0],
+    "run": [2.5] * 7,
+    "recurring": [0.1, -0.0, 0.1, -0.0, 0.0, 0.1, -0.0],
+    "crossing": [1.0, 2.0, 3.0, 3.0, 3.0, 5e-324, 5e-324],
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 4, 7])
+def test_soc_rows_across_block_boundaries_are_the_oracle_bytes(tmp_path, monkeypatch, n):
+    monkeypatch.setattr(traceio, "_BLOCK_ROWS", 3)
+    c = {key: np.array(col[:n]) for key, col in STRADDLING.items()}
+    columns = (c["t"], c["recurring"], np.full(n, np.nan), c["crossing"])
+    save_soc_rows("c0", tmp_path / "soc.csv", *columns)
+    assert (tmp_path / "soc.csv").read_bytes() == oracle_soc_text("c0", *columns).encode()
+    save_soc_rows("c1", tmp_path / "soc.csv", c["t"], c["run"], c["crossing"], c["recurring"])
+    assert (tmp_path / "soc.csv").read_bytes() == oracle_soc_text(
+        "c1", c["t"], c["run"], c["crossing"], c["recurring"]).encode()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])  # a Trace holds at least two samples
+def test_traces_across_block_boundaries_are_the_oracle_bytes(tmp_path, monkeypatch, n):
+    monkeypatch.setattr(traceio, "_BLOCK_ROWS", 3)
+    c = {key: np.array(col[:n]) for key, col in STRADDLING.items()}
+    for trace in (Trace(c["t"], c["recurring"], c["crossing"]),
+                  Trace(c["t"], c["crossing"], c["run"]), Trace(c["t"], c["run"])):
+        save_trace(trace, tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_bytes() == oracle_trace_text(trace).encode()
+
+
+def test_soc_rows_refuse_unequal_columns(tmp_path):
+    with pytest.raises(InvalidInputError,
+                       match="^SoC columns must have equal lengths, got times 3, soc_est 1, "
+                             "soc_ref 2, innovations 2$"):
+        save_soc_rows("c0", tmp_path / "soc.csv", [0.0, 1.0, 2.0], [0.5], [0.5, 0.4], [0.0, 0.1])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_soc_writer_memory_does_not_grow_with_rows(tmp_path):
+    """The SoC writer holds one block's text: writing 100k and 400k rows of
+    distinct values peaks below the same 8 MB (tracemalloc), where holding
+    the whole file's text took about 37 MB for 100k rows."""
+    rng = np.random.default_rng(3)
+    peaks = []
+    for n in (100_000, 400_000):
+        columns = (np.arange(n) * 0.5, rng.uniform(0.0, 1.0, n), np.full(n, np.nan),
+                   rng.normal(0.0, 1e-3, n))
+        tracemalloc.start()
+        try:
+            save_soc_rows("c0", tmp_path / "soc.csv", *columns)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 8_000_000, peaks
 
 
 @pytest.mark.parametrize("cell_id", ["a,b", "a\nb", "", 'a"b', "a/b", "a\\b", 7, None, [1]])

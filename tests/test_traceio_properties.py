@@ -6,6 +6,7 @@ parser does: the same arrays, or the same exception and message.
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,10 +47,13 @@ def bits(a):
 
 
 @PROPERTY
-@given(traces())
-def test_csv_round_trip_is_bit_exact(tmp_path_factory, trace):
+@given(traces(), st.sampled_from([3, None]))
+def test_csv_round_trip_is_bit_exact(tmp_path_factory, trace, block_rows):
+    """Also with 3-row blocks, so a file of up to 30 rows is written in several
+    (None: the module's own block size)."""
     path = tmp_path_factory.mktemp("rt") / "trace.csv"
-    save_trace(trace, path)
+    with mock.patch.object(traceio, "_BLOCK_ROWS", block_rows or traceio._BLOCK_ROWS):
+        save_trace(trace, path)
     again = load_trace(path)
     assert np.array_equal(bits(again.timestamps), bits(trace.timestamps))
     assert np.array_equal(bits(again.current), bits(trace.current))
@@ -221,13 +225,18 @@ def test_float_texts_maps_distinct_values_only_when_repeats_pay(monkeypatch, rep
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.lists(st.sampled_from(RECURRING_BITS), min_size=32, max_size=160))
-def test_soc_rows_are_repr_of_each_value(tmp_path_factory, patterns):
+@given(st.lists(st.sampled_from(RECURRING_BITS), min_size=32, max_size=160),
+       st.sampled_from([3, 7, None]))
+@example([0x0] * 28, 3)
+def test_soc_rows_are_repr_of_each_value(tmp_path_factory, patterns, block_rows):
     """save_soc_rows on four columns of 8 to 40 values whose values recur
-    writes the text of a repr per value, row by row."""
+    writes the text of a repr per value, row by row, whatever the block size
+    (None: the module's own), so runs and recurring values may cross a
+    block boundary."""
     n = len(patterns) // 4
     columns = floats_from_bits(patterns[:4 * n]).reshape(4, n)
     path = tmp_path_factory.mktemp("soc") / "soc.csv"
-    traceio.save_soc_rows("c0", path, *columns)
+    with mock.patch.object(traceio, "_BLOCK_ROWS", block_rows or traceio._BLOCK_ROWS):
+        traceio.save_soc_rows("c0", path, *columns)
     rows = [f"{t!r},c0,{a!r},{b!r},{c!r}" for t, a, b, c in zip(*columns.tolist())]
     assert path.read_text(encoding="utf-8") == "\n".join([traceio.SOC_HEADER, *rows, ""])
