@@ -8,13 +8,13 @@ One kernel, ``_filter_series``, runs every EKF step, on plain floats. F is
 diagonal and H is a row of ones, so with t = P*1 and s = 1'P1 + r the Joseph
 update is the rank-1 form P - K t' - t K' + s K K'. The kernel's whole sample
 loop is straight-line code generated once per state size by
-``_series_kernel``, with the state and all m*m entries of P as locals; it
-inlines the charge map (``model._charge_map_lines``) and the covariance step
-(``_predict_lines`` and ``_update_lines``). Every sum adds its terms left to
-right from the first, whatever the builtin ``sum`` does. Entries (a, b) and
-(b, a) of P share their terms, which swapped operands leave bit for bit the
-same, the decay products are formed only when the step changes, and each
-check is a comparison rather than a call. At rest the kernel reuses a
+``_series_kernel``, with the state and the m(m+1)/2 entries of P's upper
+triangle as locals: P is symmetric, and a covariance that is not is refused.
+It inlines the charge map (``model._charge_map_lines``) and the covariance
+step (``_predict_lines`` and ``_update_lines``). Every sum adds its terms
+left to right from the first, whatever the builtin ``sum`` does. The decay
+products are formed only when the step changes, and each check is a
+comparison rather than a call. At rest the kernel reuses a
 covariance step that settled on a bitwise fixed point (see
 ``_filter_series``). ``run_filter`` runs it on one trace and
 ``MultiCellEkf.run`` once per cell; the per-step API, ``predict`` and
@@ -136,8 +136,8 @@ class EkfConfig:
 
 @dataclass(eq=False)
 class EkfState:
-    """Filter mean and covariance. The kernel keeps every entry of the
-    covariance as it is, so an asymmetric one is not re-symmetrized."""
+    """Filter mean and covariance. The covariance must be symmetric, each entry
+    (b, a) == to (a, b); the filters refuse one that is not."""
 
     mean: CellState
     covariance: np.ndarray
@@ -227,14 +227,16 @@ def _indent(lines: list[str], depth: int) -> list[str]:
     return ["    " * depth + line for line in lines]
 
 
-def _entries(m: int, name: str = "p") -> list[str]:
-    """The names ``{name}_a_b`` of an m*m matrix's entries, row-major."""
-    return [f"{name}_{a}_{b}" for a in range(m) for b in range(m)]
+def _entries(m: int, name: str = "p", upper: bool = False) -> list[str]:
+    """An m*m matrix's entries ``{name}_a_b``, row-major; ``upper`` names (b, a) as (a, b)."""
+    return [f"{name}_{min(a, b) if upper else a}_{max(a, b) if upper else b}"
+            for a in range(m) for b in range(m)]
 
 
 def _row_sum_lines(m: int) -> list[str]:
-    """The row sums t = P 1 of the entries p_a_b, each added in index order."""
-    return [f"t{a} = {' + '.join(f'p_{a}_{b}' for b in range(m))}" for a in range(m)]
+    """The row sums t = P 1 of the upper entries p_a_b, each added in index order."""
+    p = _entries(m, upper=True)
+    return [f"t{a} = {' + '.join(p[a * m:a * m + m])}" for a in range(m)]
 
 
 def _decay_product_lines(m: int) -> list[str]:
@@ -245,15 +247,14 @@ def _decay_product_lines(m: int) -> list[str]:
 
 def _predict_lines(m: int) -> list[str]:
     """F P F' + Q*dt on the entries p_a_b, for the diagonal f0.. of F, the decay
-    products ff_a_b and the entries q_a_b of Q*dt, then its row sums t0.. and
-    its check. Entries (a, b) and (b, a) share one product; only those with
-    f0 are formed here. A finite total of the row sums means every entry is
-    finite, so the diagonal is then checked with an or-chain."""
+    products ff_a_b and the entries q_a_b of Q*dt, all a <= b, then its row
+    sums t0.. and its check. Only the products with f0 are formed here. A
+    finite total of the row sums means every entry is finite, so the
+    diagonal is then checked with an or-chain."""
     idx = range(m)
     return [
         *(f"ff_0_{b} = f0 * f{b}" for b in idx),
-        *(f"p_{a}_{b} = ff_{min(a, b)}_{max(a, b)} * p_{a}_{b} + q_{a}_{b}"
-          for a in idx for b in idx),
+        *(f"p_{a}_{b} = ff_{a}_{b} * p_{a}_{b} + q_{a}_{b}" for a in idx for b in range(a, m)),
         *_row_sum_lines(m),
         "# Scaling by a diagonal and adding PSD noise preserves",
         "# semidefiniteness, so finiteness and the diagonal suffice here.",
@@ -264,39 +265,34 @@ def _predict_lines(m: int) -> list[str]:
 
 
 def _update_lines(m: int) -> list[str]:
-    """From the entries p_a_b, their row sums t0.. and r: s = 1'P1 + r, the gain
-    k0.. = t / s, the Joseph update of p_a_b and its PSD proof. Entries (a, b)
-    and (b, a) share the terms k_a*t_b + t_a*k_b and k_a*k_b*s, which have
-    the same bits with the operands swapped, even for an asymmetric P."""
+    """From the upper entries p_a_b, a <= b, their row sums t0.. and r: s = 1'P1
+    + r, the gain k0.. = t / s, the Joseph update of p_a_b and its PSD proof.
+    Entry (b, a) would be formed from the same terms with the operands
+    swapped, which leaves its bits those of (a, b)."""
     idx = range(m)
-    joseph = []
-    for a in idx:
-        joseph.append(f"p_{a}_{a} = p_{a}_{a} - (k{a} * t{a} + t{a} * k{a}) + k{a} * k{a} * s")
-        for b in range(a + 1, m):
-            joseph += [f"kt = k{a} * t{b} + t{a} * k{b}", f"kks = k{a} * k{b} * s",
-                       f"p_{a}_{b} = p_{a}_{b} - kt + kks", f"p_{b}_{a} = p_{b}_{a} - kt + kks"]
     return [
         f"s = {' + '.join(f't{a}' for a in idx)} + r",
         "if not 0.0 < s < inf:",
         '    raise NumericalFailureError(f"innovation variance is not positive ({s})")',
         *(f"k{a} = t{a} / s" for a in idx),
         "# Joseph form with H = 1': P - K t' - t K' + s K K'.",
-        *joseph,
+        *(f"p_{a}_{b} = p_{a}_{b} - (k{a} * t{b} + t{a} * k{b}) + k{a} * k{b} * s"
+          for a in idx for b in range(a, m)),
         *_proof_lines(m, ["if not d > 0.0:", '    raise NumericalFailureError('
                           '"corrected covariance lost positive semidefiniteness")']),
     ]
 
 
 def _proof_lines(m: int, check: list[str]) -> list[str]:
-    """The PSD proof on the entries p_a_b of a size-m P: each pivot d of the Cholesky
-    factor of P + PSD_TOLERANCE * I, read off the lower triangle, then ``check``,
+    """The PSD proof on the upper entries p_a_b of a symmetric size-m P: each pivot d
+    of the Cholesky factor of P + PSD_TOLERANCE * I, row by row, then ``check``,
     the lines that must fail a pivot that is not ``> 0.0``."""
     lines = ["# Cholesky factor of P + PSD_TOLERANCE * I, row by row; a pivot that is",
              "# not strictly positive (or is NaN) fails, as in LAPACK."]
     for i in range(m):
         for j in range(i):
             dots = " + ".join(f"l_{i}_{c} * l_{j}_{c}" for c in range(j))
-            x = f"(p_{i}_{j} - ({dots}))" if j else f"p_{i}_{j}"
+            x = f"(p_{j}_{i} - ({dots}))" if j else f"p_{j}_{i}"
             lines.append(f"l_{i}_{j} = {x} / l_{j}_{j}")
         squares = " + ".join(f"l_{i}_{c} * l_{i}_{c}" for c in range(i))
         minus = f" - ({squares})" if i else ""
@@ -320,8 +316,8 @@ def _namespace(**names) -> dict:
 
 @functools.cache
 def _psd_proof(m: int):
-    """``_proof_lines`` for size m as ``is_psd(p) -> bool``, on P as a flat
-    row-major sequence of floats."""
+    """``_proof_lines`` for size m as ``is_psd(p) -> bool``, on a symmetric P as
+    a flat row-major sequence of floats, of which it reads the upper triangle."""
     source = "\n".join([
         "def is_psd(p):",
         *_indent([f"{_tuple(_entries(m))} = p",
@@ -335,8 +331,8 @@ def _psd_proof(m: int):
 def _series_source(m: int) -> str:
     """Source of ``_series_kernel(m)``: ``_filter_series``' sample loop for size m.
 
-    The state is the float v and the RC states y0..; P is the m*m locals p_a_b,
-    which live across samples; a cell has an RC group, so m >= 2. The RC group
+    The state is the float v and the RC states y0..; P is the m(m+1)/2 locals
+    p_a_b, a <= b, which live across samples; a cell has an RC group, so m >= 2. The RC group
     j decays by f{j+1} = exp(-h / tau_j) and fills by fill{j} = 1 - f{j+1};
     these, their products ff_a_b and Q*h (q_a_b, from the rate entries
     qr_a_b) are recomputed only when h changes, when a diagonal entry of Q*h
@@ -350,7 +346,7 @@ def _series_source(m: int) -> str:
     """
     idx = range(m)
     ys = [f"y{j}" for j in range(m - 1)]
-    entries = _entries(m)
+    entries = [f"p_{a}_{b}" for a in idx for b in range(a, m)]
     dyn_sum = " + ".join(ys)
     measure = ["if i < i_lo or i > i_hi:", "    n_cur += 1",
                f"innovation = z - (v + ({dyn_sum}) + drop)"]
@@ -385,7 +381,7 @@ def _series_source(m: int) -> str:
         *(f"    f{j + 1} = exp(-h / tau{j})" for j in range(m - 1)),
         *(f"    fill{j} = 1.0 - f{j + 1}" for j in range(m - 1)),
         *_indent(_decay_product_lines(m), 1),
-        *(f"    q_{a}_{b} = qr_{a}_{b} * h" for a in idx for b in idx),
+        *(f"    q_{a}_{b} = qr_{a}_{b} * h" for a in idx for b in range(a, m)),
         # Q is PSD, so a finite diagonal bounds every entry of Q*h.
         f"    if {' or '.join(f'not -inf < q_{a}_{a} < inf' for a in idx)}:",
         '        raise NumericalFailureError(f"process noise Q * dt is not finite (dt = {h})")',
@@ -411,7 +407,9 @@ def _series_source(m: int) -> str:
         "                  dt, i_pred, voltage, current, drops, innov_out, vqst_out):",
         *_indent([
             f"{_tuple(ys)} = dyn",
-            f"{_tuple(entries)} = p",
+            f"{_tuple(_entries(m))} = p",
+            f"if {' or '.join(f'p_{b}_{a} != p_{a}_{b}' for a in idx for b in range(a + 1, m))}:",
+            '    raise InvalidInputError("covariance must be symmetric")',
             f"{_tuple(_entries(m, 'qr'))} = q_rate",
             f"{_tuple([f'tau{j}' for j in range(m - 1)])} = taus",
             f"{_tuple([f'rd{j}' for j in range(m - 1)])} = r_dyn",
@@ -432,7 +430,7 @@ def _series_source(m: int) -> str:
             *_indent(step, 2),
             "finally:",
             "    counts[:] = n_cur, n_soc, reused",
-            f"return v, {_tuple(ys)}, {_tuple(entries)}",
+            f"return v, {_tuple(ys)}, {_tuple(_entries(m, upper=True))}",
         ], 1),
     ]
     return "\n".join(lines) + "\n"
@@ -491,8 +489,9 @@ def _filter_series(
     sample is corrected, counted or warned about.
 
     The loop is ``_series_kernel(m)``: straight-line code generated for the
-    state size, with the RC states and all m*m entries of P as locals, so an
-    asymmetric start covariance keeps its exact bits. It inlines the charge
+    state size, with the RC states and P's upper triangle as locals; it takes
+    and returns P flat and row-major, and refuses one whose entry (b, a) is
+    not == to (a, b). It inlines the charge
     map and the covariance step; every sum adds left to right. The predict's
     row sums t = P 1 serve both its finiteness check and the gain. At rest the loop
     reuses a covariance step that left P bit for bit unchanged while f0 and dt

@@ -213,6 +213,8 @@ def validation_profile(
         raise ConfigurationError("rate, sample period and repetitions must be positive")
     dt = slow_sample_period
     n6h = _sample_count(21600.0, dt)
+    if n6h < 1:
+        raise ConfigurationError(f"sample period {dt} s leaves a 6 h phase without a sample")
     n12h = _sample_count(43200.0, dt)
     src_t = us06_source.timestamps
     src_steps = np.diff(src_t)
@@ -287,15 +289,6 @@ def build_profile(spec: ProfileSpec, seed: int | None = 0) -> Trace:
             spec.sample_period_s,
             expected_tau_max=spec.expected_tau_max_s,
         )
-    if spec.kind == "us06-like":
-        return us06_like_profile(
-            duration=spec.us06_duration_s,
-            sample_period=spec.us06_sample_period_s,
-            peak=spec.peak_a,
-            bandwidth=spec.bandwidth_hz,
-            f_low=spec.f_low_hz,
-            seed=seed,
-        )
     source = us06_like_profile(
         duration=spec.us06_duration_s,
         sample_period=spec.us06_sample_period_s,
@@ -304,4 +297,6 @@ def build_profile(spec: ProfileSpec, seed: int | None = 0) -> Trace:
         f_low=spec.f_low_hz,
         seed=seed,
     )
+    if spec.kind == "us06-like":
+        return source
     return validation_profile(source, slow_sample_period=spec.sample_period_s)

@@ -217,7 +217,11 @@ def config_field(doc: dict, key: str, what: str, kind, description: str, default
 
 
 def config_float(doc: dict, key: str, what: str, default: float | None = None) -> float:
-    return float(config_field(doc, key, what, numbers.Real, "a number", default))
+    value = config_field(doc, key, what, numbers.Real, "a number", default)
+    try:
+        return float(value)
+    except OverflowError:  # json reads an integer of any size
+        raise ConfigurationError(f"{what} field {key} is beyond the float range") from None
 
 
 def config_int(doc: dict, key: str, what: str) -> int:
@@ -230,13 +234,15 @@ def config_path(doc: dict, key: str, what: str) -> Path:
 
 def config_array(doc: dict, key: str, what: str) -> np.ndarray:
     """``doc[key]`` as a float array; a missing key raises KeyError, a value
-    that is not a regular array of numbers raises ConfigurationError."""
+    that is not a regular array of numbers in the float range raises ConfigurationError."""
     value = doc[key]
     try:
         return np.array(value, dtype=float)
     except (TypeError, ValueError):
         raise ConfigurationError(f"{what} field {key} must be an array of numbers, "
                                  f"got {value!r}") from None
+    except OverflowError:
+        raise ConfigurationError(f"{what} field {key} is beyond the float range") from None
 
 
 def _load_json(path):

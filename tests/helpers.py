@@ -359,25 +359,26 @@ def covariance_steps(m: int):
     the predict first forms the decay products of ``_decay_product_lines``, as
     the kernel does when h changes.
 
-    Returns two functions on flat row-major tuples of m*m floats for P and
-    Q*dt and tuples of m floats for f, t and k. ``predict_covariance(p, f, q)
-    -> (p, t)`` forms F P F' + Q*dt for the diagonal f, its row sums t, and
-    checks it. ``correct_covariance(p, t, r) -> (p, k)`` takes the row sums t
-    of P, forms s = 1'P1 + r and the gain k = t / s, applies the Joseph update
-    and proves the result PSD. Both raise ``NumericalFailureError`` where a
-    check fails. Every sum adds its terms left to right, and entries (a, b)
-    and (b, a) are formed by commuted operations, so a symmetric P stays
-    exactly symmetric.
+    Returns two functions on flat row-major tuples of m*m floats for the
+    symmetric P and Q*dt and tuples of m floats for f, t and k. As in the
+    kernel, only the upper triangle of P and Q*dt is read, and P is returned
+    with each entry (b, a) below the diagonal a copy of (a, b).
+    ``predict_covariance(p, f, q) -> (p, t)`` forms F P F' + Q*dt for the
+    diagonal f, its row sums t, and checks it. ``correct_covariance(p, t, r)
+    -> (p, k)`` takes the row sums t of P, forms s = 1'P1 + r and the gain
+    k = t / s, applies the Joseph update and proves the result PSD. Both
+    raise ``NumericalFailureError`` where a check fails. Every sum adds its
+    terms left to right.
     """
-    flat = _tuple(_entries(m))
+    flat, mirrored = _tuple(_entries(m)), _tuple(_entries(m, upper=True))
     f, t, k = (_tuple([f"{x}{a}" for a in range(m)]) for x in "ftk")
     source = "\n".join([
         "def predict_covariance(p, f, q):",
         *_indent([f"{flat} = p", f"{f} = f", f"{_tuple(_entries(m, 'q'))} = q",
-                  *_decay_product_lines(m), *_predict_lines(m), f"return {flat}, {t}"], 1),
+                  *_decay_product_lines(m), *_predict_lines(m), f"return {mirrored}, {t}"], 1),
         "",
         "def correct_covariance(p, t, r):",
-        *_indent([f"{flat} = p", f"{t} = t", *_update_lines(m), f"return {flat}, {k}"], 1),
+        *_indent([f"{flat} = p", f"{t} = t", *_update_lines(m), f"return {mirrored}, {k}"], 1),
     ]) + "\n"
     namespace = _namespace()
     exec(compile(source, f"<covariance step, m={m}>", "exec"), namespace)

@@ -175,6 +175,13 @@ class TestSimulate:
          "sample count 100.0 / 0.0 is more than one array holds"),
         ({"kind": "validation", "us06_duration_s": 60.0, "sample_period_s": 1e-320},
          "sample count 21600.0 / 1e-320 is more than one array holds"),
+        # Periods that leave a 6 h phase of the validation profile without a sample.
+        *(({"kind": "validation", "sample_period_s": period},
+           f"sample period {period} s leaves a 6 h phase without a sample")
+          for period in (1e300, 86401.0, 50000.0)),
+        # json reads an integer of any size; float() of this one overflows.
+        pytest.param({"kind": "constant", "amplitude_a": 1.0, "duration_s": 10**400},
+                     "profile spec field duration_s is beyond the float range", id="huge-int"),
     ])
     def test_malformed_spec_exit_2(self, cell_files, tmp_path, capsys, doc, expected):
         _, params_path = cell_files
@@ -298,6 +305,9 @@ class TestIdentify:
         *(({"current_zero_threshold": x},
            f"current-zero threshold must be positive and finite, got {x}")
           for x in (math.nan, math.inf, -math.inf)),
+        pytest.param({"current_zero_threshold": 10**400},
+                     "identification config field current_zero_threshold is beyond the float "
+                     "range", id="huge-int"),
     ])
     def test_bad_config_document_exit_2(self, tmp_path, capsys, doc, expected):
         trace_path = tmp_path / "id.csv"
@@ -422,6 +432,8 @@ class TestEstimate:
         ("rc_groups", 2, "rc_groups must be a list"),
         ("rc_groups", [[0.01, 60.0]], "rc group must be a JSON object"),
         ("rc_groups", [{"r": "x", "tau": 60.0}], "rc group field r must be a number"),
+        pytest.param("v_min", 10**400, "cell parameters field v_min is beyond the float range",
+                     id="huge-int"),
     ])
     def test_malformed_cell_parameters_exit_2(self, cell_files, tmp_path, capsys, field,
                                               value, expected):
@@ -445,6 +457,8 @@ class TestEstimate:
         ("process_noise_q", "x", "process_noise_q must be an array of numbers"),
         ("initial_covariance_p0", [[1.0, 0.0], [0.0]],
          "initial_covariance_p0 must be an array of numbers"),
+        pytest.param("process_noise_q", [[1.0, 0.0, 0.0], [0.0, 10**400, 0.0], [0.0, 0.0, 1.0]],
+                     "EKF config field process_noise_q is beyond the float range", id="huge-int"),
     ])
     def test_malformed_ekf_config_exit_2(self, cell_files, tmp_path, capsys, field, value,
                                          expected):
@@ -601,6 +615,8 @@ class TestMulticell:
           for value in (math.nan, math.inf, -math.inf)),
         # Services from a start this far back: too many to count.
         ("doc", "start_time_s", -1e300, "more than one array holds"),
+        pytest.param("doc", "t_slot_s", 10**400,
+                     "multicell config field t_slot_s is beyond the float range", id="huge-int"),
     ])
     def test_malformed_config_exit_2(self, tmp_path, capsys, where, field, value, expected):
         cfg_path, _ = self.make_pack(tmp_path, 1, 1.0, 0.4)

@@ -15,7 +15,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from cellsoc import EkfConfig, EkfState, InvalidInputError, NumericalFailureError  # noqa: E402
+from cellsoc import (  # noqa: E402
+    EkfConfig, EkfState, InvalidInputError, NumericalFailureError, correct, predict)
 from cellsoc.estimator import _filter_series, make_filter  # noqa: E402
 from helpers import (  # noqa: E402
     OPENBLAS_ACCEPTED, _is_psd, covariance_steps, left_to_right, list_correct, list_predict,
@@ -36,6 +37,11 @@ def rows(entries, m):
     return [list(entries[a:a + m]) for a in range(0, m * m, m)]
 
 
+def mirror(rows):
+    """``rows`` with each entry (b, a) below the diagonal set to (a, b)."""
+    return [[rows[min(a, b)][max(a, b)] for b in range(len(rows))] for a in range(len(rows))]
+
+
 def outcome(fn):
     """fn()'s result, or None and its error as (type, message)."""
     try:
@@ -46,17 +52,18 @@ def outcome(fn):
 
 @st.composite
 def covariance_cases(draw):
-    """(m, P, f, Q*dt, r) with P and Q*dt as lists of rows.
+    """(m, P, f, Q*dt, r) with P and Q*dt as symmetric lists of rows.
 
-    P is symmetric PSD, asymmetric, indefinite, not finite, made of signed
-    zeros, or arbitrary floats; f0 is 1 or not; Q*dt is zero, signed zeros,
-    a rate times a gap, or huge; r reaches down to the smallest subnormal.
+    P is PSD, indefinite, not finite, made of signed zeros, or arbitrary
+    floats; f0 is 1 or not; Q*dt is zero, signed zeros, a rate times a gap,
+    or huge; r reaches down to the smallest subnormal. Each is drawn as a
+    matrix whose upper triangle is then mirrored, as the kernel reads it.
     """
     m = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     entries = m * m
     kind = draw(st.sampled_from(
-        ["symmetric", "asymmetric", "indefinite", "non-finite", "zeros", "raw"]))
+        ["symmetric", "indefinite", "non-finite", "zeros", "raw"]))
     if kind == "zeros":
         p = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=entries, max_size=entries))
     elif kind == "raw":
@@ -68,11 +75,9 @@ def covariance_cases(draw):
             eig[0] = -(10.0 ** rng.uniform(-12, 0))
         p = basis @ np.diag(eig) @ basis.T
         p = 0.5 * (p + p.T)
-        if kind == "asymmetric":
-            p = p + 1e-3 * np.abs(p).max() * rng.standard_normal((m, m))
-        elif kind == "non-finite":
-            p[rng.integers(m), rng.integers(m)] = draw(st.sampled_from([math.nan, math.inf,
-                                                                        -math.inf]))
+        if kind == "non-finite":  # on or above the diagonal, so that mirroring keeps it
+            a, b = sorted((rng.integers(m), rng.integers(m)))
+            p[a, b] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
         p = p.ravel().tolist()
     f0 = draw(st.one_of(st.just(1.0), st.floats(1e-3, 1e3)))
     f = [f0] + draw(st.lists(st.floats(0.0, 1.0), min_size=m - 1, max_size=m - 1))
@@ -86,7 +91,7 @@ def covariance_cases(draw):
         h = draw(st.floats(1e-3, 1e6)) if q_kind == "rate" else 10.0 ** rng.uniform(250, 308)
         q = ((1e-8 * a @ a.T) * h).ravel().tolist()
     r = draw(st.one_of(st.sampled_from([1e-4, 1e-2, 1e-300, 5e-324]), st.floats(5e-324, 1.0)))
-    return m, rows(p, m), f, rows(q, m), r
+    return m, mirror(rows(p, m)), f, mirror(rows(q, m)), r
 
 
 NEGATIVE_ZEROS = [[-0.0] * 3] * 3
@@ -169,3 +174,55 @@ def test_covariance_of_another_size_is_refused():
     with pytest.raises(InvalidInputError, match="covariance must be 3x3"):
         _filter_series(ekf, cell, cfg, np.array([3.3]), np.array([0.0]), np.array([]),
                        np.array([]))
+
+
+def refusals(ekf, cell, cfg):
+    """What predict, correct and a two-sample _filter_series make of ``ekf``."""
+    return [outcome_or_refusal(fn) for fn in (
+        lambda: predict(ekf, cell, -1.0, 1.0, cfg),
+        lambda: correct(ekf, cell, 3.3, -1.0, cfg),
+        lambda: _filter_series(ekf, cell, cfg, np.array([3.3, 3.3]), np.array([-1.0, -1.0]),
+                               np.array([1.0]), np.array([-1.0]))[2])]
+
+
+def outcome_or_refusal(fn):
+    """The bits of fn()'s covariance, or its InvalidInputError's message."""
+    try:
+        return bits(fn().covariance)
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("value", [1e-9, 2.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", [(1, 0), (0, 2), (2, 1)])
+def test_asymmetric_covariance_is_refused(entry, value):
+    """An entry (b, a) that is not == to (a, b) is refused by every filter path;
+    a NaN off the diagonal is one such entry."""
+    cell = make_cell()  # m = 3
+    cfg = EkfConfig.default(cell)
+    start = make_filter(cfg)
+    covariance = start.covariance.copy()
+    covariance[entry] = value
+    assert refusals(EkfState(start.mean, covariance), cell, cfg) == [
+        "covariance must be symmetric"] * 3
+
+
+def test_signed_zero_pair_is_read_as_its_upper_entry():
+    """-0.0 == 0.0, so a pair of signed zeros is accepted, and only its upper
+    entry is read. With -0.0 off the diagonal of Q the predict keeps P's zero
+    sign there, so the sign that was read shows."""
+    cell = make_cell()
+    base = EkfConfig.default(cell)
+    q = np.where(np.eye(3, dtype=bool), base.process_noise_q, -0.0)
+    cfg = EkfConfig(q, base.measurement_noise_r, base.initial_covariance_p0, base.initial_state)
+    start = make_filter(cfg)
+
+    def covariance(upper, lower):
+        p = start.covariance.copy()
+        p[0, 1], p[1, 0] = upper, lower
+        return EkfState(start.mean, p)
+
+    for upper, lower in ((0.0, -0.0), (-0.0, 0.0)):
+        got = refusals(covariance(upper, lower), cell, cfg)
+        assert got == refusals(covariance(upper, upper), cell, cfg)
+        assert got[0] != refusals(covariance(lower, lower), cell, cfg)[0]

@@ -73,6 +73,25 @@ class TestSchedulerConfig:
             SchedulerConfig(t_slot=0.25, cells=("ok", bad), f_max=0.5)
 
 
+def ticked_pair():
+    """Cells a and b, ticked five times every 0.25 s from 0 s: b is due, at 1.5 s."""
+    cell = make_cell()
+    cfg = EkfConfig.default(cell, initial_soc=0.7)
+    sched = SchedulerConfig(t_slot=0.25, cells=("a", "b"), f_max=1.0)
+    engine = MultiCellEkf(sched, {"a": (cell, cfg), "b": (cell, cfg)})
+    for k in range(5):
+        engine.tick((k + 1) * 0.25, Measurement(engine.due_cell, -1.0, 3.3))
+    return engine
+
+
+def snapshot(engine):
+    """The ring position and, bit for bit, each slot's service time and filter."""
+    return engine.due_cell, [
+        (slot.last_serviced_t, bits(slot.ekf.mean.v_qst).tolist(),
+         bits(slot.ekf.mean.v_dyn_components).tolist(), bits(slot.ekf.covariance).tolist())
+        for slot in engine.slots.values()]
+
+
 def service_grid_trace(cell, n_services, period, first_time, current_fn, initial_soc=1.0):
     """Simulate a cell on its own service-time grid."""
     t = first_time + period * np.arange(n_services)
@@ -132,25 +151,23 @@ class TestTick:
         ("now", np.inf, "dt must be finite"),
     ])
     def test_non_finite_inputs_leave_the_engine_unchanged(self, field, value, message):
-        cell = make_cell()
-        cfg = EkfConfig.default(cell, initial_soc=0.7)
-        sched = SchedulerConfig(t_slot=0.25, cells=("a", "b"), f_max=1.0)
-        engine = MultiCellEkf(sched, {"a": (cell, cfg), "b": (cell, cfg)})
-        for k in range(5):
-            engine.tick((k + 1) * 0.25, Measurement(engine.due_cell, -1.0, 3.3))
-
-        def snapshot():
-            return engine.due_cell, [
-                (slot.last_serviced_t, bits(slot.ekf.mean.v_qst).tolist(),
-                 bits(slot.ekf.mean.v_dyn_components).tolist(),
-                 bits(slot.ekf.covariance).tolist())
-                for slot in engine.slots.values()]
-
-        before = snapshot()
+        engine = ticked_pair()
+        before = snapshot(engine)
         reading = {"current": -1.0, "voltage": 3.3, "now": 1.5, field: value}
         with pytest.raises(InvalidInputError, match=message):
             engine.tick(reading["now"], Measurement("b", reading["current"], reading["voltage"]))
-        assert snapshot() == before
+        assert snapshot(engine) == before
+
+    @pytest.mark.parametrize("value", [1e-9, np.nan])
+    def test_asymmetric_covariance_leaves_the_engine_unchanged(self, value):
+        """A slot whose P was made asymmetric is refused when it is due, before
+        its slot, service time or the ring change."""
+        engine = ticked_pair()
+        engine.slots["b"].ekf.covariance[2, 1] = value
+        before = snapshot(engine)
+        with pytest.raises(InvalidInputError, match="covariance must be symmetric"):
+            engine.tick(1.5, Measurement("b", -1.0, 3.3))
+        assert snapshot(engine) == before
 
     def test_warnings_name_the_caller_of_tick(self):
         """Driven at 80 A (past the resistor curve's 50 A) and read at 10 V."""

@@ -110,6 +110,15 @@ class TestValidationProfile:
         assert np.all(p.current[(hours > 6.01) & (hours < 17.99)] == 0.0)
         assert np.all(p.current[(hours > 18.01) & (hours < 23.99)] == 0.4)
 
+    @pytest.mark.parametrize("period", [43200.0, 50000.0, 86401.0, 1e300])
+    def test_period_that_leaves_a_6_hour_phase_empty_rejected(self, period):
+        src = us06_like_profile(duration=600.0, sample_period=0.5, bandwidth=0.8, seed=1)
+        with pytest.raises(ConfigurationError, match="leaves a 6 h phase without a sample"):
+            validation_profile(src, slow_sample_period=period)
+        # Just below, each 6 h phase keeps one sample.
+        p = validation_profile(src, slow_sample_period=43199.0)
+        assert np.count_nonzero(p.current == -0.4) == np.count_nonzero(p.current == 0.4) == 1
+
 
 class TestUs06Standin:
     def test_peak_and_zero_mean(self):
@@ -181,6 +190,18 @@ class TestProfileSpec:
                            us06_sample_period_s=0.5, bandwidth_hz=0.8)
         p = build_profile(spec, seed=3)
         assert abs(p.timestamps[-1] - 37.0 * 3600.0) <= 10.0
+
+    def test_build_drive_cycle_kinds_are_the_direct_calls(self):
+        """Both drive-cycle kinds pass every spec field to the generators, bit for bit."""
+        fields = dict(sample_period_s=7.0, peak_a=30.0, bandwidth_hz=0.7, f_low_hz=0.02,
+                      us06_duration_s=300.0, us06_sample_period_s=0.4)
+        source = us06_like_profile(duration=300.0, sample_period=0.4, peak=30.0,
+                                   bandwidth=0.7, f_low=0.02, seed=9)
+        for kind, want in (("us06-like", source),
+                           ("validation", validation_profile(source, slow_sample_period=7.0))):
+            got = build_profile(ProfileSpec(kind=kind, **fields), seed=9)
+            for a, b in ((got.timestamps, want.timestamps), (got.current, want.current)):
+                assert a.tobytes() == b.tobytes()
 
     def test_build_missing_fields_rejected(self):
         with pytest.raises(ConfigurationError):

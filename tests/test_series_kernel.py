@@ -11,6 +11,7 @@ the same warnings in the same order. Bits are compared through
 
 import ast
 import math
+import re
 import warnings
 from bisect import bisect_right
 
@@ -58,8 +59,9 @@ def series_case(seed, n_rc, phases, q_rate, r, p0_kind, first_is_correction):
     ``phases`` holds (kind, samples, dt): a drive of random currents, some past
     the resistor grid (±50 A); a rest at 0 A; or a charge of 60 A that drives
     v_qst past the guard above the window. Voltages sit around the window and
-    past it. P0 is the default diagonal, an asymmetric matrix, or a diagonal
-    with signed-zero off-diagonals.
+    past it. P0 is the default diagonal, a dense symmetric matrix (the
+    default plus the symmetric part of 1e-6 noise), or a diagonal with
+    signed-zero off-diagonals.
     """
     rng = np.random.default_rng(seed)
     taus = np.sort(rng.uniform(2.0, 30.0, n_rc))
@@ -78,8 +80,9 @@ def series_case(seed, n_rc, phases, q_rate, r, p0_kind, first_is_correction):
     cfg = EkfConfig(base.process_noise_q, r, base.initial_covariance_p0, base.initial_state)
     p0 = base.initial_covariance_p0.copy()
     m = n_rc + 1
-    if p0_kind == "asymmetric":
-        p0 = p0 + 1e-6 * rng.standard_normal((m, m))
+    if p0_kind == "dense":
+        noise = 1e-6 * rng.standard_normal((m, m))
+        p0 = p0 + 0.5 * (noise + noise.T)
     elif p0_kind == "signed zeros":
         p0 = np.where(np.eye(m, dtype=bool), p0, -0.0)
     ekf = EkfState(base.initial_state.copy(), p0)
@@ -116,7 +119,7 @@ phase = st.tuples(st.sampled_from(["drive", "rest", "rest", "charge"]),
 @PROPERTY
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.lists(phase, min_size=1, max_size=5),
        st.sampled_from([0.0, 1e-8, 1e-6]), st.sampled_from([1e-4, 1e-2, 1e-8, math.inf]),
-       st.sampled_from(["default", "asymmetric", "signed zeros"]), st.booleans())
+       st.sampled_from(["default", "dense", "signed zeros"]), st.booleans())
 @example(3, 2, [("charge", 200, 2.0), ("rest", 300, 1.0)], 1e-6, 1e-4, "default", True)
 @example(3, 2, [("charge", 200, 2.0), ("rest", 300, 1.0)], 1e-6, math.inf, "default", False)
 def test_generated_loop_is_the_list_form_bit_for_bit(seed, n_rc, phases, q_rate, r, p0_kind,
@@ -125,7 +128,7 @@ def test_generated_loop_is_the_list_form_bit_for_bit(seed, n_rc, phases, q_rate,
 
 
 @pytest.mark.parametrize("n_rc", [1, 2, 3])
-@pytest.mark.parametrize("p0_kind", ["default", "asymmetric", "signed zeros"])
+@pytest.mark.parametrize("p0_kind", ["default", "dense", "signed zeros"])
 def test_settled_rests_reuse_the_step_bit_for_bit(n_rc, p0_kind):
     """A drive, a rest long enough for P to settle, a dt change, a rest again. With
     Q = 0 P shrinks for ever and never settles, so Q is 1e-6 per second here."""
@@ -217,6 +220,28 @@ def test_sample_loops_call_only_what_they_must(m):
              for node in ast.walk(statement) if isinstance(node, ast.Call)}
     assert calls == {"bisect_right", "sqrt", "exp", "np.array", "np.array(...).tobytes",
                      "NumericalFailureError", "InvalidInputError"}
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_generated_code_holds_the_upper_triangle_of_p(m):
+    """Past the unpacking of P and the check that refuses an asymmetric one, the
+    kernel names no entry of P, Q*h or the previous P below the diagonal, and
+    it copies the m(m+1)/2 entries of the upper triangle of P before a predict."""
+    body = ast.parse(estimator._series_source(m)).body[0].body
+    unpack = next(k for k, node in enumerate(body)
+                  if isinstance(node, ast.Assign) and ast.unparse(node.value) == "p")
+    check = body[unpack + 1]
+    assert isinstance(check, ast.If) and "covariance must be symmetric" in ast.unparse(check)
+    assert f"p_{m - 1}_0 != p_0_{m - 1}" in ast.unparse(check.test)
+    rest = [*body[:unpack], *body[unpack + 2:]]
+    nodes = [node for statement in rest for node in ast.walk(statement)]
+    entries = (re.fullmatch(r"(?:prev_)?[pq]_(\d+)_(\d+)", node.id)
+               for node in nodes if isinstance(node, ast.Name))
+    assert not [e[0] for e in entries if e and int(e[1]) > int(e[2])]
+    copies = [target.id for node in nodes if isinstance(node, ast.Assign)
+              for target in node.targets
+              if isinstance(target, ast.Name) and target.id.startswith("prev_")]
+    assert sorted(copies) == sorted(f"prev_p_{a}_{b}" for a in range(m) for b in range(a, m))
 
 
 def test_warnings_name_the_caller_of_filter_series():
