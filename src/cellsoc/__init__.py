@@ -43,7 +43,6 @@ from .identification import (
     IdentificationResult,
     RcFitDiagnostics,
     Segment,
-    SegmentedTrace,
     build_q_curve,
     decompose,
     estimate_capacitance,
@@ -67,7 +66,6 @@ from .model import (
     simulate,
     soc_from_vqst,
     step,
-    v_dyn_steady,
     vqst_from_soc,
 )
 from .multicell import (

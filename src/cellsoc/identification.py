@@ -24,7 +24,14 @@ from .errors import (
     InvalidParametersError,
     UnusableTraceError,
 )
-from .model import CellParameters, RcGroup, Trace, interval_currents, reconstruct_v_dyn
+from .model import (
+    _MAX_SAMPLES,
+    CellParameters,
+    RcGroup,
+    Trace,
+    interval_currents,
+    reconstruct_v_dyn,
+)
 
 
 @dataclass(frozen=True)
@@ -48,8 +55,15 @@ class IdentificationConfig:
                                      f"got {threshold}")
         if self.capacitance_grid_size < 16:
             raise ConfigurationError("capacitance grid needs at least 16 points")
+        if self.capacitance_grid_size > _MAX_SAMPLES:
+            raise ConfigurationError(f"capacitance_grid_size is more than one array holds "
+                                     f"({_MAX_SAMPLES})")
         if self.smoothing_halfwidth < 0:
             raise ConfigurationError("smoothing halfwidth cannot be negative")
+        if 2 * self.smoothing_halfwidth + 1 > self.capacitance_grid_size:
+            raise ConfigurationError(f"smoothing_halfwidth window (2 * smoothing_halfwidth + 1) "
+                                     f"is wider than the {self.capacitance_grid_size}-point "
+                                     f"capacitance grid")
 
 
 @dataclass(frozen=True)
@@ -61,17 +75,7 @@ class Segment:
     stop: int
 
 
-@dataclass(eq=False)
-class SegmentedTrace:
-    trace: Trace
-    segments: list[Segment]
-    config: IdentificationConfig
-
-    def rests(self) -> list[Segment]:
-        return [s for s in self.segments if s.kind == "rest"]
-
-
-def segment_trace(trace: Trace, cfg: IdentificationConfig) -> SegmentedTrace:
+def segment_trace(trace: Trace, cfg: IdentificationConfig) -> list[Segment]:
     """Label contiguous charge / rest / discharge phases."""
     current = trace.current
     thr = cfg.current_zero_threshold
@@ -91,11 +95,10 @@ def segment_trace(trace: Trace, cfg: IdentificationConfig) -> SegmentedTrace:
     starts = np.concatenate(([0], boundaries))
     stops = np.concatenate((boundaries, [labels.size]))
 
-    segments = [
+    return [
         Segment(kinds[int(labels[start])], int(start), int(stop))
         for start, stop in zip(starts, stops)
     ]
-    return SegmentedTrace(trace, segments, cfg)
 
 
 def _jump_points(trace: Trace, cfg: IdentificationConfig) -> tuple[dict[float, list[float]], int]:
@@ -133,14 +136,14 @@ def _jump_points(trace: Trace, cfg: IdentificationConfig) -> tuple[dict[float, l
     return points, skipped
 
 
-def fit_instantaneous(seg: SegmentedTrace) -> MonotoneCurve:
+def fit_instantaneous(trace: Trace, cfg: IdentificationConfig) -> MonotoneCurve:
     """Nonlinear-resistor characteristic from simultaneous current/voltage jumps.
 
     Each step into or out of rest pairs the voltage jump with the step current;
     repeats at the same current are averaged, the curve is pinned through
     (0, 0) and projected to nondecreasing if measurement noise broke order.
     """
-    points, skipped = _jump_points(seg.trace, seg.config)
+    points, skipped = _jump_points(trace, cfg)
     if skipped:
         warnings.warn(
             f"{skipped} current steps did not border a rest phase and were ignored",
@@ -392,13 +395,12 @@ def fit_rc_groups(
     return groups, diag
 
 
-def decompose(seg: SegmentedTrace, rc, resistor: MonotoneCurve) -> np.ndarray:
+def decompose(trace: Trace, rc, resistor: MonotoneCurve) -> np.ndarray:
     """Quasi-stationary voltage by subtraction of the fitted contributions.
 
     The dynamic part is reconstructed by integrating the fitted RC groups over
     the measured current (starting from rest at the trace head).
     """
-    trace = seg.trace
     voltage = trace.require_voltage()
     v_dyn = reconstruct_v_dyn(trace.timestamps, trace.current, tuple(rc))
     return voltage - v_dyn.sum(axis=1) - resistor.eval(trace.current)
@@ -520,115 +522,108 @@ class IdentificationResult:
     report: FitReport
 
 
-def _stage(name: str, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except Exception as exc:
-        if isinstance(exc, (UnusableTraceError, FitConvergenceError, InvalidParametersError,
-                            ConfigurationError)):
+def _stage(name: str, fn, *args):
+    """Run one identification stage: ``(fn(*args), notes)``.
+
+    The notes are the messages of the warnings the stage raised, a
+    ``FitQualityWarning`` on every occurrence. A ``UnusableTraceError``,
+    ``FitConvergenceError``, ``InvalidParametersError`` or ``ConfigurationError``
+    is re-raised with ``[name]`` prefixed to its message.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", FitQualityWarning)
+        try:
+            result = fn(*args)
+        except (UnusableTraceError, FitConvergenceError, InvalidParametersError,
+                ConfigurationError) as exc:
             raise type(exc)(f"[{name}] {exc}") from exc
-        raise
+    return result, [str(w.message) for w in caught]
 
 
 def identify(trace: Trace, cfg: IdentificationConfig | None = None) -> IdentificationResult:
     """Full pipeline: segment, fit the three dipoles, assemble CellParameters.
 
-    Stage failures propagate with the failing stage named in the message; the
-    result carries a per-stage fit-quality report.
+    Each of the six stages runs through ``_stage``: a failure propagates with
+    the failing stage named in its message, and the warnings a stage raises
+    become that stage's first report notes. The result carries the per-stage
+    fit-quality report.
     """
     cfg = cfg or IdentificationConfig()
     report = FitReport()
 
-    seg = _stage("segmentation", segment_trace, trace, cfg)
-    report.add(
-        "segmentation",
-        notes=[
-            f"{len(seg.segments)} segments: "
-            + ", ".join(f"{s.kind}[{s.start}:{s.stop}]" for s in seg.segments[:12])
-            + ("..." if len(seg.segments) > 12 else "")
-        ],
+    segments, notes = _stage("segmentation", segment_trace, trace, cfg)
+    notes.append(
+        f"{len(segments)} segments: "
+        + ", ".join(f"{s.kind}[{s.start}:{s.stop}]" for s in segments[:12])
+        + ("..." if len(segments) > 12 else "")
     )
+    report.add("segmentation", notes=notes)
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", FitQualityWarning)
-        resistor = _stage("instantaneous-fit", fit_instantaneous, seg)
-    notes = [str(w.message) for w in caught]
-    spread = _instantaneous_spread(seg, resistor)
-    report.add("instantaneous-fit", residual_rms=spread, notes=notes)
+    resistor, notes = _stage("instantaneous-fit", fit_instantaneous, trace, cfg)
+    report.add("instantaneous-fit", residual_rms=_instantaneous_spread(trace, cfg, resistor),
+               notes=notes)
 
-    rest = _first_excited_rest(seg)
-    rest_trace = seg.trace.slice(rest.start, rest.stop)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", FitQualityWarning)
-        groups, diag = _stage(
-            "rc-fit", fit_rc_groups, rest_trace, cfg.n_rc, seg.trace.slice(0, rest.start + 1)
-        )
-    rc_notes = [str(w.message) for w in caught] + diag.notes
-    offset_data = float(rest_trace.voltage[0] - np.mean(rest_trace.voltage[int(0.9 * len(rest_trace)):]))
+    (rest, groups, diag), notes = _stage("rc-fit", _fit_first_rest, trace, segments, cfg.n_rc)
+    notes += diag.notes
+    rest_v = trace.voltage[rest.start:rest.stop]
+    offset_data = float(rest_v[0] - np.mean(rest_v[int(0.9 * rest_v.size):]))
     offset_fit = float(np.sum(diag.amplitudes))
     if abs(offset_fit) > 1e-12 and abs(offset_data - offset_fit) > 0.1 * abs(offset_fit):
-        rc_notes.append(
+        notes.append(
             f"sum-of-R cross-check mismatch: data offset {offset_data:.6g} V vs fitted "
             f"{offset_fit:.6g} V"
         )
-    rc_notes.append(
-        "groups: " + ", ".join(f"(r={g.r:.6g}, tau={g.tau:.6g})" for g in groups)
+    notes.append("groups: " + ", ".join(f"(r={g.r:.6g}, tau={g.tau:.6g})" for g in groups))
+    report.add("rc-fit", residual_rms=diag.residual_rms, iterations=diag.iterations, notes=notes)
+
+    v_qst, notes = _stage("decomposition", decompose, trace, groups, resistor)
+    report.add("decomposition", residual_rms=float(np.std(v_qst[rest.start:rest.stop])),
+               notes=notes + ["residual is the std of v_qst over the fitted rest segment"])
+
+    (charge_b, discharge_b, mean_b), notes = _stage(
+        "q-curve", build_q_curve, v_qst, trace.current, trace.timestamps,
+        cfg.capacitance_grid_size, cfg.current_zero_threshold,
     )
-    report.add("rc-fit", residual_rms=diag.residual_rms, iterations=diag.iterations, notes=rc_notes)
-
-    v_qst = _stage("decomposition", decompose, seg, groups, resistor)
-    rest_flat = float(np.std(v_qst[rest.start:rest.stop]))
-    report.add("decomposition", residual_rms=rest_flat,
-               notes=["residual is the std of v_qst over the fitted rest segment"])
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", FitQualityWarning)
-        charge_b, discharge_b, mean_b = _stage(
-            "q-curve",
-            build_q_curve,
-            v_qst,
-            seg.trace.current,
-            seg.trace.timestamps,
-            cfg.capacitance_grid_size,
-            cfg.current_zero_threshold,
-        )
     hysteresis = float(np.sqrt(np.mean((charge_b.values - discharge_b.values) ** 2)))
     report.add("q-curve", residual_rms=hysteresis,
-               notes=[str(w.message) for w in caught]
-               + ["residual is the rms gap between charge and discharge branches"])
+               notes=notes + ["residual is the rms gap between charge and discharge branches"])
 
-    capacitance, _ = _stage(
+    (capacitance, _), notes = _stage(
         "capacitance", estimate_capacitance, mean_b, cfg.capacitance_grid_size,
         cfg.smoothing_halfwidth,
     )
     params = CellParameters.from_curves(
         capacitance.x_min, capacitance.x_max, capacitance, groups, resistor
     )
-    report.add(
-        "capacitance",
-        notes=[
-            f"v_n = {params.nominal_voltage_v_n!r} V, delta_q = {params.delta_q!r} C, "
-            f"window [{params.v_min!r}, {params.v_max!r}] V"
-        ],
+    notes.append(
+        f"v_n = {params.nominal_voltage_v_n!r} V, delta_q = {params.delta_q!r} C, "
+        f"window [{params.v_min!r}, {params.v_max!r}] V"
     )
+    report.add("capacitance", notes=notes)
     return IdentificationResult(params, report)
 
 
-def _instantaneous_spread(seg: SegmentedTrace, resistor: MonotoneCurve) -> float:
+def _instantaneous_spread(trace: Trace, cfg: IdentificationConfig,
+                          resistor: MonotoneCurve) -> float:
     """RMS scatter of the individual jump points around the fitted curve."""
-    points, _ = _jump_points(seg.trace, seg.config)
+    points, _ = _jump_points(trace, cfg)
     residuals = [dv - resistor.eval(i) for i, dvs in points.items() for dv in dvs]
-    if not residuals:
-        return 0.0
     return float(np.sqrt(np.mean(np.square(residuals))))
 
 
-def _first_excited_rest(seg: SegmentedTrace) -> Segment:
+def _first_excited_rest(segments: list[Segment]) -> Segment:
     """First rest segment after a current pulse.
 
     Adjacent segments differ in kind, so that is any rest but a leading one.
     """
-    for s in seg.segments[1:]:
+    for s in segments[1:]:
         if s.kind == "rest":
             return s
     raise UnusableTraceError("no rest segment follows a current pulse; cannot fit RC groups")
+
+
+def _fit_first_rest(trace: Trace, segments: list[Segment], n_rc: int):
+    """The RC fit on the first excited rest: ``(rest, groups, diagnostics)``."""
+    rest = _first_excited_rest(segments)
+    return (rest, *fit_rc_groups(trace.slice(rest.start, rest.stop), n_rc,
+                                  trace.slice(0, rest.start + 1)))

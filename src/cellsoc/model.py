@@ -29,6 +29,9 @@ from .errors import (
 # state is clamped; lets an estimator recover from a bad initialization.
 DEFAULT_VQST_GUARD = 0.05
 
+# The most float64 samples one array can hold.
+_MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
 
 @dataclass(frozen=True)
 class RcGroup:
@@ -336,12 +339,6 @@ def step(
         v_new = lo if v_new < lo else hi
     decay = np.exp(-dt / params.taus)
     return CellState(v_new, state.v_dyn_components * decay + params.rs * current * (1.0 - decay))
-
-
-def v_dyn_steady(params: CellParameters, current: float) -> float:
-    """Dynamic-dipole voltage after the transient: (sum of R_i) * current."""
-    _check_finite(current=current)
-    return float(np.sum(params.rs)) * current
 
 
 # Static messages, so repeated clamps deduplicate under the default filter.

@@ -32,8 +32,7 @@ from .errors import (
     SchedulingWarning,
 )
 from .estimator import EkfConfig, EkfState, _filter_series, _soc_column, make_filter
-from .model import CellParameters, _check_finite, coulomb_count
-from .profiles import _MAX_SAMPLES
+from .model import _MAX_SAMPLES, CellParameters, _check_finite, coulomb_count
 
 
 def max_cells(f_max: float, t_slot: float) -> int:

@@ -14,14 +14,11 @@ from .errors import (
     NonUniformSamplingError,
     ProfileWarning,
 )
-from .model import Trace
+from .model import _MAX_SAMPLES, Trace
 
 # Peak current magnitude (amperes) allowed into the pack on the aggressive
 # segment; applied as a symmetric clamp.
 DEFAULT_CURRENT_CLAMP = 44.0
-
-# The most float64 samples one array can hold.
-_MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(float).itemsize
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,13 @@ class TestSimulate:
         assert np.allclose(np.diff(trace.voltage), 0.0, atol=1e-12)
         assert (tmp_path / "trace.csv.manifest.json").exists()
 
+    def test_neither_profile_nor_spec_exit_2(self, cell_files, tmp_path, capsys):
+        _, params_path = cell_files
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--params", str(params_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "data error: one of --profile or --spec is required\n"
+        assert not out.exists()
+
     def test_missing_file_exit_2_no_partial_output(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
         code = main(["simulate", "--params", str(tmp_path / "nope.json"),
@@ -308,6 +315,14 @@ class TestIdentify:
         pytest.param({"current_zero_threshold": 10**400},
                      "identification config field current_zero_threshold is beyond the float "
                      "range", id="huge-int"),
+        pytest.param({"capacitance_grid_size": 10**400},
+                     "capacitance_grid_size is more than one array holds", id="huge-grid"),
+        pytest.param({"smoothing_halfwidth": 10**400},
+                     "smoothing_halfwidth window (2 * smoothing_halfwidth + 1) is wider than "
+                     "the 96-point capacitance grid", id="huge-halfwidth"),
+        pytest.param({"smoothing_halfwidth": 1000},
+                     "smoothing_halfwidth window (2 * smoothing_halfwidth + 1) is wider than "
+                     "the 96-point capacitance grid", id="window-wider-than-grid"),
     ])
     def test_bad_config_document_exit_2(self, tmp_path, capsys, doc, expected):
         trace_path = tmp_path / "id.csv"

@@ -6,6 +6,7 @@ import pytest
 from cellsoc import (
     CellParameters,
     CellState,
+    ConfigurationError,
     EkfConfig,
     EkfState,
     InvalidParametersError,
@@ -154,6 +155,13 @@ class TestPredict:
             p = state.covariance
             assert np.array_equal(p, p.T)
             assert np.min(np.linalg.eigvalsh(p)) >= -1e-10
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0])
+    def test_a_step_that_does_not_advance_is_refused(self, dt):
+        cell = make_cell()
+        cfg = EkfConfig.default(cell)
+        with pytest.raises(ConfigurationError, match=f"dt must be positive, got {dt}"):
+            predict(make_filter(cfg), cell, 0.0, dt, cfg)
 
     def test_process_noise_that_overflows_over_dt_is_named(self):
         """Q = 1e308 per second is a valid config; over a 2 s step Q*dt overflows,

@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from cellsoc import (
     FitConvergenceError,
+    ConfigurationError,
     FitQualityWarning,
     IdentificationConfig,
+    InvalidParametersError,
     MonotoneCurve,
     RcGroup,
     Trace,
@@ -19,7 +23,8 @@ from cellsoc import (
     segment_trace,
     simulate,
 )
-from cellsoc.model import CellState
+from cellsoc.identification import _stage
+from cellsoc.model import _MAX_SAMPLES, CellState
 from cellsoc.profiles import ProfileSpec, build_profile
 from helpers import identification_trace, make_cell, random_cell, relative_rms
 
@@ -27,29 +32,40 @@ from helpers import identification_trace, make_cell, random_cell, relative_rms
 CFG = IdentificationConfig()
 
 
+class TestConfig:
+    def test_smoothing_window_may_span_the_grid_but_not_exceed_it(self):
+        assert IdentificationConfig(capacitance_grid_size=17, smoothing_halfwidth=8)
+        with pytest.raises(ConfigurationError, match="wider than the 17-point capacitance grid"):
+            IdentificationConfig(capacitance_grid_size=17, smoothing_halfwidth=9)
+
+    def test_a_grid_no_array_holds_is_refused(self):
+        with pytest.raises(ConfigurationError, match="capacitance_grid_size is more than one"):
+            IdentificationConfig(capacitance_grid_size=_MAX_SAMPLES + 1)
+
+
 class TestSegmentTrace:
     def test_constant_zero_single_rest(self):
         t = np.arange(100.0)
-        seg = segment_trace(Trace(t, np.zeros(100), np.full(100, 3.3)), CFG)
-        assert [s.kind for s in seg.segments] == ["rest"]
-        assert seg.segments[0].start == 0 and seg.segments[0].stop == 100
+        segments = segment_trace(Trace(t, np.zeros(100), np.full(100, 3.3)), CFG)
+        assert [s.kind for s in segments] == ["rest"]
+        assert segments[0].start == 0 and segments[0].stop == 100
 
     def test_pulse_profile_four_segments(self):
         trace, _ = identification_trace(make_cell(), sample_period=4.0)
-        seg = segment_trace(trace, CFG)
-        kinds = [s.kind for s in seg.segments]
+        segments = segment_trace(trace, CFG)
+        kinds = [s.kind for s in segments]
         assert kinds == ["rest", "charge", "rest", "discharge", "rest"]
         # Boundaries are known from the generator: charge = delta_q / 2 A.
         cell = make_cell()
         n_charge = round(cell.delta_q / (2.0 * 4.0))
-        assert seg.segments[1].stop - seg.segments[1].start == n_charge
+        assert segments[1].stop - segments[1].start == n_charge
 
     def test_segments_cover_and_do_not_overlap(self):
         trace, _ = identification_trace(make_cell(), sample_period=4.0)
-        seg = segment_trace(trace, CFG)
-        assert seg.segments[0].start == 0
-        assert seg.segments[-1].stop == len(trace)
-        for a, b in zip(seg.segments, seg.segments[1:]):
+        segments = segment_trace(trace, CFG)
+        assert segments[0].start == 0
+        assert segments[-1].stop == len(trace)
+        for a, b in zip(segments, segments[1:]):
             assert a.stop == b.start
 
     def test_degenerate_threshold_warns(self):
@@ -57,8 +73,8 @@ class TestSegmentTrace:
         current = np.where(t < 50, 0.005, -0.005)
         cfg = IdentificationConfig(current_zero_threshold=0.01)
         with pytest.warns(FitQualityWarning):
-            seg = segment_trace(Trace(t, current, np.full(100, 3.3)), cfg)
-        assert [s.kind for s in seg.segments] == ["rest"]
+            segments = segment_trace(Trace(t, current, np.full(100, 3.3)), cfg)
+        assert [s.kind for s in segments] == ["rest"]
 
     def test_no_rest_errors(self):
         t = np.arange(100.0)
@@ -70,7 +86,7 @@ class TestFitInstantaneous:
     def test_linear_resistor_slope_recovered(self):
         cell = make_cell(r0=0.05)
         trace, _ = identification_trace(cell, charge_amplitudes=(2.0,), sample_period=4.0)
-        curve = fit_instantaneous(segment_trace(trace, CFG))
+        curve = fit_instantaneous(trace, CFG)
         assert curve.eval(2.0) / 2.0 == pytest.approx(0.05, rel=0.02)
 
     def test_zero_resistance_cell(self):
@@ -81,7 +97,7 @@ class TestFitInstantaneous:
         with _warnings.catch_warnings():
             # Point scatter at the numerical-noise floor may break monotonicity.
             _warnings.simplefilter("ignore", FitQualityWarning)
-            curve = fit_instantaneous(segment_trace(trace, CFG))
+            curve = fit_instantaneous(trace, CFG)
         assert abs(curve.eval(2.0)) < 1e-4
 
     def test_cubic_resistor_multiple_amplitudes(self):
@@ -95,7 +111,7 @@ class TestFitInstantaneous:
         current = np.concatenate(blocks)
         t = dt * np.arange(current.size)
         res = simulate(cell, Trace(t, current), CellState(3.2, np.zeros(2)))
-        curve = fit_instantaneous(segment_trace(res.trace, CFG))
+        curve = fit_instantaneous(res.trace, CFG)
         for amp in (1.0, 2.0, 4.0, -1.0, -2.0, -4.0):
             truth = cell.resistor.eval(amp)
             assert curve.eval(amp) == pytest.approx(truth, rel=0.02, abs=2e-4)
@@ -103,7 +119,7 @@ class TestFitInstantaneous:
     def test_passes_through_zero_exactly(self):
         cell = make_cell()
         trace, _ = identification_trace(cell, sample_period=4.0)
-        curve = fit_instantaneous(segment_trace(trace, CFG))
+        curve = fit_instantaneous(trace, CFG)
         assert curve.eval(0.0) == 0.0
 
     def test_single_amplitude_degenerate_warns(self):
@@ -113,7 +129,7 @@ class TestFitInstantaneous:
         t = dt * np.arange(current.size)
         res = simulate(cell, Trace(t, current), CellState(3.2, np.zeros(2)))
         with pytest.warns(FitQualityWarning):
-            curve = fit_instantaneous(segment_trace(res.trace, CFG))
+            curve = fit_instantaneous(res.trace, CFG)
         assert curve.eval(2.0) / 2.0 == pytest.approx(0.03, rel=0.02)
 
 
@@ -212,32 +228,29 @@ class TestFitRcGroups:
 class TestDecompose:
     def test_identity_when_no_dynamics(self):
         trace, _ = identification_trace(make_cell(), sample_period=4.0)
-        seg = segment_trace(trace, CFG)
         zero_resistor = MonotoneCurve([-50.0, 50.0], [0.0, 0.0])
-        v_qst = decompose(seg, [], zero_resistor)
+        v_qst = decompose(trace, [], zero_resistor)
         assert np.array_equal(v_qst, trace.voltage)
 
     def test_rest_tail_constant(self):
         cell = make_cell()
         trace, res = identification_trace(cell, sample_period=4.0)
-        seg = segment_trace(trace, CFG)
-        v_qst = decompose(seg, list(cell.rc_groups), cell.resistor)
-        rest = seg.rests()[1]  # rest after the charge pulse
+        segments = segment_trace(trace, CFG)
+        v_qst = decompose(trace, list(cell.rc_groups), cell.resistor)
+        rest = [s for s in segments if s.kind == "rest"][1]  # rest after the charge pulse
         tail = v_qst[rest.start:rest.stop]
         assert np.std(tail) < 1e-9
 
     def test_recovers_generator_v_qst_with_true_parameters(self):
         cell = make_cell()
         trace, res = identification_trace(cell, sample_period=4.0)
-        seg = segment_trace(trace, CFG)
-        v_qst = decompose(seg, list(cell.rc_groups), cell.resistor)
+        v_qst = decompose(trace, list(cell.rc_groups), cell.resistor)
         assert np.max(np.abs(v_qst - res.v_qst)) < 1e-9
 
     def test_completeness_by_construction(self):
         cell = make_cell()
         trace, _ = identification_trace(cell, sample_period=4.0)
-        seg = segment_trace(trace, CFG)
-        v_qst = decompose(seg, list(cell.rc_groups), cell.resistor)
+        v_qst = decompose(trace, list(cell.rc_groups), cell.resistor)
         v_dyn = reconstruct_v_dyn(trace.timestamps, trace.current, cell.rc_groups)
         rebuilt = v_qst + v_dyn.sum(axis=1) + cell.resistor.eval(trace.current)
         assert np.allclose(rebuilt, trace.voltage, atol=1e-12)
@@ -316,6 +329,31 @@ class TestEstimateCapacitance:
             estimate_capacitance(MonotoneCurve(grid, np.zeros(50)), 32)
 
 
+class TestStage:
+    def test_notes_are_every_warning_in_order(self):
+        def fit(x):
+            for k in range(3):
+                warnings.warn("same place", FitQualityWarning)
+            warnings.warn("elsewhere", FitQualityWarning)
+            return 2 * x
+
+        assert _stage("q-curve", fit, 21) == (42, ["same place"] * 3 + ["elsewhere"])
+
+    @pytest.mark.parametrize("error", [UnusableTraceError, FitConvergenceError,
+                                       InvalidParametersError, ConfigurationError])
+    def test_package_errors_name_their_stage(self, error):
+        def fail():
+            raise error("the reason")
+
+        with pytest.raises(error, match=r"^\[rc-fit\] the reason$") as info:
+            _stage("rc-fit", fail)
+        assert type(info.value.__cause__) is error
+
+    def test_other_errors_pass_through(self):
+        with pytest.raises(ZeroDivisionError):
+            _stage("capacitance", lambda: 1 / 0)
+
+
 class TestIdentifyRoundTrip:
     def test_noiseless_round_trip(self):
         cell = make_cell()
@@ -355,6 +393,27 @@ class TestIdentifyRoundTrip:
         trace = Trace(t, np.full(100, 2.0), np.full(100, 3.3))
         with pytest.raises(UnusableTraceError):
             identify(trace, CFG)
+
+    def test_a_pulse_with_no_rest_after_it_fails_in_rc_fit(self):
+        cell = make_cell()
+        current = np.concatenate([np.zeros(50), np.full(200, 2.0)])
+        t = 4.0 * np.arange(current.size)
+        res = simulate(cell, Trace(t, current), CellState(3.2, np.zeros(2)))
+        with pytest.raises(UnusableTraceError,
+                           match=r"^\[rc-fit\] no rest segment follows a current pulse"):
+            identify(res.trace, CFG)
+
+    def test_a_swallowing_threshold_is_a_segmentation_note_not_a_warning(self):
+        t = np.arange(100.0)
+        current = np.where(t < 50, 0.005, -0.005)
+        cfg = IdentificationConfig(current_zero_threshold=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", FitQualityWarning)
+            segments, notes = _stage("segmentation", segment_trace,
+                                     Trace(t, current, np.full(100, 3.3)), cfg)
+        assert [s.kind for s in segments] == ["rest"]
+        (note,) = notes
+        assert note.startswith("current-zero threshold 0.01 A swallows the whole profile")
 
     def test_tau_collapse_from_default_start_is_refitted(self):
         # From the default start this cell's relaxation fit converges to a

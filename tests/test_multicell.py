@@ -1,3 +1,4 @@
+import math
 import warnings
 from collections import Counter
 
@@ -11,6 +12,7 @@ from cellsoc import (
     ConfigurationError,
     EkfConfig,
     InvalidInputError,
+    InvalidParametersError,
     Measurement,
     MultiCellEkf,
     OutOfRangeWarning,
@@ -23,6 +25,7 @@ from cellsoc import (
     vqst_from_soc,
 )
 from cellsoc.model import _current_clamp_message, _soc_clamp_message
+from cellsoc.multicell import _service_count
 from helpers import make_cell, oracle_service_soc, random_cell
 
 
@@ -518,6 +521,83 @@ class TestRunWarnings:
         assert kinds(caught) == sum((Counter(set(c)) for c in ticked.values()), Counter())
         assert sum(s.current_clamps + s.soc_clamps for s in series.values()) == sum(
             sum(c.values()) for c in ticked.values())
+
+
+class TestRefusals:
+    """Each refusal raises before the engine changes."""
+
+    def pair_traces(self):
+        cell = make_cell()
+        trace = service_grid_trace(cell, 40, 0.25, 0.0, lambda t: -np.ones_like(t))
+        return {"a": trace, "b": trace}
+
+    def test_nan_f_max_is_refused(self):
+        with pytest.raises(InvalidParametersError, match="f_max must be positive, got nan"):
+            SchedulerConfig(t_slot=0.01, cells=("a",), f_max=math.nan)
+
+    def test_a_cell_without_a_setup_is_refused(self):
+        cell = make_cell()
+        sched = SchedulerConfig(t_slot=0.25, cells=("a", "b"), f_max=1.0)
+        with pytest.raises(InvalidInputError, match="no setup provided for cell 'b'"):
+            MultiCellEkf(sched, {"a": (cell, EkfConfig.default(cell))})
+
+    def test_run_refuses_a_cell_without_a_trace(self):
+        engine = ticked_pair()
+        before = snapshot(engine)
+        with pytest.raises(InvalidInputError, match="no trace provided for cell 'b'"):
+            engine.run({"a": self.pair_traces()["a"]})
+        assert snapshot(engine) == before
+
+    def test_run_refuses_a_ring_that_is_not_at_its_start(self):
+        engine = ticked_pair()  # b is due
+        before = snapshot(engine)
+        with pytest.raises(SchedulingViolationError, match="measurement for 'a' but 'b' is due"):
+            engine.run(self.pair_traces())
+        assert snapshot(engine) == before
+
+    def test_run_refuses_service_instants_that_stop_advancing(self):
+        # At 1e17 s one ulp is 16 s, so start + k * 0.01 rounds back to the start.
+        cell = make_cell()
+        sched = SchedulerConfig(t_slot=0.01, cells=("a",), f_max=1.0)
+        engine = MultiCellEkf(sched, {"a": (cell, EkfConfig.default(cell))}, start_time=1e17)
+        before = snapshot(engine)
+        trace = Trace(1e17 + 16.0 * np.arange(-1.0, 3.0), -np.ones(4), np.full(4, 3.3))
+        with pytest.raises(SchedulingViolationError,
+                           match=r"service time 1e\+17 does not advance past 1e\+17"):
+            engine.run({"a": trace})
+        assert snapshot(engine) == before
+
+
+def brute_service_count(start, t_slot, horizon):
+    k = 0
+    while start + (k + 1) * t_slot <= horizon:
+        k += 1
+    return k
+
+
+class TestServiceCount:
+    def test_the_quotient_is_settled_by_the_service_times(self):
+        # (horizon - start) / t_slot gives 764 here, yet the 765th service
+        # time, start + 765 * 0.01, is the horizon itself.
+        start = 260.4923103919594
+        horizon = start + 765 * 0.01
+        assert int((horizon - start) / 0.01) == 764
+        assert _service_count(start, 0.01, horizon) == 765 == brute_service_count(
+            start, 0.01, horizon)
+
+    def test_equals_a_brute_force_count(self):
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            start = float(rng.uniform(-1e3, 1e3))
+            t_slot = float(rng.choice([0.01, 0.1, 0.3, 0.25, 1.0 / 3.0]))
+            on_time = start + int(rng.integers(0, 300)) * t_slot
+            # On a service time, an ulp either side of it (where the quotient
+            # may round past the count), or between two services.
+            horizon = [on_time, float(np.nextafter(on_time, -np.inf)),
+                       float(np.nextafter(on_time, np.inf)),
+                       on_time + 0.5 * t_slot][int(rng.integers(0, 4))]
+            assert _service_count(start, t_slot, horizon) == brute_service_count(
+                start, t_slot, horizon)
 
 
 @st.composite
