@@ -453,6 +453,33 @@ class SimulationResult:
     saturation_events: list = field(default_factory=list)
 
 
+def _running_charge(q0: float, charges: np.ndarray, q_lo: float,
+                    q_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The running charge S_0 = q0, S_k = S_{k-1} + charges[k-1], and the
+    samples k >= 1 where it was clamped: an S_k outside [q_lo, q_hi] restarts
+    the sum at that bound.
+
+    One cumsum forms the sum; it adds left to right, so it gives the
+    per-sample loop's bits. A clamp changes every later sum, so the loop runs
+    only from the first sample that leaves the window.
+    """
+    running = np.cumsum(np.concatenate(([q0], charges)))
+    sums = running[1:]
+    outside = np.flatnonzero((sums < q_lo) | (sums > q_hi))
+    clamped: list[int] = []
+    if outside.size:
+        first = int(outside[0]) + 1
+        s = running[first - 1].item()
+        stored = memoryview(running)  # stores each sum's 8 bytes, no float object per sample
+        for k, charge in enumerate(charges[first - 1:].tolist(), start=first):
+            s += charge
+            if s < q_lo or s > q_hi:
+                s = q_lo if s < q_lo else q_hi
+                clamped.append(k)
+            stored[k] = s
+    return running, np.array(clamped, dtype=np.intp)
+
+
 def simulate(
     params: CellParameters,
     profile: Trace,
@@ -462,14 +489,15 @@ def simulate(
 
     The charge map composes exactly, so v_qst is Q⁻¹ of the running charge
     S_k = Q(v0) + (sum of the interval charges up to sample k), added left to
-    right. The sum is clamped in charge space to [Q(lo), Q(hi)], the window
-    plus the saturation guard: a clamp restarts it at the bound, the sample
-    takes exactly the bound voltage and a saturation event (time, bound) is
-    collected on the result. A sample whose running charge equals, bit for
-    bit, the one at its anchor (the start or the last clamp) keeps the
-    anchor's voltage, so a rest moves nothing. The RC columns come from
-    reconstruct_v_dyn, and a single warning summarizes any currents clamped
-    by the resistor curve.
+    right by one cumsum (``_running_charge``). The sum is clamped in charge
+    space to [Q(lo), Q(hi)], the window plus the saturation guard: a clamp
+    restarts it at the bound, the sample takes exactly the bound voltage and a
+    saturation event (time, bound) is collected on the result. Only from the
+    first sample that leaves the window does a per-sample loop run. A sample
+    whose running charge equals, bit for bit, the one at its anchor (the start
+    or the last clamp) keeps the anchor's voltage, so a rest moves nothing.
+    The RC columns come from reconstruct_v_dyn, and a single warning
+    summarizes any currents clamped by the resistor curve.
     """
     t = profile.timestamps
     current = profile.current
@@ -483,19 +511,9 @@ def simulate(
     q_hi = cap.integral_and_value(hi)[0]
 
     v0 = float(initial.v_qst)
-    s = cap.integral_and_value(v0)[0]
-    running = np.empty(t.size)
-    sums = memoryview(running)  # stores each sum's 8 bytes, no float object per sample
-    sums[0] = s
-    clamped: list[int] = []
-    bounds: list[float] = []
-    for k, charge in enumerate((interval_currents(current) * np.diff(t)).tolist(), start=1):
-        s += charge
-        if s < q_lo or s > q_hi:
-            s, bound = (q_lo, lo) if s < q_lo else (q_hi, hi)
-            clamped.append(k)
-            bounds.append(bound)
-        sums[k] = s
+    charges = interval_currents(current) * np.diff(t)
+    running, clamped = _running_charge(cap.integral_and_value(v0)[0], charges, q_lo, q_hi)
+    bounds = np.where(running[clamped] == q_lo, lo, hi)
     v_qst = cap.inverse_integral_array(running)
     v_qst[0] = v0
     v_qst[clamped] = bounds
@@ -504,7 +522,7 @@ def simulate(
     np.maximum.accumulate(anchor, out=anchor)
     bits = running.view(np.int64)
     v_qst = np.where(bits == bits[anchor], v_qst[anchor], v_qst)
-    events = [(float(t[k]), bound) for k, bound in zip(clamped, bounds)]
+    events = list(zip(t[clamped].tolist(), bounds.tolist()))
     v_dyn = reconstruct_v_dyn(t, current, params.rc_groups, initial.v_dyn_components)
 
     total = v_qst + v_dyn.sum(axis=1) + res.eval(current)

@@ -18,10 +18,18 @@ time, so the text they hold is one block's, whatever the row count. repr
 depends only on a float's 64 bits, so they format each distinct bit pattern
 of a block once and repeat its text (``_float_texts``).
 
-Trace bodies are read in bulk by ``np.loadtxt``, whose float parser accepts
-a subset of what ``float()`` accepts and gives the same bits. Any body it
-rejects or shapes differently is re-read by the line parser, which decides
-what is accepted and names the failing line.
+Trace bodies are read in bulk by ``np.loadtxt`` from the file's path, which
+numpy reads in chunks with its C reader; handed an open file instead, numpy
+iterates it one Python str per line. Its float parser accepts a subset of
+what ``float()`` accepts and gives the same bits. Any body it rejects or
+shapes differently, and any file it fails to open as text (numpy picks a
+decompressor by file suffix, so a plain-text ``x.csv.gz`` fails there), is
+re-read by the line parser, which decides what is accepted and names the
+failing line.
+
+Every input is read as UTF-8; a byte that is not UTF-8 raises
+TraceParseError (traces) or ConfigurationError (JSON documents) naming the
+file.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import numbers
 import os
 import tempfile
 import warnings
+from contextlib import contextmanager
 from dataclasses import fields
 from itertools import repeat
 from pathlib import Path
@@ -131,6 +140,18 @@ def save_trace(trace: Trace, path) -> None:
     atomic_write_chunks(path, _csv_chunks(header, columns))
 
 
+@contextmanager
+def _open_utf8(path, error):
+    """Open ``path`` as UTF-8 text; a byte that is not UTF-8, met anywhere in
+    the ``with`` body, raises ``error`` naming the file and the byte."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                    f"({exc.reason})") from None
+
+
 def _read_header(fh, path) -> int:
     """Consume the header line; return the number of columns it declares."""
     header = fh.readline().strip()
@@ -153,7 +174,7 @@ def _trace_from_columns(path, cols) -> Trace:
 
 def _parse_trace_lines(path) -> Trace:
     """Line-by-line trace parser: the reference for what ``load_trace`` accepts."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_utf8(path, TraceParseError) as fh:
         n_cols = _read_header(fh, path)
         cols: list[list[float]] = [[] for _ in range(n_cols)]
         for lineno, line in enumerate(fh, start=2):
@@ -174,20 +195,24 @@ def _parse_trace_lines(path) -> Trace:
 def load_trace(path) -> Trace:
     """Parse a trace CSV; malformed rows raise with their line number.
 
-    The body is read in one ``np.loadtxt`` call. Its result is kept only when
-    it has at least one row and exactly the header's columns; otherwise the
-    file is re-read by the line parser, which returns the same trace or raises
-    the ``TraceParseError`` that names the failing line.
+    The header is checked on a handle of its own. The body is then read in one
+    ``np.loadtxt`` call on the file's absolute path, so numpy's chunked C
+    reader reads it (an absolute path is never taken for a URL). Its result
+    is kept only when it has at least one row and exactly the header's
+    columns. Otherwise, or when that call raises anything at all, the file is
+    re-read by the line parser, which returns the same trace or raises the
+    ``TraceParseError`` that names the failing line.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_utf8(path, TraceParseError) as fh:
         n_cols = _read_header(fh, path)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # empty input
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
-        except ValueError:
-            data = None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty input
+            data = np.loadtxt(os.path.abspath(path), delimiter=",", comments=None, skiprows=1,
+                              ndmin=2, dtype=float, encoding="utf-8")
+    except Exception:  # not only ValueError: a suffix such as .gz picks a decompressor
+        data = None
     if data is None or data.shape[0] == 0 or data.shape[1] != n_cols:
         return _parse_trace_lines(path)
     return _trace_from_columns(path, np.ascontiguousarray(data.T))
@@ -246,7 +271,7 @@ def config_array(doc: dict, key: str, what: str) -> np.ndarray:
 
 
 def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_utf8(path, ConfigurationError) as fh:
         return json.load(fh)
 
 

@@ -130,6 +130,25 @@ def relative_rms(estimate: np.ndarray, truth: np.ndarray) -> float:
     return float(np.sqrt(np.mean((estimate - truth) ** 2)) / np.sqrt(np.mean(truth**2)))
 
 
+def running_charge_loop(q0, charges, q_lo, q_hi):
+    """simulate's running charge, one sample at a time: the reference for
+    ``model._running_charge``.
+
+    The sum starts at ``q0`` and adds each interval charge in order; a sum
+    outside [q_lo, q_hi] restarts at that bound. Returns the sums and the
+    clamped samples.
+    """
+    s = float(q0)
+    sums, clamped = [s], []
+    for k, charge in enumerate(np.asarray(charges, dtype=float).tolist(), start=1):
+        s += charge
+        if s < q_lo or s > q_hi:
+            s = q_lo if s < q_lo else q_hi
+            clamped.append(k)
+        sums.append(s)
+    return np.array(sums), clamped
+
+
 def running_charge_vqst(params, timestamps, current, v0):
     """simulate's v_qst and saturation events, one sample at a time.
 

@@ -806,7 +806,8 @@ def fuzz_base(tmp_path_factory):
 
 def run_fuzzed(root, base, kind, doc):
     """Write ``doc`` in place of the ``kind`` input, run its command on a fresh
-    copy of the inputs and return (exit code, stderr, outputs left behind)."""
+    copy of the inputs and return (exit code, stderr, outputs left behind).
+    A ``doc`` given as bytes is written as it is."""
     inputs = {"cell.json": base["cell"], "ekf.json": base["ekf"]}
     files = {"trace.csv": base["trace"], "pulse.csv": (root / "pulse.csv").read_text()}
     if kind == "trace":
@@ -817,10 +818,13 @@ def run_fuzzed(root, base, kind, doc):
     work = root / "run"
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir()
-    for name, value in inputs.items():
-        (work / name).write_text(json.dumps(value))
-    for name, text in files.items():
-        (work / name).write_text(text)
+    texts = {name: value if isinstance(value, bytes) else json.dumps(value)
+             for name, value in inputs.items()}
+    for name, data in {**texts, **files}.items():
+        if isinstance(data, bytes):
+            (work / name).write_bytes(data)
+        else:
+            (work / name).write_text(data)
     w = {name: str(work / name) for name in (*inputs, *files, "out", "sim.csv", "fit.json",
                                              "fit.txt", "soc.csv")}
     if kind == "multicell":
@@ -921,3 +925,31 @@ class TestUnknownFields:
         inputs = {"cell.json", "ekf.json", "trace.csv", "pulse.csv", "pack.json", "spec.json",
                   "id.json"}
         assert left == [] and {p.name for p in (root / "run").iterdir()} <= inputs
+
+
+# Each input with a byte that is not UTF-8: (input, the file the command
+# names). A text file is decoded 8 KiB at a time, so the body's byte is put
+# past a long blank line: the header then decodes, and the body reader meets
+# the byte.
+NOT_UTF8_CASES = [("trace-header", "trace.csv"), ("trace-body", "trace.csv"),
+                  ("cell", "cell.json"), ("ekf", "ekf.json"), ("multicell", "pack.json"),
+                  ("spec", "spec.json"), ("identify", "id.json")]
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize("case,name", NOT_UTF8_CASES, ids=[c for c, _ in NOT_UTF8_CASES])
+    def test_byte_that_is_not_utf8_is_a_data_error(self, fuzz_base, case, name):
+        root, base = fuzz_base
+        if case == "trace-header":
+            kind, doc = "trace", base["trace"].encode().replace(b"current_a", b"current_\xff", 1)
+        elif case == "trace-body":
+            header, body = base["trace"].encode().split(b"\n", 1)
+            kind, doc = "trace", header + b"\n" + b" " * 9000 + b"\n" + body[:-2] + b"\xff\n"
+        else:
+            kind = case
+            text = json.dumps(base[kind][0] if kind == "spec" else base[kind])
+            doc = text.encode().replace(b'"', b'"\xff', 1)
+        code, err, left = run_fuzzed(root, base, kind, doc)
+        path = root / "run" / name
+        assert (code, err, left) == (
+            2, f"data error: {path}: not UTF-8 text: byte 0xff (invalid start byte)\n", [])

@@ -30,13 +30,15 @@ from cellsoc import (  # noqa: E402
     soc_from_vqst,
     vqst_from_soc,
 )
-from cellsoc.model import DEFAULT_VQST_GUARD, interval_currents  # noqa: E402
+from cellsoc.model import DEFAULT_VQST_GUARD, _running_charge, interval_currents  # noqa: E402
 from helpers import (  # noqa: E402
     _is_psd,
     assert_run_filter_matches_step_chain,
+    make_cell,
     make_resistor,
     random_cell,
     rc_recurrence,
+    running_charge_loop,
     running_charge_vqst,
 )
 
@@ -258,6 +260,59 @@ def test_simulate_saturates_at_the_bounds(cell, frac, dts, fracs):
         assert bound in (lo, hi) and res.v_qst[t.index(t_k)] == bound
     rest = np.flatnonzero(interval_currents(profile.current) == 0.0) + 1
     assert np.array_equal(res.v_qst[rest].view(np.int64), res.v_qst[rest - 1].view(np.int64))
+    assert np.array_equal(res.v_qst.view(np.int64), want.view(np.int64))
+
+
+# Interval charges in units of the window's charge: rests, steps that mostly
+# stay inside, and steps of two windows, which clamp at a bound wherever the
+# sum stood; a run of them is a run of clamps at that bound.
+window_steps = st.one_of(st.just(0.0), st.floats(-0.3, 0.3), st.sampled_from([-2.0, 2.0]),
+                         st.floats(-3.0, 3.0))
+
+
+@PROPERTY
+@given(st.floats(-0.2, 1.2), st.lists(window_steps, min_size=1, max_size=40),
+       st.floats(1.0, 1e5), st.floats(-1e5, 1e5))
+@example(0.5, [2.0], 1e4, 0.0)
+@example(0.9, [0.0, 2.0, 2.0, 0.0, -0.5, -2.0, -2.0, 0.0, 0.25], 3e4, 1e3)
+def test_running_charge_is_the_loop_bit_for_bit(frac, steps, width, q_lo):
+    """The cumsum and its clamp loop give the per-sample loop's sums and
+    clamps. The start may lie outside the window, which is never clamped;
+    the examples clamp on a 2-sample profile's only interval, and clamp twice
+    at each bound with rests between and a re-entry after each run."""
+    q_hi = q_lo + width
+    q0 = q_lo + frac * width
+    charges = np.array(steps) * width
+    got, clamped = _running_charge(q0, charges, q_lo, q_hi)
+    want, want_clamped = running_charge_loop(q0, charges, q_lo, q_hi)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert clamped.tolist() == want_clamped
+
+
+@PROPERTY
+@given(cells(), fractions, st.lists(window_steps, min_size=1, max_size=30))
+@example(make_cell(), 0.5, [2.0])
+@example(make_cell(), 0.2, [0.0, 0.0, -2.0, -2.0, 0.0, 0.5, 2.0, 2.0, 0.0, -0.5])
+def test_simulate_sums_charge_like_the_loop(cell, frac, steps):
+    """simulate's running sum is the per-sample loop's, bit for bit, and so
+    are its v_qst and saturation events. Samples are 1 s apart, and each
+    sample's current is its interval's step of window charge, the first
+    sample repeating the first step, so the first interval's charge is its
+    step."""
+    lo, hi = cell.v_min - DEFAULT_VQST_GUARD, cell.v_max + DEFAULT_VQST_GUARD
+    q_lo, q_hi = charge(cell, lo), charge(cell, hi)
+    v0 = inside(cell, frac)
+    current = (q_hi - q_lo) * np.array([steps[0], *steps])
+    t = np.arange(float(current.size))
+    charges = interval_currents(current) * np.diff(t)
+    got, clamped = _running_charge(charge(cell, v0), charges, q_lo, q_hi)
+    want_sums, want_clamped = running_charge_loop(charge(cell, v0), charges, q_lo, q_hi)
+    assert np.array_equal(got.view(np.int64), want_sums.view(np.int64))
+    assert clamped.tolist() == want_clamped
+    res = simulate(cell, Trace(t, current), CellState(v0, np.zeros(cell.n_rc)))
+    want, events = running_charge_vqst(cell, t, current, v0)
+    assert res.saturation_events == events
+    assert [t_k for t_k, _ in events] == t[want_clamped].tolist()
     assert np.array_equal(res.v_qst.view(np.int64), want.view(np.int64))
 
 

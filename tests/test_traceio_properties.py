@@ -133,17 +133,44 @@ def test_bulk_reader_decides_like_the_line_parser(tmp_path_factory, text):
     assert got == outcome(traceio._parse_trace_lines, path)
 
 
-def test_clean_file_is_read_without_the_line_parser(tmp_path, monkeypatch):
+def refuse(path):
+    raise AssertionError("line parser used for a clean file")
+
+
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+def test_clean_file_is_read_without_the_line_parser(tmp_path, monkeypatch, ending):
+    """numpy is handed the file's path, so its chunked C reader reads the body
+    whatever the line ending; handed an open file, numpy reads it line by
+    line."""
     trace = Trace(np.arange(50.0), np.linspace(-2.0, 2.0, 50), np.full(50, 3.3))
     path = tmp_path / "trace.csv"
     save_trace(trace, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", ending))
+    seen = []
+    loadtxt = np.loadtxt
 
-    def refuse(path):
-        raise AssertionError("line parser used for a clean file")
+    def spy(fname, *args, **kwargs):
+        seen.append(fname)
+        return loadtxt(fname, *args, **kwargs)
 
     monkeypatch.setattr(traceio, "_parse_trace_lines", refuse)
+    monkeypatch.setattr(np, "loadtxt", spy)
     again = load_trace(path)
-    assert np.array_equal(again.voltage, trace.voltage)
+    assert [type(f) for f in seen] == [str]
+    for got, want in zip((again.timestamps, again.current, again.voltage),
+                         (trace.timestamps, trace.current, trace.voltage)):
+        assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+def test_plain_text_with_a_compression_suffix_loads(tmp_path, suffix):
+    """numpy picks a decompressor by suffix and fails on plain text; the line
+    parser then reads the file as the text it is."""
+    trace = Trace(np.arange(50.0), np.linspace(-2.0, 2.0, 50), np.full(50, 3.3))
+    path = tmp_path / f"trace.csv{suffix}"
+    save_trace(trace, path)
+    assert outcome(load_trace, path) == outcome(traceio._parse_trace_lines, path) == (
+        "trace", [bits(c).tolist() for c in (trace.timestamps, trace.current, trace.voltage)])
 
 
 # Bit patterns the formatter must keep apart or treat alike: both zeros,
