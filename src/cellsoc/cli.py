@@ -132,11 +132,12 @@ def cmd_estimate(args) -> int:
         cfg = traceio.load_ekf_config(args.ekf_config)
     else:
         cfg = EkfConfig.default(params, initial_soc=args.initial_soc)
-    run = run_filter(params, trace, cfg)
+    # Formed before the filter runs, so a bad --ref-soc0 exits without filtering.
     if args.ref_soc0 is not None:
         ref = coulomb_count(trace, params.nominal_capacity_c_n, args.ref_soc0)
     else:
         ref = np.full(len(trace), np.nan)
+    run = run_filter(params, trace, cfg)
     traceio.save_soc_rows(args.cell_id, args.out, run.times, run.soc, ref, run.innovations)
     manifest.outputs["soc"] = str(args.out)
     manifest.write(_manifest_path(args.out))

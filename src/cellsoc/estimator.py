@@ -11,7 +11,9 @@ loop is straight-line code generated once per state size by
 ``_series_kernel``, with the state and the m(m+1)/2 entries of P's upper
 triangle as locals: P is symmetric, and a covariance that is not is refused.
 It inlines the charge map (``model._charge_map_lines``) and the covariance
-step (``_predict_lines`` and ``_update_lines``). Every sum adds its terms
+step (``_predict_lines`` and ``_update_lines``). Each sample is one predict
+and one correction; a correction-only sample is a step over dt = 0, which
+only clamps v_qst into the guarded window. Every sum adds its terms
 left to right from the first, whatever the builtin ``sum`` does. The decay
 products are formed only when the step changes, and each check is a
 comparison rather than a call. At rest the kernel reuses a
@@ -188,11 +190,14 @@ def correct(ekf: EkfState, params: CellParameters, measured_v: float, current: f
 
     The output map is the unweighted sum of the states plus the (input-only)
     instantaneous drop, so H is a row of ones. Joseph form keeps the
-    covariance positive semidefinite. This is the correction-only first
-    sample of ``_filter_series``; its clamp warnings name the caller.
+    covariance positive semidefinite. This is one sample of
+    ``_filter_series`` over a zero-length step, which moves nothing but
+    v_qst, clamped into the guarded window; its clamp warnings name the
+    caller.
     """
     _check_finite(measured_v=measured_v, current=current)
-    return _filter_series(ekf, params, cfg, [measured_v], [current], [], [], stacklevel=3)[2]
+    return _filter_series(ekf, params, cfg, [measured_v], [current], [0.0], [current],
+                          stacklevel=3)[2]
 
 
 def estimate_soc(ekf: EkfState, params: CellParameters) -> float:
@@ -233,12 +238,6 @@ def _entries(m: int, name: str = "p", upper: bool = False) -> list[str]:
             for a in range(m) for b in range(m)]
 
 
-def _row_sum_lines(m: int) -> list[str]:
-    """The row sums t = P 1 of the upper entries p_a_b, each added in index order."""
-    p = _entries(m, upper=True)
-    return [f"t{a} = {' + '.join(p[a * m:a * m + m])}" for a in range(m)]
-
-
 def _decay_product_lines(m: int) -> list[str]:
     """The products ff_a_b = f{a} * f{b} of the RC decays, 1 <= a <= b < m,
     which scale P's RC block in F P F'."""
@@ -248,14 +247,14 @@ def _decay_product_lines(m: int) -> list[str]:
 def _predict_lines(m: int) -> list[str]:
     """F P F' + Q*dt on the entries p_a_b, for the diagonal f0.. of F, the decay
     products ff_a_b and the entries q_a_b of Q*dt, all a <= b, then its row
-    sums t0.. and its check. Only the products with f0 are formed here. A
-    finite total of the row sums means every entry is finite, so the
-    diagonal is then checked with an or-chain."""
-    idx = range(m)
+    sums t0.. (each added in index order) and its check. Only the products
+    with f0 are formed here. A finite total of the row sums means every entry
+    is finite, so the diagonal is then checked with an or-chain."""
+    idx, p = range(m), _entries(m, upper=True)
     return [
         *(f"ff_0_{b} = f0 * f{b}" for b in idx),
         *(f"p_{a}_{b} = ff_{a}_{b} * p_{a}_{b} + q_{a}_{b}" for a in idx for b in range(a, m)),
-        *_row_sum_lines(m),
+        *(f"t{a} = {' + '.join(p[a * m:a * m + m])}" for a in idx),
         "# Scaling by a diagonal and adding PSD noise preserves",
         "# semidefiniteness, so finiteness and the diagonal suffice here.",
         f"if not -inf < {' + '.join(f't{a}' for a in idx)} < inf"
@@ -366,8 +365,6 @@ def _series_source(m: int) -> str:
     settled = " and ".join(f"{x} == prev_{x}" for x in entries)
     bits = (f"np.array({_tuple(entries)}).tobytes()"
             f" == np.array({_tuple(['prev_' + x for x in entries])}).tobytes()")
-    first = [*measure, "if update:", *_indent([*_row_sum_lines(m), *_update_lines(m), *gain], 1),
-             *record]
     charge_setup, charge_map = _charge_map_lines()
     step = [
         "charge = u * h",
@@ -419,14 +416,8 @@ def _series_source(m: int) -> str:
             "update = not isinf(r)",
             "h_prev = f_steady = h_steady = nan",
             "n_cur = n_soc = reused = 0",
-            "# Samples without a dt are corrections only; they come first.",
-            "extra = max(len(voltage) - len(dt), 0)",
             "try:",
-            "    for n, (z, i, drop) in enumerate(zip(voltage[:extra], current[:extra],"
-            " drops[:extra])):",
-            *_indent(first, 2),
-            "    for n, (h, u, z, i, drop) in enumerate(zip(dt, i_pred, voltage[extra:],"
-            " current[extra:], drops[extra:]), extra):",
+            "    for n, (h, u, z, i, drop) in enumerate(zip(dt, i_pred, voltage, current, drops)):",
             *_indent(step, 2),
             "finally:",
             "    counts[:] = n_cur, n_soc, reused",
@@ -470,12 +461,14 @@ def _filter_series(
 ) -> tuple[np.ndarray, np.ndarray, EkfState, tuple[int, int, int]]:
     """Predict and correct over a whole series on plain floats.
 
-    Each sample is predicted over its entry of ``dt`` at its entry of
-    ``i_pred``, then corrected with its ``voltage`` measured at its
-    ``current``. When ``dt`` and ``i_pred`` are one entry shorter, they belong
-    to the second sample on and the first sample is a correction only. The
-    inputs must be finite: trace columns are by construction, and the per-step
-    callers check theirs. Returns per-sample innovation and v_qst (the callers
+    The five columns have one entry per sample. Each sample is predicted over
+    its entry of ``dt`` at its entry of ``i_pred``, then corrected with its
+    ``voltage`` measured at its ``current``. A correction-only sample is a
+    step over ``dt = 0.0``: f0 = 1, the decays are 1, Q*0 = 0 and the charge
+    is zero, so it leaves the mean and P as they are, bar a -0.0 that may
+    become +0.0, except that v_qst is clamped into the guarded window as
+    before every correction. The inputs must be finite: trace columns are by
+    construction, and the per-step callers check theirs. Returns per-sample innovation and v_qst (the callers
     that report SoC take it from v_qst with ``_soc_column``), the final filter
     state and the counts (current clamps, v_qst clamps, reused steps): the
     samples whose current lies outside the resistor curve, those whose v_qst
@@ -548,16 +541,16 @@ def run_filter(
 ) -> FilterRun:
     """Filter a measured trace sample by sample.
 
-    The first sample is a correction only; every later sample predicts over
-    the elapsed interval with the trapezoid-consistent interval current (the
-    same convention the simulator uses) and then corrects. Each kind of
+    Every sample predicts over the elapsed interval with the
+    trapezoid-consistent interval current (the same convention the simulator
+    uses) and then corrects; the first sample's interval is empty, so its
+    step only clamps v_qst into the guarded window. Each kind of
     clamp warns once per call, however many samples it clamped; the counts
     are in the returned ``FilterRun``.
     """
-    voltage = trace.require_voltage()
-    t = trace.timestamps
+    voltage, t, i = trace.require_voltage(), trace.timestamps, trace.current
     innov, v_qst, final, counts = _filter_series(
-        make_filter(cfg), params, cfg, voltage, trace.current,
-        np.diff(t), interval_currents(trace.current),
+        make_filter(cfg), params, cfg, voltage, i,
+        np.diff(t, prepend=t[0]), np.concatenate((i[:1], interval_currents(i))),
     )
     return FilterRun(t.copy(), _soc_column(params, v_qst), innov, v_qst, final, *counts)

@@ -136,14 +136,15 @@ def _jump_points(trace: Trace, cfg: IdentificationConfig) -> tuple[dict[float, l
     return points, skipped
 
 
-def fit_instantaneous(trace: Trace, cfg: IdentificationConfig) -> MonotoneCurve:
+def fit_instantaneous(trace: Trace, cfg: IdentificationConfig, jumps=None) -> MonotoneCurve:
     """Nonlinear-resistor characteristic from simultaneous current/voltage jumps.
 
     Each step into or out of rest pairs the voltage jump with the step current;
     repeats at the same current are averaged, the curve is pinned through
     (0, 0) and projected to nondecreasing if measurement noise broke order.
+    ``jumps`` is ``_jump_points(trace, cfg)`` when the caller already holds it.
     """
-    points, skipped = _jump_points(trace, cfg)
+    points, skipped = _jump_points(trace, cfg) if jumps is None else jumps
     if skipped:
         warnings.warn(
             f"{skipped} current steps did not border a rest phase and were ignored",
@@ -559,8 +560,9 @@ def identify(trace: Trace, cfg: IdentificationConfig | None = None) -> Identific
     )
     report.add("segmentation", notes=notes)
 
-    resistor, notes = _stage("instantaneous-fit", fit_instantaneous, trace, cfg)
-    report.add("instantaneous-fit", residual_rms=_instantaneous_spread(trace, cfg, resistor),
+    jumps = _jump_points(trace, cfg)
+    resistor, notes = _stage("instantaneous-fit", fit_instantaneous, trace, cfg, jumps)
+    report.add("instantaneous-fit", residual_rms=_instantaneous_spread(jumps[0], resistor),
                notes=notes)
 
     (rest, groups, diag), notes = _stage("rc-fit", _fit_first_rest, trace, segments, cfg.n_rc)
@@ -603,10 +605,9 @@ def identify(trace: Trace, cfg: IdentificationConfig | None = None) -> Identific
     return IdentificationResult(params, report)
 
 
-def _instantaneous_spread(trace: Trace, cfg: IdentificationConfig,
-                          resistor: MonotoneCurve) -> float:
-    """RMS scatter of the individual jump points around the fitted curve."""
-    points, _ = _jump_points(trace, cfg)
+def _instantaneous_spread(points: dict[float, list[float]], resistor: MonotoneCurve) -> float:
+    """RMS scatter of the individual jump points of ``_jump_points`` around the
+    fitted curve."""
     residuals = [dv - resistor.eval(i) for i, dvs in points.items() for dv in dvs]
     return float(np.sqrt(np.mean(np.square(residuals))))
 

@@ -407,10 +407,10 @@ def covariance_steps(m: int):
 def list_filter_series(ekf, params, cfg, voltage, current, dt, i_pred):
     """estimator._filter_series in list form, the reference for its generated loop.
 
-    Each sample past the first ``len(voltage) - len(dt)`` is predicted through
-    ``charge_map``, ``math.exp`` decays and ``list_predict``, after a check that
-    Q*dt has a finite diagonal; every sample is corrected through
-    ``list_correct`` unless r is infinite. No step is reused.
+    Every sample is predicted through ``charge_map``, ``math.exp`` decays and
+    ``list_predict``, after a check that Q*dt has a finite diagonal, also over
+    a dt of 0.0; it is then corrected through ``list_correct`` unless r is
+    infinite. No step is reused.
     Raises and warns as the kernel does: it counts the samples whose current
     and whose v_qst it clamps, and warns once for each kind with a count
     above 0, also when it raises. Returns what the kernel returns, with the
@@ -429,25 +429,21 @@ def list_filter_series(ekf, params, cfg, voltage, current, dt, i_pred):
     voltage, current, dt, i_pred = (np.asarray(a, dtype=float).tolist()
                                     for a in (voltage, current, dt, i_pred))
     drops = res.eval(np.asarray(current)).tolist()
-    extra = max(len(voltage) - len(dt), 0)
     innovations, vqst = [], []
     n_cur = n_soc = 0
     try:
-        for k, (z, i, drop) in enumerate(zip(voltage, current, drops)):
-            if k >= extra:
-                h, u = dt[k - extra], i_pred[k - extra]
-                v, f0 = charge_map(params.capacitance, v, u * h)
-                if v < lo:
-                    v = lo
-                elif v > hi:
-                    v = hi
-                decay = [math.exp(-h / tau) for tau in params.taus.tolist()]
-                dyn = [c * d + rj * u * (1.0 - d)
-                       for c, d, rj in zip(dyn, decay, params.rs.tolist())]
-                q_dt = [[x * h for x in row] for row in q]
-                if not all(math.isfinite(q_dt[a][a]) for a in range(m)):
-                    raise NumericalFailureError(f"process noise Q * dt is not finite (dt = {h})")
-                p = list_predict(p, [f0, *decay], q_dt)
+        for h, u, z, i, drop in zip(dt, i_pred, voltage, current, drops):
+            v, f0 = charge_map(params.capacitance, v, u * h)
+            if v < lo:
+                v = lo
+            elif v > hi:
+                v = hi
+            decay = [math.exp(-h / tau) for tau in params.taus.tolist()]
+            dyn = [c * d + rj * u * (1.0 - d) for c, d, rj in zip(dyn, decay, params.rs.tolist())]
+            q_dt = [[x * h for x in row] for row in q]
+            if not all(math.isfinite(q_dt[a][a]) for a in range(m)):
+                raise NumericalFailureError(f"process noise Q * dt is not finite (dt = {h})")
+            p = list_predict(p, [f0, *decay], q_dt)
             if i < res.x_min or i > res.x_max:
                 n_cur += 1
             innovation = z - ((v + left_to_right(dyn) if dyn else v) + drop)

@@ -424,6 +424,23 @@ class TestEstimate:
         expected = oracle_soc_text("pack1-c07", run.times, run.soc, ref, run.innovations)
         assert out.read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize("ref_soc0", ["2", "-0.5", "nan"])
+    def test_a_bad_ref_soc0_exits_before_the_filter_runs(self, cell_files, tmp_path, capsys,
+                                                         monkeypatch, ref_soc0):
+        import cellsoc.cli
+
+        filtered = []
+        monkeypatch.setattr(cellsoc.cli, "run_filter", lambda *args: filtered.append(args))
+        _, params_path = cell_files
+        trace_path = tmp_path / "t.csv"
+        trace_path.write_text("t_s,current_a,voltage_v\n0.0,0.0,3.3\n1.0,0.0,3.3\n")
+        out = tmp_path / "soc.csv"
+        assert main(["estimate", "--params", str(params_path), "--trace", str(trace_path),
+                     "--ref-soc0", ref_soc0, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: initial SoC must be within [0, 1]")
+        assert filtered == [] and not out.exists()
+
     @pytest.mark.parametrize("cell_id", BAD_CELL_IDS)
     def test_bad_cell_id_usage_exit_1(self, cell_files, tmp_path, capsys, cell_id):
         _, params_path = cell_files

@@ -118,7 +118,7 @@ ZEROS = [[0.0] * 2] * 2
 @example((2, [[math.nan, 0.0], [0.0, 1.0]], [1.0, 1.0], ZEROS, 1e-4))
 @example((2, [[1e308, 1e308], [1e308, 1e308]], [1.0, 1.0], ZEROS, 1e-4))
 def test_generated_step_is_the_list_form_bit_for_bit(case):
-    """Predict, then correct; and correct alone, as on a filter's first sample."""
+    """Predict, then correct; and correct alone, on the drawn P."""
     m, p, f, q_dt, r = case
     predict_p, correct_p = covariance_steps(m)
     got, got_error = outcome(lambda: predict_p(flat(p), tuple(f), flat(q_dt)))
@@ -172,8 +172,8 @@ def test_covariance_of_another_size_is_refused():
     start = make_filter(cfg)
     ekf = EkfState(start.mean, start.covariance[:2, :2])
     with pytest.raises(InvalidInputError, match="covariance must be 3x3"):
-        _filter_series(ekf, cell, cfg, np.array([3.3]), np.array([0.0]), np.array([]),
-                       np.array([]))
+        _filter_series(ekf, cell, cfg, np.array([3.3]), np.array([0.0]), np.array([0.0]),
+                       np.array([0.0]))
 
 
 def refusals(ekf, cell, cfg):
@@ -182,7 +182,7 @@ def refusals(ekf, cell, cfg):
         lambda: predict(ekf, cell, -1.0, 1.0, cfg),
         lambda: correct(ekf, cell, 3.3, -1.0, cfg),
         lambda: _filter_series(ekf, cell, cfg, np.array([3.3, 3.3]), np.array([-1.0, -1.0]),
-                               np.array([1.0]), np.array([-1.0]))[2])]
+                               np.array([0.0, 1.0]), np.array([-1.0, -1.0]))[2])]
 
 
 def outcome_or_refusal(fn):

@@ -29,7 +29,7 @@ from cellsoc import (
 )
 from cellsoc import estimator
 from cellsoc.estimator import PSD_TOLERANCE
-from cellsoc.model import _current_clamp_message, _soc_clamp_message
+from cellsoc.model import DEFAULT_VQST_GUARD, _current_clamp_message, _soc_clamp_message
 from helpers import (
     OPENBLAS_ACCEPTED,
     _is_psd,
@@ -276,7 +276,8 @@ class TestPsdCheck:
             fails = raises_numerical_failure(per_step)
             refused += fails
             assert raises_numerical_failure(lambda: estimator._filter_series(
-                ekf, cell, cfg, trace.voltage, trace.current, np.ones(1), np.zeros(1))) == fails
+                ekf, cell, cfg, trace.voltage, trace.current, np.array([0.0, 1.0]),
+                np.zeros(2))) == fails
             if own is not None:
                 assert raises_numerical_failure(lambda: run_filter(cell, trace, own)) == fails
         assert 900 <= refused <= 2100
@@ -383,7 +384,7 @@ class TestFilterRuns:
             (OutOfRangeWarning, _soc_clamp_message(cell), estimator.__file__)]
 
     def test_a_run_that_raises_still_warns_of_its_clamps(self):
-        """The first sample, a correction only, clamps its current (80 A) and its
+        """The first sample, a zero-length step, clamps its current (80 A) and its
         v_qst (read at 10 V); the second predicts with Q * dt = 1e307 * 100, which
         overflows, so the run raises after those clamps."""
         cell = make_cell()
@@ -406,6 +407,45 @@ class TestFilterRuns:
         state.covariance = np.full((2, 2), -1.0)
         with pytest.raises(NumericalFailureError):
             correct(state, cell, 3.3, 0.0, cfg)
+
+
+class TestStartOutsideTheGuard:
+    """A mean that starts outside the guarded window [v_min - guard, v_max +
+    guard] is clamped into it before the first correction, as before every
+    later one, so the first innovation does not drive the RC states."""
+
+    @staticmethod
+    def start(cell, v_qst):
+        base = EkfConfig.default(cell, initial_soc=0.9)
+        return EkfConfig(base.process_noise_q, base.measurement_noise_r,
+                         base.initial_covariance_p0, CellState.rest(v_qst, cell.n_rc))
+
+    @pytest.mark.parametrize("offset", [100.0, -1.0])
+    def test_a_start_outside_the_window_recovers(self, offset):
+        """A noiseless 4 A discharge from SoC 0.9, 20,001 samples at 1 s, filtered
+        from v_qst = 100 V or v_min - 1 V: the SoC error stays under 1 %.
+        Without the clamp the peak error was 1.0 (5,284 s above 1 %) and 0.0148
+        (7 s above 1 %)."""
+        cell = make_cell()
+        truth = simulate(cell, constant_profile(-4.0, 20000.0, 1.0),
+                         CellState.rest(vqst_from_soc(cell, 0.9), cell.n_rc))
+        v_qst = offset if offset > 0.0 else cell.v_min + offset
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", OutOfRangeWarning)
+            run = run_filter(cell, truth.trace, self.start(cell, v_qst))
+        assert len(run.soc) == 20001
+        assert np.max(np.abs(run.soc - estimator._soc_column(cell, truth.v_qst))) < 0.01
+
+    @pytest.mark.parametrize("v_qst, clamped", [(100.0, 3.6 + DEFAULT_VQST_GUARD),
+                                                (1.9, 2.9 - DEFAULT_VQST_GUARD)])
+    def test_correct_from_outside_is_correct_from_the_clamped_mean(self, v_qst, clamped):
+        cell = make_cell()  # v_min 2.9 V, v_max 3.6 V
+        got, want = (correct(make_filter(self.start(cell, v)), cell, 3.3, -4.0,
+                             self.start(cell, v)) for v in (v_qst, clamped))
+        assert got.mean.v_qst == want.mean.v_qst
+        assert np.array_equal(got.mean.v_dyn_components.view(np.int64),
+                              want.mean.v_dyn_components.view(np.int64))
+        assert np.array_equal(got.covariance.view(np.int64), want.covariance.view(np.int64))
 
 
 class TestStationaryReuse:

@@ -23,6 +23,7 @@ from cellsoc import (
     segment_trace,
     simulate,
 )
+from cellsoc import identification
 from cellsoc.identification import _stage
 from cellsoc.model import _MAX_SAMPLES, CellState
 from cellsoc.profiles import ProfileSpec, build_profile
@@ -448,3 +449,18 @@ class TestIdentifyRoundTrip:
         ]
         text = result.report.to_text()
         assert "rc-fit" in text and "residual_rms" in text
+
+    def test_the_jump_points_are_found_once(self, monkeypatch):
+        """The resistor fit and its spread in the report read one set of jump
+        points; the spread is theirs around the fitted curve."""
+        found = []
+        jump_points = identification._jump_points
+        monkeypatch.setattr(identification, "_jump_points",
+                            lambda *args: found.append(jump_points(*args)) or found[-1])
+        trace, _ = identification_trace(make_cell(), sample_period=4.0)
+        result = identify(trace, CFG)
+        (points, _), = found
+        resistor = result.params.resistor
+        spread = np.sqrt(np.mean([(dv - resistor.eval(i)) ** 2
+                                  for i, dvs in points.items() for dv in dvs]))
+        assert result.report.stages[1].residual_rms == pytest.approx(spread, rel=1e-12)
