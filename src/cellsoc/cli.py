@@ -123,6 +123,14 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _reference(trace, params, soc0) -> np.ndarray:
+    """The coulomb-counting SoC column of ``trace`` from ``soc0``; NaN without
+    it. Callers form it before they filter, so a bad ``soc0`` exits first."""
+    if soc0 is None:
+        return np.full(len(trace), np.nan)
+    return coulomb_count(trace, params.nominal_capacity_c_n, soc0)
+
+
 def cmd_estimate(args) -> int:
     manifest = RunManifest("estimate", inputs={
         "params": args.params, "trace": args.trace, "ekf_config": args.ekf_config})
@@ -130,13 +138,11 @@ def cmd_estimate(args) -> int:
     trace = traceio.load_trace(args.trace)
     if args.ekf_config:
         cfg = traceio.load_ekf_config(args.ekf_config)
+    elif args.initial_soc is None:
+        cfg = EkfConfig.default(params)
     else:
         cfg = EkfConfig.default(params, initial_soc=args.initial_soc)
-    # Formed before the filter runs, so a bad --ref-soc0 exits without filtering.
-    if args.ref_soc0 is not None:
-        ref = coulomb_count(trace, params.nominal_capacity_c_n, args.ref_soc0)
-    else:
-        ref = np.full(len(trace), np.nan)
+    ref = _reference(trace, params, args.ref_soc0)
     run = run_filter(params, trace, cfg)
     traceio.save_soc_rows(args.cell_id, args.out, run.times, run.soc, ref, run.innovations)
     manifest.outputs["soc"] = str(args.out)
@@ -147,15 +153,18 @@ def cmd_estimate(args) -> int:
 
 def cmd_multicell(args) -> int:
     manifest = RunManifest("multicell", inputs={"config": args.config})
-    engine, traces, refs = traceio.load_multicell_config(args.config)
-    series = engine.run(traces, ref_soc0=refs)
+    engine, traces, ref_soc0 = traceio.load_multicell_config(args.config)
     cell_ids = engine.config.cells
+    refs = {cid: _reference(traces[cid], engine.slots[cid].params_ref, ref_soc0[cid])
+            for cid in cell_ids}
+    series = engine.run(traces)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     for cid in cell_ids:
         s = series[cid]
         out = outdir / f"soc_{cid}.csv"
-        traceio.save_soc_rows(cid, out, s.times, s.soc_est, s.soc_ref, s.innovations)
+        traceio.save_soc_rows(cid, out, s.times, s.soc_est, refs[cid][s.sample_index],
+                              s.innovations)
         manifest.outputs[cid] = str(out)
     manifest.write(outdir / "manifest.json")
     print(f"estimated {len(cell_ids)} cells, "
@@ -190,8 +199,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="integrate a cell model along a current profile")
     p.add_argument("--params", required=True, help="cell parameters JSON")
-    p.add_argument("--profile", help="current profile CSV (t_s,current_a)")
-    p.add_argument("--spec", help="profile spec JSON (alternative to --profile)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--profile", help="current profile CSV (t_s,current_a)")
+    source.add_argument("--spec", help="profile spec JSON (alternative to --profile)")
     p.add_argument("--initial-soc", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0, help="seed for synthetic profile segments")
     p.add_argument("--out", required=True, help="output trace CSV")
@@ -200,9 +210,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("estimate", help="run the EKF over a measured trace")
     p.add_argument("--params", required=True, help="cell parameters JSON")
     p.add_argument("--trace", required=True, help="measured trace CSV")
-    p.add_argument("--ekf-config", help="EKF config JSON (default: derived from the params)")
-    p.add_argument("--initial-soc", type=float, default=0.5,
-                   help="initial SoC estimate when no EKF config is given")
+    start = p.add_mutually_exclusive_group()
+    start.add_argument("--ekf-config", help="EKF config JSON (default: derived from the params)")
+    start.add_argument("--initial-soc", type=float, default=None,
+                       help="initial SoC estimate of the default EKF config (default 0.5)")
     p.add_argument("--ref-soc0", type=float, default=None,
                    help="true initial SoC for the coulomb-counting reference column")
     p.add_argument("--cell-id", type=_cell_id_arg, default="cell0",

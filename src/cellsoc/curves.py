@@ -18,12 +18,14 @@ import numpy as np
 from .errors import InvalidParametersError
 
 
-def _as_float_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+def _frozen_float_array(values, name: str) -> np.ndarray:
+    """A read-only float copy of ``values``, which must be 1-D and finite."""
+    arr = np.array(values, dtype=float)
     if arr.ndim != 1:
         raise InvalidParametersError(f"{name} must be one-dimensional")
     if arr.size and not np.all(np.isfinite(arr)):
         raise InvalidParametersError(f"{name} must contain only finite values")
+    arr.setflags(write=False)
     return arr
 
 
@@ -31,16 +33,16 @@ def _as_float_array(values, name: str) -> np.ndarray:
 class MonotoneCurve:
     """Piecewise-linear function on a strictly increasing grid.
 
-    The arrays are copied and frozen at construction; treat instances as
-    immutable values.
+    The arrays are copied and made read-only at construction, so a curve is
+    an immutable value: changing the caller's arrays changes nothing.
     """
 
     grid: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        grid = _as_float_array(self.grid, "grid")
-        values = _as_float_array(self.values, "values")
+        grid = _frozen_float_array(self.grid, "grid")
+        values = _frozen_float_array(self.values, "values")
         if grid.size < 2:
             raise InvalidParametersError("curve needs at least two grid points")
         if grid.size != values.size:

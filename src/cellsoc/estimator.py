@@ -96,6 +96,8 @@ class EkfConfig:
     """Noise and initialization choices for one filter instance.
 
     process_noise_q is a rate (variance per second); prediction adds Q * dt.
+    Q and P0 are stored as read-only symmetrized copies; measurement_noise_r
+    must be finite and > 0.
     """
 
     process_noise_q: np.ndarray
@@ -111,8 +113,13 @@ class EkfConfig:
             raise InvalidParametersError(
                 f"noise matrices must be {n}x{n} for a state with {n - 1} RC components"
             )
-        if not self.measurement_noise_r > 0.0:
-            raise InvalidParametersError("measurement noise variance must be > 0")
+        # An infinite r is the kernel's no-correction switch, so it is refused here.
+        r = self.measurement_noise_r
+        if not (math.isfinite(r) and r > 0.0):
+            raise InvalidParametersError(f"measurement noise variance must be finite and > 0, "
+                                         f"got {r}")
+        q.setflags(write=False)
+        p0.setflags(write=False)
         object.__setattr__(self, "process_noise_q", q)
         object.__setattr__(self, "initial_covariance_p0", p0)
 

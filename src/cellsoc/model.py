@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import MonotoneCurve
+from .curves import MonotoneCurve, _frozen_float_array
 from .errors import (
     ConfigurationError,
     InvalidInputError,
@@ -99,9 +99,9 @@ class CellParameters:
                 f"nominal voltage ({self.nominal_voltage_v_n}) must sit at the capacitance "
                 f"maximum ({v_n})"
             )
-        # Hot-path caches; treat the arrays as read-only.
-        object.__setattr__(self, "_taus", np.array([g.tau for g in groups]))
-        object.__setattr__(self, "_rs", np.array([g.r for g in groups]))
+        # Hot-path caches, read-only like the curves' arrays.
+        object.__setattr__(self, "_taus", _frozen_float_array([g.tau for g in groups], "taus"))
+        object.__setattr__(self, "_rs", _frozen_float_array([g.r for g in groups], "rs"))
 
     @classmethod
     def from_curves(

@@ -32,7 +32,7 @@ from .errors import (
     SchedulingWarning,
 )
 from .estimator import EkfConfig, EkfState, _filter_series, _soc_column, make_filter
-from .model import _MAX_SAMPLES, CellParameters, _check_finite, coulomb_count
+from .model import _MAX_SAMPLES, CellParameters, _check_finite
 
 
 def max_cells(f_max: float, t_slot: float) -> int:
@@ -125,12 +125,13 @@ class TickResult:
 
 @dataclass(eq=False)
 class CellSeries:
-    """Per-cell output of a scheduled run, with the cell's counts of clamped
+    """Per-cell output of a scheduled run. ``sample_index`` is, per service, the
+    index of the trace sample it held; the counts are the cell's clamped
     currents, clamped v_qst and reused covariance steps (see ``FilterRun``)."""
 
     times: np.ndarray
     soc_est: np.ndarray
-    soc_ref: np.ndarray
+    sample_index: np.ndarray
     innovations: np.ndarray
     current_clamps: int = 0
     soc_clamps: int = 0
@@ -152,6 +153,8 @@ class MultiCellEkf:
         if not math.isfinite(self.start_time):
             raise InvalidParametersError(f"start time must be finite, got {start_time}")
         n = len(config.cells)
+        # A service whose held sample is older than two revolutions is stale.
+        self._stale_age = 2.0 * (n * config.t_slot) * (1.0 + 1e-9)
         self.slots: dict[str, CellSlot] = {}
         for j, cell_id in enumerate(config.cells):
             try:
@@ -192,8 +195,7 @@ class MultiCellEkf:
                 f"service time {now} does not advance past {slot.last_serviced_t}"
             )
         _check_finite(current=measurement.current, dt=dt, measured_v=measurement.voltage)
-        revolution = len(self.config.cells) * self.config.t_slot
-        if dt > 2.0 * revolution * (1.0 + 1e-9):
+        if dt > self._stale_age:
             warnings.warn(
                 f"cell {expected!r} serviced after {dt:.6g} s (> 2 revolutions); "
                 "update quality degraded",
@@ -208,13 +210,12 @@ class MultiCellEkf:
         self._ring = (self._ring + 1) % len(self.config.cells)
         return TickResult(expected, now, float(soc[0]), float(innovation[0]))
 
-    def run(self, traces, ref_soc0=None) -> dict[str, CellSeries]:
+    def run(self, traces) -> dict[str, CellSeries]:
         """Execute the schedule over the shared horizon of the given traces.
 
         ``traces`` maps cell_id -> measured Trace; each trace is decimated to
-        its cell's service instants by zero-order hold. ``ref_soc0`` (scalar or
-        per-cell mapping) seeds the coulomb-counting reference series; without
-        it the reference column is NaN.
+        its cell's service instants by zero-order hold, and each
+        ``CellSeries.sample_index`` says which sample every service held.
 
         Slots are isolated, so each cell's services are filtered as one
         series by the batch kernel ``_filter_series``, cell by cell in ring
@@ -235,18 +236,7 @@ class MultiCellEkf:
                 raise InvalidInputError(f"no trace provided for cell {cell_id!r}")
             traces[cell_id].require_voltage()
         horizon = min(float(traces[c].timestamps[-1]) for c in cells)
-        refs = {}
-        for cell_id in cells:
-            if ref_soc0 is None:
-                refs[cell_id] = np.full(len(traces[cell_id]), np.nan)
-            else:
-                soc0 = ref_soc0 if np.isscalar(ref_soc0) else ref_soc0[cell_id]
-                refs[cell_id] = coulomb_count(
-                    traces[cell_id], self.slots[cell_id].params_ref.nominal_capacity_c_n, soc0
-                )
-
         revolution = n * t_slot
-        stale_age = 2.0 * revolution * (1.0 + 1e-9)  # tick's stale threshold
         overrun = [c for c in cells
                    if traces[c].timestamps[-1] > horizon + revolution * (1.0 + 1e-9)]
         if overrun:
@@ -273,7 +263,7 @@ class MultiCellEkf:
                     f"trace for {cell_id!r} starts after its first service instant {float(now[0])}"
                 )
             picks.append((cell_id, now, idx))
-            stale += int(np.count_nonzero(now - traces[cell_id].timestamps[idx] > stale_age))
+            stale += int(np.count_nonzero(now - traces[cell_id].timestamps[idx] > self._stale_age))
         if stale:
             warnings.warn(
                 f"{stale} services used a held sample older than two revolutions "
@@ -303,7 +293,7 @@ class MultiCellEkf:
         for (cell_id, now, idx), (innovations, v_qst, final, counts) in zip(picks, filtered):
             slot = self.slots[cell_id]
             soc = _soc_column(slot.params_ref, v_qst)
-            series[cell_id] = CellSeries(now, soc, refs[cell_id][idx], innovations, *counts)
+            series[cell_id] = CellSeries(now, soc, idx, innovations, *counts)
             slot.ekf = final
             if now.size:
                 slot.last_serviced_t = float(now[-1])

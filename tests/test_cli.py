@@ -105,6 +105,20 @@ class TestSimulate:
         assert capsys.readouterr().err == "data error: one of --profile or --spec is required\n"
         assert not out.exists()
 
+    def test_profile_and_spec_together_usage_exit_1(self, cell_files, tmp_path, capsys):
+        """A spec given beside a profile would be ignored."""
+        _, params_path = cell_files
+        spec = write_spec(tmp_path, kind="constant", amplitude_a=0.0, duration_s=60.0,
+                          sample_period_s=1.0)
+        profile = tmp_path / "profile.csv"
+        profile.write_text("t_s,current_a\n0.0,0.0\n1.0,0.0\n")
+        out = tmp_path / "trace.csv"
+        assert main(["simulate", "--params", str(params_path), "--profile", str(profile),
+                     "--spec", str(spec), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "not allowed with argument" in err
+        assert not out.exists() and not (tmp_path / "trace.csv.manifest.json").exists()
+
     def test_missing_file_exit_2_no_partial_output(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
         code = main(["simulate", "--params", str(tmp_path / "nope.json"),
@@ -508,6 +522,53 @@ class TestEstimate:
         assert err.startswith("data error:") and expected in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("r", ["Infinity", "1e400"])
+    def test_infinite_measurement_noise_exit_2(self, cell_files, tmp_path, capsys, r):
+        """An infinite r is the filter's no-correction switch: accepted, it
+        would run every sample uncorrected and exit 0."""
+        cell, params_path = cell_files
+        trace_path = tmp_path / "t.csv"
+        trace_path.write_text("t_s,current_a,voltage_v\n0.0,0.0,3.3\n1.0,0.0,3.3\n")
+        doc = dict(ekf_config_to_dict(EkfConfig.default(cell)), measurement_noise_r="R")
+        cfg_path = tmp_path / "ekf.json"
+        cfg_path.write_text(json.dumps(doc).replace('"R"', r))
+        out = tmp_path / "soc.csv"
+        assert main(["estimate", "--params", str(params_path), "--trace", str(trace_path),
+                     "--ekf-config", str(cfg_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "data error: measurement noise variance must be finite and > 0, got inf\n")
+        assert not out.exists()
+
+    def test_ekf_config_and_initial_soc_together_usage_exit_1(self, cell_files, tmp_path,
+                                                              capsys):
+        """--initial-soc seeds only the default EKF config, so beside a config
+        it would be ignored."""
+        cell, params_path = cell_files
+        trace_path = tmp_path / "t.csv"
+        trace_path.write_text("t_s,current_a,voltage_v\n0.0,0.0,3.3\n1.0,0.0,3.3\n")
+        cfg_path = tmp_path / "ekf.json"
+        cfg_path.write_text(json.dumps(ekf_config_to_dict(EkfConfig.default(cell))))
+        out = tmp_path / "soc.csv"
+        assert main(["estimate", "--params", str(params_path), "--trace", str(trace_path),
+                     "--ekf-config", str(cfg_path), "--initial-soc", "0.2",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "not allowed with argument" in err
+        assert not out.exists()
+
+    def test_initial_soc_defaults_to_one_half(self, cell_files, tmp_path):
+        cell, params_path = cell_files
+        trace = rest_trace(cell)
+        trace_path = tmp_path / "t.csv"
+        save_trace(trace, trace_path)
+        out = tmp_path / "soc.csv"
+        assert main(["estimate", "--params", str(params_path), "--trace", str(trace_path),
+                     "--out", str(out)]) == 0
+        run = run_filter(cell, trace, EkfConfig.default(cell, initial_soc=0.5))
+        ref = np.full(len(trace), np.nan)
+        expected = oracle_soc_text("cell0", run.times, run.soc, ref, run.innovations)
+        assert out.read_bytes() == expected.encode()
+
     def test_process_noise_at_the_float_limit_is_a_numerical_failure(self, cell_files,
                                                                     tmp_path, capsys):
         """Q's diagonal at the largest float: accepted, and its first predict
@@ -569,7 +630,7 @@ class TestMulticell:
         assert (outdir / "manifest.json").exists()
 
     def test_two_cells_write_the_oracle_bytes(self, tmp_path):
-        from cellsoc import MultiCellEkf, SchedulerConfig
+        from cellsoc import MultiCellEkf, SchedulerConfig, coulomb_count
 
         cfg_path, cells = self.make_pack(tmp_path, 2, 0.5, 0.5)
         outdir = tmp_path / "out"
@@ -578,10 +639,28 @@ class TestMulticell:
         setups = {cid: (cell, EkfConfig.default(cell, initial_soc=0.8))
                   for cid, cell in cells.items()}
         traces = {cid: load_trace(tmp_path / f"{cid}.csv") for cid in cells}
-        series = MultiCellEkf(sched, setups).run(traces, ref_soc0=dict.fromkeys(cells, 1.0))
+        series = MultiCellEkf(sched, setups).run(traces)
         for cid, s in series.items():
-            expected = oracle_soc_text(cid, s.times, s.soc_est, s.soc_ref, s.innovations)
+            ref = coulomb_count(traces[cid], cells[cid].nominal_capacity_c_n, 1.0)
+            expected = oracle_soc_text(cid, s.times, s.soc_est, ref[s.sample_index],
+                                       s.innovations)
             assert (outdir / f"soc_{cid}.csv").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("ref_soc0", [2.0, -0.5])
+    def test_a_bad_ref_soc0_exits_before_the_engine_runs(self, tmp_path, capsys, monkeypatch,
+                                                         ref_soc0):
+        from cellsoc import MultiCellEkf
+
+        ran = []
+        monkeypatch.setattr(MultiCellEkf, "run", lambda self, traces: ran.append(traces))
+        cfg_path, _ = self.make_pack(tmp_path, 2, 0.5, 0.5)
+        doc = json.loads(cfg_path.read_text())
+        doc["cells"][1]["ref_soc0"] = ref_soc0
+        cfg_path.write_text(json.dumps(doc))
+        outdir = tmp_path / "out"
+        assert main(["multicell", "--config", str(cfg_path), "--out-dir", str(outdir)]) == 2
+        assert capsys.readouterr().err.startswith("data error: initial SoC must be within [0, 1]")
+        assert ran == [] and not outdir.exists()
 
     @pytest.mark.parametrize("cell_id", [*BAD_CELL_IDS, 7, None, [1]])
     def test_bad_cell_id_exit_2(self, tmp_path, capsys, cell_id):

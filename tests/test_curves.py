@@ -31,6 +31,20 @@ def test_validation_errors():
         MonotoneCurve([0.0, 1.0], [1.0, np.nan])
 
 
+def test_arrays_are_read_only_copies():
+    """Changing the caller's arrays changes nothing, and the stored arrays
+    refuse writes, so eval and the cached tables cannot disagree."""
+    grid, values = np.linspace(0.0, 4.0, 5), np.ones(5)
+    c = MonotoneCurve(grid, values)
+    values[:], grid[-1] = 30.0, 9.0
+    assert c.eval(2.0) == 1.0
+    assert c.integral_and_value(2.0) == (2.0, 1.0)
+    assert c.x_max == 4.0 and c.grid[-1] == 4.0
+    for stored in (c.grid, c.values):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 5.0
+
+
 def test_integrate_hand_values():
     c = MonotoneCurve([0.0, 1.0, 2.0], [1.0, 3.0, 5.0])
     assert c.integrate(0.0, 2.0) == pytest.approx(6.0, abs=1e-15)

@@ -89,6 +89,24 @@ class TestConfig:
         with pytest.raises(InvalidParametersError, match="must be symmetric"):
             EkfConfig(opposite, 1e-4, big, CellState(3.3, np.zeros(1)))
 
+    @pytest.mark.parametrize("r", [np.inf, np.nan, 0.0, -1e-4])
+    def test_noise_that_is_not_finite_and_positive_is_refused(self, r):
+        """An infinite r would switch every correction off without a word."""
+        base = EkfConfig.default(linear_cell(), initial_soc=0.5)
+        with pytest.raises(InvalidParametersError, match="must be finite and > 0"):
+            EkfConfig(base.process_noise_q, r, base.initial_covariance_p0, base.initial_state)
+
+    def test_noise_matrices_are_read_only_copies(self):
+        q, p0 = 1e-8 * np.eye(2), np.diag([0.04, 1e-4])
+        cfg = EkfConfig(q, 1e-4, p0, CellState(3.3, np.zeros(1)))
+        q[0, 0], p0[1, 1] = 5.0, 5.0
+        assert cfg.process_noise_q[0, 0] == 1e-8 and cfg.initial_covariance_p0[1, 1] == 1e-4
+        for stored in (cfg.process_noise_q, cfg.initial_covariance_p0):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0, 0] = 1.0
+        # The filter state starts from a copy of P0 that it may change.
+        make_filter(cfg).covariance[0, 0] = 1.0
+
 
 class TestPredict:
     def test_rc_variance_decay_with_zero_process_noise(self):
@@ -192,20 +210,6 @@ class TestCorrect:
         assert out.mean.v_qst == state.mean.v_qst
         assert np.all(out.mean.v_dyn_components == state.mean.v_dyn_components)
         assert np.trace(out.covariance) < np.trace(state.covariance)
-
-    def test_infinite_noise_is_identity(self):
-        cell = linear_cell()
-        base = EkfConfig.default(cell, initial_soc=0.5)
-        cfg = EkfConfig(
-            process_noise_q=base.process_noise_q,
-            measurement_noise_r=np.inf,
-            initial_covariance_p0=base.initial_covariance_p0,
-            initial_state=base.initial_state,
-        )
-        state = make_filter(cfg)
-        out = correct(state, cell, 99.0, 0.0, cfg)
-        assert out.mean.v_qst == state.mean.v_qst
-        assert np.array_equal(out.covariance, state.covariance)
 
     def test_huge_noise_near_identity(self):
         cell = linear_cell()
@@ -469,7 +473,8 @@ class TestStationaryReuse:
         noise = 1e-3 * np.random.default_rng(5).standard_normal(t.size)
         return cell, Trace(t, truth.current, truth.voltage + noise)
 
-    @pytest.mark.parametrize("r", [1e-4, np.inf])
+    # At r = 1e300 every correction rounds to nothing; an infinite r is refused.
+    @pytest.mark.parametrize("r", [1e-4, 1e300])
     def test_matches_the_step_chain(self, case, r):
         cell, trace = case
         base = EkfConfig.default(cell, initial_soc=0.7)

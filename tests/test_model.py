@@ -51,6 +51,14 @@ class TestTypes:
         with pytest.raises(InvalidParametersError):
             constant_c_cell(rc=((0.01, 40.0), (0.02, 10.0)))
 
+    def test_taus_and_rs_are_read_only(self):
+        cell = make_cell()
+        for stored in (cell.taus, cell.rs):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 1.0
+        assert cell.taus.tolist() == [g.tau for g in cell.rc_groups]
+        assert cell.rs.tolist() == [g.r for g in cell.rc_groups]
+
     def test_at_least_one_rc_group(self):
         with pytest.raises(InvalidParametersError):
             constant_c_cell(rc=())

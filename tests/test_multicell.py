@@ -20,6 +20,7 @@ from cellsoc import (
     SchedulingViolationError,
     SchedulingWarning,
     Trace,
+    coulomb_count,
     max_cells,
     simulate,
     vqst_from_soc,
@@ -93,6 +94,12 @@ def snapshot(engine):
         (slot.last_serviced_t, bits(slot.ekf.mean.v_qst).tolist(),
          bits(slot.ekf.mean.v_dyn_components).tolist(), bits(slot.ekf.covariance).tolist())
         for slot in engine.slots.values()]
+
+
+def held_reference(cell, trace, series):
+    """The coulomb-counting reference from a full cell at the samples its
+    services held."""
+    return coulomb_count(trace, cell.nominal_capacity_c_n, 1.0)[series.sample_index]
 
 
 def service_grid_trace(cell, n_services, period, first_time, current_fn, initial_soc=1.0):
@@ -303,7 +310,7 @@ class TestRunEquivalence:
             )
 
         engine = MultiCellEkf(sched, {cid: (cells[cid], cfgs[cid]) for cid in ids})
-        series = engine.run(traces, ref_soc0=1.0)
+        series = engine.run(traces)
 
         worst = 0.0
         for cid in ids:
@@ -334,20 +341,13 @@ class TestRunEquivalence:
             "b": service_grid_trace(cell_b, 300, 1.0, 1.0, lambda t: -np.ones_like(t)),
         }
         engine = MultiCellEkf(sched, setups)
-        series = engine.run(traces, ref_soc0=1.0)
+        series = engine.run(traces)
         n = min(series["a"].soc_est.size, series["b"].soc_est.size)
         assert not np.allclose(series["a"].soc_est[:n], series["b"].soc_est[:n])
         # per-slot parameters: each filter tracks its own cell's truth
-        assert abs(series["a"].soc_est[-1] - series["a"].soc_ref[-1]) < 0.01
-        assert abs(series["b"].soc_est[-1] - series["b"].soc_ref[-1]) < 0.01
-
-    def test_reference_column_nan_without_ref(self):
-        cell = make_cell()
-        sched = SchedulerConfig(t_slot=0.5, cells=("a",), f_max=0.5)
-        traces = {"a": service_grid_trace(cell, 50, 0.5, 0.5, lambda t: np.zeros_like(t))}
-        engine = MultiCellEkf(sched, {"a": (cell, EkfConfig.default(cell))})
-        series = engine.run(traces)
-        assert np.all(np.isnan(series["a"].soc_ref))
+        for cid, (cell, _) in setups.items():
+            ref = held_reference(cell, traces[cid], series[cid])
+            assert abs(series[cid].soc_est[-1] - ref[-1]) < 0.01
 
     def test_eighteen_cell_pack_converges_to_reference(self):
         # Pack test in miniature: 18 cells, all fully charged, filters seeded
@@ -369,12 +369,13 @@ class TestRunEquivalence:
                 lambda t: np.full(t.size, -2.0), initial_soc=1.0,
             )
         engine = MultiCellEkf(sched, setups)
-        series = engine.run(traces, ref_soc0=1.0)
+        series = engine.run(traces)
         for cid in ids:
             s = series[cid]
             # c_n equals delta_q for these cells, so the reference is exact.
-            assert abs(s.soc_est[-1] - s.soc_ref[-1]) < 0.02
-            assert np.max(np.abs(s.soc_est[-100:] - s.soc_ref[-100:])) < 0.02
+            ref = held_reference(cells[cid], traces[cid], s)
+            assert abs(s.soc_est[-1] - ref[-1]) < 0.02
+            assert np.max(np.abs(s.soc_est[-100:] - ref[-100:])) < 0.02
 
     def test_run_leaves_engine_as_ticking_would(self):
         rng = np.random.default_rng(21)
@@ -653,3 +654,80 @@ def test_slot_isolation_under_a_perturbed_stream(case):
         assert np.array_equal(bits(sa.ekf.mean.v_dyn_components),
                               bits(sb.ekf.mean.v_dyn_components))
         assert np.array_equal(bits(sa.ekf.covariance), bits(sb.ekf.covariance))
+
+
+@st.composite
+def ticked_packs(draw):
+    n_cells = draw(st.integers(2, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    start = draw(st.floats(-1e4, 1e4))
+    gap = draw(st.floats(1.5, 6.0))  # s; two revolutions are 1 s
+    spikes = draw(st.integers(0, 8))
+    return n_cells, seed, start, gap, spikes
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(ticked_packs())
+def test_ticking_any_schedule_is_run_bit_for_bit(case):
+    """Random packs from a random start time, some cells with a gap in their
+    trace (so services hold samples older than two revolutions) and some
+    currents past the resistor curve's 50 A: ticking the schedule gives run's
+    SoC and innovation bits, held samples, clamp counts, final slots and ring
+    position."""
+    n_cells, seed, start, gap, spikes = case
+    rng = np.random.default_rng(seed)
+    ids = tuple(f"c{j}" for j in range(n_cells))
+    cells = {cid: random_cell(rng) for cid in ids}
+    t_slot = 0.5 / n_cells
+    sched = SchedulerConfig(t_slot=t_slot, cells=ids, f_max=1.0)
+    setups = {cid: (cells[cid], EkfConfig.default(cells[cid], initial_soc=rng.uniform(0.3, 0.9)))
+              for cid in ids}
+    traces = {}
+    for cid in ids:
+        t = start + 0.1 * np.arange(300)
+        if rng.random() < 0.5:
+            g0 = start + rng.uniform(1.0, 20.0)
+            t = t[(t < g0) | (t >= g0 + gap)]
+        current = 3.0 * np.sin(2 * np.pi * (t - start) / rng.uniform(5.0, 20.0))
+        first = CellState.rest(vqst_from_soc(cells[cid], 0.6), cells[cid].n_rc)
+        trace = simulate(cells[cid], Trace(t, current), first).trace
+        current = trace.current.copy()
+        current[rng.choice(t.size, size=spikes, replace=False)] = rng.choice([-80.0, 80.0], spikes)
+        traces[cid] = Trace(trace.timestamps, current, trace.voltage)
+
+    batch = MultiCellEkf(sched, setups, start_time=start)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        series = batch.run(traces)
+
+    online = MultiCellEkf(sched, setups, start_time=start)
+    columns = {cid: np.empty((3, series[cid].times.size)) for cid in ids}
+    ticked = {cid: Counter() for cid in ids}
+    for k in range(sum(s.times.size for s in series.values())):
+        cid, n = ids[k % n_cells], k // n_cells
+        now = start + (k + 1) * t_slot
+        trace = traces[cid]
+        idx = int(np.searchsorted(trace.timestamps, now + 1e-9 * t_slot, side="right")) - 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = online.tick(now, Measurement(cid, float(trace.current[idx]),
+                                               float(trace.voltage[idx])))
+        ticked[cid] += Counter(str(w.message) for w in caught if w.category is OutOfRangeWarning)
+        columns[cid][:, n] = now, out.soc, out.innovation
+        assert series[cid].sample_index[n] == idx
+
+    assert online.due_cell == batch.due_cell
+    for cid in ids:
+        s, (times, soc, innovations) = series[cid], columns[cid]
+        assert np.array_equal(bits(times), bits(s.times))
+        assert np.array_equal(bits(soc), bits(s.soc_est))
+        assert np.array_equal(bits(innovations), bits(s.innovations))
+        assert ticked[cid] == +Counter({_current_clamp_message(cells[cid].resistor):
+                                        s.current_clamps,
+                                        _soc_clamp_message(cells[cid]): s.soc_clamps})
+        got, want = online.slots[cid], batch.slots[cid]
+        assert got.last_serviced_t == want.last_serviced_t
+        assert np.array_equal(bits(got.ekf.mean.v_qst), bits(want.ekf.mean.v_qst))
+        assert np.array_equal(bits(got.ekf.mean.v_dyn_components),
+                              bits(want.ekf.mean.v_dyn_components))
+        assert np.array_equal(bits(got.ekf.covariance), bits(want.ekf.covariance))

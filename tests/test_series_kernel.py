@@ -14,6 +14,7 @@ import math
 import re
 import warnings
 from bisect import bisect_right
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -78,7 +79,12 @@ def series_case(seed, n_rc, phases, q_rate, r, p0_kind, first_is_correction):
     level = rng.uniform(cell.v_min - 0.1, cell.v_max + 0.1, current.size)
     voltage = level + 0.03 * current + 1e-3 * rng.standard_normal(current.size)
     base = EkfConfig.default(cell, initial_soc=float(rng.uniform(0.05, 0.95)), q_rate=q_rate)
-    cfg = EkfConfig(base.process_noise_q, r, base.initial_covariance_p0, base.initial_state)
+    if math.isinf(r):
+        # predict's no-correction switch: the loop, which reads only Q and r
+        # from its config, takes it; EkfConfig refuses it.
+        cfg = SimpleNamespace(process_noise_q=base.process_noise_q, measurement_noise_r=r)
+    else:
+        cfg = EkfConfig(base.process_noise_q, r, base.initial_covariance_p0, base.initial_state)
     p0 = base.initial_covariance_p0.copy()
     m = n_rc + 1
     if p0_kind == "dense":
