@@ -124,21 +124,17 @@ class EkfConfig:
         object.__setattr__(self, "initial_covariance_p0", p0)
 
     @classmethod
-    def default(
-        cls,
-        params: CellParameters,
-        initial_soc: float = 0.5,
-        q_rate: float = 1e-8,
-        r: float = 1e-4,
-        p0_vqst: float = 0.04,
-        p0_dyn: float = 1e-4,
-    ) -> "EkfConfig":
-        """Sensible defaults sized for the given parameter set."""
+    def default(cls, params: CellParameters, initial_soc: float = 0.5) -> "EkfConfig":
+        """The config sized for ``params``, starting at rest at ``initial_soc``.
+
+        Q is 1e-8 V²/s on every state, r is 1e-4 V², and P0 is 0.04 V² on
+        v_qst and 1e-4 V² on each RC voltage, all uncorrelated.
+        """
         n = params.n_rc + 1
         return cls(
-            process_noise_q=q_rate * np.eye(n),
-            measurement_noise_r=r,
-            initial_covariance_p0=np.diag([p0_vqst] + [p0_dyn] * params.n_rc),
+            process_noise_q=1e-8 * np.eye(n),
+            measurement_noise_r=1e-4,
+            initial_covariance_p0=np.diag([0.04] + [1e-4] * params.n_rc),
             initial_state=CellState.rest(vqst_from_soc(params, initial_soc), params.n_rc),
         )
 

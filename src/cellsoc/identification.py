@@ -41,10 +41,6 @@ class IdentificationConfig:
     n_rc: int = 2
     current_zero_threshold: float = 0.01     # amperes; |i| below this is "rest"
     capacitance_grid_size: int = 96
-    # Moving-average halfwidth applied to Q(V) before differencing. The central
-    # difference already averages the capacitance over two grid cells, so the
-    # default adds no extra smoothing; raise this for noisy measurements.
-    smoothing_halfwidth: int = 0
 
     def __post_init__(self):
         if self.n_rc < 1:
@@ -58,12 +54,6 @@ class IdentificationConfig:
         if self.capacitance_grid_size > _MAX_SAMPLES:
             raise ConfigurationError(f"capacitance_grid_size is more than one array holds "
                                      f"({_MAX_SAMPLES})")
-        if self.smoothing_halfwidth < 0:
-            raise ConfigurationError("smoothing halfwidth cannot be negative")
-        if 2 * self.smoothing_halfwidth + 1 > self.capacitance_grid_size:
-            raise ConfigurationError(f"smoothing_halfwidth window (2 * smoothing_halfwidth + 1) "
-                                     f"is wider than the {self.capacitance_grid_size}-point "
-                                     f"capacitance grid")
 
 
 @dataclass(frozen=True)
@@ -198,6 +188,10 @@ class RcFitDiagnostics:
     notes: list[str] = field(default_factory=list)
 
 
+# Damped Gauss-Newton steps the relaxation fit may take before it gives up.
+_MAX_FIT_ITERATIONS = 200
+
+
 def _design_matrix(s: np.ndarray, taus: np.ndarray) -> np.ndarray:
     cols = [np.ones_like(s)] + [np.exp(-s / tau) for tau in taus]
     return np.column_stack(cols)
@@ -210,7 +204,6 @@ def _fit_multi_exponential(
     tau_lo: float,
     tau_hi: float,
     spread: float = 1.0,
-    max_iter: int = 200,
 ):
     """Separable least squares for y = v_inf + sum a_i exp(-t/tau_i).
 
@@ -240,7 +233,7 @@ def _fit_multi_exponential(
     lam = 1e-3
     iterations = 0
     converged = cost <= cost_floor
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_FIT_ITERATIONS + 1):
         if converged:
             break
         taus = np.exp(theta)
@@ -286,7 +279,7 @@ def _fit_multi_exponential(
             break
     if not converged:
         raise FitConvergenceError(
-            f"relaxation fit did not converge in {max_iter} iterations "
+            f"relaxation fit did not converge in {_MAX_FIT_ITERATIONS} iterations "
             f"(residual rms {math.sqrt(cost / y.size):.3e} V)"
         )
     taus = np.exp(theta)
@@ -462,30 +455,21 @@ def build_q_curve(
     return charge, discharge, mean
 
 
-def estimate_capacitance(
-    mean_q: MonotoneCurve,
-    grid_size: int,
-    smoothing_halfwidth: int = 0,
-) -> tuple[MonotoneCurve, float]:
+def estimate_capacitance(mean_q: MonotoneCurve, grid_size: int) -> tuple[MonotoneCurve, float]:
     """Static capacitance dQ/dV of the mean charge characteristic.
 
-    The charge curve is resampled uniformly, smoothed by a centered moving
-    average, then differentiated by central differences. The abscissa of the
-    maximum defines the nominal voltage.
+    The charge curve is resampled uniformly, then differentiated by central
+    differences, which average the capacitance over two grid cells. The
+    abscissa of the maximum defines the nominal voltage.
     """
     if grid_size < 16:
         raise ConfigurationError("capacitance grid needs at least 16 points")
     grid = np.linspace(mean_q.x_min, mean_q.x_max, grid_size)
-    qs = mean_q.eval(grid)
-    if smoothing_halfwidth > 0:
-        w = 2 * smoothing_halfwidth + 1
-        padded = np.pad(qs, smoothing_halfwidth, mode="edge")
-        qs = np.convolve(padded, np.full(w, 1.0 / w), mode="valid")
-    cap = np.gradient(qs, grid)
+    cap = np.gradient(mean_q.eval(grid), grid)
     if np.any(cap <= 0.0):
         raise InvalidParametersError(
             "capacitance estimate is not strictly positive; the charge characteristic is "
-            "too flat or too noisy at this smoothing"
+            "too flat or too noisy"
         )
     v_n = float(grid[int(np.argmax(cap))])
     return MonotoneCurve(grid, cap), v_n
@@ -590,10 +574,8 @@ def identify(trace: Trace, cfg: IdentificationConfig | None = None) -> Identific
     report.add("q-curve", residual_rms=hysteresis,
                notes=notes + ["residual is the rms gap between charge and discharge branches"])
 
-    (capacitance, _), notes = _stage(
-        "capacitance", estimate_capacitance, mean_b, cfg.capacitance_grid_size,
-        cfg.smoothing_halfwidth,
-    )
+    (capacitance, _), notes = _stage("capacitance", estimate_capacitance, mean_b,
+                                     cfg.capacitance_grid_size)
     params = CellParameters.from_curves(
         capacitance.x_min, capacitance.x_max, capacitance, groups, resistor
     )

@@ -91,6 +91,9 @@ class CellParameters:
             raise InvalidParametersError(
                 f"delta_q ({self.delta_q}) must equal the capacitance integral ({integral})"
             )
+        # A subnormal capacitance integrates to 0; SoC divides by delta_q.
+        if not self.delta_q > 0.0:
+            raise InvalidParametersError(f"delta_q must be positive, got {self.delta_q}")
         if not (math.isfinite(self.nominal_capacity_c_n) and self.nominal_capacity_c_n > 0.0):
             raise InvalidParametersError("nominal capacity must be positive")
         v_n = float(cap.grid[int(np.argmax(cap.values))])
@@ -358,8 +361,6 @@ def soc_from_vqst(params: CellParameters, v_qst: float) -> float:
     outside the window are clamped with a warning.
     """
     _check_finite(v_qst=v_qst)
-    if params.delta_q <= 0.0:
-        raise InvalidParametersError("delta_q must be positive")
     if v_qst < params.v_min or v_qst > params.v_max:
         warnings.warn(_soc_clamp_message(params), OutOfRangeWarning, stacklevel=2)
         v_qst = min(max(v_qst, params.v_min), params.v_max)

@@ -54,15 +54,15 @@ class ProfileSpec:
             raise ConfigurationError("sample period must be positive")
 
 
-def _segments_to_trace(values_per_segment, dts_per_segment, t0: float = 0.0) -> Trace:
+def _segments_to_trace(values_per_segment, dts_per_segment) -> Trace:
     """Concatenate piecewise segments (value arrays with per-segment dt) into a Trace.
 
-    Each segment's samples sit at the start of their interval, so a segment of
-    n samples occupies n * dt seconds.
+    The trace starts at t = 0. Each segment's samples sit at the start of
+    their interval, so a segment of n samples occupies n * dt seconds.
     """
     times = []
     currents = []
-    t = t0
+    t = 0.0
     for vals, dt in zip(values_per_segment, dts_per_segment):
         vals = np.asarray(vals, dtype=float)
         if vals.size == 0:
@@ -193,21 +193,16 @@ def us06_like_profile(
     return Trace(t, current)
 
 
-def validation_profile(
-    us06_source: Trace,
-    rate: float = 0.4,
-    slow_sample_period: float = 1.0,
-    repetitions: int = 6,
-    clamp: float = DEFAULT_CURRENT_CLAMP,
-) -> Trace:
+def validation_profile(us06_source: Trace, slow_sample_period: float = 1.0) -> Trace:
     """37-hour validation profile.
 
-    Six hours of constant discharge, twelve hours of rest, six hours of
-    constant charge, twelve hours of rest, then one hour built from
-    ``repetitions`` copies of the source cycle, clamped to ±``clamp`` amperes.
+    Six hours of constant discharge at 0.4 A, twelve hours of rest, six hours
+    of constant charge at 0.4 A, twelve hours of rest, then one hour built
+    from 6 copies of the source cycle, clamped to ±44 A
+    (``DEFAULT_CURRENT_CLAMP``).
     """
-    if not (rate > 0.0 and slow_sample_period > 0.0) or repetitions < 1:
-        raise ConfigurationError("rate, sample period and repetitions must be positive")
+    if not slow_sample_period > 0.0:
+        raise ConfigurationError("sample period must be positive")
     dt = slow_sample_period
     n6h = _sample_count(21600.0, dt)
     if n6h < 1:
@@ -219,20 +214,20 @@ def validation_profile(
     if np.max(np.abs(src_steps - src_dt)) > 1e-9 * src_dt:
         raise NonUniformSamplingError("drive-cycle source must be uniformly sampled")
     src_vals = us06_source.current[:-1]  # last sample duplicates the period start
-    fast = np.tile(src_vals, repetitions)
-    clipped = np.count_nonzero(np.abs(fast) > clamp)
+    fast = np.tile(src_vals, 6)
+    clipped = np.count_nonzero(np.abs(fast) > DEFAULT_CURRENT_CLAMP)
     if clipped:
         warnings.warn(
-            f"{clipped} drive-cycle samples exceeded {clamp} A and were clamped",
+            f"{clipped} drive-cycle samples exceeded {DEFAULT_CURRENT_CLAMP} A and were clamped",
             ProfileWarning,
             stacklevel=2,
         )
-    fast = np.clip(fast, -clamp, clamp)
+    fast = np.clip(fast, -DEFAULT_CURRENT_CLAMP, DEFAULT_CURRENT_CLAMP)
     segments = [
         np.zeros(1),
-        np.full(n6h, -rate),
+        np.full(n6h, -0.4),
         np.zeros(n12h),
-        np.full(n6h, rate),
+        np.full(n6h, 0.4),
         np.zeros(n12h - 1),
         fast,
         np.zeros(1),

@@ -402,11 +402,13 @@ def load_identification_config(path) -> IdentificationConfig:
     return identification_config_from_dict(_load_json(path))
 
 
-def load_multicell_config(path) -> tuple[MultiCellEkf, dict[str, Trace], dict[str, float]]:
+def load_multicell_config(path) -> tuple[MultiCellEkf, dict[str, Trace],
+                                          dict[str, float | None]]:
     """The engine a multicell config describes, with the traces and reference
     initial SoCs to run it on: ``(engine, traces, ref_soc0)``. Each cell's
     parameters, trace and EKF config are read from the files it names; a
-    relative path names a file beside the config.
+    relative path names a file beside the config. A cell without ``ref_soc0``
+    has no reference: its ``ref_soc0`` entry is None.
 
     A cell without ``ekf`` gets the default EKF config at its ``initial_soc``
     (0.5 when absent). A cell may not set both: ``initial_soc`` would be
@@ -436,7 +438,8 @@ def load_multicell_config(path) -> tuple[MultiCellEkf, dict[str, Trace], dict[st
             initial_soc = config_float(cell, "initial_soc", cell_what, 0.5)
             cfg = EkfConfig.default(params, initial_soc=initial_soc)
         setups[cid] = (params, cfg)
-        refs[cid] = config_float(cell, "ref_soc0", cell_what, 1.0)
+        # config_float without a default requires the key; a JSON null is refused.
+        refs[cid] = config_float(cell, "ref_soc0", cell_what) if "ref_soc0" in cell else None
     start_time = config_float(doc, "start_time_s", what, 0.0)
     return MultiCellEkf(scheduler, setups, start_time=start_time), traces, refs
 

@@ -308,8 +308,7 @@ class TestIdentify:
         trace_path = tmp_path / "id.csv"
         save_trace(trace, trace_path)
         cfg_path = tmp_path / "idcfg.json"
-        cfg_path.write_text(json.dumps({"n_rc": 2, "capacitance_grid_size": 64,
-                                        "smoothing_halfwidth": 1}))
+        cfg_path.write_text(json.dumps({"n_rc": 2, "capacitance_grid_size": 64}))
         params_out = tmp_path / "fit.json"
         assert main(["identify", str(trace_path), "--config", str(cfg_path),
                      "--out-params", str(params_out),
@@ -331,12 +330,9 @@ class TestIdentify:
                      "range", id="huge-int"),
         pytest.param({"capacitance_grid_size": 10**400},
                      "capacitance_grid_size is more than one array holds", id="huge-grid"),
-        pytest.param({"smoothing_halfwidth": 10**400},
-                     "smoothing_halfwidth window (2 * smoothing_halfwidth + 1) is wider than "
-                     "the 96-point capacitance grid", id="huge-halfwidth"),
-        pytest.param({"smoothing_halfwidth": 1000},
-                     "smoothing_halfwidth window (2 * smoothing_halfwidth + 1) is wider than "
-                     "the 96-point capacitance grid", id="window-wider-than-grid"),
+        pytest.param({"smoothing_halfwidth": 1},
+                     "unknown identification config fields: smoothing_halfwidth",
+                     id="smoothing-halfwidth"),
     ])
     def test_bad_config_document_exit_2(self, tmp_path, capsys, doc, expected):
         trace_path = tmp_path / "id.csv"
@@ -662,6 +658,23 @@ class TestMulticell:
         assert capsys.readouterr().err.startswith("data error: initial SoC must be within [0, 1]")
         assert ran == [] and not outdir.exists()
 
+    def test_a_cell_without_ref_soc0_has_a_nan_reference(self, tmp_path):
+        """An absent ``ref_soc0`` means no reference, as for ``estimate``
+        without ``--ref-soc0``; the other cell keeps its coulomb count."""
+        cfg_path, _ = self.make_pack(tmp_path, 2, 0.5, 0.5)
+        doc = json.loads(cfg_path.read_text())
+        del doc["cells"][1]["ref_soc0"]
+        cfg_path.write_text(json.dumps(doc))
+        outdir = tmp_path / "out"
+        assert main(["multicell", "--config", str(cfg_path), "--out-dir", str(outdir)]) == 0
+
+        def soc_ref(cid):
+            rows = (outdir / f"soc_{cid}.csv").read_text().splitlines()[1:]
+            return [float(r.split(",")[3]) for r in rows]
+
+        assert soc_ref("c01") and all(math.isnan(x) for x in soc_ref("c01"))
+        assert soc_ref("c00") and all(math.isfinite(x) for x in soc_ref("c00"))
+
     @pytest.mark.parametrize("cell_id", [*BAD_CELL_IDS, 7, None, [1]])
     def test_bad_cell_id_exit_2(self, tmp_path, capsys, cell_id):
         cfg_path, _ = self.make_pack(tmp_path, 2, 0.5, 0.5)
@@ -766,8 +779,7 @@ SIZE_POOL = [None, True, "x", [], 0.0, -0.0, -1.0, 1e-320, 1e300, -1e300,
              math.nan, math.inf, -math.inf]
 SIZE_KEYS = {"sample_period_s", "duration_s", "delta_q_c", "t_empty_s", "rest1_s", "rest2_s",
              "charge_amplitudes_a", "us06_duration_s", "us06_sample_period_s",
-             "t_slot_s", "start_time_s", "n_rc", "capacitance_grid_size",
-             "smoothing_halfwidth"}
+             "t_slot_s", "start_time_s", "n_rc", "capacitance_grid_size"}
 INT_POOL = [-1, 0, 1, 2, 3, 15, 16, 17, 64, 200, 2.5, "2"]
 TOKENS = ["nan", "inf", "-inf", "", " ", "x", "1e999", "-0.0", "5e-324", "1e300", "-1e300",
           "0", "1_0", "0x10", "3.3"]
@@ -804,7 +816,7 @@ def replacement(draw, path, old):
         if type(old) in (int, float) and draw(st.booleans()):
             return draw(st.sampled_from([-1.0, 1e-6, 0.5, 2.0, 1e6])) * old
         return draw(pick(POOL))
-    if path[-1] in ("n_rc", "capacitance_grid_size", "smoothing_halfwidth"):
+    if path[-1] in ("n_rc", "capacitance_grid_size"):
         return draw(pick(INT_POOL + SIZE_POOL))
     halved = [old * 0.5, old * 2.0] if type(old) in (int, float) else []
     return draw(pick(SIZE_POOL + halved))
@@ -888,8 +900,7 @@ def fuzz_inputs(root):
                  {"kind": "us06-like", "us06_duration_s": 20.0, "us06_sample_period_s": 0.5},
                  {"kind": "validation", "sample_period_s": 600.0, "us06_duration_s": 20.0,
                   "us06_sample_period_s": 0.5}],
-        "identify": {"n_rc": 2, "capacitance_grid_size": 32, "smoothing_halfwidth": 1,
-                     "current_zero_threshold": 0.01},
+        "identify": {"n_rc": 2, "capacitance_grid_size": 32, "current_zero_threshold": 0.01},
         "trace": (root / "trace.csv").read_text(),
     }
 

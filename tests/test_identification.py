@@ -34,11 +34,6 @@ CFG = IdentificationConfig()
 
 
 class TestConfig:
-    def test_smoothing_window_may_span_the_grid_but_not_exceed_it(self):
-        assert IdentificationConfig(capacitance_grid_size=17, smoothing_halfwidth=8)
-        with pytest.raises(ConfigurationError, match="wider than the 17-point capacitance grid"):
-            IdentificationConfig(capacitance_grid_size=17, smoothing_halfwidth=9)
-
     def test_a_grid_no_array_holds_is_refused(self):
         with pytest.raises(ConfigurationError, match="capacitance_grid_size is more than one"):
             IdentificationConfig(capacitance_grid_size=_MAX_SAMPLES + 1)
@@ -296,13 +291,13 @@ class TestEstimateCapacitance:
     def test_linear_q_gives_constant_capacitance(self):
         grid = np.linspace(2.9, 3.6, 100)
         q = MonotoneCurve(grid, 15840.0 * (grid - 2.9) / 0.7)
-        cap, v_n = estimate_capacitance(q, 64, smoothing_halfwidth=0)
+        cap, v_n = estimate_capacitance(q, 64)
         assert np.allclose(cap.values, 15840.0 / 0.7, rtol=1e-9)
 
     def test_quadratic_q_gives_linear_capacitance(self):
         grid = np.linspace(0.0, 1.0, 200)
         q = MonotoneCurve(grid, 0.5 * grid**2 + 0.1 * grid)
-        cap, v_n = estimate_capacitance(q, 64, smoothing_halfwidth=0)
+        cap, v_n = estimate_capacitance(q, 64)
         expected = np.linspace(0.0, 1.0, 64) + 0.1
         assert np.allclose(cap.values, expected, atol=1e-2)
         assert v_n == pytest.approx(1.0, abs=1e-6)  # max slope at the upper end
@@ -311,7 +306,7 @@ class TestEstimateCapacitance:
         cell = make_cell(center=3.22)
         grid = np.linspace(cell.v_min, cell.v_max, 400)
         q_vals = [cell.capacitance.integrate(cell.v_min, v) for v in grid]
-        cap, v_n = estimate_capacitance(MonotoneCurve(grid, q_vals), 96, smoothing_halfwidth=1)
+        cap, v_n = estimate_capacitance(MonotoneCurve(grid, q_vals), 96)
         cell_width = (cell.v_max - cell.v_min) / 95
         assert abs(v_n - cell.nominal_voltage_v_n) <= cell_width
 
@@ -320,7 +315,7 @@ class TestEstimateCapacitance:
         n = 96
         grid = np.linspace(cell.v_min, cell.v_max, n)
         q_vals = [cell.capacitance.integrate(cell.v_min, v) for v in grid]
-        cap, _ = estimate_capacitance(MonotoneCurve(grid, q_vals), n, smoothing_halfwidth=0)
+        cap, _ = estimate_capacitance(MonotoneCurve(grid, q_vals), n)
         truth = cell.capacitance.eval(grid)
         assert relative_rms(cap.values[1:-1], truth[1:-1]) < 0.01
 

@@ -99,6 +99,12 @@ class TestTypes:
                 2.9, 3.6, MonotoneCurve([2.9, 3.6], [100.0, -1.0]),
                 (RcGroup(0.01, 10.0),), make_resistor(),
             )
+        # Positive, but so small that the window's charge underflows to 0.
+        with pytest.raises(InvalidParametersError, match="delta_q must be positive, got 0.0"):
+            CellParameters.from_curves(
+                3.0, 3.1, MonotoneCurve([3.0, 3.1], [5e-324, 5e-324]),
+                (RcGroup(0.01, 10.0),), make_resistor(), nominal_capacity=1.0,
+            )
 
     def test_trace_validation(self):
         with pytest.raises(InvalidParametersError):

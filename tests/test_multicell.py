@@ -1,10 +1,11 @@
 import math
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cellsoc import (
     BudgetExceededError,
@@ -43,6 +44,8 @@ class TestMaxCells:
 
     def test_hand_evaluated_floor(self):
         assert max_cells(2.0, 0.021) == 11
+        # 1 / (2 * 0.1 * 0.1) rounds to 49.99999999999999; the nudge keeps 50.
+        assert max_cells(0.1, 0.1) == 50
 
     def test_invalid_inputs(self):
         with pytest.raises(InvalidInputError):
@@ -75,6 +78,29 @@ class TestSchedulerConfig:
             SchedulerConfig(t_slot=0.5, cells=(bad,), f_max=0.5)
         with pytest.raises(ConfigurationError):
             SchedulerConfig(t_slot=0.25, cells=("ok", bad), f_max=0.5)
+
+
+# Budgets up to 1,000 cells: below about 2,000 the rounding of 1 / (2 f t)
+# stays under max_cells' 1e-12 nudge, so one more cell never fits exactly.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.floats(0.05, 50.0), st.floats(0.01, 10.0))
+@example(2.0, 0.01)
+@example(0.5, 1.0)
+@example(2.0, 0.021)
+@example(0.1, 0.1)  # 1 / (2 * 0.1 * 0.1) rounds to 49.99999999999999
+def test_the_budget_is_the_most_cells_one_revolution_holds(f_max, t_slot):
+    """``max_cells`` cells fit one revolution within 1 / (2 f_max), to 1e-12
+    relative, and one more cell does not; ``SchedulerConfig`` accepts exactly
+    ``max_cells`` cells and refuses one more. Compared in exact rationals."""
+    n = max_cells(f_max, t_slot)
+    half_period = 1 / (2 * Fraction(f_max))
+    assert n * Fraction(t_slot) <= half_period * (1 + Fraction(1e-12))
+    assert (n + 1) * Fraction(t_slot) > half_period
+    ids = tuple(f"c{i}" for i in range(n + 1))
+    if n:  # a schedule needs one cell
+        assert len(SchedulerConfig(t_slot=t_slot, cells=ids[:n], f_max=f_max).cells) == n
+    with pytest.raises(BudgetExceededError):
+        SchedulerConfig(t_slot=t_slot, cells=ids, f_max=f_max)
 
 
 def ticked_pair():

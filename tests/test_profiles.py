@@ -104,7 +104,7 @@ class TestValidationProfile:
 
     def test_structure_amplitudes(self):
         src = us06_like_profile(duration=600.0, sample_period=0.5, bandwidth=0.8, seed=1)
-        p = validation_profile(src, rate=0.4)
+        p = validation_profile(src)
         hours = p.timestamps / 3600.0
         assert np.all(p.current[(hours > 0.01) & (hours < 5.99)] == -0.4)
         assert np.all(p.current[(hours > 6.01) & (hours < 17.99)] == 0.0)

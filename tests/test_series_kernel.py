@@ -78,15 +78,16 @@ def series_case(seed, n_rc, phases, q_rate, r, p0_kind, first_is_correction):
     current, dt = np.concatenate(current), np.concatenate(dt)
     level = rng.uniform(cell.v_min - 0.1, cell.v_max + 0.1, current.size)
     voltage = level + 0.03 * current + 1e-3 * rng.standard_normal(current.size)
-    base = EkfConfig.default(cell, initial_soc=float(rng.uniform(0.05, 0.95)), q_rate=q_rate)
+    base = EkfConfig.default(cell, initial_soc=float(rng.uniform(0.05, 0.95)))
+    m = n_rc + 1
+    q = q_rate * np.eye(m)
     if math.isinf(r):
         # predict's no-correction switch: the loop, which reads only Q and r
         # from its config, takes it; EkfConfig refuses it.
-        cfg = SimpleNamespace(process_noise_q=base.process_noise_q, measurement_noise_r=r)
+        cfg = SimpleNamespace(process_noise_q=q, measurement_noise_r=r)
     else:
-        cfg = EkfConfig(base.process_noise_q, r, base.initial_covariance_p0, base.initial_state)
+        cfg = EkfConfig(q, r, base.initial_covariance_p0, base.initial_state)
     p0 = base.initial_covariance_p0.copy()
-    m = n_rc + 1
     if p0_kind == "dense":
         noise = 1e-6 * rng.standard_normal((m, m))
         p0 = p0 + 0.5 * (noise + noise.T)
