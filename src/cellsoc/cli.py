@@ -70,7 +70,7 @@ class RunManifest:
             "outputs": dict(sorted(self.outputs.items())),
             "seed": self.seed,
         }
-        traceio.atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        traceio._save_json(doc, path)
 
 
 def _manifest_path(primary_output) -> Path:

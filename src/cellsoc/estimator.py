@@ -21,7 +21,9 @@ covariance step that settled on a bitwise fixed point (see
 ``_filter_series``). ``run_filter`` runs it on one trace and
 ``MultiCellEkf.run`` once per cell; the per-step API, ``predict`` and
 ``correct`` (pure functions from filter state to filter state) and
-``MultiCellEkf.tick``, runs it on one sample. The SoC column is formed from
+``MultiCellEkf.tick``, runs it on one sample through ``_filter_sample``,
+which builds no array around the kernel: the state and the per-cell
+constants (``_Constants``) go in and come out as Python floats and lists. The SoC column is formed from
 the kernel's v_qst by ``_soc_column``, only by the callers that report it.
 
 One rule decides whether a covariance is PSD: P + PSD_TOLERANCE * I has a
@@ -29,9 +31,9 @@ Cholesky factor, by the proof that ``_proof_lines`` writes. ``EkfConfig`` and
 the kernel run it, so no BLAS decides a verdict.
 
 The kernel counts the samples it clamps instead of warning on each one:
-every call of ``_filter_series`` emits at most one ``OutOfRangeWarning`` per
-kind (current outside the resistor curve, v_qst outside the window), and
-``FilterRun`` carries the counts.
+every call of ``_filter_series`` or ``_filter_sample`` emits at most one
+``OutOfRangeWarning`` per kind (current outside the resistor curve, v_qst
+outside the window), and ``FilterRun`` carries the counts.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import sys
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,13 +181,14 @@ def predict(
     """A-priori estimate after ``dt`` seconds at the given current.
 
     The model step is exact for any ``dt``, so a long gap is one step. This is
-    one sample of ``_filter_series`` with the measurement switched off, so it
-    warns about nothing.
+    one sample of the kernel with the measurement switched off
+    (``_Constants.unmeasured``), so it warns about nothing.
     """
     _check_finite(current=current, dt=dt)
     if dt <= 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    return _filter_series(ekf, params, cfg, [0.0], [current], [dt], [current], measure=False)[2]
+    current, dt = float(current), float(dt)
+    return _step(ekf, params, _Constants.of(params, cfg).unmeasured(), dt, current, 0.0, current)
 
 
 def correct(ekf: EkfState, params: CellParameters, measured_v: float, current: float,
@@ -193,14 +197,23 @@ def correct(ekf: EkfState, params: CellParameters, measured_v: float, current: f
 
     The output map is the unweighted sum of the states plus the (input-only)
     instantaneous drop, so H is a row of ones. Joseph form keeps the
-    covariance positive semidefinite. This is one sample of
-    ``_filter_series`` over a zero-length step, which moves nothing but
-    v_qst, clamped into the guarded window; its clamp warnings name the
-    caller.
+    covariance positive semidefinite. This is one sample of the kernel over a
+    zero-length step, which moves nothing but v_qst, clamped into the guarded
+    window; its clamp warnings name the caller.
     """
     _check_finite(measured_v=measured_v, current=current)
-    return _filter_series(ekf, params, cfg, [measured_v], [current], [0.0], [current],
-                          stacklevel=3)[2]
+    current = float(current)
+    return _step(ekf, params, _Constants.of(params, cfg), 0.0, current, float(measured_v),
+                 current, stacklevel=3)
+
+
+def _step(ekf: EkfState, params: CellParameters, constants: _Constants, dt: float,
+          i_pred: float, voltage: float, current: float, stacklevel: int = 2) -> EkfState:
+    """``_filter_sample`` from and to an ``EkfState``; warnings are attributed
+    ``stacklevel`` frames up, counted from here."""
+    state, _, _ = _filter_sample(params, constants, _state_floats(ekf, params.n_rc + 1),
+                                 dt, i_pred, voltage, current, stacklevel + 1)
+    return _ekf_state(*state)
 
 
 def estimate_soc(ekf: EkfState, params: CellParameters) -> float:
@@ -451,6 +464,88 @@ def _series_kernel(m: int):
     return namespace["filter_series"]
 
 
+class _Constants(NamedTuple):
+    """What ``_series_kernel`` takes of one cell's parameters and filter config,
+    as Python floats and lists in its argument order: Q's rate entries flat and
+    row-major, the taus, the RC resistances, r, the capacitance's ``_tables``
+    and the clamp bounds (i_lo, i_hi, v_lo, v_hi, soc_lo, soc_hi)."""
+
+    q_rate: list[float]
+    taus: list[float]
+    r_dyn: list[float]
+    r: float
+    tables: tuple[list[float], list[float], list[float]]
+    bounds: tuple[float, float, float, float, float, float]
+
+    @classmethod
+    def of(cls, params: CellParameters, cfg: EkfConfig) -> _Constants:
+        res = params.resistor
+        return cls(cfg.process_noise_q.ravel().tolist(), params.taus.tolist(),
+                   params.rs.tolist(), cfg.measurement_noise_r, params.capacitance._tables,
+                   (res.x_min, res.x_max, params.v_min - DEFAULT_VQST_GUARD,
+                    params.v_max + DEFAULT_VQST_GUARD, params.v_min, params.v_max))
+
+    def unmeasured(self) -> _Constants:
+        """These constants with the measurement switched off, as ``predict`` runs:
+        r and the current and v_qst clamp bounds are infinite, so no sample is
+        corrected, counted or warned about."""
+        _, _, v_lo, v_hi, _, _ = self.bounds
+        return self._replace(r=math.inf, bounds=(-math.inf, math.inf, v_lo, v_hi,
+                                                 -math.inf, math.inf))
+
+
+def _state_floats(ekf: EkfState, m: int) -> tuple[float, list[float], list[float]]:
+    """``ekf`` as the kernel takes it, (v_qst, RC voltages, P flat and row-major)
+    in Python floats, for a state of size m; InvalidInputError if its sizes differ."""
+    dyn = ekf.mean.v_dyn_components.tolist()
+    if len(dyn) != m - 1:
+        raise InvalidInputError(
+            f"state has {len(dyn)} RC components, parameters define {m - 1}"
+        )
+    if ekf.covariance.shape != (m, m):
+        raise InvalidInputError(f"covariance must be {m}x{m}, got {ekf.covariance.shape}")
+    return float(ekf.mean.v_qst), dyn, ekf.covariance.ravel().tolist()
+
+
+def _ekf_state(v: float, dyn, p) -> EkfState:
+    """The ``EkfState`` of the kernel's (v, dyn, p)."""
+    m = len(dyn) + 1
+    return EkfState(CellState(v, np.array(dyn)), np.array(p).reshape(m, m))
+
+
+def _warn_clamps(params: CellParameters, counts, stacklevel: int) -> None:
+    """One ``OutOfRangeWarning`` per kind of clamp the kernel's ``counts`` hold,
+    the current clamp first, attributed ``stacklevel`` frames up from here."""
+    n_cur, n_soc, _ = counts
+    if n_cur:
+        warnings.warn(_current_clamp_message(params.resistor), OutOfRangeWarning,
+                      stacklevel=stacklevel)
+    if n_soc:
+        warnings.warn(_soc_clamp_message(params), OutOfRangeWarning, stacklevel=stacklevel)
+
+
+def _filter_sample(params: CellParameters, constants: _Constants, state, dt: float,
+                   i_pred: float, voltage: float, current: float, stacklevel: int = 2):
+    """One sample of ``_filter_series`` on plain floats, with no array or
+    ``EkfState`` built around the kernel.
+
+    ``state`` is (v_qst, RC voltages, P flat and row-major) as ``_state_floats``
+    gives it, and the sample's inputs are finite floats. Returns the new state
+    in that form, the sample's innovation and its v_qst. Warns as
+    ``_filter_series`` does, ``stacklevel`` frames up counted from here; a
+    sample that raises returns nothing, so its caller's state is unchanged.
+    """
+    v, dyn, p = state
+    innovation, v_qst, counts = [0.0], [0.0], [0, 0, 0]
+    try:
+        state = _series_kernel(len(dyn) + 1)(
+            v, dyn, p, *constants, counts, (dt,), (i_pred,), (voltage,), (current,),
+            (params.resistor.eval(current),), innovation, v_qst)
+    finally:
+        _warn_clamps(params, counts, stacklevel + 1)
+    return state, innovation[0], v_qst[0]
+
+
 def _filter_series(
     ekf: EkfState,
     params: CellParameters,
@@ -460,7 +555,6 @@ def _filter_series(
     dt: np.ndarray,
     i_pred: np.ndarray,
     stacklevel: int = 2,
-    measure: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, EkfState, tuple[int, int, int]]:
     """Predict and correct over a whole series on plain floats.
 
@@ -480,9 +574,8 @@ def _filter_series(
     function emits at most one ``OutOfRangeWarning`` per kind, the current
     clamp first, so a run that raises still reports the clamps it made.
     Warnings are attributed ``stacklevel`` frames up, as ``warnings.warn``
-    counts them from here. ``measure=False`` is ``predict``'s switch: r is
-    infinite and the current and v_qst clamp bounds are infinite, so no
-    sample is corrected, counted or warned about.
+    counts them from here. The per-step API runs one sample of the same
+    kernel through ``_filter_sample``.
 
     The loop is ``_series_kernel(m)``: straight-line code generated for the
     state size, with the RC states and P's upper triangle as locals; it takes
@@ -493,41 +586,20 @@ def _filter_series(
     reuses a covariance step that left P bit for bit unchanged while f0 and dt
     repeat, which only saves work.
     """
-    res = params.resistor
     m = params.n_rc + 1
-    dyn = ekf.mean.v_dyn_components.tolist()
-    if len(dyn) != m - 1:
-        raise InvalidInputError(
-            f"state has {len(dyn)} RC components, parameters define {m - 1}"
-        )
-    if ekf.covariance.shape != (m, m):
-        raise InvalidInputError(f"covariance must be {m}x{m}, got {ekf.covariance.shape}")
+    v, dyn, p = _state_floats(ekf, m)
     innov_out, vqst_out = np.empty(len(voltage)), np.empty(len(voltage))
-    drops = res.eval(np.asarray(current, dtype=float))
+    drops = params.resistor.eval(np.asarray(current, dtype=float))
     columns = (memoryview(np.asarray(a, dtype=float))
                for a in (dt, i_pred, voltage, current, drops))
-    guard = (params.v_min - DEFAULT_VQST_GUARD, params.v_max + DEFAULT_VQST_GUARD)
-    if measure:
-        r, bounds = cfg.measurement_noise_r, (res.x_min, res.x_max, *guard,
-                                              params.v_min, params.v_max)
-    else:
-        r, bounds = math.inf, (-math.inf, math.inf, *guard, -math.inf, math.inf)
     counts = [0, 0, 0]
     try:
         v, dyn, p = _series_kernel(m)(
-            ekf.mean.v_qst, dyn, ekf.covariance.ravel().tolist(),
-            cfg.process_noise_q.ravel().tolist(), params.taus.tolist(), params.rs.tolist(), r,
-            params.capacitance._tables, bounds, counts, *columns,
+            v, dyn, p, *_Constants.of(params, cfg), counts, *columns,
             memoryview(innov_out), memoryview(vqst_out))
     finally:
-        n_cur, n_soc, _ = counts
-        if n_cur:
-            warnings.warn(_current_clamp_message(res), OutOfRangeWarning, stacklevel=stacklevel)
-        if n_soc:
-            warnings.warn(_soc_clamp_message(params), OutOfRangeWarning, stacklevel=stacklevel)
-
-    final = EkfState(CellState(v, np.array(dyn)), np.array(p).reshape(m, m))
-    return innov_out, vqst_out, final, tuple(counts)
+        _warn_clamps(params, counts, stacklevel + 1)
+    return innov_out, vqst_out, _ekf_state(v, dyn, p), tuple(counts)
 
 
 def _soc_column(params: CellParameters, v_qst: np.ndarray) -> np.ndarray:

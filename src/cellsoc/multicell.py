@@ -9,7 +9,8 @@ construction and the arithmetic is identical to N independent filters each
 stepped at period N * t_slot.
 
 Both paths run the estimator module's one EKF kernel, ``_filter_series``.
-``tick`` is the online path, one service per call: one sample of the kernel.
+``tick`` is the online path, one service per call: one sample of the kernel
+on the slot's plain floats, with no array built around it.
 ``run`` uses the isolation directly: it filters each cell's whole schedule as
 one series, in cell order, so its bits, warnings and errors are those of that
 kernel on each cell alone, and ticking the same schedule gives the same bits.
@@ -31,7 +32,17 @@ from .errors import (
     SchedulingViolationError,
     SchedulingWarning,
 )
-from .estimator import EkfConfig, EkfState, _filter_series, _soc_column, make_filter
+from .estimator import (
+    EkfConfig,
+    EkfState,
+    _Constants,
+    _ekf_state,
+    _filter_sample,
+    _filter_series,
+    _soc_column,
+    _state_floats,
+    make_filter,
+)
 from .model import _MAX_SAMPLES, CellParameters, _check_finite
 
 
@@ -97,15 +108,40 @@ class SchedulerConfig:
             )
 
 
-@dataclass(eq=False)
 class CellSlot:
-    """Per-cell memory: filter state, parameter reference, last service time."""
+    """Per-cell memory: filter state, parameter reference, last service time.
 
-    cell_id: str
-    ekf: EkfState
-    params_ref: CellParameters
-    ekf_config: EkfConfig
-    last_serviced_t: float
+    The filter state is held as Python floats, v_qst, the RC voltages and P
+    flat and row-major, beside the kernel's constants for the cell, all formed
+    once, so ``tick`` hands them to the kernel as they are. The parameters and
+    the config are fixed at construction. ``ekf`` is a view over the floats:
+    reading it builds a new ``EkfState``, so writing into one read changes
+    nothing here, and assigning one stores its floats.
+    """
+
+    def __init__(self, cell_id: str, ekf: EkfState, params_ref: CellParameters,
+                 ekf_config: EkfConfig, last_serviced_t: float):
+        self.cell_id = cell_id
+        self._params, self._config = params_ref, ekf_config
+        self._constants = _Constants.of(params_ref, ekf_config)
+        self.ekf = ekf
+        self.last_serviced_t = last_serviced_t
+
+    @property
+    def params_ref(self) -> CellParameters:
+        return self._params
+
+    @property
+    def ekf_config(self) -> EkfConfig:
+        return self._config
+
+    @property
+    def ekf(self) -> EkfState:
+        return _ekf_state(*self._state)
+
+    @ekf.setter
+    def ekf(self, ekf: EkfState) -> None:
+        self._state = _state_floats(ekf, self._params.n_rc + 1)
 
 
 @dataclass(frozen=True)
@@ -177,8 +213,10 @@ class MultiCellEkf:
     def tick(self, now: float, measurement: Measurement) -> TickResult:
         """Service the due cell: predict over its elapsed time, correct, store.
 
-        The service is one sample of ``_filter_series``, so ticking a
-        schedule gives ``run``'s bits; its warnings name the caller.
+        The service is one sample of ``_filter_series``, run on the slot's
+        floats and constants by ``_filter_sample``, so ticking a schedule
+        gives ``run``'s bits; its warnings name the caller, also when the
+        kernel raises, and a tick that raises leaves the engine unchanged.
         Out-of-order measurements are refused, and so are non-finite inputs,
         before the slot changes. A measurement older than two revolutions is
         accepted with a degraded-update warning.
@@ -202,13 +240,16 @@ class MultiCellEkf:
                 SchedulingWarning,
                 stacklevel=2,
             )
-        i, z = measurement.current, measurement.voltage
-        innovation, v_qst, slot.ekf, _ = _filter_series(
-            slot.ekf, slot.params_ref, slot.ekf_config, [z], [i], [dt], [i], stacklevel=3)
-        soc = _soc_column(slot.params_ref, v_qst)
+        i = float(measurement.current)
+        params = slot.params_ref
+        state, innovation, v_qst = _filter_sample(
+            params, slot._constants, slot._state, float(dt), i, float(measurement.voltage), i,
+            stacklevel=3)
+        soc = _soc_column(params, [v_qst])
+        slot._state = state
         slot.last_serviced_t = now
         self._ring = (self._ring + 1) % len(self.config.cells)
-        return TickResult(expected, now, float(soc[0]), float(innovation[0]))
+        return TickResult(expected, now, float(soc[0]), innovation)
 
     def run(self, traces) -> dict[str, CellSeries]:
         """Execute the schedule over the shared horizon of the given traces.

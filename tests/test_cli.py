@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellsoc import EkfConfig, run_filter
-from cellsoc.cli import main
+from cellsoc.cli import RunManifest, main
 from cellsoc.errors import CellSocWarning
 from cellsoc.traceio import (
     ekf_config_to_dict,
@@ -51,6 +51,16 @@ def write_spec(tmp_path, **fields):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(fields))
     return path
+
+
+def test_manifest_bytes(tmp_path):
+    """A manifest is indented JSON with sorted keys and a closing newline; an
+    input whose option was not given is left out."""
+    RunManifest("estimate", inputs={"trace": "t.csv", "ekf_config": None},
+                outputs={"soc": "s.csv"}, seed=3).write(tmp_path / "m.json")
+    assert (tmp_path / "m.json").read_text(encoding="utf-8") == (
+        '{\n  "command": "estimate",\n  "inputs": {\n    "trace": "t.csv"\n  },\n'
+        '  "outputs": {\n    "soc": "s.csv"\n  },\n  "seed": 3\n}\n')
 
 
 class TestBudget:

@@ -12,6 +12,7 @@ from cellsoc import (
     CellState,
     ConfigurationError,
     EkfConfig,
+    EkfState,
     InvalidInputError,
     InvalidParametersError,
     Measurement,
@@ -199,10 +200,51 @@ class TestTick:
         """A slot whose P was made asymmetric is refused when it is due, before
         its slot, service time or the ring change."""
         engine = ticked_pair()
-        engine.slots["b"].ekf.covariance[2, 1] = value
+        slot = engine.slots["b"]
+        covariance = slot.ekf.covariance
+        covariance[2, 1] = value
+        slot.ekf = EkfState(slot.ekf.mean, covariance)
         before = snapshot(engine)
         with pytest.raises(InvalidInputError, match="covariance must be symmetric"):
             engine.tick(1.5, Measurement("b", -1.0, 3.3))
+        assert snapshot(engine) == before
+
+    def test_writing_into_a_read_slot_state_changes_no_later_tick(self):
+        """``slot.ekf`` is built on read: a write into what was read does not
+        reach the slot, so the next tick is the one an untouched engine makes."""
+        engine, twin = ticked_pair(), ticked_pair()
+        ekf = engine.slots["b"].ekf
+        ekf.mean.v_qst += 0.1
+        ekf.mean.v_dyn_components[:] = 0.5
+        ekf.covariance[:] = 7.0
+        assert snapshot(engine) == snapshot(twin)
+        got, want = (e.tick(1.5, Measurement("b", -1.0, 3.3)) for e in (engine, twin))
+        assert (bits(got.soc), bits(got.innovation)) == (bits(want.soc), bits(want.innovation))
+        assert snapshot(engine) == snapshot(twin)
+
+    def test_assigning_a_read_slot_state_round_trips_bit_for_bit(self):
+        """``slot.ekf = slot.ekf`` stores the bits it read, a -0.0 included, and
+        an assignment stores floats: a later write into the assigned state
+        does not reach the slot."""
+        engine = ticked_pair()
+        slot = engine.slots["a"]
+        covariance = slot.ekf.covariance
+        covariance[0, 1] = covariance[1, 0] = -0.0
+        slot.ekf = EkfState(slot.ekf.mean, covariance)
+        before = snapshot(engine)
+        for s in engine.slots.values():
+            s.ekf = s.ekf
+        assert snapshot(engine) == before
+        assert bits(engine.slots["a"].ekf.covariance[0, 1]) == bits(-0.0)
+        covariance[:] = 7.0
+        assert snapshot(engine) == before
+
+    def test_a_slot_state_of_another_size_is_refused_on_assignment(self):
+        engine = ticked_pair()  # two RC groups
+        before = snapshot(engine)
+        cfg = EkfConfig.default(make_cell(rc=((0.012, 20.0),)))
+        with pytest.raises(InvalidInputError, match="state has 1 RC components"):
+            engine.slots["b"].ekf = EkfState(cfg.initial_state, cfg.initial_covariance_p0)
         assert snapshot(engine) == before
 
     def test_warnings_name_the_caller_of_tick(self):
@@ -218,6 +260,26 @@ class TestTick:
         assert ({str(w.message) for w in out_of_range}
                 == {_current_clamp_message(cell.resistor), _soc_clamp_message(cell)})
         assert {w.filename for w in out_of_range} == {__file__}
+
+    def test_a_tick_that_raises_warns_and_leaves_the_engine_unchanged(self):
+        """Driven at 80 A and read at 1.7e308 V with a gain near 2 on v_qst, the
+        correction overflows v_qst after the current clamp was counted: the
+        clamp's warning names the caller of tick, and nothing changes."""
+        cell = make_cell()
+        base = EkfConfig.default(cell)
+        u = np.array([2.0, -1.0, 0.0])
+        cfg = EkfConfig(base.process_noise_q, base.measurement_noise_r,
+                        np.outer(u, u) + 0.01 * np.eye(3), base.initial_state)
+        sched = SchedulerConfig(t_slot=0.5, cells=("a",), f_max=1.0)
+        engine = MultiCellEkf(sched, {"a": (cell, cfg)})
+        before = snapshot(engine)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidInputError, match="cell state must be finite"):
+                engine.tick(0.5, Measurement("a", 80.0, 1.7e308))
+        assert [(str(w.message), w.filename) for w in caught] == [
+            (_current_clamp_message(cell.resistor), __file__)]
+        assert snapshot(engine) == before
 
     def test_ticking_a_schedule_is_run_bit_for_bit(self):
         """Every SoC, innovation and final slot, across a discharge and a rest
@@ -757,3 +819,60 @@ def test_ticking_any_schedule_is_run_bit_for_bit(case):
         assert np.array_equal(bits(got.ekf.mean.v_dyn_components),
                               bits(want.ekf.mean.v_dyn_components))
         assert np.array_equal(bits(got.ekf.covariance), bits(want.ekf.covariance))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(ticked_packs(), st.integers(0, 2**32 - 1))
+def test_reading_slots_while_ticking_is_run_bit_for_bit(case, reads):
+    """Ticking a drawn schedule while reading ``slot.ekf`` between ticks, and
+    at times assigning what was read back, gives ``run``'s SoC and innovation
+    bits and final slots: a read is a copy and an assignment of it is exact."""
+    n_cells, seed, start, gap, spikes = case
+    rng = np.random.default_rng(seed)
+    ids = tuple(f"c{j}" for j in range(n_cells))
+    cells = {cid: random_cell(rng) for cid in ids}
+    t_slot = 0.5 / n_cells
+    sched = SchedulerConfig(t_slot=t_slot, cells=ids, f_max=1.0)
+    setups = {cid: (cells[cid], EkfConfig.default(cells[cid], initial_soc=rng.uniform(0.3, 0.9)))
+              for cid in ids}
+    traces = {}
+    for cid in ids:
+        t = start + 0.1 * np.arange(200)
+        if rng.random() < 0.5:
+            g0 = start + rng.uniform(1.0, 15.0)
+            t = t[(t < g0) | (t >= g0 + gap)]
+        current = 3.0 * np.sin(2 * np.pi * (t - start) / rng.uniform(5.0, 20.0))
+        first = CellState.rest(vqst_from_soc(cells[cid], 0.6), cells[cid].n_rc)
+        trace = simulate(cells[cid], Trace(t, current), first).trace
+        current = trace.current.copy()
+        current[rng.choice(t.size, size=spikes, replace=False)] = rng.choice([-80.0, 80.0], spikes)
+        traces[cid] = Trace(trace.timestamps, current, trace.voltage)
+
+    batch = MultiCellEkf(sched, setups, start_time=start)
+    online = MultiCellEkf(sched, setups, start_time=start)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        series = batch.run(traces)
+        draws = np.random.default_rng(reads)
+        columns = {cid: np.empty((2, series[cid].times.size)) for cid in ids}
+        for k in range(sum(s.times.size for s in series.values())):
+            cid, n = ids[k % n_cells], k // n_cells
+            now = start + (k + 1) * t_slot
+            for slot in online.slots.values():
+                action = draws.integers(3)
+                if action:
+                    read = slot.ekf
+                    read.covariance *= 2.0  # a write into a read reaches no slot
+                    if action == 2:
+                        slot.ekf = slot.ekf
+            trace = traces[cid]
+            idx = int(np.searchsorted(trace.timestamps, now + 1e-9 * t_slot, side="right")) - 1
+            out = online.tick(now, Measurement(cid, float(trace.current[idx]),
+                                               float(trace.voltage[idx])))
+            columns[cid][:, n] = out.soc, out.innovation
+
+    assert snapshot(online) == snapshot(batch)
+    for cid in ids:
+        soc, innovations = columns[cid]
+        assert np.array_equal(bits(soc), bits(series[cid].soc_est))
+        assert np.array_equal(bits(innovations), bits(series[cid].innovations))
