@@ -63,9 +63,37 @@ class MonotoneCurve:
         return self._x_hi
 
     def eval(self, x):
-        """Interpolate at ``x`` (scalar or array), clamping outside the grid."""
-        y = np.interp(x, self.grid, self.values)
-        return float(y) if np.isscalar(x) else y
+        """Interpolate at ``x`` (scalar or array), clamping outside the grid.
+
+        Every argument gets ``np.interp``'s bits. A Python float is looked up
+        on ``_lists`` with ``np.interp``'s own arithmetic, which skips numpy's
+        per-call dispatch: NaN stays NaN, beyond the grid the end value, at a
+        grid point its value, else ``slope * (x - g[j]) + v[j]`` on the segment
+        j that ``bisect_right`` finds, and where that is NaN (the slope
+        overflowed) the same from ``g[j + 1]``. Anything else goes to
+        ``np.interp``.
+        """
+        if type(x) is not float:
+            y = np.interp(x, self.grid, self.values)
+            return float(y) if np.isscalar(x) else y
+        g, v = self._lists
+        if x != x:
+            return x
+        if x <= g[0]:
+            return v[0]
+        if x >= g[-1]:
+            return v[-1]
+        j = bisect_right(g, x) - 1
+        if g[j] == x:
+            return v[j]
+        slope = (v[j + 1] - v[j]) / (g[j + 1] - g[j])
+        y = slope * (x - g[j]) + v[j]
+        if y != y:
+            # np.interp's last resort, v[j] on a flat segment, cannot fire here:
+            # a flat slope is 0, and x - g[j] and x - g[j + 1] cannot both
+            # overflow, as g[j + 1] - g[j] is at most twice the largest float.
+            y = slope * (x - g[j + 1]) + v[j + 1]
+        return y
 
     __call__ = eval
 
@@ -76,10 +104,15 @@ class MonotoneCurve:
         return np.concatenate(([0.0], np.cumsum(seg)))
 
     @cached_property
+    def _lists(self) -> tuple[list[float], list[float]]:
+        # Grid and values as Python floats: the scalar paths bisect these,
+        # which is several times cheaper than numpy calls.
+        return self.grid.tolist(), self.values.tolist()
+
+    @cached_property
     def _tables(self) -> tuple[list[float], list[float], list[float]]:
-        # Grid, values and knot integrals as Python floats: the scalar paths
-        # below bisect these, which is several times cheaper than numpy calls.
-        return self.grid.tolist(), self.values.tolist(), self._knots.tolist()
+        # ``_lists`` and the knot integrals, for the scalar integral paths.
+        return (*self._lists, self._knots.tolist())
 
     def integral_and_value(self, x: float) -> tuple[float, float]:
         """F(x) = integral of the interpolant from grid[0] to ``x``, and its value there.
@@ -104,7 +137,7 @@ class MonotoneCurve:
         """
         g, v, knots = self.grid, self.values, self._knots
         x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(g, x, side="right") - 1, 0, g.size - 2)
+        idx = np.minimum(g.size - 2, np.maximum(0, np.searchsorted(g, x, side="right") - 1))
         g0, v0 = g[idx], v[idx]
         y = v0 + (v[idx + 1] - v0) * (x - g0) / (g[idx + 1] - g0)
         inner = knots[idx] + 0.5 * (v0 + y) * (x - g0)
@@ -142,7 +175,7 @@ class MonotoneCurve:
         """
         g, v, knots = self.grid, self.values, self._knots
         q = np.asarray(q, dtype=float)
-        idx = np.clip(np.searchsorted(knots, q, side="right") - 1, 0, g.size - 2)
+        idx = np.minimum(g.size - 2, np.maximum(0, np.searchsorted(knots, q, side="right") - 1))
         dq = q - knots[idx]
         c0 = v[idx]
         slope = (v[idx + 1] - c0) / (g[idx + 1] - g[idx])

@@ -530,7 +530,9 @@ def _filter_sample(params: CellParameters, constants: _Constants, state, dt: flo
     ``EkfState`` built around the kernel.
 
     ``state`` is (v_qst, RC voltages, P flat and row-major) as ``_state_floats``
-    gives it, and the sample's inputs are finite floats. Returns the new state
+    gives it, and the sample's inputs are finite Python floats. So the
+    resistor drop is ``MonotoneCurve.eval``'s float lookup, with the bits
+    ``np.interp`` gives ``_filter_series`` and no numpy call. Returns the new state
     in that form, the sample's innovation and its v_qst. Warns as
     ``_filter_series`` does, ``stacklevel`` frames up counted from here; a
     sample that raises returns nothing, so its caller's state is unchanged.
@@ -605,8 +607,9 @@ def _filter_series(
 def _soc_column(params: CellParameters, v_qst: np.ndarray) -> np.ndarray:
     """``soc_from_vqst`` over a v_qst column of ``_filter_series``, which has
     already warned about the samples it clamps."""
-    return (params.capacitance.integral_array(np.clip(v_qst, params.v_min, params.v_max))
-            / params.delta_q)
+    # np.clip's bits, ties of signed zeros included, without its dispatch cost.
+    v_qst = np.minimum(params.v_max, np.maximum(params.v_min, v_qst))
+    return params.capacitance.integral_array(v_qst) / params.delta_q
 
 
 def run_filter(

@@ -144,14 +144,14 @@ class CellSlot:
         self._state = _state_floats(ekf, self._params.n_rc + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Measurement:
     cell_id: str
     current: float
     voltage: float
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class TickResult:
     cell_id: str
     time: float

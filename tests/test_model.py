@@ -106,6 +106,14 @@ class TestTypes:
                 (RcGroup(0.01, 10.0),), make_resistor(), nominal_capacity=1.0,
             )
 
+    def test_checks_build_no_resistor_lists(self):
+        """The R(0) = 0 check builds none of the resistor's Python lists; the
+        first float lookup builds the grid and values, not the knot integrals."""
+        res = make_cell().resistor
+        assert "_lists" not in vars(res) and "_tables" not in vars(res)
+        assert res.eval(0.5) == float(np.interp(0.5, res.grid, res.values))
+        assert "_lists" in vars(res) and "_tables" not in vars(res)
+
     def test_trace_validation(self):
         with pytest.raises(InvalidParametersError):
             Trace([0.0, 0.0], [0.0, 0.0])

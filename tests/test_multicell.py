@@ -22,8 +22,10 @@ from cellsoc import (
     SchedulingViolationError,
     SchedulingWarning,
     Trace,
+    correct,
     coulomb_count,
     max_cells,
+    predict,
     simulate,
     vqst_from_soc,
 )
@@ -280,6 +282,31 @@ class TestTick:
         assert [(str(w.message), w.filename) for w in caught] == [
             (_current_clamp_message(cell.resistor), __file__)]
         assert snapshot(engine) == before
+
+    def test_ticks_predict_and_correct_call_neither_np_interp_nor_np_clip(self, monkeypatch):
+        """Each runs one sample on Python floats, where numpy's per-call
+        dispatch costs more than the lookup or the clamp it would do."""
+        cell = make_cell()
+        cfg = EkfConfig.default(cell, initial_soc=0.7)
+        ids = ("a", "b", "c")
+        engine = MultiCellEkf(SchedulerConfig(t_slot=0.25, cells=ids, f_max=0.5),
+                              {cid: (cell, cfg) for cid in ids})
+        calls = Counter()
+        for name in ("interp", "clip"):
+            def spy(*args, _real=getattr(np, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np, name, spy)
+        for k in range(2 * len(ids)):
+            engine.tick((k + 1) * 0.25, Measurement(engine.due_cell, -1.0 - k, 3.3))
+        correct(predict(engine.slots["a"].ekf, cell, -2.0, 1.0, cfg), cell, 3.3, -2.0, cfg)
+        assert calls == Counter()
+
+    def test_measurements_and_results_hold_no_instance_dict(self):
+        engine = ticked_pair()
+        measurement = Measurement(engine.due_cell, -1.0, 3.3)
+        for record in (measurement, engine.tick(1.5, measurement)):
+            assert not hasattr(record, "__dict__")
 
     def test_ticking_a_schedule_is_run_bit_for_bit(self):
         """Every SoC, innovation and final slot, across a discharge and a rest

@@ -4,6 +4,7 @@ The examples are derandomized so the suite is reproducible; raise
 ``max_examples`` locally to explore further.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -214,6 +215,52 @@ def test_inverse_integral_array_is_the_scalar_form_bit_for_bit(cell, fracs):
     ))
     want = np.array([cap.inverse_integral(float(qi))[0] for qi in q])
     assert np.array_equal(cap.inverse_integral_array(q).view(np.int64), want.view(np.int64))
+
+
+FLOAT_MAX = float(np.finfo(float).max)
+
+
+def float_bits(x: float) -> int:
+    return int(np.array([x], dtype=float).view(np.int64)[0])
+
+
+@st.composite
+def interp_curves(draw):
+    """A curve on 2-300 strictly increasing grid points, with flat segments.
+    Grid and values span up to the whole float range, where a segment's slope
+    overflows and np.interp's NaN fallback runs."""
+    n = draw(st.integers(2, 300))
+    bound = draw(st.sampled_from([10.0, 1e300, FLOAT_MAX]))
+    finite = st.floats(-bound, bound)
+    grid = sorted(draw(st.lists(finite, min_size=n, max_size=n, unique=True)))
+    values = draw(st.lists(finite, min_size=n, max_size=n))
+    for k, flat in enumerate(draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))):
+        if flat:
+            values[k + 1] = values[k]
+    return grid, values
+
+
+@PROPERTY
+@given(interp_curves(), st.lists(st.floats(), max_size=10))
+@example(([-FLOAT_MAX, 0.0, FLOAT_MAX], [1.0, 1.0, -FLOAT_MAX]), [-1e308, 1e308])
+@example(([-FLOAT_MAX, FLOAT_MAX], [-FLOAT_MAX, FLOAT_MAX]), [-1e308, 0.0, 1e308])
+@example(([-1e308, 1e308], [5.0, 5.0]), [-1e307, 1e307])
+def test_float_lookup_is_np_interp_bit_for_bit(curve, extra):
+    """``eval`` on a Python float gives ``np.interp``'s bits as a Python float:
+    at every grid point and its neighbours, both ends and beyond, ±0.0, ±inf,
+    NaN and drawn points. An int or np.float64 argument still goes through
+    ``np.interp``."""
+    grid, values = curve
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = MonotoneCurve(grid, values)
+    ends = [grid[0], grid[-1], grid[0] - 1.0, grid[-1] + 1.0, -FLOAT_MAX, FLOAT_MAX]
+    points = [x for g in grid for x in (g, math.nextafter(g, -math.inf), math.nextafter(g, math.inf))]
+    points += ends + [0.0, -0.0, math.inf, -math.inf, math.nan] + extra
+    points += [int(x) for x in points if abs(x) < 1e18] + [np.float64(x) for x in points]
+    for x in points:
+        got = c.eval(x)
+        assert type(got) is float
+        assert float_bits(got) == float_bits(float(np.interp(x, grid, values))), x
 
 
 def profile_trace(gaps, fracs, scale):
