@@ -4,36 +4,39 @@ Prediction advances the mean with the cell model and the covariance with the
 state-transition Jacobian; correction incorporates one terminal-voltage
 measurement through the Joseph-form update.
 
-One kernel, ``_filter_series``, runs every EKF step, on plain floats. F is
+One generated sample body runs every EKF step, on plain floats. F is
 diagonal and H is a row of ones, so with t = P*1 and s = 1'P1 + r the Joseph
-update is the rank-1 form P - K t' - t K' + s K K'. The kernel's whole sample
-loop is straight-line code generated once per state size by
-``_series_kernel``, with the state and the m(m+1)/2 entries of P's upper
-triangle as locals: P is symmetric, and a covariance that is not is refused.
-It inlines the charge map (``model._charge_map_lines``) and the covariance
-step (``_predict_lines`` and ``_update_lines``). Each sample is one predict
-and one correction; a correction-only sample is a step over dt = 0, which
-only clamps v_qst into the guarded window. Every sum adds its terms
-left to right from the first, whatever the builtin ``sum`` does. The decay
-products are formed only when the step changes, and each check is a
-comparison rather than a call. At rest the kernel reuses a
-covariance step that settled on a bitwise fixed point (see
-``_filter_series``). ``run_filter`` runs it on one trace and
-``MultiCellEkf.run`` once per cell; the per-step API, ``predict`` and
-``correct`` (pure functions from filter state to filter state) and
-``MultiCellEkf.tick``, runs it on one sample through ``_filter_sample``,
-which builds no array around the kernel: the state and the per-cell
-constants (``_Constants``) go in and come out as Python floats and lists. The SoC column is formed from
-the kernel's v_qst by ``_soc_column``, only by the callers that report it.
+update is the rank-1 form P - K t' - t K' + s K K'. The whole sample loop of
+the batch kernel, ``_filter_series``, is straight-line code generated once
+per state size by ``_series_kernel``, with the state and the m(m+1)/2
+entries of P's upper triangle as locals: P is symmetric, and a covariance
+that is not is refused. It inlines the charge map
+(``model._charge_map_lines``) and the covariance step (``_predict_lines``
+and ``_update_lines``). Each sample is one predict and one correction; a
+correction-only sample is a step over dt = 0, which only clamps v_qst into
+the guarded window. Every sum adds its terms left to right from the first,
+whatever the builtin ``sum`` does. The decay products are formed only when
+dt changes, and each check is a comparison rather than a call. At rest
+the kernel reuses a covariance step that settled on a bitwise fixed point
+(see ``_filter_series``). ``run_filter`` runs it on one trace and
+``MultiCellEkf.run`` once per cell. The loop's body is written by one
+emitter, ``_sample_lines``, which also writes it as a one-sample step with
+no loop and no reuse (``_step_binder``), bound once to a cell's constants
+(``_Constants.step``). The per-step API, ``predict`` and ``correct`` (pure
+functions from filter state to filter state) and ``MultiCellEkf.tick``,
+calls that step on the state's Python floats, with no array around it. The
+SoC column is formed from the kernel's v_qst by ``_soc_column``, only by the
+callers that report it.
 
 One rule decides whether a covariance is PSD: P + PSD_TOLERANCE * I has a
 Cholesky factor, by the proof that ``_proof_lines`` writes. ``EkfConfig`` and
 the kernel run it, so no BLAS decides a verdict.
 
 The kernel counts the samples it clamps instead of warning on each one:
-every call of ``_filter_series`` or ``_filter_sample`` emits at most one
-``OutOfRangeWarning`` per kind (current outside the resistor curve, v_qst
-outside the window), and ``FilterRun`` carries the counts.
+every call of ``_filter_series`` emits at most one ``OutOfRangeWarning`` per
+kind (current outside the resistor curve, v_qst outside the window), and
+``FilterRun`` carries the counts. The step counts nothing; ``correct`` and
+``tick`` warn from its inputs and result in the same way.
 """
 
 from __future__ import annotations
@@ -181,14 +184,15 @@ def predict(
     """A-priori estimate after ``dt`` seconds at the given current.
 
     The model step is exact for any ``dt``, so a long gap is one step. This is
-    one sample of the kernel with the measurement switched off
-    (``_Constants.unmeasured``), so it warns about nothing.
+    the kernel's one-sample step with the measurement switched off (r
+    infinite), so it warns about nothing.
     """
     _check_finite(current=current, dt=dt)
     if dt <= 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    current, dt = float(current), float(dt)
-    return _step(ekf, params, _Constants.of(params, cfg).unmeasured(), dt, current, 0.0, current)
+    step = _Constants.of(params, cfg)._replace(r=math.inf).step()
+    v, dyn, p, _ = step(*_state_floats(ekf, params.n_rc + 1), float(dt), float(current), 0.0, 0.0)
+    return _ekf_state(v, dyn, p)
 
 
 def correct(ekf: EkfState, params: CellParameters, measured_v: float, current: float,
@@ -197,23 +201,25 @@ def correct(ekf: EkfState, params: CellParameters, measured_v: float, current: f
 
     The output map is the unweighted sum of the states plus the (input-only)
     instantaneous drop, so H is a row of ones. Joseph form keeps the
-    covariance positive semidefinite. This is one sample of the kernel over a
-    zero-length step, which moves nothing but v_qst, clamped into the guarded
-    window; its clamp warnings name the caller.
+    covariance positive semidefinite. This is the kernel's one-sample step
+    over zero seconds, which moves nothing but v_qst, clamped into the guarded
+    window; its clamp warnings name the caller, the current's also when the
+    step raises.
     """
     _check_finite(measured_v=measured_v, current=current)
     current = float(current)
-    return _step(ekf, params, _Constants.of(params, cfg), 0.0, current, float(measured_v),
-                 current, stacklevel=3)
-
-
-def _step(ekf: EkfState, params: CellParameters, constants: _Constants, dt: float,
-          i_pred: float, voltage: float, current: float, stacklevel: int = 2) -> EkfState:
-    """``_filter_sample`` from and to an ``EkfState``; warnings are attributed
-    ``stacklevel`` frames up, counted from here."""
-    state, _, _ = _filter_sample(params, constants, _state_floats(ekf, params.n_rc + 1),
-                                 dt, i_pred, voltage, current, stacklevel + 1)
-    return _ekf_state(*state)
+    constants = _Constants.of(params, cfg)
+    i_lo, i_hi, _, _, soc_lo, soc_hi = constants.bounds
+    clamped = current < i_lo or current > i_hi
+    state = _state_floats(ekf, params.n_rc + 1)
+    try:
+        v, dyn, p, _ = constants.step()(*state, 0.0, current, float(measured_v),
+                                        params.resistor.eval(current))
+    except BaseException:
+        _warn_clamps(params, clamped, False, 3)
+        raise
+    _warn_clamps(params, clamped, v < soc_lo or v > soc_hi, 3)
+    return _ekf_state(v, dyn, p)
 
 
 def estimate_soc(ekf: EkfState, params: CellParameters) -> float:
@@ -343,6 +349,119 @@ def _psd_proof(m: int):
     return namespace["is_psd"]
 
 
+def _state_lines(m: int) -> list[str]:
+    """Unpacking of the state arguments ``dyn`` and ``p`` into y0.. and p_a_b,
+    and the check that refuses a P whose entry (b, a) is not == to (a, b)."""
+    idx = range(m)
+    return [
+        f"{_tuple([f'y{j}' for j in range(m - 1)])} = dyn",
+        f"{_tuple(_entries(m))} = p",
+        f"if {' or '.join(f'p_{b}_{a} != p_{a}_{b}' for a in idx for b in range(a + 1, m))}:",
+        '    raise InvalidInputError("covariance must be symmetric")',
+    ]
+
+
+def _constant_lines(m: int) -> list[str]:
+    """Unpacking of the ``_Constants`` arguments into the locals the sample
+    body reads, the ends of the capacitance tables and ``update``."""
+    return [
+        f"{_tuple(_entries(m, 'qr'))} = q_rate",
+        f"{_tuple([f'tau{j}' for j in range(m - 1)])} = taus",
+        f"{_tuple([f'rd{j}' for j in range(m - 1)])} = r_dyn",
+        "cg, cc, ck = tables",
+        *_charge_map_lines()[0],
+        "i_lo, i_hi, v_lo, v_hi, soc_lo, soc_hi = bounds",
+        "update = not isinf(r)",
+    ]
+
+
+def _decay_lines(m: int) -> list[str]:
+    """The assignments made when h changes: h_prev, the decays f1.., the fills
+    fill0.., their products ff_a_b and Q*h (q_a_b, a <= b, from the rates
+    qr_a_b); each line is ``name = expression``."""
+    idx = range(m)
+    return [
+        "h_prev = h",
+        *(f"f{j + 1} = exp(-h / tau{j})" for j in range(m - 1)),
+        *(f"fill{j} = 1.0 - f{j + 1}" for j in range(m - 1)),
+        *_decay_product_lines(m),
+        *(f"q_{a}_{b} = qr_{a}_{b} * h" for a in idx for b in range(a, m)),
+    ]
+
+
+def _sample_lines(m: int, loop: bool) -> list[str]:
+    """One sample's body, from indentation 0: the charge map, the clamp into
+    the guarded window, the decays and Q*h when h changes (``_decay_lines``),
+    the RC states, the covariance predict, the innovation and the correction.
+
+    ``loop`` writes it for ``_series_source``: it counts the clamped current
+    and v_qst, records the innovation and v_qst of sample n and reuses a
+    settled covariance step. Else it is ``_step_source``'s body, which does
+    none of these; and as its decays outlive the call, a Q*h check that
+    fails resets h_prev, so the next call forms them again.
+    """
+    idx = range(m)
+    ys = [f"y{j}" for j in range(m - 1)]
+    entries = [f"p_{a}_{b}" for a in idx for b in range(a, m)]
+    dyn_sum = " + ".join(ys)
+    fail = ['raise NumericalFailureError(f"process noise Q * dt is not finite (dt = {h})")']
+    head = [
+        "charge = u * h",
+        *_charge_map_lines()[1],
+        "if v < v_lo:",
+        "    v = v_lo",
+        "elif v > v_hi:",
+        "    v = v_hi",
+        "if h != h_prev:",
+        *_indent(_decay_lines(m), 1),
+        # Q is PSD, so a finite diagonal bounds every entry of Q*h.
+        f"    if {' or '.join(f'not -inf < q_{a}_{a} < inf' for a in idx)}:",
+        *_indent(fail if loop else ["h_prev = nan", *fail], 2),
+        *(f"y{j} = y{j} * f{j + 1} + rd{j} * u * fill{j}" for j in range(m - 1)),
+    ]
+    innovation = f"innovation = z - (v + ({dyn_sum}) + drop)"
+    gain = [
+        "v += k0 * innovation",
+        *(f"y{j} = y{j} + k{j + 1} * innovation" for j in range(m - 1)),
+        f"if not -inf < v < inf or not -inf < {dyn_sum} < inf:",
+        '    raise InvalidInputError("cell state must be finite")',
+    ]
+    if not loop:
+        return [*head, *_predict_lines(m), innovation,
+                "if update:", *_indent([*_update_lines(m), *gain], 1)]
+    # The covariance step reads only P, f0, h (through the decays and Q*h) and
+    # r. At rest f0 and h repeat and P settles on a fixed point, so the step
+    # would reproduce the P and gain it holds; they passed every check when
+    # first made. f0 (a capacitance ratio) and h are positive, so == on them is
+    # bit equality; on P a zero may change its sign, so the bits decide after ==.
+    settled = " and ".join(f"{x} == prev_{x}" for x in entries)
+    bits = (f"np.array({_tuple(entries)}).tobytes()"
+            f" == np.array({_tuple(['prev_' + x for x in entries])}).tobytes()")
+    return [
+        *head,
+        "reuse = f0 == f_steady and h == h_steady",
+        "if reuse:",
+        "    reused += 1",
+        "else:",
+        *_indent([*(f"prev_{x} = {x}" for x in entries), *_predict_lines(m)], 1),
+        "if i < i_lo or i > i_hi:",
+        "    n_cur += 1",
+        innovation,
+        "if update:",
+        "    if not reuse:",
+        *_indent(_update_lines(m), 2),
+        f"        if {settled} and {bits}:",
+        "            f_steady, h_steady = f0, h",
+        "        else:",
+        "            f_steady = nan",
+        *_indent(gain, 1),
+        "if v < soc_lo or v > soc_hi:",
+        "    n_soc += 1",
+        "innov_out[n] = innovation",
+        "vqst_out[n] = v",
+    ]
+
+
 def _series_source(m: int) -> str:
     """Source of ``_series_kernel(m)``: ``_filter_series``' sample loop for size m.
 
@@ -352,92 +471,59 @@ def _series_source(m: int) -> str:
     these, their products ff_a_b and Q*h (q_a_b, from the rate entries
     qr_a_b) are recomputed only when h changes, when a diagonal entry of Q*h
     that is not finite raises. f0 is the charge-map slope.
-    The covariance step is ``_predict_lines`` and ``_update_lines``, the
-    charge map ``model._charge_map_lines``. Each check is a chain of
-    comparisons with the verdict ``math.isfinite``, ``min`` or ``max`` would
-    give; the loop calls only ``bisect_right``, ``sqrt``, ``exp``, the
-    settled check's ``np.array(...).tobytes()`` and the error constructors.
-    Every sum is a ``+`` chain in index order, added left to right.
+    The body is ``_sample_lines``: the covariance step is ``_predict_lines``
+    and ``_update_lines``, the charge map ``model._charge_map_lines``. Each
+    check is a chain of comparisons with the verdict ``math.isfinite``,
+    ``min`` or ``max`` would give; the loop calls only ``bisect_right``,
+    ``sqrt``, ``exp``, the settled check's ``np.array(...).tobytes()`` and
+    the error constructors. Every sum is a ``+`` chain in index order, added
+    left to right.
     """
-    idx = range(m)
     ys = [f"y{j}" for j in range(m - 1)]
-    entries = [f"p_{a}_{b}" for a in idx for b in range(a, m)]
-    dyn_sum = " + ".join(ys)
-    measure = ["if i < i_lo or i > i_hi:", "    n_cur += 1",
-               f"innovation = z - (v + ({dyn_sum}) + drop)"]
-    gain = [
-        "v += k0 * innovation",
-        *(f"y{j} = y{j} + k{j + 1} * innovation" for j in range(m - 1)),
-        f"if not -inf < v < inf or not -inf < {dyn_sum} < inf:",
-        '    raise InvalidInputError("cell state must be finite")',
-    ]
-    record = ["if v < soc_lo or v > soc_hi:", "    n_soc += 1",
-              "innov_out[n] = innovation", "vqst_out[n] = v"]
-    # The covariance step reads only P, f0, h (through the decays and Q*h) and
-    # r. At rest f0 and h repeat and P settles on a fixed point, so the step
-    # would reproduce the P and gain it holds; they passed every check when
-    # first made. f0 (a capacitance ratio) and h are positive, so == on them is
-    # bit equality; on P a zero may change its sign, so the bits decide after ==.
-    settled = " and ".join(f"{x} == prev_{x}" for x in entries)
-    bits = (f"np.array({_tuple(entries)}).tobytes()"
-            f" == np.array({_tuple(['prev_' + x for x in entries])}).tobytes()")
-    charge_setup, charge_map = _charge_map_lines()
-    step = [
-        "charge = u * h",
-        *charge_map,
-        "if v < v_lo:",
-        "    v = v_lo",
-        "elif v > v_hi:",
-        "    v = v_hi",
-        "if h != h_prev:",
-        "    h_prev = h",
-        *(f"    f{j + 1} = exp(-h / tau{j})" for j in range(m - 1)),
-        *(f"    fill{j} = 1.0 - f{j + 1}" for j in range(m - 1)),
-        *_indent(_decay_product_lines(m), 1),
-        *(f"    q_{a}_{b} = qr_{a}_{b} * h" for a in idx for b in range(a, m)),
-        # Q is PSD, so a finite diagonal bounds every entry of Q*h.
-        f"    if {' or '.join(f'not -inf < q_{a}_{a} < inf' for a in idx)}:",
-        '        raise NumericalFailureError(f"process noise Q * dt is not finite (dt = {h})")',
-        *(f"y{j} = y{j} * f{j + 1} + rd{j} * u * fill{j}" for j in range(m - 1)),
-        "reuse = f0 == f_steady and h == h_steady",
-        "if reuse:",
-        "    reused += 1",
-        "else:",
-        *_indent([*(f"prev_{x} = {x}" for x in entries), *_predict_lines(m)], 1),
-        *measure,
-        "if update:",
-        "    if not reuse:",
-        *_indent(_update_lines(m), 2),
-        f"        if {settled} and {bits}:",
-        "            f_steady, h_steady = f0, h",
-        "        else:",
-        "            f_steady = nan",
-        *_indent(gain, 1),
-        *record,
-    ]
     lines = [
         "def filter_series(v, dyn, p, q_rate, taus, r_dyn, r, tables, bounds, counts,",
         "                  dt, i_pred, voltage, current, drops, innov_out, vqst_out):",
         *_indent([
-            f"{_tuple(ys)} = dyn",
-            f"{_tuple(_entries(m))} = p",
-            f"if {' or '.join(f'p_{b}_{a} != p_{a}_{b}' for a in idx for b in range(a + 1, m))}:",
-            '    raise InvalidInputError("covariance must be symmetric")',
-            f"{_tuple(_entries(m, 'qr'))} = q_rate",
-            f"{_tuple([f'tau{j}' for j in range(m - 1)])} = taus",
-            f"{_tuple([f'rd{j}' for j in range(m - 1)])} = r_dyn",
-            "cg, cc, ck = tables",
-            *charge_setup,
-            "i_lo, i_hi, v_lo, v_hi, soc_lo, soc_hi = bounds",
-            "update = not isinf(r)",
+            *_state_lines(m),
+            *_constant_lines(m),
             "h_prev = f_steady = h_steady = nan",
             "n_cur = n_soc = reused = 0",
             "try:",
             "    for n, (h, u, z, i, drop) in enumerate(zip(dt, i_pred, voltage, current, drops)):",
-            *_indent(step, 2),
+            *_indent(_sample_lines(m, loop=True), 2),
             "finally:",
             "    counts[:] = n_cur, n_soc, reused",
             f"return v, {_tuple(ys)}, {_tuple(_entries(m, upper=True))}",
+        ], 1),
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _step_source(m: int) -> str:
+    """Source of ``_step_binder(m)``: the sample body of ``_series_source(m)``
+    as one plain-float step, with no loop, no settled-step reuse, no counts
+    and no outputs but what it returns.
+
+    ``bind`` unpacks one cell's ``_Constants`` once and returns ``filter_step``,
+    which closes over them. The decays, fills, their products and Q*h are
+    also the closure's: they are formed again only when h differs from the
+    last h the step saw, so a cell serviced once a revolution forms them once.
+    """
+    ys = [f"y{j}" for j in range(m - 1)]
+    cache = [line.partition(" = ")[0] for line in _decay_lines(m)]
+    lines = [
+        "def bind(q_rate, taus, r_dyn, r, tables, bounds):",
+        *_indent([
+            *_constant_lines(m),
+            f"{' = '.join(cache)} = nan",
+            "def filter_step(v, dyn, p, h, u, z, drop):",
+            *_indent([
+                f"nonlocal {', '.join(cache)}",
+                *_state_lines(m),
+                *_sample_lines(m, loop=False),
+                f"return v, {_tuple(ys)}, {_tuple(_entries(m, upper=True))}, innovation",
+            ], 1),
+            "return filter_step",
         ], 1),
     ]
     return "\n".join(lines) + "\n"
@@ -464,6 +550,25 @@ def _series_kernel(m: int):
     return namespace["filter_series"]
 
 
+@functools.cache
+def _step_binder(m: int):
+    """``bind(q_rate, taus, r_dyn, r, tables, bounds) -> filter_step`` for a
+    state of size m, generated once per m from ``_step_source``.
+
+    ``filter_step(v, dyn, p, h, u, z, drop)`` is one sample of
+    ``_series_kernel(m)`` on Python floats, with its bits and errors: a
+    predict over h seconds at the current u, then a correction with the
+    voltage z read at a current whose resistor drop is ``drop``. It returns
+    (v, dyn, p, innovation), dyn and p as tuples, P flat and row-major. It
+    counts and warns about nothing: its callers form the clamp counts, the
+    current's from their inputs and v_qst's from the v it returns.
+    """
+    namespace = _namespace(isinf=math.isinf, exp=math.exp, nan=math.nan,
+                           bisect_right=bisect_right, InvalidInputError=InvalidInputError)
+    exec(compile(_step_source(m), f"<filter step, m={m}>", "exec"), namespace)
+    return namespace["bind"]
+
+
 class _Constants(NamedTuple):
     """What ``_series_kernel`` takes of one cell's parameters and filter config,
     as Python floats and lists in its argument order: Q's rate entries flat and
@@ -485,13 +590,10 @@ class _Constants(NamedTuple):
                    (res.x_min, res.x_max, params.v_min - DEFAULT_VQST_GUARD,
                     params.v_max + DEFAULT_VQST_GUARD, params.v_min, params.v_max))
 
-    def unmeasured(self) -> _Constants:
-        """These constants with the measurement switched off, as ``predict`` runs:
-        r and the current and v_qst clamp bounds are infinite, so no sample is
-        corrected, counted or warned about."""
-        _, _, v_lo, v_hi, _, _ = self.bounds
-        return self._replace(r=math.inf, bounds=(-math.inf, math.inf, v_lo, v_hi,
-                                                 -math.inf, math.inf))
+    def step(self):
+        """A new ``_step_binder`` step bound to these constants, with its own
+        cache of decays."""
+        return _step_binder(len(self.taus) + 1)(*self)
 
 
 def _state_floats(ekf: EkfState, m: int) -> tuple[float, list[float], list[float]]:
@@ -513,39 +615,14 @@ def _ekf_state(v: float, dyn, p) -> EkfState:
     return EkfState(CellState(v, np.array(dyn)), np.array(p).reshape(m, m))
 
 
-def _warn_clamps(params: CellParameters, counts, stacklevel: int) -> None:
-    """One ``OutOfRangeWarning`` per kind of clamp the kernel's ``counts`` hold,
-    the current clamp first, attributed ``stacklevel`` frames up from here."""
-    n_cur, n_soc, _ = counts
+def _warn_clamps(params: CellParameters, n_cur, n_soc, stacklevel: int) -> None:
+    """One ``OutOfRangeWarning`` per kind of clamp whose count is not zero, the
+    current clamp first, attributed ``stacklevel`` frames up from here."""
     if n_cur:
         warnings.warn(_current_clamp_message(params.resistor), OutOfRangeWarning,
                       stacklevel=stacklevel)
     if n_soc:
         warnings.warn(_soc_clamp_message(params), OutOfRangeWarning, stacklevel=stacklevel)
-
-
-def _filter_sample(params: CellParameters, constants: _Constants, state, dt: float,
-                   i_pred: float, voltage: float, current: float, stacklevel: int = 2):
-    """One sample of ``_filter_series`` on plain floats, with no array or
-    ``EkfState`` built around the kernel.
-
-    ``state`` is (v_qst, RC voltages, P flat and row-major) as ``_state_floats``
-    gives it, and the sample's inputs are finite Python floats. So the
-    resistor drop is ``MonotoneCurve.eval``'s float lookup, with the bits
-    ``np.interp`` gives ``_filter_series`` and no numpy call. Returns the new state
-    in that form, the sample's innovation and its v_qst. Warns as
-    ``_filter_series`` does, ``stacklevel`` frames up counted from here; a
-    sample that raises returns nothing, so its caller's state is unchanged.
-    """
-    v, dyn, p = state
-    innovation, v_qst, counts = [0.0], [0.0], [0, 0, 0]
-    try:
-        state = _series_kernel(len(dyn) + 1)(
-            v, dyn, p, *constants, counts, (dt,), (i_pred,), (voltage,), (current,),
-            (params.resistor.eval(current),), innovation, v_qst)
-    finally:
-        _warn_clamps(params, counts, stacklevel + 1)
-    return state, innovation[0], v_qst[0]
 
 
 def _filter_series(
@@ -576,8 +653,8 @@ def _filter_series(
     function emits at most one ``OutOfRangeWarning`` per kind, the current
     clamp first, so a run that raises still reports the clamps it made.
     Warnings are attributed ``stacklevel`` frames up, as ``warnings.warn``
-    counts them from here. The per-step API runs one sample of the same
-    kernel through ``_filter_sample``.
+    counts them from here. The per-step API runs the same sample body as one
+    step, ``_step_binder``.
 
     The loop is ``_series_kernel(m)``: straight-line code generated for the
     state size, with the RC states and P's upper triangle as locals; it takes
@@ -600,7 +677,7 @@ def _filter_series(
             v, dyn, p, *_Constants.of(params, cfg), counts, *columns,
             memoryview(innov_out), memoryview(vqst_out))
     finally:
-        _warn_clamps(params, counts, stacklevel + 1)
+        _warn_clamps(params, *counts[:2], stacklevel + 1)
     return innov_out, vqst_out, _ekf_state(v, dyn, p), tuple(counts)
 
 

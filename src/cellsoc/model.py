@@ -153,7 +153,9 @@ class CellParameters:
 
     @property
     def dt_guard(self) -> float:
-        """tau_min / 5: a step size that resolves the fastest RC relaxation."""
+        """tau_min / 5, a fifth of the fastest RC time constant. The model step
+        is exact at any dt, one step per interval, so nothing is sub-stepped by
+        it; it only names a step that is short against tau_min."""
         return self.tau_min / 5.0
 
 

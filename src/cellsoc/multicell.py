@@ -8,12 +8,13 @@ slot back. All other slots are untouched, so cells are isolated by
 construction and the arithmetic is identical to N independent filters each
 stepped at period N * t_slot.
 
-Both paths run the estimator module's one EKF kernel, ``_filter_series``.
-``tick`` is the online path, one service per call: one sample of the kernel
-on the slot's plain floats, with no array built around it.
-``run`` uses the isolation directly: it filters each cell's whole schedule as
-one series, in cell order, so its bits, warnings and errors are those of that
-kernel on each cell alone, and ticking the same schedule gives the same bits.
+Both paths run the estimator module's one generated EKF sample body.
+``tick`` is the online path, one service per call: the body's one-sample
+step, bound to the slot's cell, on the slot's plain floats, with no array
+built around it. ``run`` uses the isolation directly: it filters each cell's
+whole schedule as one series through the batch kernel, in cell order, so its
+bits, warnings and errors are those of that kernel on each cell alone, and
+ticking the same schedule gives the same bits.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ from .estimator import (
     EkfState,
     _Constants,
     _ekf_state,
-    _filter_sample,
     _filter_series,
     _soc_column,
     _state_floats,
+    _warn_clamps,
     make_filter,
 )
 from .model import _MAX_SAMPLES, CellParameters, _check_finite
@@ -112,8 +113,9 @@ class CellSlot:
     """Per-cell memory: filter state, parameter reference, last service time.
 
     The filter state is held as Python floats, v_qst, the RC voltages and P
-    flat and row-major, beside the kernel's constants for the cell, all formed
-    once, so ``tick`` hands them to the kernel as they are. The parameters and
+    flat and row-major, beside the kernel's constants for the cell and the
+    one-sample step bound to them (``_Constants.step``), all formed once, so
+    ``tick`` hands the floats to the step as they are. The parameters and
     the config are fixed at construction. ``ekf`` is a view over the floats:
     reading it builds a new ``EkfState``, so writing into one read changes
     nothing here, and assigning one stores its floats.
@@ -124,6 +126,7 @@ class CellSlot:
         self.cell_id = cell_id
         self._params, self._config = params_ref, ekf_config
         self._constants = _Constants.of(params_ref, ekf_config)
+        self._step = self._constants.step()
         self.ekf = ekf
         self.last_serviced_t = last_serviced_t
 
@@ -213,10 +216,11 @@ class MultiCellEkf:
     def tick(self, now: float, measurement: Measurement) -> TickResult:
         """Service the due cell: predict over its elapsed time, correct, store.
 
-        The service is one sample of ``_filter_series``, run on the slot's
-        floats and constants by ``_filter_sample``, so ticking a schedule
-        gives ``run``'s bits; its warnings name the caller, also when the
-        kernel raises, and a tick that raises leaves the engine unchanged.
+        The service is the slot's bound step, one sample of
+        ``_filter_series``' body on the slot's floats, so ticking a schedule
+        gives ``run``'s bits. Its clamp warnings name the caller, the
+        current's also when the step raises, and a tick that raises leaves
+        the engine unchanged.
         Out-of-order measurements are refused, and so are non-finite inputs,
         before the slot changes. A measurement older than two revolutions is
         accepted with a degraded-update warning.
@@ -232,7 +236,10 @@ class MultiCellEkf:
             raise SchedulingViolationError(
                 f"service time {now} does not advance past {slot.last_serviced_t}"
             )
-        _check_finite(current=measurement.current, dt=dt, measured_v=measurement.voltage)
+        i, z = measurement.current, measurement.voltage
+        if not (-math.inf < i < math.inf and -math.inf < dt < math.inf
+                and -math.inf < z < math.inf):
+            _check_finite(current=i, dt=dt, measured_v=z)
         if dt > self._stale_age:
             warnings.warn(
                 f"cell {expected!r} serviced after {dt:.6g} s (> 2 revolutions); "
@@ -240,13 +247,21 @@ class MultiCellEkf:
                 SchedulingWarning,
                 stacklevel=2,
             )
-        i = float(measurement.current)
-        params = slot.params_ref
-        state, innovation, v_qst = _filter_sample(
-            params, slot._constants, slot._state, float(dt), i, float(measurement.voltage), i,
-            stacklevel=3)
-        soc = _soc_column(params, [v_qst])
-        slot._state = state
+        i = float(i)
+        params = slot._params
+        i_lo, i_hi, _, _, soc_lo, soc_hi = slot._constants.bounds
+        clamped = i < i_lo or i > i_hi
+        try:
+            v, dyn, p, innovation = slot._step(*slot._state, float(dt), i, float(z),
+                                               params.resistor.eval(i))
+        except BaseException:
+            _warn_clamps(params, clamped, False, 3)
+            raise
+        soc_clamped = v < soc_lo or v > soc_hi
+        if clamped or soc_clamped:
+            _warn_clamps(params, clamped, soc_clamped, 3)
+        soc = _soc_column(params, [v])
+        slot._state = v, dyn, p
         slot.last_serviced_t = now
         self._ring = (self._ring + 1) % len(self.config.cells)
         return TickResult(expected, now, float(soc[0]), innovation)

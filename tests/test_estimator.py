@@ -152,11 +152,11 @@ class TestPredict:
             worst = max(worst, abs(f[0, 0] - fd) / max(abs(fd), 1e-12))
         assert worst <= 1e-6
 
-    def test_substepping_long_horizon(self):
+    def test_one_long_predict_equals_many_short_ones(self):
         cell = make_cell(rc=((0.012, 20.0), (0.02, 700.0)))
         cfg = EkfConfig.default(cell, initial_soc=0.5)
         state = make_filter(cfg)
-        out = predict(state, cell, -1.0, 60.0, cfg)  # dt >> tau_min/5: sub-stepped
+        out = predict(state, cell, -1.0, 60.0, cfg)  # dt >> tau_min/5: still one exact step
         fine = state
         for _ in range(60):
             fine = predict(fine, cell, -1.0, 1.0, cfg)

@@ -17,6 +17,7 @@ from cellsoc import (
     InvalidParametersError,
     Measurement,
     MultiCellEkf,
+    NumericalFailureError,
     OutOfRangeWarning,
     SchedulerConfig,
     SchedulingViolationError,
@@ -301,6 +302,45 @@ class TestTick:
             engine.tick((k + 1) * 0.25, Measurement(engine.due_cell, -1.0 - k, 3.3))
         correct(predict(engine.slots["a"].ekf, cell, -2.0, 1.0, cfg), cell, 3.3, -2.0, cfg)
         assert calls == Counter()
+
+    def test_a_slot_step_forms_its_decays_again_when_dt_changes(self):
+        """A slot's step keeps the decays and Q*dt of the last dt it saw. One
+        cell serviced every revolution (1 s), once 2.5 revolutions late, then
+        on time again; twice a tick at 1e308 s, where Q*dt overflows, which
+        raises and leaves the engine as it was; then on time again. Every tick
+        gives the result or error, and leaves the slot, of a fresh engine
+        handed the slot's state and service time before it, whose step has
+        seen no dt."""
+        cell = make_cell()
+        base = EkfConfig.default(cell, initial_soc=0.7)
+        # Q*dt is finite at any service below 1.7e307 s.
+        cfg = EkfConfig(10.0 * np.eye(3), base.measurement_noise_r, base.initial_covariance_p0,
+                        base.initial_state)
+        sched = SchedulerConfig(t_slot=1.0, cells=("a",), f_max=0.5)
+        engine = MultiCellEkf(sched, {"a": (cell, cfg)})
+        times = [1.0, 2.0, 3.0, 5.5, 6.5, 7.5, 1e308, 1e308, 8.5, 9.5, 10.5]
+
+        def tick(engine, now, measurement):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    out = engine.tick(now, measurement)
+                except NumericalFailureError as exc:
+                    return type(exc), str(exc)
+            return bits([out.time, out.soc, out.innovation]).tolist()
+
+        outcomes = []
+        for k, now in enumerate(times):
+            fresh = MultiCellEkf(sched, {"a": (cell, cfg)})
+            fresh.slots["a"].ekf = engine.slots["a"].ekf
+            fresh.slots["a"].last_serviced_t = engine.slots["a"].last_serviced_t
+            measurement = Measurement("a", -1.0 - 0.5 * (k % 3), 3.3 + 0.01 * k)
+            outcomes.append(tick(engine, now, measurement))
+            assert outcomes[-1] == tick(fresh, now, measurement)
+            assert snapshot(engine) == snapshot(fresh)
+        assert outcomes[6] == outcomes[7] == (
+            NumericalFailureError, "process noise Q * dt is not finite (dt = 1e+308)")
+        assert all(isinstance(out, list) for out in outcomes[:6] + outcomes[8:])
 
     def test_measurements_and_results_hold_no_instance_dict(self):
         engine = ticked_pair()

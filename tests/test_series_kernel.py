@@ -5,8 +5,10 @@ the charge map of ``model._charge_map_lines`` inlined and a covariance step
 that is reused at rest. It must return exactly what ``helpers.list_filter_series``
 returns (``charge_map``, ``math.exp`` decays, ``list_predict`` and
 ``list_correct``, no reuse), with the same clamp counts, the same error and
-the same warnings in the same order. Bits are compared through
-``.view(np.int64)``, so a zero's sign and a NaN count.
+the same warnings in the same order. The one-sample step that the per-step
+API calls, written from the same sample body, must give one sample of the
+loop bit for bit. Bits are compared through ``.view(np.int64)``, so a zero's
+sign and a NaN count.
 """
 
 import ast
@@ -29,11 +31,23 @@ from cellsoc import (  # noqa: E402
     InvalidInputError,
     MonotoneCurve,
     NumericalFailureError,
+    Trace,
+    correct,
+    interval_currents,
+    make_filter,
+    predict,
+    simulate,
     vqst_from_soc,
 )
 from cellsoc import estimator  # noqa: E402
-from cellsoc.model import _charge_map_lines, charge_map  # noqa: E402
-from helpers import list_filter_series, make_cell  # noqa: E402
+from cellsoc.model import DEFAULT_VQST_GUARD, _charge_map_lines, charge_map  # noqa: E402
+from helpers import (  # noqa: E402
+    assert_run_filter_matches_step_chain,
+    list_filter_series,
+    make_cell,
+    step_chain,
+    warning_counts,
+)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -217,7 +231,8 @@ def test_sample_loops_call_only_what_they_must(m):
     """There is one sample loop, a correction-only sample being a zero-length
     step. Per sample, it calls the curve lookups, roots and decays, the settled
     check's bytes and the error constructors, and nothing else: a check written
-    with ``isfinite``, ``min`` or ``max`` again fails here."""
+    with ``isfinite``, ``min`` or ``max`` again fails here. The one-sample
+    step has no loop and calls the same, bar the settled check's bytes."""
     loops = [node for node in ast.walk(ast.parse(estimator._series_source(m)))
              if isinstance(node, ast.For)]
     assert len(loops) == 1
@@ -225,6 +240,11 @@ def test_sample_loops_call_only_what_they_must(m):
              for node in ast.walk(statement) if isinstance(node, ast.Call)}
     assert calls == {"bisect_right", "sqrt", "exp", "np.array", "np.array(...).tobytes",
                      "NumericalFailureError", "InvalidInputError"}
+    step = next(node for node in ast.walk(ast.parse(estimator._step_source(m)))
+                if isinstance(node, ast.FunctionDef) and node.name == "filter_step")
+    assert not [node for node in ast.walk(step) if isinstance(node, (ast.For, ast.While))]
+    calls = {call_name(node) for node in ast.walk(step) if isinstance(node, ast.Call)}
+    assert calls == {"bisect_right", "sqrt", "exp", "NumericalFailureError", "InvalidInputError"}
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -247,6 +267,114 @@ def test_generated_code_holds_the_upper_triangle_of_p(m):
               for target in node.targets
               if isinstance(target, ast.Name) and target.id.startswith("prev_")]
     assert sorted(copies) == sorted(f"prev_p_{a}_{b}" for a in range(m) for b in range(a, m))
+
+
+@st.composite
+def one_sample_cases(draw):
+    """(m, cell, constants, (v, dyn, p), (h, u, z, i)): one sample of a size-m
+    state. v_qst lies in the window or past the guard on either side; P is
+    dense, indefinite (-I), all 1e308, asymmetric by one ulp, or u u' + I/100
+    with u = (2, -1, 0, ...), a gain near 2 on v_qst; Q is 0, 1e-6 or 1e308
+    per second and r 1e-4, 1e-8 or infinite (predict's switch); dt is 0 or
+    up to an hour; both currents reach 80 A, past the resistor curve's 50 A;
+    the voltage lies around the window or is 1.7e308 V."""
+    m = draw(st.sampled_from([2, 3, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    taus = np.sort(rng.uniform(2.0, 30.0, m - 1))
+    cell = make_cell(rc=tuple(zip(rng.uniform(0.005, 0.03, m - 1).tolist(), taus.tolist())))
+    v = {"inside": rng.uniform(cell.v_min, cell.v_max),
+         "below": cell.v_min - DEFAULT_VQST_GUARD - rng.uniform(0.0, 1.0),
+         "above": cell.v_max + DEFAULT_VQST_GUARD + rng.uniform(0.0, 1.0),
+         }[draw(st.sampled_from(["inside", "below", "above"]))]
+    a = rng.standard_normal((m, m))
+    p = 1e-4 * (a @ a.T) + np.diag([0.04] + [1e-4] * (m - 1))
+    kind = draw(st.sampled_from(["dense", "dense", "indefinite", "huge", "asymmetric", "gain"]))
+    if kind == "indefinite":
+        p = -np.eye(m)
+    elif kind == "huge":
+        p = np.full((m, m), 1e308)
+    elif kind == "asymmetric":
+        p[m - 1, 0] = np.nextafter(p[0, m - 1], 1.0)
+    elif kind == "gain":
+        u = np.zeros(m)
+        u[:2] = 2.0, -1.0
+        p = np.outer(u, u) + 0.01 * np.eye(m)
+    q, r = draw(st.sampled_from([0.0, 1e-6, 1e308])), draw(st.sampled_from([1e-4, 1e-8, math.inf]))
+    constants = estimator._Constants.of(cell, EkfConfig.default(cell))._replace(
+        q_rate=(q * np.eye(m)).ravel().tolist(), r=r)
+    h = draw(st.one_of(st.just(0.0), st.floats(1e-3, 3600.0)))
+    u = draw(st.floats(-80.0, 80.0))
+    i = draw(st.one_of(st.just(u), st.floats(-80.0, 80.0)))
+    z = draw(st.one_of(st.floats(cell.v_min - 1.0, cell.v_max + 1.0), st.just(1.7e308)))
+    state = (v, rng.normal(0.0, 0.05, m - 1).tolist(), p.ravel().tolist())
+    return m, cell, constants, state, (h, u, z, i)
+
+
+# Raised before the loop reaches the measurement, where it counts the current.
+BEFORE_MEASUREMENT = ("covariance must be symmetric", "process noise Q * dt is not finite",
+                      "predicted covariance lost positive semidefiniteness")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(one_sample_cases())
+def test_the_bound_step_is_one_sample_of_the_loop_bit_for_bit(case):
+    """The step gives the loop's state and innovation bits on one sample, or its
+    error; the clamp counts its callers form, the current's from their input
+    and v_qst's from the result, are the loop's."""
+    m, cell, constants, (v, dyn, p), (h, u, z, i) = case
+    drop = cell.resistor.eval(i)
+    counts, innovation, v_qst = [0, 0, 0], [0.0], [0.0]
+    want, want_error, _ = outcome(lambda: estimator._series_kernel(m)(
+        v, dyn, p, *constants, counts, (h,), (u,), (z,), (i,), (drop,), innovation, v_qst))
+    got, got_error, _ = outcome(lambda: constants.step()(v, dyn, p, h, u, z, drop))
+    assert got_error == want_error
+    i_lo, i_hi, _, _, soc_lo, soc_hi = constants.bounds
+    current_clamps = int(i < i_lo or i > i_hi)
+    if got_error is not None:
+        early = got_error[1].startswith(BEFORE_MEASUREMENT)
+        assert counts[:2] == [0 if early else current_clamps, 0]
+        return
+    v1, dyn1, p1, innovation1 = got
+    assert (bits([v1, *dyn1, *p1, innovation1])
+            == bits([want[0], *want[1], *want[2], innovation[0]]))
+    assert bits(v_qst) == bits([v1])
+    assert counts[:2] == [current_clamps, int(v1 < soc_lo or v1 > soc_hi)]
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_loop_and_step_hold_to_the_numpy_oracle_at_every_state_size(m):
+    """For m - 1 = 1 to 6 RC groups (``--n-rc`` has no upper bound), the loop
+    (``run_filter``) and the step (``predict`` then ``correct``) agree with the
+    numpy oracle's step chain within 1e-12 on a 300-sample drive with gaps up
+    to an hour and currents past the resistor curve, and warn as it does."""
+    rng = np.random.default_rng(m)
+    taus = np.sort(rng.uniform(5.0, 900.0, m - 1))
+    cell = make_cell(rc=tuple(zip(rng.uniform(0.003, 0.02, m - 1).tolist(), taus.tolist())))
+    gaps = np.where(rng.random(299) < 0.02, rng.uniform(600.0, 3600.0, 299),
+                    rng.uniform(0.5, 10.0, 299))
+    t = np.concatenate(([0.0], np.cumsum(gaps)))
+    current = rng.uniform(-60.0, 60.0, t.size) * (rng.random(t.size) < 0.7)
+    start = CellState.rest(vqst_from_soc(cell, 0.6), cell.n_rc)
+    truth = simulate(cell, Trace(t, current), start).trace
+    trace = Trace(t, truth.current, truth.voltage + 1e-3 * rng.standard_normal(t.size))
+    cfg = EkfConfig.default(cell, initial_soc=0.5)
+    assert_run_filter_matches_step_chain(cell, trace, cfg)
+
+    def per_step():
+        i_eff, state, v_qst = interval_currents(trace.current), make_filter(cfg), []
+        for k in range(t.size):
+            if k:
+                state = predict(state, cell, i_eff[k - 1], float(t[k] - t[k - 1]), cfg)
+            state = correct(state, cell, float(trace.voltage[k]), float(trace.current[k]), cfg)
+            v_qst.append(state.mean.v_qst)
+        return np.array(v_qst), state
+
+    (v_qst, final), got = warning_counts(per_step)
+    (_, _, want_v_qst, want_final), want = warning_counts(step_chain, cell, trace, cfg)
+    assert got == want
+    assert np.max(np.abs(v_qst - want_v_qst)) <= 1e-12
+    assert np.max(np.abs(final.mean.v_dyn_components - want_final.mean.v_dyn_components)) <= 1e-12
+    assert np.max(np.abs(final.covariance - want_final.covariance)) <= 1e-12
 
 
 def test_warnings_name_the_caller_of_filter_series():
