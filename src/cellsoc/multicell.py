@@ -39,9 +39,9 @@ from .estimator import (
     _Constants,
     _ekf_state,
     _filter_series,
+    _run_step,
     _soc_column,
     _state_floats,
-    _warn_clamps,
     make_filter,
 )
 from .model import _MAX_SAMPLES, CellParameters, _check_finite
@@ -237,6 +237,7 @@ class MultiCellEkf:
                 f"service time {now} does not advance past {slot.last_serviced_t}"
             )
         i, z = measurement.current, measurement.voltage
+        # Comparisons cost less than the call; _check_finite names the bad input.
         if not (-math.inf < i < math.inf and -math.inf < dt < math.inf
                 and -math.inf < z < math.inf):
             _check_finite(current=i, dt=dt, measured_v=z)
@@ -247,19 +248,10 @@ class MultiCellEkf:
                 SchedulingWarning,
                 stacklevel=2,
             )
-        i = float(i)
         params = slot._params
-        i_lo, i_hi, _, _, soc_lo, soc_hi = slot._constants.bounds
-        clamped = i < i_lo or i > i_hi
-        try:
-            v, dyn, p, innovation = slot._step(*slot._state, float(dt), i, float(z),
-                                               params.resistor.eval(i))
-        except BaseException:
-            _warn_clamps(params, clamped, False, 3)
-            raise
-        soc_clamped = v < soc_lo or v > soc_hi
-        if clamped or soc_clamped:
-            _warn_clamps(params, clamped, soc_clamped, 3)
+        v, dyn, p, innovation = _run_step(params, slot._step, slot._constants.bounds,
+                                          slot._state, float(dt), float(i), float(z),
+                                          stacklevel=3)
         soc = _soc_column(params, [v])
         slot._state = v, dyn, p
         slot.last_serviced_t = now
