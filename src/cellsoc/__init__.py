@@ -27,6 +27,7 @@ from .errors import (
     UnusableTraceError,
 )
 from .estimator import (
+    CellFilter,
     EkfConfig,
     EkfState,
     FilterRun,

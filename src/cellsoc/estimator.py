@@ -21,12 +21,10 @@ the kernel reuses a covariance step that settled on a bitwise fixed point
 (see ``_filter_series``). ``run_filter`` runs it on one trace and
 ``MultiCellEkf.run`` once per cell. The loop's body is written by one
 emitter, ``_sample_lines``, which also writes it as a one-sample step with
-no loop and no reuse (``_step_binder``), bound once to a cell's constants
-(``_Constants.step``). The per-step API, ``predict`` and ``correct`` (pure
-functions from filter state to filter state) and ``MultiCellEkf.tick``,
-calls that step on the state's Python floats, with no array around it. The
-SoC column is formed from the kernel's v_qst by ``_soc_column``, only by the
-callers that report it.
+no loop and no reuse (``_step_binder``). ``CellFilter``, one cell's filter
+on Python floats, runs that step: ``predict`` and ``correct`` wrap its
+methods as pure functions from filter state to filter state, and each
+``MultiCellEkf`` slot is one, serviced by ``tick``.
 
 One rule decides whether a covariance is PSD: P + PSD_TOLERANCE * I has a
 Cholesky factor, by the proof that ``_proof_lines`` writes. ``EkfConfig`` and
@@ -35,9 +33,8 @@ the kernel run it, so no BLAS decides a verdict.
 The kernel counts the samples it clamps instead of warning on each one:
 every call of ``_filter_series`` emits at most one ``OutOfRangeWarning`` per
 kind (current outside the resistor curve, v_qst outside the window), and
-``FilterRun`` carries the counts. The step counts nothing; ``correct`` and
-``tick`` run it through ``_run_step``, which warns from its inputs and result
-in the same way.
+``FilterRun`` carries the counts. The step counts nothing;
+``CellFilter.service`` warns from its inputs and result in the same way.
 """
 
 from __future__ import annotations
@@ -68,9 +65,9 @@ from .model import (
     _check_finite,
     _current_clamp_message,
     _soc_clamp_message,
+    _soc_from_vqst,
     charge_map,
     interval_currents,
-    soc_from_vqst,
     vqst_from_soc,
 )
 
@@ -175,49 +172,33 @@ def transition_jacobian(
     return np.diag(np.concatenate(([f00], np.exp(-dt / params.taus))))
 
 
-def predict(
-    ekf: EkfState,
-    params: CellParameters,
-    current: float,
-    dt: float,
-    cfg: EkfConfig,
-) -> EkfState:
-    """A-priori estimate after ``dt`` seconds at the given current.
-
-    The model step is exact for any ``dt``, so a long gap is one step. This is
-    the kernel's one-sample step with the measurement switched off (r
-    infinite), so it warns about nothing.
-    """
-    _check_finite(current=current, dt=dt)
+def predict(ekf: EkfState, params: CellParameters, current: float, dt: float,
+            cfg: EkfConfig) -> EkfState:
+    """A-priori estimate after ``dt`` seconds at the given current:
+    ``CellFilter.predict`` on a filter that holds ``ekf``. It warns about nothing."""
+    _check_finite(current=current, dt=dt)  # refused before a state of the wrong size
     if dt <= 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    step = _Constants.of(params, cfg)._replace(r=math.inf).step()
-    v, dyn, p, _ = step(*_state_floats(ekf, params.n_rc + 1), float(dt), float(current), 0.0, 0.0)
-    return _ekf_state(v, dyn, p)
+    held = CellFilter(params, cfg, ekf)
+    held.predict(current, dt)
+    return held.ekf
 
 
 def correct(ekf: EkfState, params: CellParameters, measured_v: float, current: float,
             cfg: EkfConfig) -> EkfState:
-    """A-posteriori estimate after one terminal-voltage measurement.
-
-    The output map is the unweighted sum of the states plus the (input-only)
-    instantaneous drop, so H is a row of ones. Joseph form keeps the
-    covariance positive semidefinite. This is the kernel's one-sample step
-    over zero seconds, which moves nothing but v_qst, clamped into the guarded
-    window; its clamp warnings name the caller, the current's also when the
-    step raises.
-    """
+    """A-posteriori estimate after one terminal-voltage measurement:
+    ``CellFilter.correct`` on a filter that holds ``ekf``. The output map is
+    the sum of the states plus the (input-only) instantaneous drop, so H is a
+    row of ones; the Joseph form keeps P PSD. Its warnings name the caller."""
     _check_finite(measured_v=measured_v, current=current)
-    constants = _Constants.of(params, cfg)
-    v, dyn, p, _ = _run_step(params, constants.step(), constants.bounds,
-                             _state_floats(ekf, params.n_rc + 1), 0.0, float(current),
-                             float(measured_v), stacklevel=3)
-    return _ekf_state(v, dyn, p)
+    held = CellFilter(params, cfg, ekf)
+    held.service(0.0, current, measured_v)  # held.correct's call; warns our caller
+    return held.ekf
 
 
 def estimate_soc(ekf: EkfState, params: CellParameters) -> float:
-    """State of charge implied by the filter mean."""
-    return soc_from_vqst(params, ekf.mean.v_qst)
+    """State of charge implied by the filter mean; its clamp warning names the caller."""
+    return _soc_from_vqst(params, ekf.mean.v_qst, 3)
 
 
 @dataclass(eq=False)
@@ -555,8 +536,8 @@ def _step_binder(m: int):
     predict over h seconds at the current u, then a correction with the
     voltage z read at a current whose resistor drop is ``drop``. It returns
     (v, dyn, p, innovation), dyn and p as tuples, P flat and row-major. It
-    counts and warns about nothing: ``_run_step`` forms the clamp counts, the
-    current's from its inputs and v_qst's from the v it returns.
+    counts and warns about nothing: ``CellFilter.service`` forms the clamp
+    counts, the current's from its inputs and v_qst's from the v it returns.
     """
     namespace = _namespace(isinf=math.isinf, exp=math.exp, nan=math.nan,
                            bisect_right=bisect_right, InvalidInputError=InvalidInputError)
@@ -607,7 +588,7 @@ def _state_floats(ekf: EkfState, m: int) -> tuple[float, list[float], list[float
 def _ekf_state(v: float, dyn, p) -> EkfState:
     """The ``EkfState`` of the kernel's (v, dyn, p)."""
     m = len(dyn) + 1
-    return EkfState(CellState(v, np.array(dyn)), np.array(p).reshape(m, m))
+    return EkfState(CellState(v, dyn), np.array(p).reshape(m, m))
 
 
 def _warn_clamps(params: CellParameters, n_cur, n_soc, stacklevel: int) -> None:
@@ -618,25 +599,6 @@ def _warn_clamps(params: CellParameters, n_cur, n_soc, stacklevel: int) -> None:
                       stacklevel=stacklevel)
     if n_soc:
         warnings.warn(_soc_clamp_message(params), OutOfRangeWarning, stacklevel=stacklevel)
-
-
-def _run_step(params: CellParameters, step, bounds, state, h: float, i: float, z: float,
-              stacklevel: int):
-    """``step``, bound to ``params``' constants with clamp ``bounds``, on
-    ``state`` = (v, dyn, p): a predict over h seconds at the current i, then a
-    correction with the voltage z measured at i. Returns (v, dyn, p,
-    innovation). Like ``_filter_series`` on one sample, it emits at most one
-    ``OutOfRangeWarning`` per kind, the current clamp also when the step
-    raises, attributed ``stacklevel`` frames up, counted from here."""
-    i_lo, i_hi, _, _, soc_lo, soc_hi = bounds
-    clamped = i < i_lo or i > i_hi
-    try:
-        v, dyn, p, innovation = step(*state, h, i, z, params.resistor.eval(i))
-    except BaseException:
-        _warn_clamps(params, clamped, False, stacklevel + 1)
-        raise
-    _warn_clamps(params, clamped, v < soc_lo or v > soc_hi, stacklevel + 1)
-    return v, dyn, p, innovation
 
 
 def _filter_series(
@@ -667,17 +629,12 @@ def _filter_series(
     function emits at most one ``OutOfRangeWarning`` per kind, the current
     clamp first, so a run that raises still reports the clamps it made.
     Warnings are attributed ``stacklevel`` frames up, as ``warnings.warn``
-    counts them from here. The per-step API runs the same sample body as one
+    counts them from here. ``CellFilter`` runs the same sample body as one
     step, ``_step_binder``.
 
-    The loop is ``_series_kernel(m)``: straight-line code generated for the
-    state size, with the RC states and P's upper triangle as locals; it takes
-    and returns P flat and row-major, and refuses one whose entry (b, a) is
-    not == to (a, b). It inlines the charge
-    map and the covariance step; every sum adds left to right. The predict's
-    row sums t = P 1 serve both its finiteness check and the gain. At rest the loop
-    reuses a covariance step that left P bit for bit unchanged while f0 and dt
-    repeat, which only saves work.
+    The loop is ``_series_kernel(m)``, described in the module docstring. At
+    rest it reuses a covariance step that left P bit for bit unchanged while
+    f0 and dt repeat, which only saves work.
     """
     m = params.n_rc + 1
     v, dyn, p = _state_floats(ekf, m)
@@ -701,6 +658,84 @@ def _soc_column(params: CellParameters, v_qst: np.ndarray) -> np.ndarray:
     # np.clip's bits, ties of signed zeros included, without its dispatch cost.
     v_qst = np.minimum(params.v_max, np.maximum(params.v_min, v_qst))
     return params.capacitance.integral_array(v_qst) / params.delta_q
+
+
+class CellFilter:
+    """One cell's EKF on Python floats: the filter a BMS holds per cell, and a
+    ``MultiCellEkf`` memory slot.
+
+    It keeps the cell's kernel constants (``_Constants``) and its state as
+    v_qst, the RC voltages and P flat and row-major, which each call hands
+    as they are to a one-sample step of ``_filter_series``, with its bits
+    and errors; a call that raises changes nothing. Each step is bound on
+    first use, so a filter that only predicts binds one. The parameters and
+    config are fixed. ``ekf`` is a view: reading it builds a new
+    ``EkfState``, and assigning one stores its floats.
+    """
+
+    def __init__(self, params: CellParameters, cfg: EkfConfig, ekf: EkfState | None = None):
+        self._params, self._config = params, cfg
+        self._constants = _Constants.of(params, cfg)
+        self.ekf = make_filter(cfg) if ekf is None else ekf
+        self._step = self._predict_step = None
+
+    @property
+    def params_ref(self) -> CellParameters:
+        return self._params
+
+    @property
+    def ekf_config(self) -> EkfConfig:
+        return self._config
+
+    @property
+    def ekf(self) -> EkfState:
+        return _ekf_state(*self._state)
+
+    @ekf.setter
+    def ekf(self, ekf: EkfState) -> None:
+        self._state = _state_floats(ekf, self._params.n_rc + 1)
+
+    @property
+    def soc(self) -> float:
+        """The SoC of v_qst, clamped into the window with no warning of its own."""
+        return float(_soc_column(self._params, [self._state[0]])[0])
+
+    def predict(self, current: float, dt: float) -> None:
+        """Advance ``dt`` > 0 seconds at the given current in one exact step,
+        however long, with the measurement switched off (r infinite)."""
+        _check_finite(current=current, dt=dt)
+        if dt <= 0.0:
+            raise ConfigurationError(f"dt must be positive, got {dt}")
+        if self._predict_step is None:
+            self._predict_step = self._constants._replace(r=math.inf).step()
+        v, dyn, p, _ = self._predict_step(*self._state, float(dt), float(current), 0.0, 0.0)
+        self._state = v, dyn, p
+
+    def correct(self, measured_v: float, current: float) -> float:
+        """Correct with one terminal-voltage measurement, a ``service`` over zero
+        seconds, and return the innovation; its warnings name the caller."""
+        _check_finite(measured_v=measured_v, current=current)
+        return self.service(0.0, current, measured_v)
+
+    def service(self, dt: float, i: float, z: float) -> float:
+        """Predict over ``dt`` >= 0 seconds at the current ``i``, correct with the
+        voltage ``z`` measured at ``i`` and return the innovation; the callers
+        check that the inputs are finite. Like ``_filter_series``, it warns at
+        most once per kind of clamp, the current's also when the step raises,
+        naming the caller of its caller: ``tick``'s and ``correct``'s name theirs."""
+        dt, i, z, params = float(dt), float(i), float(z), self._params
+        i_lo, i_hi, _, _, soc_lo, soc_hi = self._constants.bounds
+        clamped = i < i_lo or i > i_hi
+        if self._step is None:
+            self._step = self._constants.step()
+        try:
+            v, dyn, p, innovation = self._step(*self._state, dt, i, z, params.resistor.eval(i))
+        except BaseException:
+            _warn_clamps(params, clamped, False, 4)
+            raise
+        _warn_clamps(params, clamped, v < soc_lo or v > soc_hi, 4)
+        self._state = v, dyn, p
+        return innovation
 
 
 def run_filter(

@@ -169,7 +169,7 @@ class CellState:
     def __post_init__(self):
         comps = np.array(self.v_dyn_components, dtype=float).reshape(-1)
         # A non-finite entry poisons the sum, so one scalar check suffices.
-        if not math.isfinite(self.v_qst) or not math.isfinite(float(np.sum(comps))):
+        if not math.isfinite(self.v_qst) or not math.isfinite(float(comps.sum())):
             raise InvalidInputError("cell state must be finite")
         self.v_dyn_components = comps
 
@@ -364,9 +364,14 @@ def soc_from_vqst(params: CellParameters, v_qst: float) -> float:
     Returns the fraction of delta_q stored between v_min and v_qst; inputs
     outside the window are clamped with a warning.
     """
+    return _soc_from_vqst(params, v_qst, 3)
+
+
+def _soc_from_vqst(params: CellParameters, v_qst: float, stacklevel: int) -> float:
+    """``soc_from_vqst``, its warning attributed ``stacklevel`` frames up from here."""
     _check_finite(v_qst=v_qst)
     if v_qst < params.v_min or v_qst > params.v_max:
-        warnings.warn(_soc_clamp_message(params), OutOfRangeWarning, stacklevel=2)
+        warnings.warn(_soc_clamp_message(params), OutOfRangeWarning, stacklevel=stacklevel)
         v_qst = min(max(v_qst, params.v_min), params.v_max)
     # The curve starts at v_min, so its running integral there is exactly 0.
     return params.capacitance.integral_and_value(v_qst)[0] / params.delta_q

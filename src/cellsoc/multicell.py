@@ -1,6 +1,6 @@
 """Single-engine multi-cell estimation: one EKF time-sliced by round-robin.
 
-Each cell owns a memory slot (filter state plus last service time). Every
+Each cell owns a memory slot (its ``CellFilter`` and last service time). Every
 t_slot seconds the scheduler services the next cell in fixed circular order:
 it loads the slot, predicts over the per-cell elapsed time (a full revolution,
 N * t_slot), corrects with that cell's freshest measurement and stores the
@@ -9,10 +9,9 @@ construction and the arithmetic is identical to N independent filters each
 stepped at period N * t_slot.
 
 Both paths run the estimator module's one generated EKF sample body.
-``tick`` is the online path, one service per call: the body's one-sample
-step, bound to the slot's cell, on the slot's plain floats, with no array
-built around it. ``run`` uses the isolation directly: it filters each cell's
-whole schedule as one series through the batch kernel, in cell order, so its
+``tick`` is the online path, one ``CellFilter.service`` of the due slot per
+call. ``run`` uses the isolation directly: it filters each cell's whole
+schedule as one series through the batch kernel, in cell order, so its
 bits, warnings and errors are those of that kernel on each cell alone, and
 ticking the same schedule gives the same bits.
 """
@@ -34,14 +33,11 @@ from .errors import (
     SchedulingWarning,
 )
 from .estimator import (
+    CellFilter,
     EkfConfig,
     EkfState,
-    _Constants,
-    _ekf_state,
     _filter_series,
-    _run_step,
     _soc_column,
-    _state_floats,
     make_filter,
 )
 from .model import _MAX_SAMPLES, CellParameters, _check_finite
@@ -109,42 +105,14 @@ class SchedulerConfig:
             )
 
 
-class CellSlot:
-    """Per-cell memory: filter state, parameter reference, last service time.
-
-    The filter state is held as Python floats, v_qst, the RC voltages and P
-    flat and row-major, beside the kernel's constants for the cell and the
-    one-sample step bound to them (``_Constants.step``), all formed once, so
-    ``tick`` hands the floats to the step as they are. The parameters and
-    the config are fixed at construction. ``ekf`` is a view over the floats:
-    reading it builds a new ``EkfState``, so writing into one read changes
-    nothing here, and assigning one stores its floats.
-    """
+class CellSlot(CellFilter):
+    """Per-cell memory: the cell's ``CellFilter``, id and last service time."""
 
     def __init__(self, cell_id: str, ekf: EkfState, params_ref: CellParameters,
                  ekf_config: EkfConfig, last_serviced_t: float):
+        super().__init__(params_ref, ekf_config, ekf)
         self.cell_id = cell_id
-        self._params, self._config = params_ref, ekf_config
-        self._constants = _Constants.of(params_ref, ekf_config)
-        self._step = self._constants.step()
-        self.ekf = ekf
         self.last_serviced_t = last_serviced_t
-
-    @property
-    def params_ref(self) -> CellParameters:
-        return self._params
-
-    @property
-    def ekf_config(self) -> EkfConfig:
-        return self._config
-
-    @property
-    def ekf(self) -> EkfState:
-        return _ekf_state(*self._state)
-
-    @ekf.setter
-    def ekf(self, ekf: EkfState) -> None:
-        self._state = _state_floats(ekf, self._params.n_rc + 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,13 +168,8 @@ class MultiCellEkf:
                 params, ekf_cfg = cell_setups[cell_id]
             except KeyError:
                 raise InvalidInputError(f"no setup provided for cell {cell_id!r}") from None
-            self.slots[cell_id] = CellSlot(
-                cell_id=cell_id,
-                ekf=make_filter(ekf_cfg),
-                params_ref=params,
-                ekf_config=ekf_cfg,
-                last_serviced_t=self.start_time + (j + 1 - n) * config.t_slot,
-            )
+            self.slots[cell_id] = CellSlot(cell_id, make_filter(ekf_cfg), params, ekf_cfg,
+                                           self.start_time + (j + 1 - n) * config.t_slot)
         self._ring = 0
 
     @property
@@ -216,11 +179,10 @@ class MultiCellEkf:
     def tick(self, now: float, measurement: Measurement) -> TickResult:
         """Service the due cell: predict over its elapsed time, correct, store.
 
-        The service is the slot's bound step, one sample of
-        ``_filter_series``' body on the slot's floats, so ticking a schedule
-        gives ``run``'s bits. Its clamp warnings name the caller, the
-        current's also when the step raises, and a tick that raises leaves
-        the engine unchanged.
+        The service is the slot's ``CellFilter.service``, one sample of
+        ``_filter_series``, so ticking a schedule gives ``run``'s bits. Its
+        clamp warnings name the caller, and a tick that raises leaves the
+        engine unchanged.
         Out-of-order measurements are refused, and so are non-finite inputs,
         before the slot changes. A measurement older than two revolutions is
         accepted with a degraded-update warning.
@@ -248,15 +210,10 @@ class MultiCellEkf:
                 SchedulingWarning,
                 stacklevel=2,
             )
-        params = slot._params
-        v, dyn, p, innovation = _run_step(params, slot._step, slot._constants.bounds,
-                                          slot._state, float(dt), float(i), float(z),
-                                          stacklevel=3)
-        soc = _soc_column(params, [v])
-        slot._state = v, dyn, p
+        innovation = slot.service(dt, i, z)
         slot.last_serviced_t = now
         self._ring = (self._ring + 1) % len(self.config.cells)
-        return TickResult(expected, now, float(soc[0]), innovation)
+        return TickResult(expected, now, slot.soc, innovation)
 
     def run(self, traces) -> dict[str, CellSeries]:
         """Execute the schedule over the shared horizon of the given traces.

@@ -167,8 +167,9 @@ class EngineMachine(RuleBasedStateMachine):
         assert all(traces[cid].timestamps[-1] == horizon for cid in self.ids)  # no overrun
         services = _service_count(self.start, t_slot, horizon)
         if services and self.ring:
+            due = self.ids[self.ring]
             return None, (SchedulingViolationError,
-                          f"measurement for {self.ids[0]!r} but {self.ids[self.ring]!r} is due"), []
+                          f"measurement for {self.ids[0]!r} but {due!r} is due"), []
         picks, stale = [], 0
         for j, cid in enumerate(self.ids):
             now = self.start + (np.arange(j, services, n) + 1) * t_slot

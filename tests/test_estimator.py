@@ -357,6 +357,16 @@ class TestFilterRuns:
         state.mean.v_qst = cell.v_min
         assert estimate_soc(state, cell) == 0.0
 
+    def test_estimate_soc_warns_of_a_mean_past_the_window_naming_the_caller(self):
+        cell = make_cell()
+        state = make_filter(EkfConfig.default(cell))
+        state.mean.v_qst = cell.v_max + 0.01
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert estimate_soc(state, cell) == 1.0
+        assert [(w.category, str(w.message), w.filename) for w in caught] == [
+            (OutOfRangeWarning, _soc_clamp_message(cell), __file__)]
+
     def test_convergence_from_bad_init_constant_discharge(self):
         cell = make_cell()
         profile = constant_profile(-2.0, 3600.0, 4.0)

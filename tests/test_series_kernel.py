@@ -25,12 +25,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from cellsoc import (  # noqa: E402
+    CellFilter,
     CellState,
+    ConfigurationError,
     EkfConfig,
     EkfState,
     InvalidInputError,
     MonotoneCurve,
     NumericalFailureError,
+    OutOfRangeWarning,
     Trace,
     correct,
     interval_currents,
@@ -40,7 +43,12 @@ from cellsoc import (  # noqa: E402
     vqst_from_soc,
 )
 from cellsoc import estimator  # noqa: E402
-from cellsoc.model import DEFAULT_VQST_GUARD, _charge_map_lines, charge_map  # noqa: E402
+from cellsoc.model import (  # noqa: E402
+    DEFAULT_VQST_GUARD,
+    _charge_map_lines,
+    _current_clamp_message,
+    charge_map,
+)
 from helpers import (  # noqa: E402
     assert_run_filter_matches_step_chain,
     list_filter_series,
@@ -339,6 +347,101 @@ def test_the_bound_step_is_one_sample_of_the_loop_bit_for_bit(case):
             == bits([want[0], *want[1], *want[2], innovation[0]]))
     assert bits(v_qst) == bits([v1])
     assert counts[:2] == [current_clamps, int(v1 < soc_lo or v1 > soc_hi)]
+
+
+@st.composite
+def held_filter_cases(draw):
+    """``one_sample_cases``' cell, constants and state, its config, and one to
+    six calls of ``CellFilter`` (predict, correct or service), the first on
+    that case's sample and the rest on samples drawn the same way."""
+    m, cell, constants, (v, dyn, p), sample = draw(one_sample_cases())
+    samples = st.tuples(st.one_of(st.just(0.0), st.floats(1e-3, 3600.0)),
+                        st.floats(-80.0, 80.0),
+                        st.one_of(st.floats(cell.v_min - 1.0, cell.v_max + 1.0), st.just(1.7e308)),
+                        st.floats(-80.0, 80.0))
+    kinds = draw(st.lists(st.sampled_from(["predict", "correct", "service"]), min_size=1,
+                          max_size=6))
+    more = draw(st.lists(samples, min_size=len(kinds) - 1, max_size=len(kinds) - 1))
+    q = np.array(constants.q_rate).reshape(m, m)
+    if math.isinf(constants.r):  # predict's switch, which EkfConfig refuses
+        cfg = SimpleNamespace(process_noise_q=q, measurement_noise_r=constants.r)
+    else:
+        base = EkfConfig.default(cell)
+        cfg = EkfConfig(q, constants.r, base.initial_covariance_p0, base.initial_state)
+    ekf = EkfState(CellState(v, np.array(dyn)), np.array(p).reshape(m, m))
+    return cell, cfg, ekf, list(zip(kinds, [sample, *more]))
+
+
+def held_outcome(fn):
+    """``outcome`` of fn, with predict's ``ConfigurationError`` among the errors."""
+    def guarded():
+        try:
+            return fn()
+        except ConfigurationError as exc:
+            return exc
+    result, error, caught = outcome(guarded)
+    if isinstance(result, ConfigurationError):
+        result, error = None, (type(result), str(result))
+    return result, error, caught
+
+
+def held_call(held, kind, h, u, z, i):
+    if kind == "predict":
+        return held.predict(u, h)
+    if kind == "correct":
+        return held.correct(z, i)
+    return held.service(h, i, z)
+
+
+def state_bits(ekf):
+    return bits([ekf.mean.v_qst, *ekf.mean.v_dyn_components, *ekf.covariance.ravel()])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(held_filter_cases())
+def test_a_held_filter_is_the_free_functions_and_the_loop_bit_for_bit(case):
+    """A held ``CellFilter`` runs any interleaving of predict, correct and
+    service. Each call gives the state, innovation, error and warnings (with
+    the file they name) of the free ``predict`` or ``correct`` on the same
+    state, and the state, innovation and error of ``_filter_series`` on that
+    one sample (with r infinite for a predict, over 0 s for a correct), and
+    for a correct or a service its warnings. A call that raises changes
+    nothing."""
+    cell, cfg, ekf, calls = case
+    held = CellFilter(cell, cfg, ekf)
+    for kind, (h, u, z, i) in calls:
+        got, error, caught = held_outcome(lambda: held_call(held, kind, h, u, z, i))
+        if kind == "predict":
+            want, want_error, want_caught = held_outcome(lambda: predict(ekf, cell, u, h, cfg))
+            assert (got, error, caught) == (None, want_error, want_caught)
+            if h > 0.0:  # the loop, with the measurement switched off
+                off = SimpleNamespace(process_noise_q=cfg.process_noise_q,
+                                      measurement_noise_r=math.inf)
+                run, run_error, _ = outcome(lambda: estimator._filter_series(
+                    ekf, cell, off, np.array([z]), np.array([u]), np.array([h]), np.array([u])))
+                assert run_error == error
+                assert run is None or state_bits(run[2]) == state_bits(want)
+        else:
+            dt = h if kind == "service" else 0.0  # a correct is a service over 0 s
+            run, want_error, want_caught = outcome(lambda: estimator._filter_series(
+                ekf, cell, cfg, np.array([z]), np.array([i]), np.array([dt]), np.array([i])))
+            if want_error is not None and want_error[1].startswith(BEFORE_MEASUREMENT):
+                # The loop raised before it counted the current; the filter
+                # warns from its input.
+                clamped = not cell.resistor.x_min <= i <= cell.resistor.x_max
+                want_caught = [(OutOfRangeWarning, _current_clamp_message(cell.resistor),
+                                __file__)] * clamped
+            assert (error, caught) == (want_error, want_caught)
+            want = None if run is None else run[2]
+            if run is not None:
+                assert bits(got) == bits(run[0][0])
+            if kind == "correct":
+                free, free_error, free_caught = outcome(lambda: correct(ekf, cell, z, i, cfg))
+                assert (free_error, free_caught) == (error, caught)
+                assert free is None or state_bits(free) == state_bits(want)
+        if error is None:
+            ekf = want
+        assert state_bits(held.ekf) == state_bits(ekf)
 
 
 @pytest.mark.parametrize("m", range(2, 8))
