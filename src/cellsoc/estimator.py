@@ -7,33 +7,36 @@ measurement through the Joseph-form update.
 One generated sample body runs every EKF step, on plain floats. F is
 diagonal and H is a row of ones, so with t = P*1 and s = 1'P1 + r the Joseph
 update is the rank-1 form P - K t' - t K' + s K K'. The whole sample loop of
-the batch kernel, ``_filter_series``, is straight-line code generated once
-per state size by ``_series_kernel``, with the state and the m(m+1)/2
-entries of P's upper triangle as locals: P is symmetric, and a covariance
-that is not is refused. It inlines the charge map
-(``model._charge_map_lines``) and the covariance step (``_predict_lines``
-and ``_update_lines``). Each sample is one predict and one correction; a
-correction-only sample is a step over dt = 0, which only clamps v_qst into
-the guarded window. Every sum adds its terms left to right from the first,
-whatever the builtin ``sum`` does. The decay products are formed only when
-dt changes, and each check is a comparison rather than a call. At rest
-the kernel reuses a covariance step that settled on a bitwise fixed point
-(see ``_filter_series``). ``run_filter`` runs it on one trace and
-``MultiCellEkf.run`` once per cell. The loop's body is written by one
-emitter, ``_sample_lines``, which also writes it as a one-sample step with
-no loop and no reuse (``_step_binder``). ``CellFilter``, one cell's filter
-on Python floats, runs that step: ``predict`` and ``correct`` wrap its
-methods as pure functions from filter state to filter state, and each
-``MultiCellEkf`` slot is one, serviced by ``tick``.
+the batch kernel is straight-line code generated once per state size by
+``_series_kernel``, with the state and the m(m+1)/2 entries of P's upper
+triangle as locals: P is symmetric, and a covariance that is not is
+refused. It inlines the charge map (``model._charge_map_lines``) and the
+covariance step (``_predict_lines`` and ``_update_lines``). Each sample is
+one predict and one correction; a correction-only sample is a step over
+dt = 0, which only clamps v_qst into the guarded window. Every sum adds its
+terms left to right from the first, whatever the builtin ``sum`` does. The
+decay products are formed only when dt changes, and each check is a
+comparison rather than a call. At rest the kernel reuses a covariance step
+that settled on a bitwise fixed point (see ``_sample_lines``). The loop's
+body is written by one emitter, ``_sample_lines``, which also writes it as
+a one-sample step with no loop and no reuse (``_step_binder``).
+
+``CellFilter`` is one cell's filter on Python floats, and the only caller
+of both: ``series`` runs the loop over a whole series, and ``predict``,
+``correct`` and ``service`` run the step. ``run_filter`` is one filter's
+``series`` over one trace. Each ``MultiCellEkf`` slot is one filter:
+``run`` calls its ``series`` and ``tick`` its ``service``. The free
+``predict`` and ``correct`` wrap its methods as pure functions from filter
+state to filter state.
 
 One rule decides whether a covariance is PSD: P + PSD_TOLERANCE * I has a
 Cholesky factor, by the proof that ``_proof_lines`` writes. ``EkfConfig`` and
 the kernel run it, so no BLAS decides a verdict.
 
 The kernel counts the samples it clamps instead of warning on each one:
-every call of ``_filter_series`` emits at most one ``OutOfRangeWarning`` per
-kind (current outside the resistor curve, v_qst outside the window), and
-``FilterRun`` carries the counts. The step counts nothing;
+every call of ``CellFilter.series`` emits at most one ``OutOfRangeWarning``
+per kind (current outside the resistor curve, v_qst outside the window),
+and ``FilterRun`` carries the counts. The step counts nothing;
 ``CellFilter.service`` warns from its inputs and result in the same way.
 """
 
@@ -297,16 +300,24 @@ def _proof_lines(m: int, check: list[str]) -> list[str]:
     return lines
 
 
-def _namespace(**names) -> dict:
-    """Globals for generated code: what its lines call and raise, plus ``names``."""
-    return {
+def _compiled(source: str, filename: str) -> dict:
+    """The namespace ``source`` ran in, reported as ``filename``: the globals
+    generated code reads (what its lines call and raise) and what it defines."""
+    namespace = {
         "__name__": __name__,
         "inf": math.inf,
+        "nan": math.nan,
+        "isinf": math.isinf,
         "sqrt": math.sqrt,
+        "exp": math.exp,
+        "np": np,
+        "bisect_right": bisect_right,
         "PSD_TOLERANCE": PSD_TOLERANCE,
+        "InvalidInputError": InvalidInputError,
         "NumericalFailureError": NumericalFailureError,
-        **names,
     }
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
 
 
 @functools.cache
@@ -318,9 +329,7 @@ def _psd_proof(m: int):
         *_indent([f"{_tuple(_entries(m))} = p",
                   *_proof_lines(m, ["if not d > 0.0:", "    return False"]), "return True"], 1),
     ]) + "\n"
-    namespace = _namespace()
-    exec(compile(source, f"<PSD proof, m={m}>", "exec"), namespace)
-    return namespace["is_psd"]
+    return _compiled(source, f"<PSD proof, m={m}>")["is_psd"]
 
 
 def _state_lines(m: int) -> list[str]:
@@ -437,7 +446,7 @@ def _sample_lines(m: int, loop: bool) -> list[str]:
 
 
 def _series_source(m: int) -> str:
-    """Source of ``_series_kernel(m)``: ``_filter_series``' sample loop for size m.
+    """Source of ``_series_kernel(m)``: ``CellFilter.series``' sample loop for size m.
 
     The state is the float v and the RC states y0..; P is the m(m+1)/2 locals
     p_a_b, a <= b, which live across samples; a cell has an RC group, so m >= 2. The RC group
@@ -507,7 +516,7 @@ def _step_source(m: int) -> str:
 
 @functools.cache
 def _series_kernel(m: int):
-    """``_filter_series``' sample loop for a state of size m, as straight-line code.
+    """``CellFilter.series``' sample loop for a state of size m, as straight-line code.
 
     ``filter_series(v, dyn, p, q_rate, taus, r_dyn, r, tables, bounds, counts,
     dt, i_pred, voltage, current, drops, innov_out, vqst_out)`` filters the
@@ -520,10 +529,7 @@ def _series_kernel(m: int):
     stores the three counts in the list ``counts`` when it returns or raises.
     Generated once per m from ``_series_source``.
     """
-    namespace = _namespace(isinf=math.isinf, exp=math.exp, nan=math.nan, np=np,
-                           bisect_right=bisect_right, InvalidInputError=InvalidInputError)
-    exec(compile(_series_source(m), f"<filter series, m={m}>", "exec"), namespace)
-    return namespace["filter_series"]
+    return _compiled(_series_source(m), f"<filter series, m={m}>")["filter_series"]
 
 
 @functools.cache
@@ -539,10 +545,7 @@ def _step_binder(m: int):
     counts and warns about nothing: ``CellFilter.service`` forms the clamp
     counts, the current's from its inputs and v_qst's from the v it returns.
     """
-    namespace = _namespace(isinf=math.isinf, exp=math.exp, nan=math.nan,
-                           bisect_right=bisect_right, InvalidInputError=InvalidInputError)
-    exec(compile(_step_source(m), f"<filter step, m={m}>", "exec"), namespace)
-    return namespace["bind"]
+    return _compiled(_step_source(m), f"<filter step, m={m}>")["bind"]
 
 
 class _Constants(NamedTuple):
@@ -572,25 +575,6 @@ class _Constants(NamedTuple):
         return _step_binder(len(self.taus) + 1)(*self)
 
 
-def _state_floats(ekf: EkfState, m: int) -> tuple[float, list[float], list[float]]:
-    """``ekf`` as the kernel takes it, (v_qst, RC voltages, P flat and row-major)
-    in Python floats, for a state of size m; InvalidInputError if its sizes differ."""
-    dyn = ekf.mean.v_dyn_components.tolist()
-    if len(dyn) != m - 1:
-        raise InvalidInputError(
-            f"state has {len(dyn)} RC components, parameters define {m - 1}"
-        )
-    if ekf.covariance.shape != (m, m):
-        raise InvalidInputError(f"covariance must be {m}x{m}, got {ekf.covariance.shape}")
-    return float(ekf.mean.v_qst), dyn, ekf.covariance.ravel().tolist()
-
-
-def _ekf_state(v: float, dyn, p) -> EkfState:
-    """The ``EkfState`` of the kernel's (v, dyn, p)."""
-    m = len(dyn) + 1
-    return EkfState(CellState(v, dyn), np.array(p).reshape(m, m))
-
-
 def _warn_clamps(params: CellParameters, n_cur, n_soc, stacklevel: int) -> None:
     """One ``OutOfRangeWarning`` per kind of clamp whose count is not zero, the
     current clamp first, attributed ``stacklevel`` frames up from here."""
@@ -601,59 +585,8 @@ def _warn_clamps(params: CellParameters, n_cur, n_soc, stacklevel: int) -> None:
         warnings.warn(_soc_clamp_message(params), OutOfRangeWarning, stacklevel=stacklevel)
 
 
-def _filter_series(
-    ekf: EkfState,
-    params: CellParameters,
-    cfg: EkfConfig,
-    voltage: np.ndarray,
-    current: np.ndarray,
-    dt: np.ndarray,
-    i_pred: np.ndarray,
-    stacklevel: int = 2,
-) -> tuple[np.ndarray, np.ndarray, EkfState, tuple[int, int, int]]:
-    """Predict and correct over a whole series on plain floats.
-
-    The five columns have one entry per sample. Each sample is predicted over
-    its entry of ``dt`` at its entry of ``i_pred``, then corrected with its
-    ``voltage`` measured at its ``current``. A correction-only sample is a
-    step over ``dt = 0.0``: f0 = 1, the decays are 1, Q*0 = 0 and the charge
-    is zero, so it leaves the mean and P as they are, bar a -0.0 that may
-    become +0.0, except that v_qst is clamped into the guarded window as
-    before every correction. The inputs must be finite: trace columns are by
-    construction, and the per-step callers check theirs. Returns per-sample innovation and v_qst (the callers
-    that report SoC take it from v_qst with ``_soc_column``), the final filter
-    state and the counts (current clamps, v_qst clamps, reused steps): the
-    samples whose current lies outside the resistor curve, those whose v_qst
-    lies outside [v_min, v_max], and those that reused a settled covariance
-    step. The loop only counts; once it has ended, returned or raised, this
-    function emits at most one ``OutOfRangeWarning`` per kind, the current
-    clamp first, so a run that raises still reports the clamps it made.
-    Warnings are attributed ``stacklevel`` frames up, as ``warnings.warn``
-    counts them from here. ``CellFilter`` runs the same sample body as one
-    step, ``_step_binder``.
-
-    The loop is ``_series_kernel(m)``, described in the module docstring. At
-    rest it reuses a covariance step that left P bit for bit unchanged while
-    f0 and dt repeat, which only saves work.
-    """
-    m = params.n_rc + 1
-    v, dyn, p = _state_floats(ekf, m)
-    innov_out, vqst_out = np.empty(len(voltage)), np.empty(len(voltage))
-    drops = params.resistor.eval(np.asarray(current, dtype=float))
-    columns = (memoryview(np.asarray(a, dtype=float))
-               for a in (dt, i_pred, voltage, current, drops))
-    counts = [0, 0, 0]
-    try:
-        v, dyn, p = _series_kernel(m)(
-            v, dyn, p, *_Constants.of(params, cfg), counts, *columns,
-            memoryview(innov_out), memoryview(vqst_out))
-    finally:
-        _warn_clamps(params, *counts[:2], stacklevel + 1)
-    return innov_out, vqst_out, _ekf_state(v, dyn, p), tuple(counts)
-
-
 def _soc_column(params: CellParameters, v_qst: np.ndarray) -> np.ndarray:
-    """``soc_from_vqst`` over a v_qst column of ``_filter_series``, which has
+    """``soc_from_vqst`` over a v_qst column of ``CellFilter.series``, which has
     already warned about the samples it clamps."""
     # np.clip's bits, ties of signed zeros included, without its dispatch cost.
     v_qst = np.minimum(params.v_max, np.maximum(params.v_min, v_qst))
@@ -666,11 +599,12 @@ class CellFilter:
 
     It keeps the cell's kernel constants (``_Constants``) and its state as
     v_qst, the RC voltages and P flat and row-major, which each call hands
-    as they are to a one-sample step of ``_filter_series``, with its bits
-    and errors; a call that raises changes nothing. Each step is bound on
-    first use, so a filter that only predicts binds one. The parameters and
-    config are fixed. ``ekf`` is a view: reading it builds a new
-    ``EkfState``, and assigning one stores its floats.
+    as they are to the generated kernel: ``series`` to the whole-series loop,
+    the other calls to its one-sample step, with the loop's bits and errors.
+    A call that raises changes nothing. Each step is bound on first use, so
+    a filter that only predicts binds one. The parameters and config are
+    fixed. ``ekf`` is a view: reading it builds a new ``EkfState``, and
+    assigning one stores its floats.
     """
 
     def __init__(self, params: CellParameters, cfg: EkfConfig, ekf: EkfState | None = None):
@@ -689,16 +623,59 @@ class CellFilter:
 
     @property
     def ekf(self) -> EkfState:
-        return _ekf_state(*self._state)
+        v, dyn, p = self._state
+        m = len(dyn) + 1
+        return EkfState(CellState(v, dyn), np.array(p).reshape(m, m))
 
     @ekf.setter
     def ekf(self, ekf: EkfState) -> None:
-        self._state = _state_floats(ekf, self._params.n_rc + 1)
+        m, dyn = self._params.n_rc + 1, ekf.mean.v_dyn_components.tolist()
+        if len(dyn) != m - 1:
+            raise InvalidInputError(f"state has {len(dyn)} RC components, "
+                                    f"parameters define {m - 1}")
+        if ekf.covariance.shape != (m, m):
+            raise InvalidInputError(f"covariance must be {m}x{m}, got {ekf.covariance.shape}")
+        self._state = float(ekf.mean.v_qst), dyn, ekf.covariance.ravel().tolist()
 
     @property
     def soc(self) -> float:
         """The SoC of v_qst, clamped into the window with no warning of its own."""
         return float(_soc_column(self._params, [self._state[0]])[0])
+
+    def series(self, dt, i_pred, voltage, current) -> tuple[
+            np.ndarray, np.ndarray, np.ndarray, tuple[int, int, int]]:
+        """Filter a whole series with the loop ``_series_kernel`` and return its
+        SoC, innovation and v_qst columns and its counts: the samples whose
+        current lies outside the resistor curve, those whose v_qst lies outside
+        [v_min, v_max], and those that reused a settled covariance step.
+
+        The four columns have one entry per sample. Each sample is predicted
+        over its entry of ``dt`` at its entry of ``i_pred``, then corrected
+        with its ``voltage`` measured at its ``current``. A correction-only
+        sample is a step over ``dt = 0.0``: f0 = 1, the decays are 1, Q*0 = 0
+        and the charge is zero, so it leaves the mean and P as they are, bar a
+        -0.0 that may become +0.0, except that v_qst is clamped into the
+        guarded window as before every correction. The inputs must be finite,
+        as trace columns are by construction. The loop only counts; once it
+        has returned or raised, this warns at most once per kind of clamp, the
+        current's first, naming the caller of its caller as ``service`` does,
+        so a series that raises still reports the clamps it made. The state is
+        stored only when the loop returns.
+        """
+        params = self._params
+        innov_out, vqst_out = np.empty(len(voltage)), np.empty(len(voltage))
+        drops = params.resistor.eval(np.asarray(current, dtype=float))
+        columns = (memoryview(np.asarray(a, dtype=float))
+                   for a in (dt, i_pred, voltage, current, drops))
+        counts = [0, 0, 0]
+        try:
+            state = _series_kernel(params.n_rc + 1)(
+                *self._state, *self._constants, counts, *columns,
+                memoryview(innov_out), memoryview(vqst_out))
+        finally:
+            _warn_clamps(params, *counts[:2], 4)
+        self._state = state
+        return _soc_column(params, vqst_out), innov_out, vqst_out, tuple(counts)
 
     def predict(self, current: float, dt: float) -> None:
         """Advance ``dt`` > 0 seconds at the given current in one exact step,
@@ -720,8 +697,8 @@ class CellFilter:
     def service(self, dt: float, i: float, z: float) -> float:
         """Predict over ``dt`` >= 0 seconds at the current ``i``, correct with the
         voltage ``z`` measured at ``i`` and return the innovation; the callers
-        check that the inputs are finite. Like ``_filter_series``, it warns at
-        most once per kind of clamp, the current's also when the step raises,
+        check that the inputs are finite. Like ``series``, it warns at most
+        once per kind of clamp, the current's also when the step raises,
         naming the caller of its caller: ``tick``'s and ``correct``'s name theirs."""
         dt, i, z, params = float(dt), float(i), float(z), self._params
         i_lo, i_hi, _, _, soc_lo, soc_hi = self._constants.bounds
@@ -743,18 +720,18 @@ def run_filter(
     trace: Trace,
     cfg: EkfConfig,
 ) -> FilterRun:
-    """Filter a measured trace sample by sample.
+    """Filter a measured trace sample by sample: one new ``CellFilter``'s
+    ``series``.
 
     Every sample predicts over the elapsed interval with the
     trapezoid-consistent interval current (the same convention the simulator
     uses) and then corrects; the first sample's interval is empty, so its
-    step only clamps v_qst into the guarded window. Each kind of
-    clamp warns once per call, however many samples it clamped; the counts
-    are in the returned ``FilterRun``.
+    step only clamps v_qst into the guarded window. Each kind of clamp warns
+    once per call, naming the caller, however many samples it clamped; the
+    counts are in the returned ``FilterRun``.
     """
     voltage, t, i = trace.require_voltage(), trace.timestamps, trace.current
-    innov, v_qst, final, counts = _filter_series(
-        make_filter(cfg), params, cfg, voltage, i,
-        np.diff(t, prepend=t[0]), np.concatenate((i[:1], interval_currents(i))),
-    )
-    return FilterRun(t.copy(), _soc_column(params, v_qst), innov, v_qst, final, *counts)
+    held = CellFilter(params, cfg)
+    soc, innov, v_qst, counts = held.series(
+        np.diff(t, prepend=t[0]), np.concatenate((i[:1], interval_currents(i))), voltage, i)
+    return FilterRun(t.copy(), soc, innov, v_qst, held.ekf, *counts)

@@ -8,12 +8,12 @@ slot back. All other slots are untouched, so cells are isolated by
 construction and the arithmetic is identical to N independent filters each
 stepped at period N * t_slot.
 
-Both paths run the estimator module's one generated EKF sample body.
-``tick`` is the online path, one ``CellFilter.service`` of the due slot per
-call. ``run`` uses the isolation directly: it filters each cell's whole
-schedule as one series through the batch kernel, in cell order, so its
-bits, warnings and errors are those of that kernel on each cell alone, and
-ticking the same schedule gives the same bits.
+Both paths call the slot's ``CellFilter``, which runs the estimator
+module's one generated EKF sample body. ``tick`` is the online path, one
+``service`` of the due slot per call. ``run`` uses the isolation directly:
+it filters each cell's whole schedule as one ``series``, in cell order, so
+its bits, warnings and errors are those of that loop on each cell alone,
+and ticking the same schedule gives the same bits.
 """
 
 from __future__ import annotations
@@ -32,14 +32,7 @@ from .errors import (
     SchedulingViolationError,
     SchedulingWarning,
 )
-from .estimator import (
-    CellFilter,
-    EkfConfig,
-    EkfState,
-    _filter_series,
-    _soc_column,
-    make_filter,
-)
+from .estimator import CellFilter, EkfConfig, EkfState, make_filter
 from .model import _MAX_SAMPLES, CellParameters, _check_finite
 
 
@@ -179,13 +172,12 @@ class MultiCellEkf:
     def tick(self, now: float, measurement: Measurement) -> TickResult:
         """Service the due cell: predict over its elapsed time, correct, store.
 
-        The service is the slot's ``CellFilter.service``, one sample of
-        ``_filter_series``, so ticking a schedule gives ``run``'s bits. Its
-        clamp warnings name the caller, and a tick that raises leaves the
-        engine unchanged.
-        Out-of-order measurements are refused, and so are non-finite inputs,
-        before the slot changes. A measurement older than two revolutions is
-        accepted with a degraded-update warning.
+        The service is the slot's ``CellFilter.service``, one sample of its
+        ``series``, so ticking a schedule gives ``run``'s bits. Its clamp
+        warnings name the caller, and a tick that raises leaves the engine
+        unchanged. Non-finite inputs are refused, and then out-of-order
+        measurements, before the slot changes. A measurement older than two
+        revolutions is accepted with a degraded-update warning.
         """
         expected = self.due_cell
         if measurement.cell_id != expected:
@@ -194,15 +186,15 @@ class MultiCellEkf:
             )
         slot = self.slots[expected]
         dt = now - slot.last_serviced_t
-        if dt <= 0.0:
-            raise SchedulingViolationError(
-                f"service time {now} does not advance past {slot.last_serviced_t}"
-            )
         i, z = measurement.current, measurement.voltage
         # Comparisons cost less than the call; _check_finite names the bad input.
         if not (-math.inf < i < math.inf and -math.inf < dt < math.inf
                 and -math.inf < z < math.inf):
             _check_finite(current=i, dt=dt, measured_v=z)
+        if dt <= 0.0:
+            raise SchedulingViolationError(
+                f"service time {now} does not advance past {slot.last_serviced_t}"
+            )
         if dt > self._stale_age:
             warnings.warn(
                 f"cell {expected!r} serviced after {dt:.6g} s (> 2 revolutions); "
@@ -223,15 +215,17 @@ class MultiCellEkf:
         ``CellSeries.sample_index`` says which sample every service held.
 
         Slots are isolated, so each cell's services are filtered as one
-        series by the batch kernel ``_filter_series``, cell by cell in ring
+        series by its slot's ``CellFilter.series``, cell by cell in ring
         order; its warnings, at most one per kind of clamp and cell, are
         attributed to the caller, and each ``CellSeries`` carries its cell's
         counts. The engine ends in the state that ticking the same schedule
         would leave: slots, service times and ring position. A run that
-        raises leaves the engine unchanged. One ``SchedulingWarning`` counts
-        the services whose held sample is older than two revolutions, and
-        one names the cells whose trace runs more than a revolution past the
-        horizon.
+        raises leaves the engine unchanged. The traces, the ring and every
+        cell's service times are checked before any cell is filtered, and a
+        run refused by those checks warns of nothing. One ``SchedulingWarning``
+        counts the services whose held sample is older than two revolutions,
+        and one names the cells whose trace runs more than a revolution past
+        the horizon.
         """
         cells = self.config.cells
         n = len(cells)
@@ -241,6 +235,33 @@ class MultiCellEkf:
                 raise InvalidInputError(f"no trace provided for cell {cell_id!r}")
             traces[cell_id].require_voltage()
         horizon = min(float(traces[c].timestamps[-1]) for c in cells)
+        services = _service_count(self.start_time, t_slot, horizon)
+        if services and self._ring != 0:
+            raise SchedulingViolationError(
+                f"measurement for {cells[0]!r} but {self.due_cell!r} is due"
+            )
+        picks, stale = [], 0
+        for j, cell_id in enumerate(cells):
+            slot, t = self.slots[cell_id], traces[cell_id].timestamps
+            # Service k (of all cells) happens at start + (k + 1) * t_slot.
+            now = self.start_time + (np.arange(j, services, n) + 1) * t_slot
+            # Slight forward nudge so a sample nominally at `now` is picked up
+            # despite last-ulp differences in how the two times were computed.
+            idx = np.searchsorted(t, now + 1e-9 * t_slot, side="right") - 1
+            if idx.size and idx[0] < 0:
+                raise InvalidInputError(
+                    f"trace for {cell_id!r} starts after its first service instant {float(now[0])}"
+                )
+            prev = np.concatenate(([slot.last_serviced_t], now[:-1]))
+            dt = now - prev
+            stuck = np.flatnonzero(dt <= 0.0)
+            if stuck.size:
+                k = stuck[0]
+                raise SchedulingViolationError(
+                    f"service time {float(now[k])} does not advance past {float(prev[k])}"
+                )
+            picks.append((slot, now, idx, dt))
+            stale += int(np.count_nonzero(now - t[idx] > self._stale_age))
         revolution = n * t_slot
         overrun = [c for c in cells
                    if traces[c].timestamps[-1] > horizon + revolution * (1.0 + 1e-9)]
@@ -251,24 +272,6 @@ class MultiCellEkf:
                 SchedulingWarning,
                 stacklevel=2,
             )
-        services = _service_count(self.start_time, t_slot, horizon)
-        if services and self._ring != 0:
-            raise SchedulingViolationError(
-                f"measurement for {cells[0]!r} but {self.due_cell!r} is due"
-            )
-        picks, stale = [], 0
-        for j, cell_id in enumerate(cells):
-            # Service k (of all cells) happens at start + (k + 1) * t_slot.
-            now = self.start_time + (np.arange(j, services, n) + 1) * t_slot
-            # Slight forward nudge so a sample nominally at `now` is picked up
-            # despite last-ulp differences in how the two times were computed.
-            idx = np.searchsorted(traces[cell_id].timestamps, now + 1e-9 * t_slot, side="right") - 1
-            if idx.size and idx[0] < 0:
-                raise InvalidInputError(
-                    f"trace for {cell_id!r} starts after its first service instant {float(now[0])}"
-                )
-            picks.append((cell_id, now, idx))
-            stale += int(np.count_nonzero(now - traces[cell_id].timestamps[idx] > self._stale_age))
         if stale:
             warnings.warn(
                 f"{stale} services used a held sample older than two revolutions "
@@ -277,29 +280,19 @@ class MultiCellEkf:
                 stacklevel=2,
             )
 
-        filtered = []
-        for cell_id, now, idx in picks:
-            slot = self.slots[cell_id]
-            prev = np.concatenate(([slot.last_serviced_t], now[:-1]))
-            dt = now - prev
-            stuck = np.flatnonzero(dt <= 0.0)
-            if stuck.size:
-                k = stuck[0]
-                raise SchedulingViolationError(
-                    f"service time {float(now[k])} does not advance past {float(prev[k])}"
-                )
-            trace = traces[cell_id]
-            current = trace.current[idx]  # held through the revolution
-            filtered.append(_filter_series(slot.ekf, slot.params_ref, slot.ekf_config,
-                                           trace.voltage[idx], current, dt, current,
-                                           stacklevel=3))
-
-        series = {}
-        for (cell_id, now, idx), (innovations, v_qst, final, counts) in zip(picks, filtered):
-            slot = self.slots[cell_id]
-            soc = _soc_column(slot.params_ref, v_qst)
-            series[cell_id] = CellSeries(now, soc, idx, innovations, *counts)
-            slot.ekf = final
+        series, saved = {}, []
+        try:
+            for slot, now, idx, dt in picks:
+                trace = traces[slot.cell_id]
+                current = trace.current[idx]  # held through the revolution
+                saved.append((slot, slot._state))  # the floats, to restore on a refusal
+                soc, innovations, _, counts = slot.series(dt, current, trace.voltage[idx], current)
+                series[slot.cell_id] = CellSeries(now, soc, idx, innovations, *counts)
+        except BaseException:
+            for slot, state in saved:
+                slot._state = state
+            raise
+        for slot, now, _, _ in picks:
             if now.size:
                 slot.last_serviced_t = float(now[-1])
         self._ring = (self._ring + services) % n

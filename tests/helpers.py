@@ -12,6 +12,7 @@ from operator import getitem, mul
 import numpy as np
 
 from cellsoc import (
+    CellFilter,
     CellParameters,
     CellState,
     ConfigurationError,
@@ -30,7 +31,7 @@ from cellsoc import (
     simulate,
 )
 from cellsoc.estimator import (
-    PSD_TOLERANCE, _decay_product_lines, _entries, _indent, _namespace, _predict_lines, _tuple,
+    PSD_TOLERANCE, _compiled, _decay_product_lines, _entries, _indent, _predict_lines, _tuple,
     _update_lines)
 from cellsoc.model import (
     DEFAULT_VQST_GUARD, _check_finite, _current_clamp_message, _soc_clamp_message, charge_map,
@@ -372,7 +373,7 @@ def list_correct(p, r):
 
 @functools.cache
 def covariance_steps(m: int):
-    """The covariance step of ``estimator._filter_series`` on its own, for size m,
+    """The covariance step of ``CellFilter.series``' loop on its own, for size m,
     compiled from the lines the kernel inlines (``_predict_lines`` and
     ``_update_lines``), so one step of the kernel can be held to its list form;
     the predict first forms the decay products of ``_decay_product_lines``, as
@@ -399,13 +400,21 @@ def covariance_steps(m: int):
         "def correct_covariance(p, t, r):",
         *_indent([f"{flat} = p", f"{t} = t", *_update_lines(m), f"return {mirrored}, {k}"], 1),
     ]) + "\n"
-    namespace = _namespace()
-    exec(compile(source, f"<covariance step, m={m}>", "exec"), namespace)
+    namespace = _compiled(source, f"<covariance step, m={m}>")
     return namespace["predict_covariance"], namespace["correct_covariance"]
 
 
+def held_series(ekf, params, cfg, voltage, current, dt, i_pred):
+    """``CellFilter.series`` on a filter that holds ``ekf``, in the argument order
+    and result of ``list_filter_series``: (innovations, v_qst, final state,
+    counts). Its warnings name the caller, as the method's name its caller's."""
+    held = CellFilter(params, cfg, ekf)
+    _, innovations, v_qst, counts = held.series(dt, i_pred, voltage, current)
+    return innovations, v_qst, held.ekf, counts
+
+
 def list_filter_series(ekf, params, cfg, voltage, current, dt, i_pred):
-    """estimator._filter_series in list form, the reference for its generated loop.
+    """``CellFilter.series`` in list form, the reference for its generated loop.
 
     Every sample is predicted through ``charge_map``, ``math.exp`` decays and
     ``list_predict``, after a check that Q*dt has a finite diagonal, also over

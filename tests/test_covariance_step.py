@@ -1,7 +1,7 @@
 """The generated covariance step against its list form, bit for bit.
 
 ``helpers.covariance_steps(m)`` compiles the covariance predict and
-correction that ``_filter_series`` inlines as straight-line code. They must
+correction that ``CellFilter.series`` inlines as straight-line code. They must
 return exactly what the list form in ``helpers`` returns, and raise the same
 error with the same message where a check fails. Bits are compared through
 ``.view(np.int64)``, so a zero's sign and a NaN count.
@@ -17,10 +17,10 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from cellsoc import (  # noqa: E402
     EkfConfig, EkfState, InvalidInputError, NumericalFailureError, correct, predict)
-from cellsoc.estimator import _filter_series, make_filter  # noqa: E402
+from cellsoc.estimator import make_filter  # noqa: E402
 from helpers import (  # noqa: E402
-    OPENBLAS_ACCEPTED, _is_psd, covariance_steps, left_to_right, list_correct, list_predict,
-    make_cell, near_boundary_draws)
+    OPENBLAS_ACCEPTED, _is_psd, covariance_steps, held_series, left_to_right, list_correct,
+    list_predict, make_cell, near_boundary_draws)
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -172,16 +172,16 @@ def test_covariance_of_another_size_is_refused():
     start = make_filter(cfg)
     ekf = EkfState(start.mean, start.covariance[:2, :2])
     with pytest.raises(InvalidInputError, match="covariance must be 3x3"):
-        _filter_series(ekf, cell, cfg, np.array([3.3]), np.array([0.0]), np.array([0.0]),
-                       np.array([0.0]))
+        held_series(ekf, cell, cfg, np.array([3.3]), np.array([0.0]), np.array([0.0]),
+                    np.array([0.0]))
 
 
 def refusals(ekf, cell, cfg):
-    """What predict, correct and a two-sample _filter_series make of ``ekf``."""
+    """What predict, correct and a two-sample ``CellFilter.series`` make of ``ekf``."""
     return [outcome_or_refusal(fn) for fn in (
         lambda: predict(ekf, cell, -1.0, 1.0, cfg),
         lambda: correct(ekf, cell, 3.3, -1.0, cfg),
-        lambda: _filter_series(ekf, cell, cfg, np.array([3.3, 3.3]), np.array([-1.0, -1.0]),
+        lambda: held_series(ekf, cell, cfg, np.array([3.3, 3.3]), np.array([-1.0, -1.0]),
                                np.array([0.0, 1.0]), np.array([-1.0, -1.0]))[2])]
 
 

@@ -6,7 +6,7 @@ revolutions late, with readings inside the window, past the resistor curve,
 at 1.7e308 V or not finite; of the wrong cell; at a time that does not
 advance), slot reads and assignments, and ``run``s. A model keeps, per cell,
 the state last assigned and the services accepted since, and replays them
-through the batch kernel ``_filter_series``. After every rule the slots'
+through ``CellFilter.series``, the batch kernel. After every rule the slots'
 floats, the ring and the service times are the model's bit for bit, and each
 rule's result, error and warnings (with the file they name) are those the
 model predicts.
@@ -44,10 +44,10 @@ from cellsoc import (  # noqa: E402
     simulate,
     vqst_from_soc,
 )
-from cellsoc.estimator import _filter_series, _soc_column  # noqa: E402
+from cellsoc.estimator import _soc_column  # noqa: E402
 from cellsoc.model import _current_clamp_message, _soc_clamp_message  # noqa: E402
 from cellsoc.multicell import _service_count  # noqa: E402
-from helpers import random_cell  # noqa: E402
+from helpers import held_series, random_cell  # noqa: E402
 from test_multicell import ticked_packs  # noqa: E402
 
 CURRENTS = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([-80.0, 80.0]))
@@ -115,11 +115,11 @@ class EngineMachine(RuleBasedStateMachine):
     # -- the model ---------------------------------------------------------
 
     def replay(self, cid, base, rows):
-        """``_filter_series`` over the services ``rows`` from ``base``: (innovations,
+        """``CellFilter.series`` over the services ``rows`` from ``base``: (innovations,
         v_qst, final state, counts) or its error, and its warnings."""
         cell, cfg = self.setups[cid]
         dt, current, voltage = np.array(rows, dtype=float).reshape(-1, 3).T
-        return attempt(lambda: _filter_series(base, cell, cfg, voltage, current, dt, current))
+        return attempt(lambda: held_series(base, cell, cfg, voltage, current, dt, current))
 
     def state(self, cid):
         """The cell's last assigned state, advanced over the services accepted since."""
@@ -135,12 +135,12 @@ class EngineMachine(RuleBasedStateMachine):
             return None, (SchedulingViolationError,
                           f"measurement for {cid!r} but {due!r} is due"), []
         dt = now - self.last[due]
-        if dt <= 0.0:
-            return None, (SchedulingViolationError,
-                          f"service time {now} does not advance past {self.last[due]}"), []
         for name, value in (("current", i), ("dt", dt), ("measured_v", z)):
             if not math.isfinite(value):
                 return None, (InvalidInputError, f"{name} must be finite, got {value}"), []
+        if dt <= 0.0:
+            return None, (SchedulingViolationError,
+                          f"service time {now} does not advance past {self.last[due]}"), []
         caught = []
         if dt > self.stale_age:
             caught.append((SchedulingWarning, f"cell {due!r} serviced after {dt:.6g} s "
@@ -175,7 +175,14 @@ class EngineMachine(RuleBasedStateMachine):
             now = self.start + (np.arange(j, services, n) + 1) * t_slot
             t = traces[cid].timestamps
             idx = np.searchsorted(t, now + 1e-9 * t_slot, side="right") - 1
-            picks.append((cid, now, idx))
+            # Every cell's service times are checked before any cell is filtered.
+            prev = np.concatenate(([self.last[cid]], now[:-1]))
+            stuck = np.flatnonzero(now - prev <= 0.0)
+            if stuck.size:
+                k = stuck[0]
+                return None, (SchedulingViolationError, f"service time {float(now[k])} does not "
+                              f"advance past {float(prev[k])}"), []
+            picks.append((cid, now, idx, prev))
             stale += int(np.count_nonzero(now - t[idx] > self.stale_age))
         caught = []
         if stale:
@@ -183,13 +190,7 @@ class EngineMachine(RuleBasedStateMachine):
                            f"two revolutions ({2.0 * self.revolution:.6g} s); update quality "
                            "degraded", __file__))
         results, accepted = {}, {}
-        for cid, now, idx in picks:
-            prev = np.concatenate(([self.last[cid]], now[:-1]))
-            stuck = np.flatnonzero(now - prev <= 0.0)
-            if stuck.size:
-                k = stuck[0]
-                return None, (SchedulingViolationError, f"service time {float(now[k])} does not "
-                              f"advance past {float(prev[k])}"), caught
+        for cid, now, idx, prev in picks:
             trace = traces[cid]
             rows = list(zip((now - prev).tolist(), trace.current[idx].tolist(),
                             trace.voltage[idx].tolist()))
@@ -202,7 +203,7 @@ class EngineMachine(RuleBasedStateMachine):
             results[cid] = (bits(now), bits(_soc_column(self.cells[cid], v_qst)), bits(idx),
                             bits(innovations), counts)
             accepted[cid] = rows
-        for cid, now, _ in picks:
+        for cid, now, _, _ in picks:
             self.services[cid] += accepted[cid]
             if now.size:
                 self.last[cid] = float(now[-1])

@@ -34,6 +34,7 @@ from helpers import (
     OPENBLAS_ACCEPTED,
     _is_psd,
     assert_run_filter_matches_step_chain,
+    held_series,
     make_cell,
     make_resistor,
     near_boundary_draws,
@@ -252,7 +253,7 @@ class TestPsdCheck:
         """One PSD rule: EkfConfig refuses P0 exactly where _is_psd does, and so
         does correct. With r = 1e300 a correction leaves P as it is, so on a
         two-sample trace the numpy oracle's chain (correct, predict, correct)
-        raises exactly where run_filter and _filter_series do."""
+        raises exactly where run_filter and ``CellFilter.series`` do."""
         taus = ((0.012, 60.0), (0.02, 700.0), (0.01, 2000.0))
         cells = {n: make_cell(rc=taus[:n - 1]) for n in (2, 3, 4)}
         trace = Trace(np.array([0.0, 1.0]), np.zeros(2), np.array([3.3, 3.3]))
@@ -279,7 +280,7 @@ class TestPsdCheck:
 
             fails = raises_numerical_failure(per_step)
             refused += fails
-            assert raises_numerical_failure(lambda: estimator._filter_series(
+            assert raises_numerical_failure(lambda: held_series(
                 ekf, cell, cfg, trace.voltage, trace.current, np.array([0.0, 1.0]),
                 np.zeros(2))) == fails
             if own is not None:
@@ -394,8 +395,8 @@ class TestFilterRuns:
             run = run_filter(cell, trace, EkfConfig.default(cell))
         assert (run.current_clamps, run.soc_clamps) == (50, 50)
         assert [(w.category, str(w.message), w.filename) for w in caught] == [
-            (OutOfRangeWarning, _current_clamp_message(cell.resistor), estimator.__file__),
-            (OutOfRangeWarning, _soc_clamp_message(cell), estimator.__file__)]
+            (OutOfRangeWarning, _current_clamp_message(cell.resistor), __file__),
+            (OutOfRangeWarning, _soc_clamp_message(cell), __file__)]
 
     def test_a_run_that_raises_still_warns_of_its_clamps(self):
         """The first sample, a zero-length step, clamps its current (80 A) and its

@@ -189,6 +189,7 @@ class TestTick:
         ("voltage", np.inf, "measured_v must be finite"),
         ("now", np.nan, "dt must be finite"),
         ("now", np.inf, "dt must be finite"),
+        ("now", -np.inf, "dt must be finite, got -inf"),
     ])
     def test_non_finite_inputs_leave_the_engine_unchanged(self, field, value, message):
         engine = ticked_pair()
@@ -709,6 +710,22 @@ class TestRefusals:
         before = snapshot(engine)
         with pytest.raises(SchedulingViolationError, match="measurement for 'a' but 'b' is due"):
             engine.run(self.pair_traces())
+        assert snapshot(engine) == before
+
+    def test_a_run_that_fails_on_its_last_cell_leaves_the_engine_unchanged(self):
+        """Cell b reads 1.7e308 V from its tenth sample on, so its series raises
+        after cell a's was filtered; a's state is restored with the rest."""
+        cell = make_cell()
+        sched = SchedulerConfig(t_slot=0.25, cells=("a", "b"), f_max=1.0)
+        engine = MultiCellEkf(sched, {cid: (cell, EkfConfig.default(cell, initial_soc=0.7))
+                                      for cid in sched.cells})
+        traces = self.pair_traces()
+        glitched = traces["b"].voltage.copy()
+        glitched[10:] = 1.7e308
+        traces["b"] = Trace(traces["b"].timestamps, traces["b"].current, glitched)
+        before = snapshot(engine)
+        with pytest.raises(InvalidInputError, match="cell state must be finite"):
+            engine.run(traces)
         assert snapshot(engine) == before
 
     def test_run_refuses_service_instants_that_stop_advancing(self):

@@ -1,7 +1,7 @@
 """Pack-shaped series through the batch kernel.
 
 ``MultiCellEkf.run`` hands each cell's services, one per revolution, to
-``_filter_series``. These draws give it what a pack holds: uneven service
+its slot's ``CellFilter.series``. These draws give it what a pack holds: uneven service
 counts, long gaps, out-of-curve currents and states driven past the window.
 Bits are compared through ``.view(np.int64)``.
 """
@@ -24,8 +24,7 @@ from cellsoc import (  # noqa: E402
     NumericalFailureError,
     RcGroup,
 )
-from cellsoc.estimator import _filter_series  # noqa: E402
-from helpers import _is_psd, make_resistor  # noqa: E402
+from helpers import _is_psd, held_series, make_resistor  # noqa: E402
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
 
@@ -45,7 +44,7 @@ def outcome(fn):
 
 
 def one_by_one(cells):
-    return [_filter_series(ekf, prm, cfg, v, i, dt, i) for ekf, prm, cfg, v, i, dt in cells]
+    return [held_series(ekf, prm, cfg, v, i, dt, i) for ekf, prm, cfg, v, i, dt in cells]
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""The generated sample loop of ``_filter_series`` against its list form, bit for bit.
+"""The generated sample loop of ``CellFilter.series`` against its list form, bit for bit.
 
 ``estimator._series_kernel(m)`` is the whole loop as straight-line code, with
 the charge map of ``model._charge_map_lines`` inlined and a covariance step
@@ -51,6 +51,7 @@ from cellsoc.model import (  # noqa: E402
 )
 from helpers import (  # noqa: E402
     assert_run_filter_matches_step_chain,
+    held_series,
     list_filter_series,
     make_cell,
     step_chain,
@@ -77,7 +78,7 @@ def outcome(fn):
 
 
 def series_case(seed, n_rc, phases, q_rate, r, p0_kind, first_is_correction):
-    """(ekf, params, cfg, voltage, current, dt, i_pred) for ``_filter_series``.
+    """(ekf, params, cfg, voltage, current, dt, i_pred) for ``helpers.held_series``.
 
     ``phases`` holds (kind, samples, dt): a drive of random currents, some past
     the resistor grid (±50 A); a rest at 0 A; or a charge of 60 A that drives
@@ -123,10 +124,10 @@ def series_case(seed, n_rc, phases, q_rate, r, p0_kind, first_is_correction):
 
 
 def reuse_count(case):
-    """_filter_series(*case) against list_filter_series(*case), bit for bit, with
+    """held_series(*case) against list_filter_series(*case), bit for bit, with
     the same clamp counts, error and warnings; returns how many samples reused
     the step."""
-    got, got_error, got_warnings = outcome(lambda: estimator._filter_series(*case))
+    got, got_error, got_warnings = outcome(lambda: held_series(*case))
     want, want_error, want_warnings = outcome(lambda: list_filter_series(*case))
     assert got_error == want_error
     assert [w[:2] for w in got_warnings] == [w[:2] for w in want_warnings]
@@ -223,7 +224,7 @@ def test_failing_checks_raise_as_the_list_form(seed, n_rc, kind, first):
     form's ``isfinite``, ``min`` and ``<=`` checks do, with the same message."""
     case, error = failing_case(seed, n_rc, kind, first)
     reuse_count(case)
-    assert outcome(lambda: estimator._filter_series(*case))[1] == error
+    assert outcome(lambda: held_series(*case))[1] == error
 
 
 def call_name(call: ast.Call) -> str:
@@ -403,7 +404,7 @@ def test_a_held_filter_is_the_free_functions_and_the_loop_bit_for_bit(case):
     """A held ``CellFilter`` runs any interleaving of predict, correct and
     service. Each call gives the state, innovation, error and warnings (with
     the file they name) of the free ``predict`` or ``correct`` on the same
-    state, and the state, innovation and error of ``_filter_series`` on that
+    state, and the state, innovation and error of ``CellFilter.series`` on that
     one sample (with r infinite for a predict, over 0 s for a correct), and
     for a correct or a service its warnings. A call that raises changes
     nothing."""
@@ -417,13 +418,13 @@ def test_a_held_filter_is_the_free_functions_and_the_loop_bit_for_bit(case):
             if h > 0.0:  # the loop, with the measurement switched off
                 off = SimpleNamespace(process_noise_q=cfg.process_noise_q,
                                       measurement_noise_r=math.inf)
-                run, run_error, _ = outcome(lambda: estimator._filter_series(
+                run, run_error, _ = outcome(lambda: held_series(
                     ekf, cell, off, np.array([z]), np.array([u]), np.array([h]), np.array([u])))
                 assert run_error == error
                 assert run is None or state_bits(run[2]) == state_bits(want)
         else:
             dt = h if kind == "service" else 0.0  # a correct is a service over 0 s
-            run, want_error, want_caught = outcome(lambda: estimator._filter_series(
+            run, want_error, want_caught = outcome(lambda: held_series(
                 ekf, cell, cfg, np.array([z]), np.array([i]), np.array([dt]), np.array([i])))
             if want_error is not None and want_error[1].startswith(BEFORE_MEASUREMENT):
                 # The loop raised before it counted the current; the filter
@@ -481,9 +482,10 @@ def test_loop_and_step_hold_to_the_numpy_oracle_at_every_state_size(m):
 
 
 def test_warnings_name_the_caller_of_filter_series():
-    """The loop only counts; ``_filter_series`` warns, naming its caller."""
+    """The loop only counts; ``CellFilter.series`` warns, naming the caller of
+    its caller (``helpers.held_series``)."""
     case = series_case(5, 2, [("charge", 40, 2.0)], 1e-6, 1e-4, "default", True)
-    _, error, caught = outcome(lambda: estimator._filter_series(*case))
+    _, error, caught = outcome(lambda: held_series(*case))
     assert error is None and caught
     assert {filename for *_, filename in caught} == {__file__}
 
@@ -553,5 +555,5 @@ def test_state_of_another_size_is_refused():
     cfg = EkfConfig.default(cell)
     ekf = EkfState(CellState.rest(vqst_from_soc(cell, 0.5), 1), cfg.initial_covariance_p0)
     with pytest.raises(InvalidInputError, match="state has 1 RC components"):
-        estimator._filter_series(ekf, cell, cfg, np.array([3.3]), np.array([0.0]),
+        held_series(ekf, cell, cfg, np.array([3.3]), np.array([0.0]),
                                  np.array([0.0]), np.array([0.0]))
