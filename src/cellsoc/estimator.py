@@ -6,28 +6,30 @@ measurement through the Joseph-form update.
 
 One generated sample body runs every EKF step, on plain floats. F is
 diagonal and H is a row of ones, so with t = P*1 and s = 1'P1 + r the Joseph
-update is the rank-1 form P - K t' - t K' + s K K'. The whole sample loop of
-the batch kernel is straight-line code generated once per state size by
-``_series_kernel``, with the state and the m(m+1)/2 entries of P's upper
-triangle as locals: P is symmetric, and a covariance that is not is
-refused. It inlines the charge map (``model._charge_map_lines``) and the
-covariance step (``_predict_lines`` and ``_update_lines``). Each sample is
-one predict and one correction; a correction-only sample is a step over
-dt = 0, which only clamps v_qst into the guarded window. Every sum adds its
-terms left to right from the first, whatever the builtin ``sum`` does. The
-decay products are formed only when dt changes, and each check is a
-comparison rather than a call. At rest the kernel reuses a covariance step
-that settled on a bitwise fixed point (see ``_sample_lines``). The loop's
-body is written by one emitter, ``_sample_lines``, which also writes it as
-a one-sample step with no loop and no reuse (``_step_binder``).
+update is the rank-1 form P - K t' - t K' + s K K'. One emitter,
+``_sample_lines``, writes that body twice into one source per state size
+(``_source``): as the sample loop of the batch kernel, straight-line code
+with the state and the m(m+1)/2 entries of P's upper triangle as locals (P
+is symmetric, and a covariance that is not is refused), and as a one-sample
+step with no loop and no reuse. Both inline the charge map
+(``model._charge_map_lines``) and the covariance step (``_predict_lines``
+and ``_update_lines``). Each sample is one predict and one correction; a
+correction-only sample is a step over dt = 0, which only clamps v_qst into
+the guarded window, and the step given no voltage predicts only. Every sum
+adds its terms left to right from the first, whatever the builtin ``sum``
+does. The decay products are formed only when dt changes, and each check is
+a comparison rather than a call. At rest the loop reuses a covariance step
+that settled on a bitwise fixed point (see ``_sample_lines``).
 
-``CellFilter`` is one cell's filter on Python floats, and the only caller
-of both: ``series`` runs the loop over a whole series, and ``predict``,
-``correct`` and ``service`` run the step. ``run_filter`` is one filter's
-``series`` over one trace. Each ``MultiCellEkf`` slot is one filter:
-``run`` calls its ``series`` and ``tick`` its ``service``. The free
-``predict`` and ``correct`` wrap its methods as pure functions from filter
-state to filter state.
+The source defines one ``bind``, compiled once per state size by
+``_binder``, which unpacks one cell's constants and returns the loop and the
+step as closures over them. ``CellFilter`` is one cell's filter on Python
+floats and calls ``bind`` once, when it is made: ``series`` runs the loop
+over a whole series, and ``predict``, ``correct`` and ``service`` run the
+step. ``run_filter`` is one filter's ``series`` over one trace. Each
+``MultiCellEkf`` slot is one filter: ``run`` calls its ``series`` and
+``tick`` its ``service``. The free ``predict`` and ``correct`` wrap its
+methods as pure functions from filter state to filter state.
 
 One rule decides whether a covariance is PSD: P + PSD_TOLERANCE * I has a
 Cholesky factor, by the proof that ``_proof_lines`` writes. ``EkfConfig`` and
@@ -120,7 +122,6 @@ class EkfConfig:
             raise InvalidParametersError(
                 f"noise matrices must be {n}x{n} for a state with {n - 1} RC components"
             )
-        # An infinite r is the kernel's no-correction switch, so it is refused here.
         r = self.measurement_noise_r
         if not (math.isfinite(r) and r > 0.0):
             raise InvalidParametersError(f"measurement noise variance must be finite and > 0, "
@@ -307,7 +308,6 @@ def _compiled(source: str, filename: str) -> dict:
         "__name__": __name__,
         "inf": math.inf,
         "nan": math.nan,
-        "isinf": math.isinf,
         "sqrt": math.sqrt,
         "exp": math.exp,
         "np": np,
@@ -346,7 +346,7 @@ def _state_lines(m: int) -> list[str]:
 
 def _constant_lines(m: int) -> list[str]:
     """Unpacking of the ``_Constants`` arguments into the locals the sample
-    body reads, the ends of the capacitance tables and ``update``."""
+    body reads, and the ends of the capacitance tables."""
     return [
         f"{_tuple(_entries(m, 'qr'))} = q_rate",
         f"{_tuple([f'tau{j}' for j in range(m - 1)])} = taus",
@@ -354,8 +354,13 @@ def _constant_lines(m: int) -> list[str]:
         "cg, cc, ck = tables",
         *_charge_map_lines()[0],
         "i_lo, i_hi, v_lo, v_hi, soc_lo, soc_hi = bounds",
-        "update = not isinf(r)",
     ]
+
+
+def _state_display(m: int) -> str:
+    """The state as the generated functions return it: v, the RC states and
+    P's m*m entries row-major, each (b, a) read as (a, b)."""
+    return f"v, {_tuple([f'y{j}' for j in range(m - 1)])}, {_tuple(_entries(m, upper=True))}"
 
 
 def _decay_lines(m: int) -> list[str]:
@@ -377,11 +382,12 @@ def _sample_lines(m: int, loop: bool) -> list[str]:
     the guarded window, the decays and Q*h when h changes (``_decay_lines``),
     the RC states, the covariance predict, the innovation and the correction.
 
-    ``loop`` writes it for ``_series_source``: it counts the clamped current
+    ``loop`` writes it for ``filter_series``: it counts the clamped current
     and v_qst, records the innovation and v_qst of sample n and reuses a
-    settled covariance step. Else it is ``_step_source``'s body, which does
-    none of these; and as its decays outlive the call, a Q*h check that
-    fails resets h_prev, so the next call forms them again.
+    settled covariance step. Else it is ``filter_step``'s body, which does
+    none of these and returns after the predict when z is None; and as its
+    decays outlive the call, a Q*h check that fails resets h_prev, so the
+    next call forms them again.
     """
     idx = range(m)
     ys = [f"y{j}" for j in range(m - 1)]
@@ -410,8 +416,8 @@ def _sample_lines(m: int, loop: bool) -> list[str]:
         '    raise InvalidInputError("cell state must be finite")',
     ]
     if not loop:
-        return [*head, *_predict_lines(m), innovation,
-                "if update:", *_indent([*_update_lines(m), *gain], 1)]
+        return [*head, *_predict_lines(m), "if z is None:", f"    return {_state_display(m)}, nan",
+                innovation, *_update_lines(m), *gain]
     # The covariance step reads only P, f0, h (through the decays and Q*h) and
     # r. At rest f0 and h repeat and P settles on a fixed point, so the step
     # would reproduce the P and gain it holds; they passed every check when
@@ -430,14 +436,13 @@ def _sample_lines(m: int, loop: bool) -> list[str]:
         "if i < i_lo or i > i_hi:",
         "    n_cur += 1",
         innovation,
-        "if update:",
-        "    if not reuse:",
-        *_indent(_update_lines(m), 2),
-        f"        if {settled} and {bits}:",
-        "            f_steady, h_steady = f0, h",
-        "        else:",
-        "            f_steady = nan",
-        *_indent(gain, 1),
+        "if not reuse:",
+        *_indent(_update_lines(m), 1),
+        f"    if {settled} and {bits}:",
+        "        f_steady, h_steady = f0, h",
+        "    else:",
+        "        f_steady = nan",
+        *gain,
         "if v < soc_lo or v > soc_hi:",
         "    n_soc += 1",
         "innov_out[n] = innovation",
@@ -445,112 +450,85 @@ def _sample_lines(m: int, loop: bool) -> list[str]:
     ]
 
 
-def _series_source(m: int) -> str:
-    """Source of ``_series_kernel(m)``: ``CellFilter.series``' sample loop for size m.
+def _source(m: int) -> str:
+    """Source of ``bind(q_rate, taus, r_dyn, r, tables, bounds) ->
+    (filter_series, filter_step)`` for a state of size m: it unpacks one
+    cell's ``_Constants`` once (``bounds`` is (i_lo, i_hi, v_lo, v_hi, soc_lo,
+    soc_hi), ``tables`` the capacitance's ``_tables``) and returns the sample
+    loop of ``CellFilter.series`` and the one-sample step of its other
+    methods as closures over them. Neither warns; both return the state as
+    (v, dyn, p), dyn and p as tuples, P flat and row-major.
 
-    The state is the float v and the RC states y0..; P is the m(m+1)/2 locals
-    p_a_b, a <= b, which live across samples; a cell has an RC group, so m >= 2. The RC group
-    j decays by f{j+1} = exp(-h / tau_j) and fills by fill{j} = 1 - f{j+1};
+    ``filter_series(v, dyn, p, counts, dt, i_pred, voltage, current, drops,
+    innov_out, vqst_out)`` filters the columns, writes each sample's
+    innovation and v_qst into the outputs and stores in the list ``counts``,
+    when it returns or raises, the samples whose current lies outside [i_lo,
+    i_hi], those whose v_qst lies outside [soc_lo, soc_hi] and those that
+    reused a settled covariance step. ``filter_step(v, dyn, p, h, u, z,
+    drop)`` is one sample of the loop, with its bits and errors, and also
+    returns the innovation: a predict over h seconds at the current u, then
+    a correction with the voltage z read at a current whose resistor drop is
+    ``drop``. Given z None it only predicts and returns a NaN innovation. It
+    counts nothing: ``CellFilter.service`` forms the clamp counts, the
+    current's from its input and v_qst's from the v it returns.
+
+    The state is the float v and the RC states y0..; P is the m(m+1)/2
+    locals p_a_b, a <= b; a cell has an RC group, so m >= 2. The RC group j
+    decays by f{j+1} = exp(-h / tau_j) and fills by fill{j} = 1 - f{j+1};
     these, their products ff_a_b and Q*h (q_a_b, from the rate entries
-    qr_a_b) are recomputed only when h changes, when a diagonal entry of Q*h
-    that is not finite raises. f0 is the charge-map slope.
-    The body is ``_sample_lines``: the covariance step is ``_predict_lines``
-    and ``_update_lines``, the charge map ``model._charge_map_lines``. Each
-    check is a chain of comparisons with the verdict ``math.isfinite``,
-    ``min`` or ``max`` would give; the loop calls only ``bisect_right``,
-    ``sqrt``, ``exp``, the settled check's ``np.array(...).tobytes()`` and
-    the error constructors. Every sum is a ``+`` chain in index order, added
-    left to right.
+    qr_a_b) are formed again only when h changes, when a diagonal entry of
+    Q*h that is not finite raises. f0 is the charge-map slope. Each check is
+    a chain of comparisons with the verdict ``math.isfinite``, ``min`` or
+    ``max`` would give; the loop calls only ``bisect_right``, ``sqrt``,
+    ``exp``, the settled check's ``np.array(...).tobytes()`` and the error
+    constructors. Every sum is a ``+`` chain in index order, added left to
+    right. The loop keeps its decays for one call; the step's are the
+    closure's, shared by every call of one binding. A round-robin slot's
+    interval repeats bit for bit on most services (on 97.8 % of the ticks of
+    ``perfbench``'s 25-cell schedule), so most calls reuse them.
     """
-    ys = [f"y{j}" for j in range(m - 1)]
-    lines = [
-        "def filter_series(v, dyn, p, q_rate, taus, r_dyn, r, tables, bounds, counts,",
-        "                  dt, i_pred, voltage, current, drops, innov_out, vqst_out):",
-        *_indent([
-            *_state_lines(m),
-            *_constant_lines(m),
-            "h_prev = f_steady = h_steady = nan",
-            "n_cur = n_soc = reused = 0",
-            "try:",
-            "    for n, (h, u, z, i, drop) in enumerate(zip(dt, i_pred, voltage, current, drops)):",
-            *_indent(_sample_lines(m, loop=True), 2),
-            "finally:",
-            "    counts[:] = n_cur, n_soc, reused",
-            f"return v, {_tuple(ys)}, {_tuple(_entries(m, upper=True))}",
-        ], 1),
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _step_source(m: int) -> str:
-    """Source of ``_step_binder(m)``: the sample body of ``_series_source(m)``
-    as one plain-float step, with no loop, no settled-step reuse, no counts
-    and no outputs but what it returns.
-
-    ``bind`` unpacks one cell's ``_Constants`` once and returns ``filter_step``,
-    which closes over them. The decays, fills, their products and Q*h are
-    also the closure's: they are formed again only when h differs from the
-    last h the step saw. A round-robin slot's interval repeats bit for bit
-    on most services (on 97.8 % of the ticks of ``perfbench``'s 25-cell
-    schedule), so most calls reuse them.
-    """
-    ys = [f"y{j}" for j in range(m - 1)]
     cache = [line.partition(" = ")[0] for line in _decay_lines(m)]
     lines = [
         "def bind(q_rate, taus, r_dyn, r, tables, bounds):",
         *_indent([
             *_constant_lines(m),
             f"{' = '.join(cache)} = nan",
+            "def filter_series(v, dyn, p, counts, dt, i_pred, voltage, current, drops,",
+            "                  innov_out, vqst_out):",
+            *_indent([
+                *_state_lines(m),
+                "h_prev = f_steady = h_steady = nan",
+                "n_cur = n_soc = reused = 0",
+                "try:",
+                "    for n, (h, u, z, i, drop) in enumerate(zip(dt, i_pred, voltage, current,"
+                " drops)):",
+                *_indent(_sample_lines(m, loop=True), 2),
+                "finally:",
+                "    counts[:] = n_cur, n_soc, reused",
+                f"return {_state_display(m)}",
+            ], 1),
             "def filter_step(v, dyn, p, h, u, z, drop):",
             *_indent([
                 f"nonlocal {', '.join(cache)}",
                 *_state_lines(m),
                 *_sample_lines(m, loop=False),
-                f"return v, {_tuple(ys)}, {_tuple(_entries(m, upper=True))}, innovation",
+                f"return {_state_display(m)}, innovation",
             ], 1),
-            "return filter_step",
+            "return filter_series, filter_step",
         ], 1),
     ]
     return "\n".join(lines) + "\n"
 
 
 @functools.cache
-def _series_kernel(m: int):
-    """``CellFilter.series``' sample loop for a state of size m, as straight-line code.
-
-    ``filter_series(v, dyn, p, q_rate, taus, r_dyn, r, tables, bounds, counts,
-    dt, i_pred, voltage, current, drops, innov_out, vqst_out)`` filters the
-    columns, writes each sample's innovation and v_qst into the outputs and
-    returns (v, dyn, p): the final state and P as a flat row-major tuple.
-    ``bounds`` is (i_lo, i_hi, v_lo, v_hi, soc_lo, soc_hi), ``tables`` the
-    capacitance's ``_tables``. It warns about nothing: it counts the samples
-    whose current lies outside [i_lo, i_hi], those whose v_qst lies outside
-    [soc_lo, soc_hi] and those that reused a settled covariance step, and
-    stores the three counts in the list ``counts`` when it returns or raises.
-    Generated once per m from ``_series_source``.
-    """
-    return _compiled(_series_source(m), f"<filter series, m={m}>")["filter_series"]
-
-
-@functools.cache
-def _step_binder(m: int):
-    """``bind(q_rate, taus, r_dyn, r, tables, bounds) -> filter_step`` for a
-    state of size m, generated once per m from ``_step_source``.
-
-    ``filter_step(v, dyn, p, h, u, z, drop)`` is one sample of
-    ``_series_kernel(m)`` on Python floats, with its bits and errors: a
-    predict over h seconds at the current u, then a correction with the
-    voltage z read at a current whose resistor drop is ``drop``. It returns
-    (v, dyn, p, innovation), dyn and p as tuples, P flat and row-major. It
-    counts and warns about nothing: ``CellFilter.service`` forms the clamp
-    counts, the current's from its inputs and v_qst's from the v it returns.
-    """
-    return _compiled(_step_source(m), f"<filter step, m={m}>")["bind"]
+def _binder(m: int):
+    """``_source(m)``'s ``bind``, compiled once per state size m."""
+    return _compiled(_source(m), f"<filter, m={m}>")["bind"]
 
 
 class _Constants(NamedTuple):
-    """What ``_series_kernel`` takes of one cell's parameters and filter config,
-    as Python floats and lists in its argument order: Q's rate entries flat and
+    """What ``bind`` takes of one cell's parameters and filter config, as
+    Python floats and lists in its argument order: Q's rate entries flat and
     row-major, the taus, the RC resistances, r, the capacitance's ``_tables``
     and the clamp bounds (i_lo, i_hi, v_lo, v_hi, soc_lo, soc_hi)."""
 
@@ -568,11 +546,6 @@ class _Constants(NamedTuple):
                    params.rs.tolist(), cfg.measurement_noise_r, params.capacitance._tables,
                    (res.x_min, res.x_max, params.v_min - DEFAULT_VQST_GUARD,
                     params.v_max + DEFAULT_VQST_GUARD, params.v_min, params.v_max))
-
-    def step(self):
-        """A new ``_step_binder`` step bound to these constants, with its own
-        cache of decays."""
-        return _step_binder(len(self.taus) + 1)(*self)
 
 
 def _warn_clamps(params: CellParameters, n_cur, n_soc, stacklevel: int) -> None:
@@ -597,21 +570,20 @@ class CellFilter:
     """One cell's EKF on Python floats: the filter a BMS holds per cell, and a
     ``MultiCellEkf`` memory slot.
 
-    It keeps the cell's kernel constants (``_Constants``) and its state as
-    v_qst, the RC voltages and P flat and row-major, which each call hands
-    as they are to the generated kernel: ``series`` to the whole-series loop,
-    the other calls to its one-sample step, with the loop's bits and errors.
-    A call that raises changes nothing. Each step is bound on first use, so
-    a filter that only predicts binds one. The parameters and config are
-    fixed. ``ekf`` is a view: reading it builds a new ``EkfState``, and
-    assigning one stores its floats.
+    It keeps its state as v_qst, the RC voltages and P flat and row-major,
+    and one binding of the generated kernel to the cell's constants
+    (``_Constants``), made once here: ``series`` hands the state as it is to
+    the whole-series loop, the other calls to the one-sample step, with the
+    loop's bits and errors. A call that raises changes nothing. The
+    parameters and config are fixed. ``ekf`` is a view: reading it builds a
+    new ``EkfState``, and assigning one stores its floats.
     """
 
     def __init__(self, params: CellParameters, cfg: EkfConfig, ekf: EkfState | None = None):
         self._params, self._config = params, cfg
         self._constants = _Constants.of(params, cfg)
+        self._series, self._step = _binder(params.n_rc + 1)(*self._constants)
         self.ekf = make_filter(cfg) if ekf is None else ekf
-        self._step = self._predict_step = None
 
     @property
     def params_ref(self) -> CellParameters:
@@ -644,12 +616,13 @@ class CellFilter:
 
     def series(self, dt, i_pred, voltage, current) -> tuple[
             np.ndarray, np.ndarray, np.ndarray, tuple[int, int, int]]:
-        """Filter a whole series with the loop ``_series_kernel`` and return its
+        """Filter a whole series with the generated loop and return its
         SoC, innovation and v_qst columns and its counts: the samples whose
         current lies outside the resistor curve, those whose v_qst lies outside
         [v_min, v_max], and those that reused a settled covariance step.
 
-        The four columns have one entry per sample. Each sample is predicted
+        The four columns have one entry per sample; columns of unequal
+        lengths are refused before the loop runs. Each sample is predicted
         over its entry of ``dt`` at its entry of ``i_pred``, then corrected
         with its ``voltage`` measured at its ``current``. A correction-only
         sample is a step over ``dt = 0.0``: f0 = 1, the decays are 1, Q*0 = 0
@@ -663,15 +636,17 @@ class CellFilter:
         stored only when the loop returns.
         """
         params = self._params
-        innov_out, vqst_out = np.empty(len(voltage)), np.empty(len(voltage))
-        drops = params.resistor.eval(np.asarray(current, dtype=float))
-        columns = (memoryview(np.asarray(a, dtype=float))
-                   for a in (dt, i_pred, voltage, current, drops))
+        columns = [np.asarray(a, dtype=float) for a in (dt, i_pred, voltage, current)]
+        n = len(columns[0])
+        if any(len(a) != n for a in columns):
+            raise InvalidInputError("dt, i_pred, voltage and current must have one length, got "
+                                    + ", ".join(str(len(a)) for a in columns))
+        innov_out, vqst_out = np.empty(n), np.empty(n)
+        columns.append(params.resistor.eval(columns[3]))
         counts = [0, 0, 0]
         try:
-            state = _series_kernel(params.n_rc + 1)(
-                *self._state, *self._constants, counts, *columns,
-                memoryview(innov_out), memoryview(vqst_out))
+            state = self._series(*self._state, counts, *map(memoryview, columns),
+                                 memoryview(innov_out), memoryview(vqst_out))
         finally:
             _warn_clamps(params, *counts[:2], 4)
         self._state = state
@@ -679,13 +654,11 @@ class CellFilter:
 
     def predict(self, current: float, dt: float) -> None:
         """Advance ``dt`` > 0 seconds at the given current in one exact step,
-        however long, with the measurement switched off (r infinite)."""
+        however long: the step with no voltage, which skips the correction."""
         _check_finite(current=current, dt=dt)
         if dt <= 0.0:
             raise ConfigurationError(f"dt must be positive, got {dt}")
-        if self._predict_step is None:
-            self._predict_step = self._constants._replace(r=math.inf).step()
-        v, dyn, p, _ = self._predict_step(*self._state, float(dt), float(current), 0.0, 0.0)
+        v, dyn, p, _ = self._step(*self._state, float(dt), float(current), None, 0.0)
         self._state = v, dyn, p
 
     def correct(self, measured_v: float, current: float) -> float:
@@ -703,8 +676,6 @@ class CellFilter:
         dt, i, z, params = float(dt), float(i), float(z), self._params
         i_lo, i_hi, _, _, soc_lo, soc_hi = self._constants.bounds
         clamped = i < i_lo or i > i_hi
-        if self._step is None:
-            self._step = self._constants.step()
         try:
             v, dyn, p, innovation = self._step(*self._state, dt, i, z, params.resistor.eval(i))
         except BaseException:

@@ -176,8 +176,9 @@ class MultiCellEkf:
         ``series``, so ticking a schedule gives ``run``'s bits. Its clamp
         warnings name the caller, and a tick that raises leaves the engine
         unchanged. Non-finite inputs are refused, and then out-of-order
-        measurements, before the slot changes. A measurement older than two
-        revolutions is accepted with a degraded-update warning.
+        measurements, before the slot changes. A service more than two
+        revolutions (2 N t_slot, to a relative 1e-9) after the slot's last one
+        is made with a ``SchedulingWarning``: a ``Measurement`` has no time.
         """
         expected = self.due_cell
         if measurement.cell_id != expected:
@@ -223,9 +224,10 @@ class MultiCellEkf:
         raises leaves the engine unchanged. The traces, the ring and every
         cell's service times are checked before any cell is filtered, and a
         run refused by those checks warns of nothing. One ``SchedulingWarning``
-        counts the services whose held sample is older than two revolutions,
-        and one names the cells whose trace runs more than a revolution past
-        the horizon.
+        counts the services whose held sample was taken more than two
+        revolutions (to a relative 1e-9) before the service instant, and one
+        names the cells whose trace runs more than a revolution past the
+        horizon.
         """
         cells = self.config.cells
         n = len(cells)
@@ -285,12 +287,12 @@ class MultiCellEkf:
             for slot, now, idx, dt in picks:
                 trace = traces[slot.cell_id]
                 current = trace.current[idx]  # held through the revolution
-                saved.append((slot, slot._state))  # the floats, to restore on a refusal
+                saved.append((slot, slot.ekf))  # to restore on a refusal, bit for bit
                 soc, innovations, _, counts = slot.series(dt, current, trace.voltage[idx], current)
                 series[slot.cell_id] = CellSeries(now, soc, idx, innovations, *counts)
         except BaseException:
-            for slot, state in saved:
-                slot._state = state
+            for slot, ekf in saved:
+                slot.ekf = ekf
             raise
         for slot, now, _, _ in picks:
             if now.size:

@@ -4,7 +4,9 @@ hypothesis drives one ``MultiCellEkf`` over a pack drawn as
 ``ticked_packs`` draws them through any sequence of ticks (on time or
 revolutions late, with readings inside the window, past the resistor curve,
 at 1.7e308 V or not finite; of the wrong cell; at a time that does not
-advance), slot reads and assignments, and ``run``s. A model keeps, per cell,
+advance), slot reads and assignments, and ``run``s (also with a cell after
+the first reading 1.7e308 V from a drawn sample on, so that its series
+raises after the cells before it were filtered). A model keeps, per cell,
 the state last assigned and the services accepted since, and replays them
 through ``CellFilter.series``, the batch kernel. After every rule the slots'
 floats, the ring and the service times are the model's bit for bit, and each
@@ -161,8 +163,8 @@ class EngineMachine(RuleBasedStateMachine):
         soc = _soc_column(cell, v_qst[-1:])[0]
         return (due, bits(now), bits(soc), bits(innovations[-1])), None, caught
 
-    def expect_run(self):
-        n, t_slot, traces = len(self.ids), self.t_slot, self.traces
+    def expect_run(self, traces):
+        n, t_slot = len(self.ids), self.t_slot
         horizon = min(float(traces[cid].timestamps[-1]) for cid in self.ids)
         assert all(traces[cid].timestamps[-1] == horizon for cid in self.ids)  # no overrun
         services = _service_count(self.start, t_slot, horizon)
@@ -219,6 +221,15 @@ class EngineMachine(RuleBasedStateMachine):
             got = (got.cell_id, bits(got.time), bits(got.soc), bits(got.innovation))
         assert (got, error, caught) == want
 
+    def check_run(self, traces):
+        want = self.expect_run(traces)
+        got, error, caught = attempt(lambda: self.engine.run(traces))
+        if got is not None:
+            got = {cid: (bits(s.times), bits(s.soc_est), bits(s.sample_index), bits(s.innovations),
+                         (s.current_clamps, s.soc_clamps, s.reused_steps))
+                   for cid, s in got.items()}
+        assert (got, error, caught) == want
+
     @rule(late=st.integers(0, 3), i=CURRENTS, z=VOLTAGES)
     def tick_the_due_cell(self, late, i, z):
         due = self.ids[self.ring]
@@ -271,13 +282,21 @@ class EngineMachine(RuleBasedStateMachine):
 
     @rule()
     def run_the_rest_of_the_traces(self):
-        want = self.expect_run()
-        got, error, caught = attempt(lambda: self.engine.run(dict(self.traces)))
-        if got is not None:
-            got = {cid: (bits(s.times), bits(s.soc_est), bits(s.sample_index), bits(s.innovations),
-                         (s.current_clamps, s.soc_clamps, s.reused_steps))
-                   for cid, s in got.items()}
-        assert (got, error, caught) == want
+        self.check_run(dict(self.traces))
+
+    @rule(j=st.integers(1, 5), k=st.integers(0, 200))
+    def run_with_a_glitch_after_the_first_cell(self, j, k):
+        """A cell after the first reads 1.7e308 V from its sample k on. If the run
+        passes its checks, that cell's series raises after the cells before it
+        were filtered: the run leaves every slot, service time and the ring as
+        they were, having warned of the clamps of those cells."""
+        traces = dict(self.traces)
+        cid = self.ids[1 + (j - 1) % (len(self.ids) - 1)]
+        trace = traces[cid]
+        voltage = trace.voltage.copy()
+        voltage[k:] = 1.7e308
+        traces[cid] = Trace(trace.timestamps, trace.current, voltage)
+        self.check_run(traces)
 
     @invariant()
     def the_engine_is_the_model(self):

@@ -1,14 +1,15 @@
 """The generated sample loop of ``CellFilter.series`` against its list form, bit for bit.
 
-``estimator._series_kernel(m)`` is the whole loop as straight-line code, with
+``estimator._source(m)`` holds the whole loop as straight-line code, with
 the charge map of ``model._charge_map_lines`` inlined and a covariance step
 that is reused at rest. It must return exactly what ``helpers.list_filter_series``
 returns (``charge_map``, ``math.exp`` decays, ``list_predict`` and
 ``list_correct``, no reuse), with the same clamp counts, the same error and
 the same warnings in the same order. The one-sample step that the per-step
-API calls, written from the same sample body, must give one sample of the
-loop bit for bit. Bits are compared through ``.view(np.int64)``, so a zero's
-sign and a NaN count.
+API calls, written from the same sample body into the same source, must give
+one sample of the loop bit for bit, and given no voltage the list form's
+predict (r infinite). Bits are compared through ``.view(np.int64)``, so a
+zero's sign and a NaN count.
 """
 
 import ast
@@ -103,13 +104,7 @@ def series_case(seed, n_rc, phases, q_rate, r, p0_kind, first_is_correction):
     voltage = level + 0.03 * current + 1e-3 * rng.standard_normal(current.size)
     base = EkfConfig.default(cell, initial_soc=float(rng.uniform(0.05, 0.95)))
     m = n_rc + 1
-    q = q_rate * np.eye(m)
-    if math.isinf(r):
-        # predict's no-correction switch: the loop, which reads only Q and r
-        # from its config, takes it; EkfConfig refuses it.
-        cfg = SimpleNamespace(process_noise_q=q, measurement_noise_r=r)
-    else:
-        cfg = EkfConfig(q, r, base.initial_covariance_p0, base.initial_state)
+    cfg = EkfConfig(q_rate * np.eye(m), r, base.initial_covariance_p0, base.initial_state)
     p0 = base.initial_covariance_p0.copy()
     if p0_kind == "dense":
         noise = 1e-6 * rng.standard_normal((m, m))
@@ -149,10 +144,9 @@ phase = st.tuples(st.sampled_from(["drive", "rest", "rest", "charge"]),
 
 @PROPERTY
 @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.lists(phase, min_size=1, max_size=5),
-       st.sampled_from([0.0, 1e-8, 1e-6]), st.sampled_from([1e-4, 1e-2, 1e-8, math.inf]),
+       st.sampled_from([0.0, 1e-8, 1e-6]), st.sampled_from([1e-4, 1e-2, 1e-8]),
        st.sampled_from(["default", "dense", "signed zeros"]), st.booleans())
 @example(3, 2, [("charge", 200, 2.0), ("rest", 300, 1.0)], 1e-6, 1e-4, "default", True)
-@example(3, 2, [("charge", 200, 2.0), ("rest", 300, 1.0)], 1e-6, math.inf, "default", False)
 def test_generated_loop_is_the_list_form_bit_for_bit(seed, n_rc, phases, q_rate, r, p0_kind,
                                                      first):
     reuse_count(series_case(seed, n_rc, phases, q_rate, r, p0_kind, first))
@@ -227,6 +221,12 @@ def test_failing_checks_raise_as_the_list_form(seed, n_rc, kind, first):
     assert outcome(lambda: held_series(*case))[1] == error
 
 
+def generated_function(m, name):
+    """The definition of ``name`` in ``estimator._source(m)``."""
+    return next(node for node in ast.walk(ast.parse(estimator._source(m)))
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
 def call_name(call: ast.Call) -> str:
     """The callee of ``call`` as source, with ``f(...).tobytes`` for a call's bytes."""
     func = call.func
@@ -242,15 +242,14 @@ def test_sample_loops_call_only_what_they_must(m):
     check's bytes and the error constructors, and nothing else: a check written
     with ``isfinite``, ``min`` or ``max`` again fails here. The one-sample
     step has no loop and calls the same, bar the settled check's bytes."""
-    loops = [node for node in ast.walk(ast.parse(estimator._series_source(m)))
+    loops = [node for node in ast.walk(generated_function(m, "filter_series"))
              if isinstance(node, ast.For)]
     assert len(loops) == 1
     calls = {call_name(node) for statement in loops[0].body
              for node in ast.walk(statement) if isinstance(node, ast.Call)}
     assert calls == {"bisect_right", "sqrt", "exp", "np.array", "np.array(...).tobytes",
                      "NumericalFailureError", "InvalidInputError"}
-    step = next(node for node in ast.walk(ast.parse(estimator._step_source(m)))
-                if isinstance(node, ast.FunctionDef) and node.name == "filter_step")
+    step = generated_function(m, "filter_step")
     assert not [node for node in ast.walk(step) if isinstance(node, (ast.For, ast.While))]
     calls = {call_name(node) for node in ast.walk(step) if isinstance(node, ast.Call)}
     assert calls == {"bisect_right", "sqrt", "exp", "NumericalFailureError", "InvalidInputError"}
@@ -261,7 +260,7 @@ def test_generated_code_holds_the_upper_triangle_of_p(m):
     """Past the unpacking of P and the check that refuses an asymmetric one, the
     kernel names no entry of P, Q*h or the previous P below the diagonal, and
     it copies the m(m+1)/2 entries of the upper triangle of P before a predict."""
-    body = ast.parse(estimator._series_source(m)).body[0].body
+    body = generated_function(m, "filter_series").body
     unpack = next(k for k, node in enumerate(body)
                   if isinstance(node, ast.Assign) and ast.unparse(node.value) == "p")
     check = body[unpack + 1]
@@ -284,7 +283,7 @@ def one_sample_cases(draw):
     state. v_qst lies in the window or past the guard on either side; P is
     dense, indefinite (-I), all 1e308, asymmetric by one ulp, or u u' + I/100
     with u = (2, -1, 0, ...), a gain near 2 on v_qst; Q is 0, 1e-6 or 1e308
-    per second and r 1e-4, 1e-8 or infinite (predict's switch); dt is 0 or
+    per second and r 1e-4, 1e-8 or infinite (a correction raises on it); dt is 0 or
     up to an hour; both currents reach 80 A, past the resistor curve's 50 A;
     the voltage lies around the window or is 1.7e308 V."""
     m = draw(st.sampled_from([2, 3, 4]))
@@ -324,19 +323,46 @@ BEFORE_MEASUREMENT = ("covariance must be symmetric", "process noise Q * dt is n
                       "predicted covariance lost positive semidefiniteness")
 
 
+def list_predict_only(cell, q_rate, v, dyn, p, h, u):
+    """The state bits and error of ``list_filter_series`` with r infinite, which
+    predicts only, on one sample over h seconds at the current u; an
+    asymmetric P is refused first, as by every generated function."""
+    m = len(dyn) + 1
+    p = np.array(p).reshape(m, m)
+    if not np.array_equal(p, p.T):
+        return None, (InvalidInputError, "covariance must be symmetric")
+    off = SimpleNamespace(process_noise_q=np.array(q_rate).reshape(m, m),
+                          measurement_noise_r=math.inf)
+    ekf = EkfState(CellState(v, np.array(dyn)), p)
+    run, error, _ = outcome(lambda: list_filter_series(
+        ekf, cell, off, np.array([0.0]), np.array([u]), np.array([h]), np.array([u])))
+    return (None if run is None else state_bits(run[2])), error
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(one_sample_cases())
 def test_the_bound_step_is_one_sample_of_the_loop_bit_for_bit(case):
     """The step gives the loop's state and innovation bits on one sample, or its
     error; the clamp counts its callers form, the current's from their input
-    and v_qst's from the result, are the loop's."""
+    and v_qst's from the result, are the loop's. The same step given no
+    voltage gives the state bits or error of the list form with r infinite,
+    and a NaN innovation."""
     m, cell, constants, (v, dyn, p), (h, u, z, i) = case
     drop = cell.resistor.eval(i)
     counts, innovation, v_qst = [0, 0, 0], [0.0], [0.0]
-    want, want_error, _ = outcome(lambda: estimator._series_kernel(m)(
-        v, dyn, p, *constants, counts, (h,), (u,), (z,), (i,), (drop,), innovation, v_qst))
-    got, got_error, _ = outcome(lambda: constants.step()(v, dyn, p, h, u, z, drop))
+    filter_series, filter_step = estimator._binder(m)(*constants)
+    want, want_error, _ = outcome(lambda: filter_series(
+        v, dyn, p, counts, (h,), (u,), (z,), (i,), (drop,), innovation, v_qst))
+    got, got_error, _ = outcome(lambda: filter_step(v, dyn, p, h, u, z, drop))
     assert got_error == want_error
+    predicted, predicted_error, _ = outcome(lambda: filter_step(v, dyn, p, h, u, None, 0.0))
+    want_predicted, want_predicted_error = list_predict_only(cell, constants.q_rate, v, dyn, p,
+                                                             h, u)
+    assert predicted_error == want_predicted_error
+    if predicted is not None:
+        v2, dyn2, p2, innovation2 = predicted
+        assert bits([v2, *dyn2, *p2]) == want_predicted
+        assert math.isnan(innovation2)
     i_lo, i_hi, _, _, soc_lo, soc_hi = constants.bounds
     current_clamps = int(i < i_lo or i > i_hi)
     if got_error is not None:
@@ -364,7 +390,7 @@ def held_filter_cases(draw):
                           max_size=6))
     more = draw(st.lists(samples, min_size=len(kinds) - 1, max_size=len(kinds) - 1))
     q = np.array(constants.q_rate).reshape(m, m)
-    if math.isinf(constants.r):  # predict's switch, which EkfConfig refuses
+    if math.isinf(constants.r):  # EkfConfig refuses it, and a correction raises on it
         cfg = SimpleNamespace(process_noise_q=q, measurement_noise_r=constants.r)
     else:
         base = EkfConfig.default(cell)
@@ -404,10 +430,10 @@ def test_a_held_filter_is_the_free_functions_and_the_loop_bit_for_bit(case):
     """A held ``CellFilter`` runs any interleaving of predict, correct and
     service. Each call gives the state, innovation, error and warnings (with
     the file they name) of the free ``predict`` or ``correct`` on the same
-    state, and the state, innovation and error of ``CellFilter.series`` on that
-    one sample (with r infinite for a predict, over 0 s for a correct), and
-    for a correct or a service its warnings. A call that raises changes
-    nothing."""
+    state. A correct or a service gives the state, innovation, error and
+    warnings of ``CellFilter.series`` on that one sample (over 0 s for a
+    correct), and a predict the state and error of the list form with r
+    infinite. A call that raises changes nothing."""
     cell, cfg, ekf, calls = case
     held = CellFilter(cell, cfg, ekf)
     for kind, (h, u, z, i) in calls:
@@ -415,13 +441,12 @@ def test_a_held_filter_is_the_free_functions_and_the_loop_bit_for_bit(case):
         if kind == "predict":
             want, want_error, want_caught = held_outcome(lambda: predict(ekf, cell, u, h, cfg))
             assert (got, error, caught) == (None, want_error, want_caught)
-            if h > 0.0:  # the loop, with the measurement switched off
-                off = SimpleNamespace(process_noise_q=cfg.process_noise_q,
-                                      measurement_noise_r=math.inf)
-                run, run_error, _ = outcome(lambda: held_series(
-                    ekf, cell, off, np.array([z]), np.array([u]), np.array([h]), np.array([u])))
-                assert run_error == error
-                assert run is None or state_bits(run[2]) == state_bits(want)
+            if h > 0.0:  # the list form, with the measurement switched off
+                listed, listed_error = list_predict_only(
+                    cell, cfg.process_noise_q.ravel().tolist(), ekf.mean.v_qst,
+                    ekf.mean.v_dyn_components.tolist(), ekf.covariance.ravel().tolist(), h, u)
+                assert listed_error == error
+                assert want is None or state_bits(want) == listed
         else:
             dt = h if kind == "service" else 0.0  # a correct is a service over 0 s
             run, want_error, want_caught = outcome(lambda: held_series(
@@ -551,9 +576,22 @@ def test_charge_map_lines_are_charge_map_bit_for_bit(case):
 
 
 def test_state_of_another_size_is_refused():
+    """A state of another size is refused, and so are columns of unequal lengths,
+    before the loop runs: the filter's state stays as it was, and nothing warns."""
     cell = make_cell()  # two RC groups
     cfg = EkfConfig.default(cell)
     ekf = EkfState(CellState.rest(vqst_from_soc(cell, 0.5), 1), cfg.initial_covariance_p0)
     with pytest.raises(InvalidInputError, match="state has 1 RC components"):
         held_series(ekf, cell, cfg, np.array([3.3]), np.array([0.0]),
                                  np.array([0.0]), np.array([0.0]))
+    held = CellFilter(cell, cfg)
+    before = state_bits(held.ekf)
+    # The drive current of 80 A lies past the resistor curve, so a loop that ran would warn.
+    for lengths in ((3, 6, 6, 6), (6, 6, 6, 5), (6, 6, 0, 6)):
+        dt, i_pred, voltage, current = (np.full(n, x) for n, x in zip(lengths, (1.0, 80.0, 3.3,
+                                                                                80.0)))
+        _, error, caught = outcome(lambda: held.series(dt, i_pred, voltage, current))
+        assert error == (InvalidInputError, "dt, i_pred, voltage and current must have one "
+                         f"length, got {', '.join(map(str, lengths))}")
+        assert caught == []
+        assert state_bits(held.ekf) == before
