@@ -8,12 +8,13 @@ slot back. All other slots are untouched, so cells are isolated by
 construction and the arithmetic is identical to N independent filters each
 stepped at period N * t_slot.
 
-Both paths call the slot's ``CellFilter``, which runs the estimator
-module's one generated EKF sample body. ``tick`` is the online path, one
-``service`` of the due slot per call. ``run`` uses the isolation directly:
-it filters each cell's whole schedule as one ``series``, in cell order, so
-its bits, warnings and errors are those of that loop on each cell alone,
-and ticking the same schedule gives the same bits.
+Both paths call the slot's ``CellFilter``, which runs the estimator module's
+one generated EKF sample body, on one grid anchored at ``start_time``:
+service k is at start_time + (k + 1) * t_slot on cell k mod N. ``tick`` is the
+online path, one ``service`` of the due slot per call. ``run`` filters the
+rest of each cell's grid, after the services already made, as one
+``series``, in cell order, so its bits, warnings and errors are those of
+that loop on each cell alone, and ticking the same grid gives the same bits.
 """
 
 from __future__ import annotations
@@ -163,11 +164,11 @@ class MultiCellEkf:
                 raise InvalidInputError(f"no setup provided for cell {cell_id!r}") from None
             self.slots[cell_id] = CellSlot(cell_id, make_filter(ekf_cfg), params, ekf_cfg,
                                            self.start_time + (j + 1 - n) * config.t_slot)
-        self._ring = 0
+        self._served = 0  # services made since start_time
 
     @property
     def due_cell(self) -> str:
-        return self.config.cells[self._ring]
+        return self.config.cells[self._served % len(self.config.cells)]
 
     def tick(self, now: float, measurement: Measurement) -> TickResult:
         """Service the due cell: predict over its elapsed time, correct, store.
@@ -191,7 +192,7 @@ class MultiCellEkf:
         # Comparisons cost less than the call; _check_finite names the bad input.
         if not (-math.inf < i < math.inf and -math.inf < dt < math.inf
                 and -math.inf < z < math.inf):
-            _check_finite(current=i, dt=dt, measured_v=z)
+            _check_finite(now=now, current=i, dt=dt, measured_v=z)
         if dt <= 0.0:
             raise SchedulingViolationError(
                 f"service time {now} does not advance past {slot.last_serviced_t}"
@@ -205,25 +206,26 @@ class MultiCellEkf:
             )
         innovation = slot.service(dt, i, z)
         slot.last_serviced_t = now
-        self._ring = (self._ring + 1) % len(self.config.cells)
+        self._served += 1
         return TickResult(expected, now, slot.soc, innovation)
 
     def run(self, traces) -> dict[str, CellSeries]:
         """Execute the schedule over the shared horizon of the given traces.
 
-        ``traces`` maps cell_id -> measured Trace; each trace is decimated to
-        its cell's service instants by zero-order hold, and each
+        ``traces`` maps cell_id -> measured Trace. The run continues the grid
+        from the services already made to the horizon, decimating each trace
+        to its cell's service instants by zero-order hold; each
         ``CellSeries.sample_index`` says which sample every service held.
 
-        Slots are isolated, so each cell's services are filtered as one
-        series by its slot's ``CellFilter.series``, cell by cell in ring
-        order; its warnings, at most one per kind of clamp and cell, are
-        attributed to the caller, and each ``CellSeries`` carries its cell's
-        counts. The engine ends in the state that ticking the same schedule
-        would leave: slots, service times and ring position. A run that
-        raises leaves the engine unchanged. The traces, the ring and every
-        cell's service times are checked before any cell is filtered, and a
-        run refused by those checks warns of nothing. One ``SchedulingWarning``
+        Slots are isolated, so each cell's services are filtered as one series
+        by its slot's ``CellFilter.series``, cell by cell in ring order; its
+        warnings, at most one per kind of clamp and cell, are attributed to
+        the caller, and each ``CellSeries`` carries its cell's counts. The
+        engine ends as ticking the same services would leave it. A run that
+        raises leaves the engine unchanged. The traces and every cell's
+        service times are checked before any cell is filtered, so a cell whose
+        last service (a late tick) is at or past its next grid instant is
+        refused, and a refused run warns of nothing. One ``SchedulingWarning``
         counts the services whose held sample was taken more than two
         revolutions (to a relative 1e-9) before the service instant, and one
         names the cells whose trace runs more than a revolution past the
@@ -237,16 +239,14 @@ class MultiCellEkf:
                 raise InvalidInputError(f"no trace provided for cell {cell_id!r}")
             traces[cell_id].require_voltage()
         horizon = min(float(traces[c].timestamps[-1]) for c in cells)
+        served = self._served
         services = _service_count(self.start_time, t_slot, horizon)
-        if services and self._ring != 0:
-            raise SchedulingViolationError(
-                f"measurement for {cells[0]!r} but {self.due_cell!r} is due"
-            )
         picks, stale = [], 0
         for j, cell_id in enumerate(cells):
             slot, t = self.slots[cell_id], traces[cell_id].timestamps
-            # Service k (of all cells) happens at start + (k + 1) * t_slot.
-            now = self.start_time + (np.arange(j, services, n) + 1) * t_slot
+            # Service k (of all cells) happens at start + (k + 1) * t_slot on cell k mod N.
+            first = served + (j - served) % n  # the cell's first service not yet made
+            now = self.start_time + (np.arange(first, services, n) + 1) * t_slot
             # Slight forward nudge so a sample nominally at `now` is picked up
             # despite last-ulp differences in how the two times were computed.
             idx = np.searchsorted(t, now + 1e-9 * t_slot, side="right") - 1
@@ -297,7 +297,7 @@ class MultiCellEkf:
         for slot, now, _, _ in picks:
             if now.size:
                 slot.last_serviced_t = float(now[-1])
-        self._ring = (self._ring + services) % n
+        self._served = max(served, services)
         return series
 
 

@@ -1,17 +1,18 @@
 """The round-robin engine's contract as a state machine.
 
 hypothesis drives one ``MultiCellEkf`` over a pack drawn as
-``ticked_packs`` draws them through any sequence of ticks (on time or
-revolutions late, with readings inside the window, past the resistor curve,
-at 1.7e308 V or not finite; of the wrong cell; at a time that does not
-advance), slot reads and assignments, and ``run``s (also with a cell after
-the first reading 1.7e308 V from a drawn sample on, so that its series
-raises after the cells before it were filtered). A model keeps, per cell,
-the state last assigned and the services accepted since, and replays them
-through ``CellFilter.series``, the batch kernel. After every rule the slots'
-floats, the ring and the service times are the model's bit for bit, and each
-rule's result, error and warnings (with the file they name) are those the
-model predicts.
+``ticked_packs`` draws them through any sequence of ticks (at the due
+service's grid instant, or a revolution or more after the cell's last
+service, with readings inside the window, past the resistor curve, at
+1.7e308 V or not finite; of the wrong cell; at a time that does not
+advance), slot reads and assignments, and ``run``s of the rest of the grid
+(also with a cell after the first reading 1.7e308 V from a drawn sample on,
+so that its series raises after the cells before it were filtered). A model
+keeps, per cell, the state last assigned and the services accepted since,
+and replays them through ``CellFilter.series``, the batch kernel. After
+every rule the slots' floats, the due cell and the service times are the
+model's bit for bit, and each rule's result, error and warnings (with the
+file they name) are those the model predicts.
 """
 
 import math
@@ -32,25 +33,21 @@ from hypothesis.stateful import (  # noqa: E402
 from cellsoc import (  # noqa: E402
     CellSocError,
     CellState,
-    EkfConfig,
     EkfState,
     InvalidInputError,
     Measurement,
     MultiCellEkf,
     OutOfRangeWarning,
-    SchedulerConfig,
     SchedulingViolationError,
     SchedulingWarning,
     Trace,
     make_filter,
-    simulate,
-    vqst_from_soc,
 )
 from cellsoc.estimator import _soc_column  # noqa: E402
 from cellsoc.model import _current_clamp_message, _soc_clamp_message  # noqa: E402
 from cellsoc.multicell import _service_count  # noqa: E402
-from helpers import held_series, random_cell  # noqa: E402
-from test_multicell import ticked_packs  # noqa: E402
+from helpers import held_series  # noqa: E402
+from test_multicell import drawn_pack, ticked_packs  # noqa: E402
 
 CURRENTS = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([-80.0, 80.0]))
 VOLTAGES = st.one_of(st.floats(2.5, 4.0), st.just(1.7e308))
@@ -79,40 +76,18 @@ def attempt(fn):
 class EngineMachine(RuleBasedStateMachine):
     @initialize(case=ticked_packs())
     def build(self, case):
-        n_cells, seed, start, gap, spikes = case
-        rng = np.random.default_rng(seed)
-        self.ids = tuple(f"c{j}" for j in range(n_cells))
-        self.cells = {cid: random_cell(rng) for cid in self.ids}
-        self.t_slot = 0.5 / n_cells
-        self.setups = {cid: (self.cells[cid],
-                             EkfConfig.default(self.cells[cid], initial_soc=rng.uniform(0.3, 0.9)))
-                       for cid in self.ids}
-        self.traces = {}
-        for cid in self.ids:
-            cell = self.cells[cid]
-            t = start + 0.1 * np.arange(300)
-            if rng.random() < 0.5:
-                g0 = start + rng.uniform(1.0, 20.0)
-                t = t[(t < g0) | (t >= g0 + gap)]
-            current = 3.0 * np.sin(2 * np.pi * (t - start) / rng.uniform(5.0, 20.0))
-            trace = simulate(cell, Trace(t, current),
-                             CellState.rest(vqst_from_soc(cell, 0.6), cell.n_rc)).trace
-            current = trace.current.copy()
-            current[rng.choice(t.size, size=spikes, replace=False)] = rng.choice([-80.0, 80.0],
-                                                                               spikes)
-            self.traces[cid] = Trace(trace.timestamps, current, trace.voltage)
-        self.start = start
-        self.engine = MultiCellEkf(SchedulerConfig(self.t_slot, self.ids, 1.0), self.setups,
-                                   start_time=start)
+        sched, self.cells, self.setups, self.traces = drawn_pack(case)
+        self.ids, self.t_slot, self.start = sched.cells, sched.t_slot, case[2]
+        self.engine = MultiCellEkf(sched, self.setups, start_time=self.start)
         n = len(self.ids)
         self.revolution = n * self.t_slot
         self.stale_age = 2.0 * self.revolution * (1.0 + 1e-9)
         # The model: per cell the state last assigned, the services (dt, current,
-        # voltage) accepted since, and the last service time; the ring position.
+        # voltage) accepted since, and the last service time; the services made.
         self.base = {cid: make_filter(self.setups[cid][1]) for cid in self.ids}
         self.services = {cid: [] for cid in self.ids}
-        self.last = {cid: start + (j + 1 - n) * self.t_slot for j, cid in enumerate(self.ids)}
-        self.ring = 0
+        self.last = {cid: self.start + (j + 1 - n) * self.t_slot for j, cid in enumerate(self.ids)}
+        self.served = 0
 
     # -- the model ---------------------------------------------------------
 
@@ -131,13 +106,17 @@ class EngineMachine(RuleBasedStateMachine):
         assert error is None
         return final
 
+    @property
+    def due(self):
+        return self.ids[self.served % len(self.ids)]
+
     def expect_tick(self, cid, now, i, z):
-        due = self.ids[self.ring]
+        due = self.due
         if cid != due:
             return None, (SchedulingViolationError,
                           f"measurement for {cid!r} but {due!r} is due"), []
         dt = now - self.last[due]
-        for name, value in (("current", i), ("dt", dt), ("measured_v", z)):
+        for name, value in (("now", now), ("current", i), ("dt", dt), ("measured_v", z)):
             if not math.isfinite(value):
                 return None, (InvalidInputError, f"{name} must be finite, got {value}"), []
         if dt <= 0.0:
@@ -159,7 +138,7 @@ class EngineMachine(RuleBasedStateMachine):
             caught.append((OutOfRangeWarning, _soc_clamp_message(cell), __file__))
         self.services[due] = services
         self.last[due] = now
-        self.ring = (self.ring + 1) % len(self.ids)
+        self.served += 1
         soc = _soc_column(cell, v_qst[-1:])[0]
         return (due, bits(now), bits(soc), bits(innovations[-1])), None, caught
 
@@ -168,13 +147,11 @@ class EngineMachine(RuleBasedStateMachine):
         horizon = min(float(traces[cid].timestamps[-1]) for cid in self.ids)
         assert all(traces[cid].timestamps[-1] == horizon for cid in self.ids)  # no overrun
         services = _service_count(self.start, t_slot, horizon)
-        if services and self.ring:
-            due = self.ids[self.ring]
-            return None, (SchedulingViolationError,
-                          f"measurement for {self.ids[0]!r} but {due!r} is due"), []
         picks, stale = [], 0
         for j, cid in enumerate(self.ids):
-            now = self.start + (np.arange(j, services, n) + 1) * t_slot
+            # The rest of the grid: service k at start + (k + 1) * t_slot on cell k mod n.
+            k = np.arange(self.served + (j - self.served) % n, services, n)
+            now = self.start + (k + 1) * t_slot
             t = traces[cid].timestamps
             idx = np.searchsorted(t, now + 1e-9 * t_slot, side="right") - 1
             # Every cell's service times are checked before any cell is filtered.
@@ -209,7 +186,7 @@ class EngineMachine(RuleBasedStateMachine):
             self.services[cid] += accepted[cid]
             if now.size:
                 self.last[cid] = float(now[-1])
-        self.ring = (self.ring + services) % n
+        self.served = max(self.served, services)
         return results, None, caught
 
     # -- rules -------------------------------------------------------------
@@ -230,15 +207,19 @@ class EngineMachine(RuleBasedStateMachine):
                    for cid, s in got.items()}
         assert (got, error, caught) == want
 
+    @rule(i=CURRENTS, z=VOLTAGES)
+    def tick_the_due_cell_on_the_grid(self, i, z):
+        self.check_tick(self.due, self.start + (self.served + 1) * self.t_slot, i, z)
+
     @rule(late=st.integers(0, 3), i=CURRENTS, z=VOLTAGES)
     def tick_the_due_cell(self, late, i, z):
-        due = self.ids[self.ring]
+        due = self.due
         self.check_tick(due, self.last[due] + (1 + late) * self.revolution, i, z)
 
     @rule(which=st.sampled_from(["current", "voltage", "now"]),
           value=st.sampled_from([math.nan, math.inf, -math.inf]), i=CURRENTS, z=VOLTAGES)
     def tick_a_reading_that_is_not_finite(self, which, value, i, z):
-        due = self.ids[self.ring]
+        due = self.due
         now = self.last[due] + self.revolution
         reading = {"current": i, "voltage": z, "now": now, which: value}
         self.check_tick(due, reading["now"], reading["current"], reading["voltage"])
@@ -246,12 +227,12 @@ class EngineMachine(RuleBasedStateMachine):
     @rule(offset=st.integers(1, 5), i=CURRENTS, z=VOLTAGES)
     def tick_the_wrong_cell(self, offset, i, z):
         if offset % len(self.ids):
-            cid = self.ids[(self.ring + offset) % len(self.ids)]
+            cid = self.ids[(self.served + offset) % len(self.ids)]
             self.check_tick(cid, self.last[cid] + self.revolution, i, z)
 
     @rule(back=st.sampled_from([0.0, 0.5, 1.0]), i=CURRENTS, z=VOLTAGES)
     def tick_at_a_time_that_does_not_advance(self, back, i, z):
-        due = self.ids[self.ring]
+        due = self.due
         self.check_tick(due, self.last[due] - back * self.revolution, i, z)
 
     @rule(j=st.integers(0, 5), kind=st.sampled_from(
@@ -288,8 +269,8 @@ class EngineMachine(RuleBasedStateMachine):
     def run_with_a_glitch_after_the_first_cell(self, j, k):
         """A cell after the first reads 1.7e308 V from its sample k on. If the run
         passes its checks, that cell's series raises after the cells before it
-        were filtered: the run leaves every slot, service time and the ring as
-        they were, having warned of the clamps of those cells."""
+        were filtered: the run leaves every slot, service time and the due cell
+        as they were, having warned of the clamps of those cells."""
         traces = dict(self.traces)
         cid = self.ids[1 + (j - 1) % (len(self.ids) - 1)]
         trace = traces[cid]
@@ -300,7 +281,7 @@ class EngineMachine(RuleBasedStateMachine):
 
     @invariant()
     def the_engine_is_the_model(self):
-        assert self.engine.due_cell == self.ids[self.ring]
+        assert self.engine.due_cell == self.due
         for cid in self.ids:
             slot = self.engine.slots[cid]
             assert bits(slot.last_serviced_t) == bits(self.last[cid])
