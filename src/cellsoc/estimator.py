@@ -10,7 +10,7 @@ update is the rank-1 form P - K t' - t K' + s K K'. One emitter,
 ``_sample_lines``, writes that body twice into one source per state size
 (``_source``): as the sample loop of the batch kernel, straight-line code
 with the state and the m(m+1)/2 entries of P's upper triangle as locals (P
-is symmetric, and a covariance that is not is refused), and as a one-sample
+is symmetric: a filter refuses one that is not), and as a one-sample
 step with no loop and no reuse. Both inline the charge map
 (``model._charge_map_lines``) and the covariance step (``_predict_lines``
 and ``_update_lines``). Each sample is one predict and one correction; a
@@ -35,12 +35,11 @@ One rule decides whether a covariance is PSD: P + PSD_TOLERANCE * I has a
 Cholesky factor, by the proof that ``_proof_lines`` writes. ``EkfConfig`` and
 the kernel run it, so no BLAS decides a verdict.
 
-The kernel counts the samples it clamps instead of warning on each one:
-every call of ``CellFilter.series`` emits at most one ``OutOfRangeWarning``
-per kind (current outside the resistor curve, v_qst outside the window),
-and ``FilterRun`` carries the counts. The step counts nothing;
-``CellFilter.service`` warns from its inputs and result in the same way.
-"""
+The sample body, loop and step alike, counts the samples it clamps: every
+``CellFilter.series`` or ``service`` call warns from its counts at most once
+per kind (current outside the resistor curve, v_qst outside the window), and
+``FilterRun`` carries them. P's symmetry is checked where a state enters a
+filter, in ``CellFilter.ekf``."""
 
 from __future__ import annotations
 
@@ -149,8 +148,8 @@ class EkfConfig:
 
 @dataclass(eq=False)
 class EkfState:
-    """Filter mean and covariance. The covariance must be symmetric, each entry
-    (b, a) == to (a, b); the filters refuse one that is not."""
+    """Filter mean and covariance. The covariance is symmetric, each entry (b, a)
+    == to (a, b); ``CellFilter.ekf`` refuses one that is not."""
 
     mean: CellState
     covariance: np.ndarray
@@ -333,15 +332,9 @@ def _psd_proof(m: int):
 
 
 def _state_lines(m: int) -> list[str]:
-    """Unpacking of the state arguments ``dyn`` and ``p`` into y0.. and p_a_b,
-    and the check that refuses a P whose entry (b, a) is not == to (a, b)."""
-    idx = range(m)
-    return [
-        f"{_tuple([f'y{j}' for j in range(m - 1)])} = dyn",
-        f"{_tuple(_entries(m))} = p",
-        f"if {' or '.join(f'p_{b}_{a} != p_{a}_{b}' for a in idx for b in range(a + 1, m))}:",
-        '    raise InvalidInputError("covariance must be symmetric")',
-    ]
+    """Unpacking of the state arguments ``dyn`` and ``p`` into y0.. and p_a_b;
+    ``CellFilter.ekf`` has refused a P that is not symmetric."""
+    return [f"{_tuple([f'y{j}' for j in range(m - 1)])} = dyn", f"{_tuple(_entries(m))} = p"]
 
 
 def _constant_lines(m: int) -> list[str]:
@@ -380,14 +373,15 @@ def _decay_lines(m: int) -> list[str]:
 def _sample_lines(m: int, loop: bool) -> list[str]:
     """One sample's body, from indentation 0: the charge map, the clamp into
     the guarded window, the decays and Q*h when h changes (``_decay_lines``),
-    the RC states, the covariance predict, the innovation and the correction.
+    the RC states, the covariance predict, the count n_cur of a current i
+    outside [i_lo, i_hi], the innovation, the correction and the count n_soc
+    of a v outside [soc_lo, soc_hi].
 
-    ``loop`` writes it for ``filter_series``: it counts the clamped current
-    and v_qst, records the innovation and v_qst of sample n and reuses a
-    settled covariance step. Else it is ``filter_step``'s body, which does
-    none of these and returns after the predict when z is None; and as its
-    decays outlive the call, a Q*h check that fails resets h_prev, so the
-    next call forms them again.
+    ``loop`` writes it for ``filter_series``: it records the innovation and
+    v_qst of sample n and reuses a settled covariance step. Else it is
+    ``filter_step``'s body, with its returns: the state and the innovation,
+    or after the predict, before either count, a NaN one when z is None; as
+    its decays outlive the call, a failed Q*h check resets h_prev.
     """
     idx = range(m)
     ys = [f"y{j}" for j in range(m - 1)]
@@ -414,10 +408,14 @@ def _sample_lines(m: int, loop: bool) -> list[str]:
         *(f"y{j} = y{j} + k{j + 1} * innovation" for j in range(m - 1)),
         f"if not -inf < v < inf or not -inf < {dyn_sum} < inf:",
         '    raise InvalidInputError("cell state must be finite")',
+        "if v < soc_lo or v > soc_hi:",
+        "    n_soc += 1",
     ]
+    count_current = ["if i < i_lo or i > i_hi:", "    n_cur += 1"]
     if not loop:
         return [*head, *_predict_lines(m), "if z is None:", f"    return {_state_display(m)}, nan",
-                innovation, *_update_lines(m), *gain]
+                *count_current, innovation, *_update_lines(m), *gain,
+                f"return {_state_display(m)}, innovation"]
     # The covariance step reads only P, f0, h (through the decays and Q*h) and
     # r. At rest f0 and h repeat and P settles on a fixed point, so the step
     # would reproduce the P and gain it holds; they passed every check when
@@ -433,8 +431,7 @@ def _sample_lines(m: int, loop: bool) -> list[str]:
         "    reused += 1",
         "else:",
         *_indent([*(f"prev_{x} = {x}" for x in entries), *_predict_lines(m)], 1),
-        "if i < i_lo or i > i_hi:",
-        "    n_cur += 1",
+        *count_current,
         innovation,
         "if not reuse:",
         *_indent(_update_lines(m), 1),
@@ -443,8 +440,6 @@ def _sample_lines(m: int, loop: bool) -> list[str]:
         "    else:",
         "        f_steady = nan",
         *gain,
-        "if v < soc_lo or v > soc_hi:",
-        "    n_soc += 1",
         "innov_out[n] = innovation",
         "vqst_out[n] = v",
     ]
@@ -456,21 +451,20 @@ def _source(m: int) -> str:
     cell's ``_Constants`` once (``bounds`` is (i_lo, i_hi, v_lo, v_hi, soc_lo,
     soc_hi), ``tables`` the capacitance's ``_tables``) and returns the sample
     loop of ``CellFilter.series`` and the one-sample step of its other
-    methods as closures over them. Neither warns; both return the state as
-    (v, dyn, p), dyn and p as tuples, P flat and row-major.
+    methods as closures over them. Neither warns or checks P's symmetry;
+    both return the state as (v, dyn, p), dyn and p as tuples, P flat and
+    row-major, and store in the list ``counts``, when they return or raise,
+    the samples whose current lies outside [i_lo, i_hi] and those whose
+    v_qst lies outside [soc_lo, soc_hi].
 
     ``filter_series(v, dyn, p, counts, dt, i_pred, voltage, current, drops,
     innov_out, vqst_out)`` filters the columns, writes each sample's
-    innovation and v_qst into the outputs and stores in the list ``counts``,
-    when it returns or raises, the samples whose current lies outside [i_lo,
-    i_hi], those whose v_qst lies outside [soc_lo, soc_hi] and those that
-    reused a settled covariance step. ``filter_step(v, dyn, p, h, u, z,
-    drop)`` is one sample of the loop, with its bits and errors, and also
-    returns the innovation: a predict over h seconds at the current u, then
-    a correction with the voltage z read at a current whose resistor drop is
-    ``drop``. Given z None it only predicts and returns a NaN innovation. It
-    counts nothing: ``CellFilter.service`` forms the clamp counts, the
-    current's from its input and v_qst's from the v it returns.
+    innovation and v_qst into the outputs and counts as third the samples
+    that reused a settled covariance step. ``filter_step(v, dyn, p, counts,
+    h, u, z, i, drop)`` is one sample of the loop, with its bits, errors and
+    counts, and also returns the innovation: a predict over h seconds at the
+    current u, then a correction with the voltage z read at the current i,
+    whose resistor drop is ``drop``. Given z None it only predicts.
 
     The state is the float v and the RC states y0..; P is the m(m+1)/2
     locals p_a_b, a <= b; a cell has an RC group, so m >= 2. The RC group j
@@ -507,12 +501,15 @@ def _source(m: int) -> str:
                 "    counts[:] = n_cur, n_soc, reused",
                 f"return {_state_display(m)}",
             ], 1),
-            "def filter_step(v, dyn, p, h, u, z, drop):",
+            "def filter_step(v, dyn, p, counts, h, u, z, i, drop):",
             *_indent([
                 f"nonlocal {', '.join(cache)}",
                 *_state_lines(m),
-                *_sample_lines(m, loop=False),
-                f"return {_state_display(m)}, innovation",
+                "n_cur = n_soc = 0",
+                "try:",
+                *_indent(_sample_lines(m, loop=False), 1),
+                "finally:",
+                "    counts[0], counts[1] = n_cur, n_soc",
             ], 1),
             "return filter_series, filter_step",
         ], 1),
@@ -548,13 +545,14 @@ class _Constants(NamedTuple):
                     params.v_max + DEFAULT_VQST_GUARD, params.v_min, params.v_max))
 
 
-def _warn_clamps(params: CellParameters, n_cur, n_soc, stacklevel: int) -> None:
-    """One ``OutOfRangeWarning`` per kind of clamp whose count is not zero, the
-    current clamp first, attributed ``stacklevel`` frames up from here."""
-    if n_cur:
+def _warn_clamps(params: CellParameters, counts: list[int], stacklevel: int) -> None:
+    """One ``OutOfRangeWarning`` per kind of clamp whose count, current clamps
+    then v_qst clamps at the head of ``counts``, is not zero, attributed
+    ``stacklevel`` frames up from here."""
+    if counts[0]:
         warnings.warn(_current_clamp_message(params.resistor), OutOfRangeWarning,
                       stacklevel=stacklevel)
-    if n_soc:
+    if counts[1]:
         warnings.warn(_soc_clamp_message(params), OutOfRangeWarning, stacklevel=stacklevel)
 
 
@@ -580,18 +578,13 @@ class CellFilter:
     """
 
     def __init__(self, params: CellParameters, cfg: EkfConfig, ekf: EkfState | None = None):
-        self._params, self._config = params, cfg
-        self._constants = _Constants.of(params, cfg)
-        self._series, self._step = _binder(params.n_rc + 1)(*self._constants)
+        self._params = params
+        self._series, self._step = _binder(params.n_rc + 1)(*_Constants.of(params, cfg))
         self.ekf = make_filter(cfg) if ekf is None else ekf
 
     @property
     def params_ref(self) -> CellParameters:
         return self._params
-
-    @property
-    def ekf_config(self) -> EkfConfig:
-        return self._config
 
     @property
     def ekf(self) -> EkfState:
@@ -607,7 +600,10 @@ class CellFilter:
                                     f"parameters define {m - 1}")
         if ekf.covariance.shape != (m, m):
             raise InvalidInputError(f"covariance must be {m}x{m}, got {ekf.covariance.shape}")
-        self._state = float(ekf.mean.v_qst), dyn, ekf.covariance.ravel().tolist()
+        p = ekf.covariance.ravel().tolist()
+        if any(p[a * m + b] != p[b * m + a] for a in range(m) for b in range(a)):
+            raise InvalidInputError("covariance must be symmetric")
+        self._state = float(ekf.mean.v_qst), dyn, p
 
     @property
     def soc(self) -> float:
@@ -622,15 +618,15 @@ class CellFilter:
         [v_min, v_max], and those that reused a settled covariance step.
 
         The four columns have one entry per sample; columns of unequal
-        lengths are refused before the loop runs. Each sample is predicted
-        over its entry of ``dt`` at its entry of ``i_pred``, then corrected
-        with its ``voltage`` measured at its ``current``. A correction-only
-        sample is a step over ``dt = 0.0``: f0 = 1, the decays are 1, Q*0 = 0
-        and the charge is zero, so it leaves the mean and P as they are, bar a
-        -0.0 that may become +0.0, except that v_qst is clamped into the
-        guarded window as before every correction. The inputs must be finite,
-        as trace columns are by construction. The loop only counts; once it
-        has returned or raised, this warns at most once per kind of clamp, the
+        lengths, an entry that is not finite and a negative dt are refused
+        before the loop runs. Each sample is predicted over its entry of
+        ``dt`` at its entry of ``i_pred``, then corrected with its
+        ``voltage`` measured at its ``current``. A correction-only sample is
+        a step over ``dt = 0.0``: f0 = 1, the decays are 1, Q*0 = 0 and the
+        charge is zero, so it leaves the mean and P as they are, bar a -0.0
+        that may become +0.0, except that v_qst is clamped into the guarded
+        window as before every correction. The loop only counts; once it has
+        returned or raised, this warns at most once per kind of clamp, the
         current's first, naming the caller of its caller as ``service`` does,
         so a series that raises still reports the clamps it made. The state is
         stored only when the loop returns.
@@ -641,6 +637,12 @@ class CellFilter:
         if any(len(a) != n for a in columns):
             raise InvalidInputError("dt, i_pred, voltage and current must have one length, got "
                                     + ", ".join(str(len(a)) for a in columns))
+        valid = ((columns[0] >= 0.0) & (columns[0] < math.inf), *map(np.isfinite, columns[1:]))
+        for name, a, ok in zip(("dt", "i_pred", "voltage", "current"), columns, valid):
+            if not ok.all():
+                k = int(np.argmin(ok))
+                raise InvalidInputError(f"{name}[{k}] must be finite"
+                                        f"{' and >= 0' * (name == 'dt')}, got {a[k]}")
         innov_out, vqst_out = np.empty(n), np.empty(n)
         columns.append(params.resistor.eval(columns[3]))
         counts = [0, 0, 0]
@@ -648,7 +650,7 @@ class CellFilter:
             state = self._series(*self._state, counts, *map(memoryview, columns),
                                  memoryview(innov_out), memoryview(vqst_out))
         finally:
-            _warn_clamps(params, *counts[:2], 4)
+            _warn_clamps(params, counts, 4)
         self._state = state
         return _soc_column(params, vqst_out), innov_out, vqst_out, tuple(counts)
 
@@ -658,7 +660,7 @@ class CellFilter:
         _check_finite(current=current, dt=dt)
         if dt <= 0.0:
             raise ConfigurationError(f"dt must be positive, got {dt}")
-        v, dyn, p, _ = self._step(*self._state, float(dt), float(current), None, 0.0)
+        v, dyn, p, _ = self._step(*self._state, [0, 0], float(dt), float(current), None, 0.0, 0.0)
         self._state = v, dyn, p
 
     def correct(self, measured_v: float, current: float) -> float:
@@ -670,18 +672,15 @@ class CellFilter:
     def service(self, dt: float, i: float, z: float) -> float:
         """Predict over ``dt`` >= 0 seconds at the current ``i``, correct with the
         voltage ``z`` measured at ``i`` and return the innovation; the callers
-        check that the inputs are finite. Like ``series``, it warns at most
-        once per kind of clamp, the current's also when the step raises,
-        naming the caller of its caller: ``tick``'s and ``correct``'s name theirs."""
+        check that the inputs are finite. It warns from the step's counts as
+        ``series`` does from the loop's, naming the caller of its caller."""
         dt, i, z, params = float(dt), float(i), float(z), self._params
-        i_lo, i_hi, _, _, soc_lo, soc_hi = self._constants.bounds
-        clamped = i < i_lo or i > i_hi
+        counts = [0, 0]
         try:
-            v, dyn, p, innovation = self._step(*self._state, dt, i, z, params.resistor.eval(i))
-        except BaseException:
-            _warn_clamps(params, clamped, False, 4)
-            raise
-        _warn_clamps(params, clamped, v < soc_lo or v > soc_hi, 4)
+            v, dyn, p, innovation = self._step(*self._state, counts, dt, i, z, i,
+                                               params.resistor.eval(i))
+        finally:
+            _warn_clamps(params, counts, 4)
         self._state = v, dyn, p
         return innovation
 

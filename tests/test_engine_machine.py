@@ -247,16 +247,19 @@ class EngineMachine(RuleBasedStateMachine):
             return
         ekf = slot.ekf
         m = ekf.covariance.shape[0]
-        if kind == "asymmetric":  # refused at the cell's next service
-            ekf.covariance[m - 1, 0] = np.nextafter(ekf.covariance[0, m - 1], 1.0)
-        elif kind == "gain":  # a gain near 2 on v_qst: 1.7e308 V overflows it
+        if kind == "gain":  # a gain near 2 on v_qst: 1.7e308 V overflows it
             u = np.zeros(m)
             u[:2] = 2.0, -1.0
             ekf = EkfState(ekf.mean, np.outer(u, u) + 0.01 * np.eye(m))
-        elif kind == "another size":
-            ekf = EkfState(CellState.rest(3.3, 1), 1e-4 * np.eye(2))
-            _, error, _ = attempt(lambda: setattr(slot, "ekf", ekf))
-            assert error == (InvalidInputError, "state has 1 RC components, parameters define 2")
+        elif kind in ("asymmetric", "another size"):  # refused at assignment
+            if kind == "asymmetric":
+                ekf.covariance[m - 1, 0] = np.nextafter(ekf.covariance[0, m - 1], 1.0)
+                message = "covariance must be symmetric"
+            else:
+                ekf = EkfState(CellState.rest(3.3, 1), 1e-4 * np.eye(2))
+                message = "state has 1 RC components, parameters define 2"
+            _, error, caught = attempt(lambda: setattr(slot, "ekf", ekf))
+            assert (error, caught) == ((InvalidInputError, message), [])
             return
         slot.ekf = ekf
         self.base[cid], self.services[cid] = EkfState(ekf.mean.copy(), ekf.covariance.copy()), []

@@ -210,16 +210,15 @@ class TestTick:
 
     @pytest.mark.parametrize("value", [1e-9, np.nan])
     def test_asymmetric_covariance_leaves_the_engine_unchanged(self, value):
-        """A slot whose P was made asymmetric is refused when it is due, before
-        its slot, service time or the ring change."""
+        """An asymmetric P is refused when it is assigned to a slot, before the
+        slot, its service time or the ring change."""
         engine = ticked_pair()
         slot = engine.slots["b"]
         covariance = slot.ekf.covariance
         covariance[2, 1] = value
-        slot.ekf = EkfState(slot.ekf.mean, covariance)
         before = snapshot(engine)
         with pytest.raises(InvalidInputError, match="covariance must be symmetric"):
-            engine.tick(1.5, Measurement("b", -1.0, 3.3))
+            slot.ekf = EkfState(slot.ekf.mean, covariance)
         assert snapshot(engine) == before
 
     def test_writing_into_a_read_slot_state_changes_no_later_tick(self):

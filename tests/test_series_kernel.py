@@ -7,9 +7,9 @@ returns (``charge_map``, ``math.exp`` decays, ``list_predict`` and
 ``list_correct``, no reuse), with the same clamp counts, the same error and
 the same warnings in the same order. The one-sample step that the per-step
 API calls, written from the same sample body into the same source, must give
-one sample of the loop bit for bit, and given no voltage the list form's
-predict (r infinite). Bits are compared through ``.view(np.int64)``, so a
-zero's sign and a NaN count.
+one sample of the loop bit for bit, with its clamp counts, and given no
+voltage the list form's predict (r infinite). Bits are compared through
+``.view(np.int64)``, so a zero's sign and a NaN count.
 """
 
 import ast
@@ -34,7 +34,6 @@ from cellsoc import (  # noqa: E402
     InvalidInputError,
     MonotoneCurve,
     NumericalFailureError,
-    OutOfRangeWarning,
     Trace,
     correct,
     interval_currents,
@@ -47,7 +46,6 @@ from cellsoc import estimator  # noqa: E402
 from cellsoc.model import (  # noqa: E402
     DEFAULT_VQST_GUARD,
     _charge_map_lines,
-    _current_clamp_message,
     charge_map,
 )
 from helpers import (  # noqa: E402
@@ -257,32 +255,34 @@ def test_sample_loops_call_only_what_they_must(m):
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_generated_code_holds_the_upper_triangle_of_p(m):
-    """Past the unpacking of P and the check that refuses an asymmetric one, the
-    kernel names no entry of P, Q*h or the previous P below the diagonal, and
-    it copies the m(m+1)/2 entries of the upper triangle of P before a predict."""
-    body = generated_function(m, "filter_series").body
-    unpack = next(k for k, node in enumerate(body)
-                  if isinstance(node, ast.Assign) and ast.unparse(node.value) == "p")
-    check = body[unpack + 1]
-    assert isinstance(check, ast.If) and "covariance must be symmetric" in ast.unparse(check)
-    assert f"p_{m - 1}_0 != p_0_{m - 1}" in ast.unparse(check.test)
-    rest = [*body[:unpack], *body[unpack + 2:]]
-    nodes = [node for statement in rest for node in ast.walk(statement)]
-    entries = (re.fullmatch(r"(?:prev_)?[pq]_(\d+)_(\d+)", node.id)
-               for node in nodes if isinstance(node, ast.Name))
-    assert not [e[0] for e in entries if e and int(e[1]) > int(e[2])]
-    copies = [target.id for node in nodes if isinstance(node, ast.Assign)
-              for target in node.targets
-              if isinstance(target, ast.Name) and target.id.startswith("prev_")]
-    assert sorted(copies) == sorted(f"prev_p_{a}_{b}" for a in range(m) for b in range(a, m))
+    """The source holds no symmetry check: ``CellFilter.ekf`` refuses an
+    asymmetric P where a state enters a filter. Past the unpacking of P, the
+    loop and the step name no entry of P, Q*h or the previous P below the
+    diagonal, and the loop copies the m(m+1)/2 entries of the upper triangle
+    of P before a predict."""
+    assert "covariance must be symmetric" not in estimator._source(m)
+    for name in ("filter_series", "filter_step"):
+        body = generated_function(m, name).body
+        unpack = next(k for k, node in enumerate(body)
+                      if isinstance(node, ast.Assign) and ast.unparse(node.value) == "p")
+        nodes = [node for statement in body[unpack + 1:] for node in ast.walk(statement)]
+        entries = (re.fullmatch(r"(?:prev_)?[pq]_(\d+)_(\d+)", node.id)
+                   for node in nodes if isinstance(node, ast.Name))
+        assert not [e[0] for e in entries if e and int(e[1]) > int(e[2])]
+        copies = [target.id for node in nodes if isinstance(node, ast.Assign)
+                  for target in node.targets
+                  if isinstance(target, ast.Name) and target.id.startswith("prev_")]
+        upper = [f"prev_p_{a}_{b}" for a in range(m) for b in range(a, m)]
+        assert sorted(copies) == (sorted(upper) if name == "filter_series" else [])
 
 
 @st.composite
 def one_sample_cases(draw):
     """(m, cell, constants, (v, dyn, p), (h, u, z, i)): one sample of a size-m
     state. v_qst lies in the window or past the guard on either side; P is
-    dense, indefinite (-I), all 1e308, asymmetric by one ulp, or u u' + I/100
-    with u = (2, -1, 0, ...), a gain near 2 on v_qst; Q is 0, 1e-6 or 1e308
+    dense, indefinite (-I), all 1e308, or u u' + I/100 with u = (2, -1, 0,
+    ...), a gain near 2 on v_qst (P is symmetric, as a filter's state must
+    be: ``CellFilter.ekf`` refuses one that is not); Q is 0, 1e-6 or 1e308
     per second and r 1e-4, 1e-8 or infinite (a correction raises on it); dt is 0 or
     up to an hour; both currents reach 80 A, past the resistor curve's 50 A;
     the voltage lies around the window or is 1.7e308 V."""
@@ -296,13 +296,11 @@ def one_sample_cases(draw):
          }[draw(st.sampled_from(["inside", "below", "above"]))]
     a = rng.standard_normal((m, m))
     p = 1e-4 * (a @ a.T) + np.diag([0.04] + [1e-4] * (m - 1))
-    kind = draw(st.sampled_from(["dense", "dense", "indefinite", "huge", "asymmetric", "gain"]))
+    kind = draw(st.sampled_from(["dense", "dense", "indefinite", "huge", "gain"]))
     if kind == "indefinite":
         p = -np.eye(m)
     elif kind == "huge":
         p = np.full((m, m), 1e308)
-    elif kind == "asymmetric":
-        p[m - 1, 0] = np.nextafter(p[0, m - 1], 1.0)
     elif kind == "gain":
         u = np.zeros(m)
         u[:2] = 2.0, -1.0
@@ -318,19 +316,28 @@ def one_sample_cases(draw):
     return m, cell, constants, state, (h, u, z, i)
 
 
-# Raised before the loop reaches the measurement, where it counts the current.
-BEFORE_MEASUREMENT = ("covariance must be symmetric", "process noise Q * dt is not finite",
-                      "predicted covariance lost positive semidefiniteness")
+def overflowing_q_case():
+    """``one_sample_cases``' form of ``make_cell`` with Q = 1e300 I and one sample
+    over 1e10 s at 1,000 A, far past the resistor curve's ±50 A: Q*dt is not
+    finite, which raises before the measurement, so nothing counts the current."""
+    cell = make_cell()
+    cfg = EkfConfig.default(cell)
+    constants = estimator._Constants.of(cell, cfg)._replace(
+        q_rate=(1e300 * np.eye(3)).ravel().tolist())
+    start = make_filter(cfg)
+    state = (start.mean.v_qst, start.mean.v_dyn_components.tolist(),
+             start.covariance.ravel().tolist())
+    return 3, cell, constants, state, (1e10, 1000.0, 3.3, 1000.0)
+
+
+OVERFLOWING_Q = overflowing_q_case()
 
 
 def list_predict_only(cell, q_rate, v, dyn, p, h, u):
     """The state bits and error of ``list_filter_series`` with r infinite, which
-    predicts only, on one sample over h seconds at the current u; an
-    asymmetric P is refused first, as by every generated function."""
+    predicts only, on one sample over h seconds at the current u."""
     m = len(dyn) + 1
     p = np.array(p).reshape(m, m)
-    if not np.array_equal(p, p.T):
-        return None, (InvalidInputError, "covariance must be symmetric")
     off = SimpleNamespace(process_noise_q=np.array(q_rate).reshape(m, m),
                           measurement_noise_r=math.inf)
     ekf = EkfState(CellState(v, np.array(dyn)), p)
@@ -341,21 +348,26 @@ def list_predict_only(cell, q_rate, v, dyn, p, h, u):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(one_sample_cases())
+@example(OVERFLOWING_Q)
 def test_the_bound_step_is_one_sample_of_the_loop_bit_for_bit(case):
     """The step gives the loop's state and innovation bits on one sample, or its
-    error; the clamp counts its callers form, the current's from their input
-    and v_qst's from the result, are the loop's. The same step given no
-    voltage gives the state bits or error of the list form with r infinite,
-    and a NaN innovation."""
+    error, and the loop's clamp counts, also when it raises. The same step
+    given no voltage gives the state bits or error of the list form with r
+    infinite, a NaN innovation and no counts."""
     m, cell, constants, (v, dyn, p), (h, u, z, i) = case
     drop = cell.resistor.eval(i)
     counts, innovation, v_qst = [0, 0, 0], [0.0], [0.0]
     filter_series, filter_step = estimator._binder(m)(*constants)
     want, want_error, _ = outcome(lambda: filter_series(
         v, dyn, p, counts, (h,), (u,), (z,), (i,), (drop,), innovation, v_qst))
-    got, got_error, _ = outcome(lambda: filter_step(v, dyn, p, h, u, z, drop))
+    step_counts = [None, None]
+    got, got_error, _ = outcome(lambda: filter_step(v, dyn, p, step_counts, h, u, z, i, drop))
     assert got_error == want_error
-    predicted, predicted_error, _ = outcome(lambda: filter_step(v, dyn, p, h, u, None, 0.0))
+    assert step_counts == counts[:2]
+    step_counts = [None, None]
+    predicted, predicted_error, _ = outcome(
+        lambda: filter_step(v, dyn, p, step_counts, h, u, None, i, 0.0))
+    assert step_counts == [0, 0]
     want_predicted, want_predicted_error = list_predict_only(cell, constants.q_rate, v, dyn, p,
                                                              h, u)
     assert predicted_error == want_predicted_error
@@ -363,17 +375,14 @@ def test_the_bound_step_is_one_sample_of_the_loop_bit_for_bit(case):
         v2, dyn2, p2, innovation2 = predicted
         assert bits([v2, *dyn2, *p2]) == want_predicted
         assert math.isnan(innovation2)
-    i_lo, i_hi, _, _, soc_lo, soc_hi = constants.bounds
-    current_clamps = int(i < i_lo or i > i_hi)
     if got_error is not None:
-        early = got_error[1].startswith(BEFORE_MEASUREMENT)
-        assert counts[:2] == [0 if early else current_clamps, 0]
         return
+    i_lo, i_hi, _, _, soc_lo, soc_hi = constants.bounds
     v1, dyn1, p1, innovation1 = got
     assert (bits([v1, *dyn1, *p1, innovation1])
             == bits([want[0], *want[1], *want[2], innovation[0]]))
     assert bits(v_qst) == bits([v1])
-    assert counts[:2] == [current_clamps, int(v1 < soc_lo or v1 > soc_hi)]
+    assert counts[:2] == [int(i < i_lo or i > i_hi), int(v1 < soc_lo or v1 > soc_hi)]
 
 
 @st.composite
@@ -397,6 +406,16 @@ def held_filter_cases(draw):
         cfg = EkfConfig(q, constants.r, base.initial_covariance_p0, base.initial_state)
     ekf = EkfState(CellState(v, np.array(dyn)), np.array(p).reshape(m, m))
     return cell, cfg, ekf, list(zip(kinds, [sample, *more]))
+
+
+def overflowing_q_calls():
+    """``held_filter_cases``' form of ``OVERFLOWING_Q``: a service of its sample,
+    which raises, then a correct at its current, which warns of the clamp."""
+    m, cell, _, _, sample = OVERFLOWING_Q
+    base = EkfConfig.default(cell)
+    cfg = EkfConfig(1e300 * np.eye(m), base.measurement_noise_r, base.initial_covariance_p0,
+                    base.initial_state)
+    return cell, cfg, make_filter(cfg), [("service", sample), ("correct", sample)]
 
 
 def held_outcome(fn):
@@ -426,6 +445,7 @@ def state_bits(ekf):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(held_filter_cases())
+@example(overflowing_q_calls())
 def test_a_held_filter_is_the_free_functions_and_the_loop_bit_for_bit(case):
     """A held ``CellFilter`` runs any interleaving of predict, correct and
     service. Each call gives the state, innovation, error and warnings (with
@@ -451,12 +471,6 @@ def test_a_held_filter_is_the_free_functions_and_the_loop_bit_for_bit(case):
             dt = h if kind == "service" else 0.0  # a correct is a service over 0 s
             run, want_error, want_caught = outcome(lambda: held_series(
                 ekf, cell, cfg, np.array([z]), np.array([i]), np.array([dt]), np.array([i])))
-            if want_error is not None and want_error[1].startswith(BEFORE_MEASUREMENT):
-                # The loop raised before it counted the current; the filter
-                # warns from its input.
-                clamped = not cell.resistor.x_min <= i <= cell.resistor.x_max
-                want_caught = [(OutOfRangeWarning, _current_clamp_message(cell.resistor),
-                                __file__)] * clamped
             assert (error, caught) == (want_error, want_caught)
             want = None if run is None else run[2]
             if run is not None:
@@ -595,3 +609,30 @@ def test_state_of_another_size_is_refused():
                          f"length, got {', '.join(map(str, lengths))}")
         assert caught == []
         assert state_bits(held.ekf) == before
+
+
+@pytest.mark.parametrize("column, value, message", [
+    (0, math.nan, "dt[1] must be finite and >= 0, got nan"),
+    (0, math.inf, "dt[1] must be finite and >= 0, got inf"),
+    (0, -5.0, "dt[1] must be finite and >= 0, got -5.0"),
+    (0, -1e6, "dt[1] must be finite and >= 0, got -1000000.0"),
+    (1, math.nan, "i_pred[1] must be finite, got nan"),
+    (1, -math.inf, "i_pred[1] must be finite, got -inf"),
+    (2, math.nan, "voltage[1] must be finite, got nan"),
+    (2, math.inf, "voltage[1] must be finite, got inf"),
+    (3, math.nan, "current[1] must be finite, got nan"),
+    (3, -math.inf, "current[1] must be finite, got -inf"),
+])
+def test_series_refuses_an_entry_that_is_not_finite_or_a_negative_dt(column, value, message):
+    """A column entry that is not finite, or a negative dt, is refused before the
+    loop runs, with an error naming its column and sample: the filter's state
+    stays as it was, and nothing warns."""
+    cell = make_cell()
+    held = CellFilter(cell, EkfConfig.default(cell))
+    before = state_bits(held.ekf)
+    # The drive current of 80 A lies past the resistor curve, so a loop that ran would warn.
+    columns = [np.full(3, x) for x in (1.0, 80.0, 3.3, 80.0)]
+    columns[column][1] = value
+    _, error, caught = outcome(lambda: held.series(*columns))
+    assert (error, caught) == ((InvalidInputError, message), [])
+    assert state_bits(held.ekf) == before
