@@ -36,7 +36,6 @@ from .estimator import (
     make_filter,
     predict,
     run_filter,
-    transition_jacobian,
 )
 from .identification import (
     FitReport,
@@ -62,16 +61,13 @@ from .model import (
     charge_map,
     coulomb_count,
     interval_currents,
-    output_voltage,
     reconstruct_v_dyn,
     simulate,
     soc_from_vqst,
-    step,
     vqst_from_soc,
 )
 from .multicell import (
     CellSeries,
-    CellSlot,
     Measurement,
     MultiCellEkf,
     SchedulerConfig,

@@ -155,7 +155,7 @@ def cmd_multicell(args) -> int:
     manifest = RunManifest("multicell", inputs={"config": args.config})
     engine, traces, ref_soc0 = traceio.load_multicell_config(args.config)
     cell_ids = engine.config.cells
-    refs = {cid: _reference(traces[cid], engine.slots[cid].params_ref, ref_soc0[cid])
+    refs = {cid: _reference(traces[cid], engine.slots[cid].params, ref_soc0[cid])
             for cid in cell_ids}
     series = engine.run(traces)
     outdir = Path(args.out_dir)

@@ -55,7 +55,9 @@ class OutOfRangeWarning(CellSocWarning):
 
 
 class SaturationWarning(CellSocWarning):
-    """The quasi-stationary voltage left its window beyond the guard margin and was clamped."""
+    """The quasi-stationary voltage left its window beyond the guard margin and was
+    clamped. No library call emits it: ``simulate`` records such clamps in
+    ``SimulationResult.saturation_events``, and the filter clamps without one."""
 
 
 class FitQualityWarning(CellSocWarning):

@@ -70,7 +70,6 @@ from .model import (
     _current_clamp_message,
     _soc_clamp_message,
     _soc_from_vqst,
-    charge_map,
     interval_currents,
     vqst_from_soc,
 )
@@ -160,19 +159,6 @@ class EkfState:
 
 def make_filter(cfg: EkfConfig) -> EkfState:
     return EkfState(cfg.initial_state.copy(), np.array(cfg.initial_covariance_p0))
-
-
-def transition_jacobian(
-    state: CellState, params: CellParameters, current: float, dt: float
-) -> np.ndarray:
-    """Jacobian of one model step with respect to the state (diagonal).
-
-    The (0, 0) entry is C(v0) / C(v1), the exact derivative of the charge map
-    Q(v1) = Q(v0) + i*dt; the RC entries are the exact decay factors.
-    Off-diagonals are zero because the states do not couple.
-    """
-    _, f00 = charge_map(params.capacitance, state.v_qst, float(current * dt))
-    return np.diag(np.concatenate(([f00], np.exp(-dt / params.taus))))
 
 
 def predict(ekf: EkfState, params: CellParameters, current: float, dt: float,
@@ -583,7 +569,7 @@ class CellFilter:
         self.ekf = make_filter(cfg) if ekf is None else ekf
 
     @property
-    def params_ref(self) -> CellParameters:
+    def params(self) -> CellParameters:
         return self._params
 
     @property

@@ -17,13 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import MonotoneCurve, _frozen_float_array
-from .errors import (
-    ConfigurationError,
-    InvalidInputError,
-    InvalidParametersError,
-    OutOfRangeWarning,
-    SaturationWarning,
-)
+from .errors import InvalidInputError, InvalidParametersError, OutOfRangeWarning
 
 # Tolerated quasi-stationary excursion (volts) past [v_min, v_max] before the
 # state is clamped; lets an estimator recover from a bad initialization.
@@ -232,23 +226,6 @@ def _check_finite(**named) -> None:
             raise InvalidInputError(f"{name} must be finite, got {value}")
 
 
-def output_voltage(state: CellState, params: CellParameters, current: float) -> float:
-    """Terminal voltage: v_qst + sum of RC voltages + instantaneous drop.
-
-    Currents outside the resistor grid are clamped (with a warning), so the
-    result stays defined during estimator recovery.
-    """
-    _check_finite(current=current)
-    if state.v_dyn_components.size != params.n_rc:
-        raise InvalidInputError(
-            f"state has {state.v_dyn_components.size} RC components, parameters define {params.n_rc}"
-        )
-    res = params.resistor
-    if current < res.x_min or current > res.x_max:
-        warnings.warn(_current_clamp_message(res), OutOfRangeWarning, stacklevel=2)
-    return state.v_qst + float(np.sum(state.v_dyn_components)) + res.eval(current)
-
-
 def charge_map(capacitance: MonotoneCurve, v0: float, charge: float) -> tuple[float, float]:
     """Exact quasi-stationary voltage after ``charge`` coulombs enter the capacitor.
 
@@ -316,36 +293,6 @@ def _charge_map_lines() -> tuple[list[str], list[str]]:
         "    f0 = c0 / c1",
     ]
     return setup, body
-
-
-def step(
-    state: CellState,
-    params: CellParameters,
-    current: float,
-    dt: float,
-) -> CellState:
-    """Advance the state by ``dt`` seconds under a constant current.
-
-    Both parts are exact for a constant current: the quasi-stationary voltage
-    moves by the charge map and each RC voltage by the zero-order-hold map,
-    so any positive ``dt`` is one step.
-    """
-    _check_finite(current=current, dt=dt)
-    if dt <= 0.0:
-        raise ConfigurationError(f"dt must be positive, got {dt}")
-    v_new, _ = charge_map(params.capacitance, state.v_qst, float(current * dt))
-    lo = params.v_min - DEFAULT_VQST_GUARD
-    hi = params.v_max + DEFAULT_VQST_GUARD
-    if v_new < lo or v_new > hi:
-        warnings.warn(
-            f"v_qst left [{params.v_min}, {params.v_max}] beyond the "
-            f"{DEFAULT_VQST_GUARD} V guard; clamped",
-            SaturationWarning,
-            stacklevel=2,
-        )
-        v_new = lo if v_new < lo else hi
-    decay = np.exp(-dt / params.taus)
-    return CellState(v_new, state.v_dyn_components * decay + params.rs * current * (1.0 - decay))
 
 
 # Static messages, so repeated clamps deduplicate under the default filter.
@@ -436,7 +383,7 @@ def reconstruct_v_dyn(
     ceil(log2 n) whole-array passes, O(n log n) work; A_k is a product of
     decays ≤ 1, so a long gap underflows to 0 and nothing overflows. The scan
     adds in another order than the per-sample recurrence x_k = a_k x_{k-1} +
-    b_k (``step``, the filter), so the two agree to rounding, not bit for bit.
+    b_k (the filter's step), so the two agree to rounding, not bit for bit.
     """
     t = np.asarray(timestamps, dtype=float)
     groups = tuple(rc_groups)

@@ -1,12 +1,13 @@
 """Single-engine multi-cell estimation: one EKF time-sliced by round-robin.
 
-Each cell owns a memory slot (its ``CellFilter`` and last service time). Every
-t_slot seconds the scheduler services the next cell in fixed circular order:
-it loads the slot, predicts over the per-cell elapsed time (a full revolution,
-N * t_slot), corrects with that cell's freshest measurement and stores the
-slot back. All other slots are untouched, so cells are isolated by
-construction and the arithmetic is identical to N independent filters each
-stepped at period N * t_slot.
+Each cell owns a memory slot, its ``CellFilter``; the engine keeps the cell's
+last service time beside it, in ``served_at``. Every t_slot seconds the
+scheduler services the next cell in fixed circular order: it loads the slot,
+predicts over the per-cell elapsed time (a full revolution, N * t_slot),
+corrects with that cell's freshest measurement and stores the slot back.
+All other slots are untouched, so cells are isolated by construction and the
+arithmetic is identical to N independent filters each stepped at period
+N * t_slot.
 
 Both paths call the slot's ``CellFilter``, which runs the estimator module's
 one generated EKF sample body, on one grid anchored at ``start_time``:
@@ -33,8 +34,8 @@ from .errors import (
     SchedulingViolationError,
     SchedulingWarning,
 )
-from .estimator import CellFilter, EkfConfig, EkfState, make_filter
-from .model import _MAX_SAMPLES, CellParameters, _check_finite
+from .estimator import CellFilter
+from .model import _MAX_SAMPLES, _check_finite
 
 
 def max_cells(f_max: float, t_slot: float) -> int:
@@ -99,16 +100,6 @@ class SchedulerConfig:
             )
 
 
-class CellSlot(CellFilter):
-    """Per-cell memory: the cell's ``CellFilter``, id and last service time."""
-
-    def __init__(self, cell_id: str, ekf: EkfState, params_ref: CellParameters,
-                 ekf_config: EkfConfig, last_serviced_t: float):
-        super().__init__(params_ref, ekf_config, ekf)
-        self.cell_id = cell_id
-        self.last_serviced_t = last_serviced_t
-
-
 @dataclass(frozen=True, slots=True)
 class Measurement:
     cell_id: str
@@ -145,9 +136,11 @@ class MultiCellEkf:
     def __init__(self, config: SchedulerConfig, cell_setups, start_time: float = 0.0):
         """``cell_setups`` maps cell_id -> (CellParameters, EkfConfig).
 
-        Slots are back-dated by one revolution so the first service of every
-        cell, like all later ones, predicts over exactly N * t_slot (the slot
-        content handed to prediction is always one revolution old).
+        ``slots`` maps each cell id to its ``CellFilter`` and ``served_at`` to
+        its last service time. Those times are back-dated by one revolution so
+        the first service of every cell, like all later ones, predicts over
+        exactly N * t_slot (the slot content handed to prediction is always one
+        revolution old).
         """
         self.config = config
         self.start_time = float(start_time)
@@ -156,14 +149,15 @@ class MultiCellEkf:
         n = len(config.cells)
         # A service whose held sample is older than two revolutions is stale.
         self._stale_age = 2.0 * (n * config.t_slot) * (1.0 + 1e-9)
-        self.slots: dict[str, CellSlot] = {}
+        self.slots: dict[str, CellFilter] = {}
+        self.served_at: dict[str, float] = {}
         for j, cell_id in enumerate(config.cells):
             try:
                 params, ekf_cfg = cell_setups[cell_id]
             except KeyError:
                 raise InvalidInputError(f"no setup provided for cell {cell_id!r}") from None
-            self.slots[cell_id] = CellSlot(cell_id, make_filter(ekf_cfg), params, ekf_cfg,
-                                           self.start_time + (j + 1 - n) * config.t_slot)
+            self.slots[cell_id] = CellFilter(params, ekf_cfg)
+            self.served_at[cell_id] = self.start_time + (j + 1 - n) * config.t_slot
         self._served = 0  # services made since start_time
 
     @property
@@ -178,7 +172,7 @@ class MultiCellEkf:
         warnings name the caller, and a tick that raises leaves the engine
         unchanged. Non-finite inputs are refused, and then out-of-order
         measurements, before the slot changes. A service more than two
-        revolutions (2 N t_slot, to a relative 1e-9) after the slot's last one
+        revolutions (2 N t_slot, to a relative 1e-9) after the cell's last one
         is made with a ``SchedulingWarning``: a ``Measurement`` has no time.
         """
         expected = self.due_cell
@@ -186,8 +180,8 @@ class MultiCellEkf:
             raise SchedulingViolationError(
                 f"measurement for {measurement.cell_id!r} but {expected!r} is due"
             )
-        slot = self.slots[expected]
-        dt = now - slot.last_serviced_t
+        slot, last = self.slots[expected], self.served_at[expected]
+        dt = now - last
         i, z = measurement.current, measurement.voltage
         # Comparisons cost less than the call; _check_finite names the bad input.
         if not (-math.inf < i < math.inf and -math.inf < dt < math.inf
@@ -195,7 +189,7 @@ class MultiCellEkf:
             _check_finite(now=now, current=i, dt=dt, measured_v=z)
         if dt <= 0.0:
             raise SchedulingViolationError(
-                f"service time {now} does not advance past {slot.last_serviced_t}"
+                f"service time {now} does not advance past {last}"
             )
         if dt > self._stale_age:
             warnings.warn(
@@ -205,7 +199,7 @@ class MultiCellEkf:
                 stacklevel=2,
             )
         innovation = slot.service(dt, i, z)
-        slot.last_serviced_t = now
+        self.served_at[expected] = now
         self._served += 1
         return TickResult(expected, now, slot.soc, innovation)
 
@@ -243,7 +237,7 @@ class MultiCellEkf:
         services = _service_count(self.start_time, t_slot, horizon)
         picks, stale = [], 0
         for j, cell_id in enumerate(cells):
-            slot, t = self.slots[cell_id], traces[cell_id].timestamps
+            t = traces[cell_id].timestamps
             # Service k (of all cells) happens at start + (k + 1) * t_slot on cell k mod N.
             first = served + (j - served) % n  # the cell's first service not yet made
             now = self.start_time + (np.arange(first, services, n) + 1) * t_slot
@@ -254,7 +248,7 @@ class MultiCellEkf:
                 raise InvalidInputError(
                     f"trace for {cell_id!r} starts after its first service instant {float(now[0])}"
                 )
-            prev = np.concatenate(([slot.last_serviced_t], now[:-1]))
+            prev = np.concatenate(([self.served_at[cell_id]], now[:-1]))
             dt = now - prev
             stuck = np.flatnonzero(dt <= 0.0)
             if stuck.size:
@@ -262,7 +256,7 @@ class MultiCellEkf:
                 raise SchedulingViolationError(
                     f"service time {float(now[k])} does not advance past {float(prev[k])}"
                 )
-            picks.append((slot, now, idx, dt))
+            picks.append((cell_id, now, idx, dt))
             stale += int(np.count_nonzero(now - t[idx] > self._stale_age))
         revolution = n * t_slot
         overrun = [c for c in cells
@@ -284,19 +278,19 @@ class MultiCellEkf:
 
         series, saved = {}, []
         try:
-            for slot, now, idx, dt in picks:
-                trace = traces[slot.cell_id]
+            for cell_id, now, idx, dt in picks:
+                slot, trace = self.slots[cell_id], traces[cell_id]
                 current = trace.current[idx]  # held through the revolution
                 saved.append((slot, slot.ekf))  # to restore on a refusal, bit for bit
                 soc, innovations, _, counts = slot.series(dt, current, trace.voltage[idx], current)
-                series[slot.cell_id] = CellSeries(now, soc, idx, innovations, *counts)
+                series[cell_id] = CellSeries(now, soc, idx, innovations, *counts)
         except BaseException:
             for slot, ekf in saved:
                 slot.ekf = ekf
             raise
-        for slot, now, _, _ in picks:
+        for cell_id, now, _, _ in picks:
             if now.size:
-                slot.last_serviced_t = float(now[-1])
+                self.served_at[cell_id] = float(now[-1])
         self._served = max(served, services)
         return series
 

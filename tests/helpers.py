@@ -26,7 +26,6 @@ from cellsoc import (
     estimate_soc,
     identification_profile,
     make_filter,
-    output_voltage,
     run_filter,
     simulate,
 )
@@ -188,7 +187,7 @@ def rc_recurrence(timestamps, current, rc_groups, initial=None, dtype=float):
 
     The reference for the prefix scan: each group runs x_k = x_{k-1} * a_k + b_k
     with a_k = exp(-dt_k / tau) and b_k = r * i_k * (1 - a_k), the same float
-    expressions as ``step``, from rest or from ``initial``. With
+    expressions as ``mean_step``, from rest or from ``initial``. With
     ``dtype=np.longdouble`` the decays, forcings and recurrence are carried in
     extended precision, as an accuracy yardstick for both forms.
     """
@@ -216,19 +215,40 @@ def rc_recurrence(timestamps, current, rc_groups, initial=None, dtype=float):
 # Sums are numpy's, so the oracle agrees with the kernel to rounding.
 
 
+def mean_step(state, params, current, dt):
+    """The model step on numpy arrays: the charge map clamped into the guarded
+    window and the exact RC decays, and the diagonal of F."""
+    v_new, f00 = charge_map(params.capacitance, state.v_qst, float(current * dt))
+    v_new = min(max(v_new, params.v_min - DEFAULT_VQST_GUARD), params.v_max + DEFAULT_VQST_GUARD)
+    decay = np.exp(-dt / params.taus)
+    v_dyn = state.v_dyn_components * decay + params.rs * current * (1.0 - decay)
+    return CellState(v_new, v_dyn), np.concatenate(([f00], decay))
+
+
+def step(state, params, current, dt):
+    """The state after ``dt`` seconds at ``current``: ``mean_step``'s mean."""
+    return mean_step(state, params, current, dt)[0]
+
+
+def transition_jacobian(state, params, current, dt):
+    """The diagonal Jacobian of ``step``: C(v0) / C(v1), then the RC decays."""
+    return np.diag(mean_step(state, params, current, dt)[1])
+
+
+def output_voltage(state, params, current):
+    """Terminal voltage: v_qst + the RC voltages + the drop at the clamped current."""
+    res = params.resistor
+    if current < res.x_min or current > res.x_max:
+        warnings.warn(_current_clamp_message(res), OutOfRangeWarning, stacklevel=2)
+    return state.v_qst + float(np.sum(state.v_dyn_components)) + res.eval(current)
+
+
 def numpy_predict(ekf, params, current, dt, cfg):
     """A-priori estimate after ``dt`` seconds at ``current``, as matrix algebra."""
     _check_finite(current=current, dt=dt)
     if dt <= 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    v_new, f00 = charge_map(params.capacitance, ekf.mean.v_qst, float(current * dt))
-    lo = params.v_min - DEFAULT_VQST_GUARD
-    hi = params.v_max + DEFAULT_VQST_GUARD
-    if v_new < lo or v_new > hi:
-        v_new = lo if v_new < lo else hi
-    decay = np.exp(-dt / params.taus)
-    v_dyn = ekf.mean.v_dyn_components * decay + params.rs * current * (1.0 - decay)
-    f_diag = np.concatenate(([f00], decay))
+    mean, f_diag = mean_step(ekf.mean, params, current, dt)
     if not all(math.isfinite(q * dt) for q in np.diagonal(cfg.process_noise_q).tolist()):
         raise NumericalFailureError(f"process noise Q * dt is not finite (dt = {float(dt)})")
     cov = np.outer(f_diag, f_diag) * ekf.covariance + cfg.process_noise_q * dt
@@ -238,7 +258,7 @@ def numpy_predict(ekf, params, current, dt, cfg):
     d = np.diagonal(cov)
     if not math.isfinite(float(np.sum(cov))) or np.any(d < -PSD_TOLERANCE):
         raise NumericalFailureError("predicted covariance lost positive semidefiniteness")
-    return EkfState(CellState(v_new, v_dyn), cov)
+    return EkfState(mean, cov)
 
 
 def numpy_correct(ekf, params, measured_v, current, cfg):

@@ -25,15 +25,14 @@ from cellsoc import (
     run_filter,
     simulate,
     soc_from_vqst,
-    step,
-    transition_jacobian,
     us06_like_profile,
     validation_profile,
     vqst_from_soc,
 )
 from cellsoc.cli import main
 from helpers import (
-    identification_trace, make_cell, oracle_service_soc, random_cell, relative_rms)
+    identification_trace, make_cell, oracle_service_soc, random_cell, relative_rms, step,
+    transition_jacobian)
 
 
 @contextmanager

@@ -287,7 +287,7 @@ class EngineMachine(RuleBasedStateMachine):
         assert self.engine.due_cell == self.due
         for cid in self.ids:
             slot = self.engine.slots[cid]
-            assert bits(slot.last_serviced_t) == bits(self.last[cid])
+            assert bits(self.engine.served_at[cid]) == bits(self.last[cid])
             assert state_bits(slot.ekf) == state_bits(self.state(cid))
 
 

@@ -19,12 +19,9 @@ from cellsoc import (
     correct,
     estimate_soc,
     make_filter,
-    output_voltage,
     predict,
     run_filter,
     simulate,
-    step,
-    transition_jacobian,
     vqst_from_soc,
 )
 from cellsoc import estimator
@@ -40,7 +37,10 @@ from helpers import (
     near_boundary_draws,
     numpy_correct,
     numpy_predict,
+    output_voltage,
     random_cell,
+    step,
+    transition_jacobian,
 )
 
 

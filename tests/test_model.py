@@ -4,23 +4,24 @@ import numpy as np
 import pytest
 
 from cellsoc import (
+    CellFilter,
     CellParameters,
     CellState,
     ConfigurationError,
+    EkfConfig,
+    EkfState,
+    InvalidInputError,
     InvalidParametersError,
     MonotoneCurve,
     OutOfRangeWarning,
     RcGroup,
-    SaturationWarning,
     Trace,
     constant_profile,
     coulomb_count,
     interval_currents,
-    output_voltage,
     reconstruct_v_dyn,
     simulate,
     soc_from_vqst,
-    step,
     vqst_from_soc,
 )
 from helpers import (
@@ -36,6 +37,26 @@ def constant_c_cell(c=3600.0, v_min=2.9, v_max=3.7, rc=((0.01, 10.0), (0.02, 40.
         tuple(RcGroup(r, tau) for r, tau in rc),
         make_resistor(r0),
     )
+
+
+def held(cell, state):
+    """A ``CellFilter`` of ``cell`` whose mean is ``state``: the library's one
+    per-sample surface, whose predict is the model step."""
+    cfg = EkfConfig.default(cell)
+    return CellFilter(cell, cfg, EkfState(state, cfg.initial_covariance_p0))
+
+
+def step(state, cell, current, dt):
+    """The mean after ``CellFilter.predict``."""
+    filt = held(cell, state)
+    filt.predict(current, dt)
+    return filt.ekf.mean
+
+
+def output_voltage(state, cell, current):
+    """The terminal voltage the filter predicts: the innovation of a 0 V
+    reading is its exact negation."""
+    return -held(cell, state).correct(0.0, current)
 
 
 class TestTypes:
@@ -151,7 +172,7 @@ class TestOutputVoltage:
 
     def test_non_finite_rejected(self):
         cell = constant_c_cell()
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidInputError):
             output_voltage(CellState(3.3, np.zeros(2)), cell, math.nan)
 
 
@@ -191,9 +212,10 @@ class TestStep:
 
     def test_rc_group_converges_to_steady_state(self):
         cell = constant_c_cell(c=1e7, rc=((0.01, 10.0),), r0=0.0)
-        s = CellState(3.3, np.zeros(1))
+        filt = held(cell, CellState(3.3, np.zeros(1)))
         for _ in range(5000):
-            s = step(s, cell, 2.0, 1.0)
+            filt.predict(2.0, 1.0)
+        s = filt.ekf.mean
         assert s.v_dyn_components[0] == pytest.approx(0.02, abs=1e-9)
 
     def test_exact_map_matches_closed_form(self):
@@ -203,20 +225,20 @@ class TestStep:
         closed = cell.rs[0] * i + (v0 - cell.rs[0] * i) * math.exp(-dt / cell.taus[0])
         assert s1.v_dyn_components[0] == pytest.approx(closed, rel=1e-12)
 
-    def test_saturation_clamps_and_warns(self):
+    def test_saturation_clamps(self):
         cell = constant_c_cell(c=10.0, rc=((0.01, 10.0),))
         s = CellState(cell.v_max, np.zeros(1))
-        with pytest.warns(SaturationWarning):
-            s1 = step(s, cell, 30.0, 0.1)
+        s1 = step(s, cell, 30.0, 0.1)
         assert s1.v_qst == pytest.approx(cell.v_max + 0.05)
 
 
 class TestVdynSteady:
     def test_long_horizon_step_integration(self):
         cell = constant_c_cell(c=1e7, rc=((0.01, 10.0), (0.02, 40.0)), r0=0.0)
-        s = CellState(3.3, np.zeros(2))
+        filt = held(cell, CellState(3.3, np.zeros(2)))
         for _ in range(2000):
-            s = step(s, cell, 2.0, 1.0)
+            filt.predict(2.0, 1.0)
+        s = filt.ekf.mean
         # The steady dynamic voltage: sum(r) * i = (0.01 + 0.02) ohm * 2 A = 0.06 V.
         assert float(np.sum(s.v_dyn_components)) == pytest.approx(
             float(np.sum(cell.rs)) * 2.0, abs=1e-6
@@ -386,20 +408,21 @@ class TestSimulate:
         assert np.array_equal(res.trace.voltage.view(np.int64), total.view(np.int64))
 
     def test_step_chain_agrees_within_rounding(self):
-        # step chains the charge map, simulate inverts the running charge once
-        # per sample; they differ by rounding only (3.6e-15 V measured here).
-        # The RC columns come from a prefix scan, which adds in another order
-        # than step's recurrence: 1.0e-17 and 9.1e-18 V measured here, 3.2e-16
-        # and 9.8e-16 of each column's largest |x|.
+        # The filter's predict chains the charge map, simulate inverts the
+        # running charge once per sample; they differ by rounding only (3.6e-15
+        # V measured here). The RC columns come from a prefix scan, which adds
+        # in another order than the predict's recurrence: 1.0e-17 and 1.6e-17 V
+        # measured here, 3.2e-16 and 1.7e-15 of each column's largest |x|.
         cell = make_cell()
         t = np.cumsum(np.random.default_rng(3).uniform(0.5, cell.dt_guard, 400))
         current = np.random.default_rng(4).normal(0.0, 3.0, t.size)
         initial = CellState(3.25, np.array([0.01, -0.005]))
         res = simulate(cell, Trace(t, current), initial)
         rc_bound = 1e-14 * np.max(np.abs(res.v_dyn), axis=0)
-        s = initial
+        filt = held(cell, initial)
         for k, i_k in enumerate(interval_currents(current), start=1):
-            s = step(s, cell, float(i_k), float(t[k] - t[k - 1]))
+            filt.predict(float(i_k), float(t[k] - t[k - 1]))
+            s = filt.ekf.mean
             assert abs(s.v_qst - res.v_qst[k]) <= 1e-14
             assert np.all(np.abs(s.v_dyn_components - res.v_dyn[k]) <= rc_bound)
 

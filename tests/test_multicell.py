@@ -121,9 +121,9 @@ def ticked_pair():
 def snapshot(engine):
     """The ring position and, bit for bit, each slot's service time and filter."""
     return engine.due_cell, [
-        (slot.last_serviced_t, bits(slot.ekf.mean.v_qst).tolist(),
+        (engine.served_at[cid], bits(slot.ekf.mean.v_qst).tolist(),
          bits(slot.ekf.mean.v_dyn_components).tolist(), bits(slot.ekf.covariance).tolist())
-        for slot in engine.slots.values()]
+        for cid, slot in engine.slots.items()]
 
 
 def held_reference(cell, trace, series):
@@ -342,7 +342,7 @@ class TestTick:
         for k, now in enumerate(times):
             fresh = MultiCellEkf(sched, {"a": (cell, cfg)})
             fresh.slots["a"].ekf = engine.slots["a"].ekf
-            fresh.slots["a"].last_serviced_t = engine.slots["a"].last_serviced_t
+            fresh.served_at["a"] = engine.served_at["a"]
             measurement = Measurement("a", -1.0 - 0.5 * (k % 3), 3.3 + 0.01 * k)
             outcomes.append(tick(engine, now, measurement))
             assert outcomes[-1] == tick(fresh, now, measurement)
@@ -390,7 +390,7 @@ class TestTick:
             assert np.array_equal(bits(soc[cid]), bits(series[cid].soc_est))
             assert np.array_equal(bits(innovations[cid]), bits(series[cid].innovations))
             got, want = online.slots[cid], batch.slots[cid]
-            assert got.last_serviced_t == want.last_serviced_t
+            assert online.served_at[cid] == batch.served_at[cid]
             assert np.array_equal(bits(got.ekf.mean.v_qst), bits(want.ekf.mean.v_qst))
             assert np.array_equal(bits(got.ekf.mean.v_dyn_components),
                                   bits(want.ekf.mean.v_dyn_components))
@@ -571,7 +571,7 @@ class TestRunEquivalence:
             assert batch.due_cell == online.due_cell
             for cid in ids:
                 got, want = batch.slots[cid], online.slots[cid]
-                assert got.last_serviced_t == want.last_serviced_t
+                assert batch.served_at[cid] == online.served_at[cid]
                 assert abs(got.ekf.mean.v_qst - want.ekf.mean.v_qst) <= 1e-12
                 assert np.max(np.abs(got.ekf.mean.v_dyn_components
                                      - want.ekf.mean.v_dyn_components)) <= 1e-12
@@ -839,7 +839,7 @@ def test_slot_isolation_under_a_perturbed_stream(case):
         assert np.array_equal(bits(a.soc_est), bits(b.soc_est))
         assert np.array_equal(bits(a.innovations), bits(b.innovations))
         sa, sb = clean.slots[cid], glitched.slots[cid]
-        assert sa.last_serviced_t == sb.last_serviced_t
+        assert clean.served_at[cid] == glitched.served_at[cid]
         assert np.array_equal(bits(sa.ekf.mean.v_qst), bits(sb.ekf.mean.v_qst))
         assert np.array_equal(bits(sa.ekf.mean.v_dyn_components),
                               bits(sb.ekf.mean.v_dyn_components))
@@ -932,7 +932,7 @@ def test_ticking_any_schedule_is_run_bit_for_bit(case):
                                         s.current_clamps,
                                         _soc_clamp_message(cells[cid]): s.soc_clamps})
         got, want = online.slots[cid], batch.slots[cid]
-        assert got.last_serviced_t == want.last_serviced_t
+        assert online.served_at[cid] == batch.served_at[cid]
         assert np.array_equal(bits(got.ekf.mean.v_qst), bits(want.ekf.mean.v_qst))
         assert np.array_equal(bits(got.ekf.mean.v_dyn_components),
                               bits(want.ekf.mean.v_dyn_components))
