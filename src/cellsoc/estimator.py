@@ -38,8 +38,8 @@ the kernel run it, so no BLAS decides a verdict.
 The sample body, loop and step alike, counts the samples it clamps: every
 ``CellFilter.series`` or ``service`` call warns from its counts at most once
 per kind (current outside the resistor curve, v_qst outside the window), and
-``FilterRun`` carries them. P's symmetry is checked where a state enters a
-filter, in ``CellFilter.ekf``."""
+``FilterRun`` carries them. That P is finite and symmetric is checked where
+a state enters a filter, in ``CellFilter.ekf``."""
 
 from __future__ import annotations
 
@@ -147,8 +147,8 @@ class EkfConfig:
 
 @dataclass(eq=False)
 class EkfState:
-    """Filter mean and covariance. The covariance is symmetric, each entry (b, a)
-    == to (a, b); ``CellFilter.ekf`` refuses one that is not."""
+    """Filter mean and covariance. The covariance is finite and symmetric, each
+    entry (b, a) == to (a, b); ``CellFilter.ekf`` refuses one that is not."""
 
     mean: CellState
     covariance: np.ndarray
@@ -587,6 +587,8 @@ class CellFilter:
         if ekf.covariance.shape != (m, m):
             raise InvalidInputError(f"covariance must be {m}x{m}, got {ekf.covariance.shape}")
         p = ekf.covariance.ravel().tolist()
+        if not all(map(math.isfinite, p)):
+            raise InvalidInputError("covariance must be finite")
         if any(p[a * m + b] != p[b * m + a] for a in range(m) for b in range(a)):
             raise InvalidInputError("covariance must be symmetric")
         self._state = float(ekf.mean.v_qst), dyn, p

@@ -16,7 +16,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from cellsoc import (  # noqa: E402
-    EkfConfig, EkfState, InvalidInputError, NumericalFailureError, correct, predict)
+    CellFilter, EkfConfig, EkfState, InvalidInputError, MultiCellEkf, NumericalFailureError,
+    SchedulerConfig, correct, predict)
 from cellsoc.estimator import make_filter  # noqa: E402
 from helpers import (  # noqa: E402
     OPENBLAS_ACCEPTED, _is_psd, covariance_steps, held_series, left_to_right, list_correct,
@@ -197,14 +198,43 @@ def outcome_or_refusal(fn):
 @pytest.mark.parametrize("entry", [(1, 0), (0, 2), (2, 1)])
 def test_asymmetric_covariance_is_refused(entry, value):
     """An entry (b, a) that is not == to (a, b) is refused by every filter path;
-    a NaN off the diagonal is one such entry."""
+    one that is NaN or inf is refused first as not finite."""
     cell = make_cell()  # m = 3
     cfg = EkfConfig.default(cell)
     start = make_filter(cfg)
     covariance = start.covariance.copy()
     covariance[entry] = value
     assert refusals(EkfState(start.mean, covariance), cell, cfg) == [
-        "covariance must be symmetric"] * 3
+        "covariance must " + ("be symmetric" if math.isfinite(value) else "be finite")] * 3
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (2, 2), (0, 2), None], ids=str)
+def test_non_finite_covariance_is_refused(entry, value):
+    """A covariance entry that is not finite, on the diagonal, off it (as a
+    symmetric pair) or everywhere (``None``), is refused where it enters: by
+    predict, correct and the constructor, and by assigning it to a filter or
+    to an engine's slot, which then hold what they held."""
+    cell = make_cell()  # m = 3
+    cfg = EkfConfig.default(cell)
+    start = make_filter(cfg)
+    covariance = start.covariance.copy()
+    if entry is None:
+        covariance[:] = value
+    else:
+        covariance[entry] = covariance[entry[::-1]] = value
+    ekf = EkfState(start.mean, covariance)
+    assert refusals(ekf, cell, cfg) == ["covariance must be finite"] * 3
+    engine = MultiCellEkf(SchedulerConfig(1.0, ("a",), 0.5), {"a": (cell, cfg)})
+    for held in (CellFilter(cell, cfg), engine.slots["a"]):
+        held.predict(-1.0, 2.0)
+        before = held.ekf
+        with pytest.raises(InvalidInputError, match="^covariance must be finite$"):
+            held.ekf = ekf
+        after = held.ekf
+        assert bits(after.covariance) == bits(before.covariance)
+        assert bits([after.mean.v_qst, *after.mean.v_dyn_components]) == bits(
+            [before.mean.v_qst, *before.mean.v_dyn_components])
 
 
 def test_signed_zero_pair_is_read_as_its_upper_entry():

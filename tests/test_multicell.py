@@ -211,13 +211,15 @@ class TestTick:
     @pytest.mark.parametrize("value", [1e-9, np.nan])
     def test_asymmetric_covariance_leaves_the_engine_unchanged(self, value):
         """An asymmetric P is refused when it is assigned to a slot, before the
-        slot, its service time or the ring change."""
+        slot, its service time or the ring change; a NaN is refused as not
+        finite."""
         engine = ticked_pair()
         slot = engine.slots["b"]
         covariance = slot.ekf.covariance
         covariance[2, 1] = value
         before = snapshot(engine)
-        with pytest.raises(InvalidInputError, match="covariance must be symmetric"):
+        message = "symmetric" if math.isfinite(value) else "finite"
+        with pytest.raises(InvalidInputError, match=f"covariance must be {message}"):
             slot.ekf = EkfState(slot.ekf.mean, covariance)
         assert snapshot(engine) == before
 
