@@ -1,9 +1,10 @@
 """Piecewise-linear scalar curves on explicit grids.
 
 These curves back the static capacitance C(v), the charge characteristic Q(v)
-and the instantaneous-resistor characteristic V(i). Interpolation is exact at
-grid points, evaluation outside the grid clamps to the endpoint value, and
-integrals and their inverse are closed-form.
+and the instantaneous-resistor characteristic V(i). ``eval`` is ``np.interp``,
+which clamps to the end values outside the grid, silently; ``_interp_lines``
+writes it as lines of a generated kernel. Integrals and their inverse are
+closed-form.
 """
 
 from __future__ import annotations
@@ -51,51 +52,19 @@ class MonotoneCurve:
             raise InvalidParametersError("grid must be strictly increasing")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_x_lo", float(grid[0]))
-        object.__setattr__(self, "_x_hi", float(grid[-1]))
 
     @property
     def x_min(self) -> float:
-        return self._x_lo
+        return float(self.grid[0])
 
     @property
     def x_max(self) -> float:
-        return self._x_hi
+        return float(self.grid[-1])
 
     def eval(self, x):
-        """Interpolate at ``x`` (scalar or array), clamping outside the grid.
-
-        Every argument gets ``np.interp``'s bits. A Python float is looked up
-        on ``_lists`` with ``np.interp``'s own arithmetic, which skips numpy's
-        per-call dispatch: NaN stays NaN, beyond the grid the end value, at a
-        grid point its value, else ``slope * (x - g[j]) + v[j]`` on the segment
-        j that ``bisect_right`` finds, and where that is NaN (the slope
-        overflowed) the same from ``g[j + 1]``. Anything else goes to
-        ``np.interp``.
-        """
-        if type(x) is not float:
-            y = np.interp(x, self.grid, self.values)
-            return float(y) if np.isscalar(x) else y
-        g, v = self._lists
-        if x != x:
-            return x
-        if x <= g[0]:
-            return v[0]
-        if x >= g[-1]:
-            return v[-1]
-        j = bisect_right(g, x) - 1
-        if g[j] == x:
-            return v[j]
-        slope = (v[j + 1] - v[j]) / (g[j + 1] - g[j])
-        y = slope * (x - g[j]) + v[j]
-        if y != y:
-            # np.interp's last resort, v[j] on a flat segment, cannot fire here:
-            # a flat slope is 0, and x - g[j] and x - g[j + 1] cannot both
-            # overflow, as g[j + 1] - g[j] is at most twice the largest float.
-            y = slope * (x - g[j + 1]) + v[j + 1]
-        return y
-
-    __call__ = eval
+        """``np.interp`` at ``x``, an array or a scalar, which gives a Python float."""
+        y = np.interp(x, self.grid, self.values)
+        return float(y) if np.isscalar(x) else y
 
     @cached_property
     def _knots(self) -> np.ndarray:
@@ -105,8 +74,8 @@ class MonotoneCurve:
 
     @cached_property
     def _lists(self) -> tuple[list[float], list[float]]:
-        # Grid and values as Python floats: the scalar paths bisect these,
-        # which is several times cheaper than numpy calls.
+        # Grid and values as Python floats: the scalar paths and the lookups
+        # ``_interp_lines`` writes bisect these, several times cheaper than numpy.
         return self.grid.tolist(), self.values.tolist()
 
     @cached_property
@@ -188,6 +157,32 @@ class MonotoneCurve:
     def integrate(self, a: float, b: float) -> float:
         """Exact integral of the interpolant from ``a`` to ``b``."""
         return self.integral_and_value(b)[0] - self.integral_and_value(a)[0]
+
+
+def _interp_lines(x: str, y: str, g: str, v: str) -> list[str]:
+    """``y = np.interp(x, g, v)`` for a float x on a curve's ``_lists`` ``g, v``,
+    as source lines from indentation 0 that set the temporaries ``{y}_j`` and
+    ``{y}_slope``. They follow np.interp's arithmetic, so they give its bits:
+    NaN stays NaN, beyond the grid the end value, at a grid point its value,
+    else ``slope * (x - g[j]) + v[j]``, and where that is NaN (the slope
+    overflowed) the same from g[j + 1]; x - g[j] and x - g[j + 1] cannot both
+    overflow, so np.interp's last resort, v[j], cannot fire."""
+    j, slope = f"{y}_j", f"{y}_slope"
+    return [
+        f"if {x} != {x}:",
+        f"    {y} = {x}",
+        f"elif {x} <= {g}[0]:",
+        f"    {y} = {v}[0]",
+        f"elif {x} >= {g}[-1]:",
+        f"    {y} = {v}[-1]",
+        f"elif {g}[({j} := bisect_right({g}, {x}) - 1)] == {x}:",
+        f"    {y} = {v}[{j}]",
+        "else:",
+        f"    {slope} = ({v}[{j} + 1] - {v}[{j}]) / ({g}[{j} + 1] - {g}[{j}])",
+        f"    {y} = {slope} * ({x} - {g}[{j}]) + {v}[{j}]",
+        f"    if {y} != {y}:",
+        f"        {y} = {slope} * ({x} - {g}[{j} + 1]) + {v}[{j} + 1]",
+    ]
 
 
 def isotonic_nondecreasing(y, weights=None) -> np.ndarray:

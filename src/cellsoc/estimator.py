@@ -10,16 +10,17 @@ update is the rank-1 form P - K t' - t K' + s K K'. One emitter,
 ``_sample_lines``, writes that body twice into one source per state size
 (``_source``): as the sample loop of the batch kernel, straight-line code
 with the state and the m(m+1)/2 entries of P's upper triangle as locals (P
-is symmetric: a filter refuses one that is not), and as a one-sample
-step with no loop and no reuse. Both inline the charge map
+is symmetric: a filter refuses one that is not), and as a one-sample step
+with no loop and no reuse. Both inline the charge map
 (``model._charge_map_lines``) and the covariance step (``_predict_lines``
-and ``_update_lines``). Each sample is one predict and one correction; a
-correction-only sample is a step over dt = 0, which only clamps v_qst into
-the guarded window, and the step given no voltage predicts only. Every sum
-adds its terms left to right from the first, whatever the builtin ``sum``
-does. The decay products are formed only when dt changes, and each check is
-a comparison rather than a call. At rest the loop reuses a covariance step
-that settled on a bitwise fixed point (see ``_sample_lines``).
+and ``_update_lines``), and the step the resistor-drop lookup
+(``curves._interp_lines``). Each sample is one predict and one correction;
+a correction-only sample is a step over dt = 0, which only clamps v_qst
+into the guarded window, and the step given no voltage predicts only. Every
+sum adds its terms left to right from the first, whatever the builtin
+``sum`` does. The decay products are formed only when dt changes, and each
+check is a comparison rather than a call. At rest the loop reuses a
+covariance step that settled on a bitwise fixed point (see ``_sample_lines``).
 
 The source defines one ``bind``, compiled once per state size by
 ``_binder``, which unpacks one cell's constants and returns the loop and the
@@ -53,6 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .curves import _interp_lines
 from .errors import (
     ConfigurationError,
     InvalidInputError,
@@ -331,6 +333,7 @@ def _constant_lines(m: int) -> list[str]:
         f"{_tuple([f'tau{j}' for j in range(m - 1)])} = taus",
         f"{_tuple([f'rd{j}' for j in range(m - 1)])} = r_dyn",
         "cg, cc, ck = tables",
+        "rg, rv = resistor",
         *_charge_map_lines()[0],
         "i_lo, i_hi, v_lo, v_hi, soc_lo, soc_hi = bounds",
     ]
@@ -366,8 +369,8 @@ def _sample_lines(m: int, loop: bool) -> list[str]:
     ``loop`` writes it for ``filter_series``: it records the innovation and
     v_qst of sample n and reuses a settled covariance step. Else it is
     ``filter_step``'s body, with its returns: the state and the innovation,
-    or after the predict, before either count, a NaN one when z is None; as
-    its decays outlive the call, a failed Q*h check resets h_prev.
+    or after the predict, before the counts and drop, a NaN one if z is None;
+    as its decays outlive the call, a failed Q*h check resets h_prev.
     """
     idx = range(m)
     ys = [f"y{j}" for j in range(m - 1)]
@@ -400,7 +403,8 @@ def _sample_lines(m: int, loop: bool) -> list[str]:
     count_current = ["if i < i_lo or i > i_hi:", "    n_cur += 1"]
     if not loop:
         return [*head, *_predict_lines(m), "if z is None:", f"    return {_state_display(m)}, nan",
-                *count_current, innovation, *_update_lines(m), *gain,
+                *count_current, *_interp_lines("i", "drop", "rg", "rv"), innovation,
+                *_update_lines(m), *gain,
                 f"return {_state_display(m)}, innovation"]
     # The covariance step reads only P, f0, h (through the decays and Q*h) and
     # r. At rest f0 and h repeat and P settles on a fixed point, so the step
@@ -432,25 +436,25 @@ def _sample_lines(m: int, loop: bool) -> list[str]:
 
 
 def _source(m: int) -> str:
-    """Source of ``bind(q_rate, taus, r_dyn, r, tables, bounds) ->
+    """Source of ``bind(q_rate, taus, r_dyn, r, tables, resistor, bounds) ->
     (filter_series, filter_step)`` for a state of size m: it unpacks one
-    cell's ``_Constants`` once (``bounds`` is (i_lo, i_hi, v_lo, v_hi, soc_lo,
-    soc_hi), ``tables`` the capacitance's ``_tables``) and returns the sample
-    loop of ``CellFilter.series`` and the one-sample step of its other
-    methods as closures over them. Neither warns or checks P's symmetry;
-    both return the state as (v, dyn, p), dyn and p as tuples, P flat and
-    row-major, and store in the list ``counts``, when they return or raise,
+    cell's ``_Constants`` once and returns the sample loop of
+    ``CellFilter.series`` and the one-sample step of its other methods as
+    closures over them. Neither warns or checks P's symmetry; both return
+    the state as (v, dyn, p), dyn and p as tuples, P flat and row-major,
+    and store in the list ``counts``, when they return or raise,
     the samples whose current lies outside [i_lo, i_hi] and those whose
     v_qst lies outside [soc_lo, soc_hi].
 
     ``filter_series(v, dyn, p, counts, dt, i_pred, voltage, current, drops,
     innov_out, vqst_out)`` filters the columns, writes each sample's
     innovation and v_qst into the outputs and counts as third the samples
-    that reused a settled covariance step. ``filter_step(v, dyn, p, counts,
-    h, u, z, i, drop)`` is one sample of the loop, with its bits, errors and
-    counts, and also returns the innovation: a predict over h seconds at the
-    current u, then a correction with the voltage z read at the current i,
-    whose resistor drop is ``drop``. Given z None it only predicts.
+    that reused a settled covariance step; ``drops`` is ``np.interp`` of
+    ``current`` on the resistor. ``filter_step(v, dyn, p, counts, h, u, z,
+    i)`` is one sample of the loop, with its bits, errors and counts, and
+    also returns the innovation: a predict over h seconds at the current u,
+    then a correction with the voltage z read at the current i, whose drop
+    it looks up on the resistor's lists. Given z None it only predicts.
 
     The state is the float v and the RC states y0..; P is the m(m+1)/2
     locals p_a_b, a <= b; a cell has an RC group, so m >= 2. The RC group j
@@ -469,7 +473,7 @@ def _source(m: int) -> str:
     """
     cache = [line.partition(" = ")[0] for line in _decay_lines(m)]
     lines = [
-        "def bind(q_rate, taus, r_dyn, r, tables, bounds):",
+        "def bind(q_rate, taus, r_dyn, r, tables, resistor, bounds):",
         *_indent([
             *_constant_lines(m),
             f"{' = '.join(cache)} = nan",
@@ -487,7 +491,7 @@ def _source(m: int) -> str:
                 "    counts[:] = n_cur, n_soc, reused",
                 f"return {_state_display(m)}",
             ], 1),
-            "def filter_step(v, dyn, p, counts, h, u, z, i, drop):",
+            "def filter_step(v, dyn, p, counts, h, u, z, i):",
             *_indent([
                 f"nonlocal {', '.join(cache)}",
                 *_state_lines(m),
@@ -511,23 +515,27 @@ def _binder(m: int):
 
 class _Constants(NamedTuple):
     """What ``bind`` takes of one cell's parameters and filter config, as
-    Python floats and lists in its argument order: Q's rate entries flat and
-    row-major, the taus, the RC resistances, r, the capacitance's ``_tables``
-    and the clamp bounds (i_lo, i_hi, v_lo, v_hi, soc_lo, soc_hi)."""
+    Python floats and lists in its argument order: Q's rates row-major, the
+    taus, the RC resistances, r, the capacitance's ``_tables``, the resistor's
+    ``_lists`` and the clamp bounds (i_lo, i_hi, v_lo, v_hi, soc_lo, soc_hi)."""
 
     q_rate: list[float]
     taus: list[float]
     r_dyn: list[float]
     r: float
     tables: tuple[list[float], list[float], list[float]]
+    resistor: tuple[list[float], list[float]]
     bounds: tuple[float, float, float, float, float, float]
 
     @classmethod
     def of(cls, params: CellParameters, cfg: EkfConfig) -> _Constants:
+        if (n := len(cfg.process_noise_q) - 1) != params.n_rc:
+            raise InvalidParametersError(f"EKF config has {n} RC components, "
+                                         f"parameters define {params.n_rc}")
         res = params.resistor
         return cls(cfg.process_noise_q.ravel().tolist(), params.taus.tolist(),
                    params.rs.tolist(), cfg.measurement_noise_r, params.capacitance._tables,
-                   (res.x_min, res.x_max, params.v_min - DEFAULT_VQST_GUARD,
+                   res._lists, (res.x_min, res.x_max, params.v_min - DEFAULT_VQST_GUARD,
                     params.v_max + DEFAULT_VQST_GUARD, params.v_min, params.v_max))
 
 
@@ -559,8 +567,8 @@ class CellFilter:
     (``_Constants``), made once here: ``series`` hands the state as it is to
     the whole-series loop, the other calls to the one-sample step, with the
     loop's bits and errors. A call that raises changes nothing. The
-    parameters and config are fixed. ``ekf`` is a view: reading it builds a
-    new ``EkfState``, and assigning one stores its floats.
+    parameters and config (sized alike) are fixed. ``ekf`` is a view: reading
+    it builds a new ``EkfState``, and assigning one stores its floats.
     """
 
     def __init__(self, params: CellParameters, cfg: EkfConfig, ekf: EkfState | None = None):
@@ -648,8 +656,7 @@ class CellFilter:
         _check_finite(current=current, dt=dt)
         if dt <= 0.0:
             raise ConfigurationError(f"dt must be positive, got {dt}")
-        v, dyn, p, _ = self._step(*self._state, [0, 0], float(dt), float(current), None, 0.0, 0.0)
-        self._state = v, dyn, p
+        self._state = self._step(*self._state, [0, 0], float(dt), float(current), None, 0.0)[:3]
 
     def correct(self, measured_v: float, current: float) -> float:
         """Correct with one terminal-voltage measurement, a ``service`` over zero
@@ -659,16 +666,15 @@ class CellFilter:
 
     def service(self, dt: float, i: float, z: float) -> float:
         """Predict over ``dt`` >= 0 seconds at the current ``i``, correct with the
-        voltage ``z`` measured at ``i`` and return the innovation; the callers
-        check that the inputs are finite. It warns from the step's counts as
-        ``series`` does from the loop's, naming the caller of its caller."""
-        dt, i, z, params = float(dt), float(i), float(z), self._params
-        counts = [0, 0]
+        voltage ``z`` measured at ``i`` and return the innovation, in one call
+        of the step; the callers check that the inputs are finite. It warns
+        from the step's counts as ``series`` does from the loop's, naming the
+        caller of its caller."""
+        i, counts = float(i), [0, 0]
         try:
-            v, dyn, p, innovation = self._step(*self._state, counts, dt, i, z, i,
-                                               params.resistor.eval(i))
+            v, dyn, p, innovation = self._step(*self._state, counts, float(dt), i, float(z), i)
         finally:
-            _warn_clamps(params, counts, 4)
+            _warn_clamps(self._params, counts, 4)
         self._state = v, dyn, p
         return innovation
 

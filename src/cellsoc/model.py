@@ -76,9 +76,7 @@ class CellParameters:
             raise InvalidParametersError("RC time constants must be strictly increasing")
         object.__setattr__(self, "rc_groups", groups)
         res = self.resistor
-        # An array lookup: a float one would build the curve's lists for a
-        # cell that may never be looked up on a float.
-        if res.eval(np.zeros(1))[0] != 0.0:
+        if res.eval(0.0) != 0.0:
             raise InvalidParametersError("resistor curve must pass through (0, 0) exactly")
         if np.any(np.diff(res.values) < 0.0):
             raise InvalidParametersError("resistor curve must be nondecreasing")

@@ -23,6 +23,8 @@ from cellsoc.traceio import (
 from helpers import identification_trace, make_cell, oracle_service_soc, oracle_soc_text
 
 BAD_CELL_IDS = ["a,b", "a\nb", "", 'a"b', "a/b", "a\\b", "a\tb"]
+# RC groups of EKF configs sized for one and for three groups, against make_cell's two.
+OTHER_RC = [((0.012, 60.0),), ((0.01, 10.0), (0.012, 60.0), (0.02, 700.0))]
 PULSE = {"kind": "identification", "charge_amplitudes_a": [1.0], "delta_q_c": 100.0,
          "t_empty_s": 100.0, "rest1_s": 50.0, "rest2_s": 50.0}
 
@@ -511,6 +513,9 @@ class TestEstimate:
          "initial_covariance_p0 must be an array of numbers"),
         pytest.param("process_noise_q", [[1.0, 0.0, 0.0], [0.0, 10**400, 0.0], [0.0, 0.0, 1.0]],
                      "EKF config field process_noise_q is beyond the float range", id="huge-int"),
+        *(pytest.param(None, ekf_config_to_dict(EkfConfig.default(make_cell(rc=rc))),
+                       f"EKF config has {len(rc)} RC components, parameters define 2",
+                       id=f"{len(rc)}-rc") for rc in OTHER_RC),
     ])
     def test_malformed_ekf_config_exit_2(self, cell_files, tmp_path, capsys, field, value,
                                          expected):
@@ -526,7 +531,7 @@ class TestEstimate:
                      "--ekf-config", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and expected in err
-        assert not out.exists()
+        assert not out.exists() and not (tmp_path / "soc.csv.manifest.json").exists()
 
     @pytest.mark.parametrize("r", ["Infinity", "1e400"])
     def test_infinite_measurement_noise_exit_2(self, cell_files, tmp_path, capsys, r):
@@ -729,6 +734,21 @@ class TestMulticell:
         assert capsys.readouterr().err == (
             "data error: multicell config cell c00 sets both ekf and initial_soc; "
             "initial_soc only seeds the default EKF config\n")
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("rc", OTHER_RC, ids=["1-rc", "3-rc"])
+    def test_ekf_for_another_rc_count_exit_2(self, tmp_path, capsys, rc):
+        cfg_path, _ = self.make_pack(tmp_path, 2, 0.5, 0.4)
+        (tmp_path / "ekf.json").write_text(
+            json.dumps(ekf_config_to_dict(EkfConfig.default(make_cell(rc=rc)))))
+        doc = json.loads(cfg_path.read_text())
+        del doc["cells"][1]["initial_soc"]
+        doc["cells"][1]["ekf"] = "ekf.json"
+        cfg_path.write_text(json.dumps(doc))
+        outdir = tmp_path / "out"
+        assert main(["multicell", "--config", str(cfg_path), "--out-dir", str(outdir)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: EKF config has {len(rc)} RC components, parameters define 2\n")
         assert not outdir.exists()
 
     @pytest.mark.parametrize("where,field,value,expected", [

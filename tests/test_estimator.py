@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cellsoc import (
+    CellFilter,
     CellParameters,
     CellState,
     ConfigurationError,
@@ -11,9 +12,11 @@ from cellsoc import (
     EkfState,
     InvalidParametersError,
     MonotoneCurve,
+    MultiCellEkf,
     NumericalFailureError,
     OutOfRangeWarning,
     RcGroup,
+    SchedulerConfig,
     Trace,
     constant_profile,
     correct,
@@ -107,6 +110,36 @@ class TestConfig:
                 stored[0, 0] = 1.0
         # The filter state starts from a copy of P0 that it may change.
         make_filter(cfg).covariance[0, 0] = 1.0
+
+    @pytest.mark.parametrize("entry", ["CellFilter", "predict", "correct", "run_filter",
+                                       "MultiCellEkf"])
+    @pytest.mark.parametrize("rc", [((0.012, 60.0),),
+                                    ((0.01, 10.0), (0.012, 60.0), (0.02, 700.0))],
+                             ids=["1-rc", "3-rc"])
+    def test_a_config_for_another_rc_count_is_refused(self, entry, rc):
+        """Every entry point refuses, naming both counts, a config sized for
+        another number of RC groups than the cell's two, before it binds a
+        filter; the state and trace it was handed are left as they were."""
+        cell = make_cell()
+        cfg = EkfConfig.default(make_cell(rc=rc))
+        ekf = make_filter(EkfConfig.default(cell))
+        trace = Trace(np.arange(3.0), np.full(3, -1.0), np.full(3, 3.3))
+        before = [ekf.mean.v_qst, *ekf.mean.v_dyn_components, *ekf.covariance.ravel(),
+                  *trace.timestamps, *trace.current, *trace.voltage]
+        call = {
+            "CellFilter": lambda: CellFilter(cell, cfg),
+            "predict": lambda: predict(ekf, cell, -1.0, 1.0, cfg),
+            "correct": lambda: correct(ekf, cell, 3.3, -1.0, cfg),
+            "run_filter": lambda: run_filter(cell, trace, cfg),
+            "MultiCellEkf": lambda: MultiCellEkf(SchedulerConfig(0.5, ("a",), 0.5),
+                                                 {"a": (cell, cfg)}),
+        }[entry]
+        with pytest.raises(InvalidParametersError,
+                           match=f"^EKF config has {len(rc)} RC components, parameters define 2$"):
+            call()
+        after = [ekf.mean.v_qst, *ekf.mean.v_dyn_components, *ekf.covariance.ravel(),
+                 *trace.timestamps, *trace.current, *trace.voltage]
+        assert np.array_equal(np.array(after).view(np.int64), np.array(before).view(np.int64))
 
 
 class TestPredict:

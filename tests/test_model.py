@@ -128,11 +128,13 @@ class TestTypes:
             )
 
     def test_checks_build_no_resistor_lists(self):
-        """The R(0) = 0 check builds none of the resistor's Python lists; the
-        first float lookup builds the grid and values, not the knot integrals."""
-        res = make_cell().resistor
+        """The R(0) = 0 check builds none of the resistor's Python lists; binding
+        a filter, whose step looks the drop up on them, builds the grid and
+        values, not the knot integrals."""
+        cell = make_cell()
+        res = cell.resistor
         assert "_lists" not in vars(res) and "_tables" not in vars(res)
-        assert res.eval(0.5) == float(np.interp(0.5, res.grid, res.values))
+        CellFilter(cell, EkfConfig.default(cell))
         assert "_lists" in vars(res) and "_tables" not in vars(res)
 
     def test_trace_validation(self):

@@ -6,6 +6,7 @@ The examples are derandomized so the suite is reproducible; raise
 
 import math
 import warnings
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from cellsoc import (  # noqa: E402
+    CellFilter,
     CellParameters,
     CellState,
     EkfConfig,
@@ -31,6 +33,7 @@ from cellsoc import (  # noqa: E402
     soc_from_vqst,
     vqst_from_soc,
 )
+from cellsoc.curves import _interp_lines  # noqa: E402
 from cellsoc.model import DEFAULT_VQST_GUARD, _running_charge, interval_currents  # noqa: E402
 from helpers import (  # noqa: E402
     _is_psd,
@@ -110,6 +113,27 @@ def test_soc_is_exactly_the_window_integral(cell, frac):
     v = min(inside(cell, frac), cell.v_max)
     expected = cell.capacitance.integrate(cell.v_min, v) / cell.delta_q
     assert soc_from_vqst(cell, v) == expected
+
+
+@PROPERTY
+@given(cells(), st.lists(st.floats(0.0, 0.5), max_size=10),
+       st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=10))
+def test_a_filters_soc_is_soc_from_vqst_bit_for_bit(cell, beyond, drawn):
+    """``CellFilter.soc`` gives ``soc_from_vqst``'s bits, whose clamp warning
+    is silenced: at every capacitance grid point and its neighbours, both
+    window ends, up to 0.5 V past either end, ±0.0 and drawn floats."""
+    grid = cell.capacitance.grid.tolist()
+    points = [x for g in grid for x in (math.nextafter(g, -math.inf), g, math.nextafter(g, math.inf))]
+    points += [cell.v_min, cell.v_max, 0.0, -0.0, *drawn]
+    points += [x for d in beyond for x in (cell.v_min - d, cell.v_max + d)]
+    cfg = EkfConfig.default(cell)
+    held = CellFilter(cell, cfg)
+    for v in points:
+        held.ekf = EkfState(CellState(v, np.zeros(cell.n_rc)), cfg.initial_covariance_p0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = soc_from_vqst(cell, v)
+        assert float_bits(held.soc) == float_bits(want), v
 
 
 @PROPERTY
@@ -240,22 +264,36 @@ def interp_curves(draw):
     return grid, values
 
 
+def compiled_interp():
+    """``_interp_lines`` compiled on its own as ``lookup(x, g, v) -> y``."""
+    body = "".join(f"    {line}\n" for line in _interp_lines("x", "y", "g", "v"))
+    namespace = {"bisect_right": bisect_right}
+    exec(f"def lookup(x, g, v):\n{body}    return y\n", namespace)
+    return namespace["lookup"]
+
+
+INTERP = compiled_interp()
+
+
 @PROPERTY
 @given(interp_curves(), st.lists(st.floats(), max_size=10))
 @example(([-FLOAT_MAX, 0.0, FLOAT_MAX], [1.0, 1.0, -FLOAT_MAX]), [-1e308, 1e308])
 @example(([-FLOAT_MAX, FLOAT_MAX], [-FLOAT_MAX, FLOAT_MAX]), [-1e308, 0.0, 1e308])
 @example(([-1e308, 1e308], [5.0, 5.0]), [-1e307, 1e307])
 def test_float_lookup_is_np_interp_bit_for_bit(curve, extra):
-    """``eval`` on a Python float gives ``np.interp``'s bits as a Python float:
-    at every grid point and its neighbours, both ends and beyond, ±0.0, ±inf,
-    NaN and drawn points. An int or np.float64 argument still goes through
-    ``np.interp``."""
+    """The lookup that ``_interp_lines`` writes gives ``np.interp``'s bits on a
+    curve's ``_lists`` for a Python float: at every grid point and its
+    neighbours, both ends and beyond, ±0.0, ±inf, NaN and drawn points.
+    ``eval`` gives them as a Python float for those floats and for an int or
+    np.float64 argument."""
     grid, values = curve
     with np.errstate(over="ignore", invalid="ignore"):
         c = MonotoneCurve(grid, values)
     ends = [grid[0], grid[-1], grid[0] - 1.0, grid[-1] + 1.0, -FLOAT_MAX, FLOAT_MAX]
     points = [x for g in grid for x in (g, math.nextafter(g, -math.inf), math.nextafter(g, math.inf))]
     points += ends + [0.0, -0.0, math.inf, -math.inf, math.nan] + extra
+    for x in points:
+        assert float_bits(INTERP(x, *c._lists)) == float_bits(float(np.interp(x, grid, values))), x
     points += [int(x) for x in points if abs(x) < 1e18] + [np.float64(x) for x in points]
     for x in points:
         got = c.eval(x)

@@ -284,8 +284,10 @@ def one_sample_cases(draw):
     ...), a gain near 2 on v_qst (P is symmetric, as a filter's state must
     be: ``CellFilter.ekf`` refuses one that is not); Q is 0, 1e-6 or 1e308
     per second and r 1e-4, 1e-8 or infinite (a correction raises on it); dt is 0 or
-    up to an hour; both currents reach 80 A, past the resistor curve's 50 A;
-    the voltage lies around the window or is 1.7e308 V."""
+    up to an hour; both currents reach 80 A, past the resistor curve's 50 A,
+    and the measured one may sit on a grid point of that curve or next to
+    one, where the branches of the step's drop lookup meet; the voltage lies
+    around the window or is 1.7e308 V."""
     m = draw(st.sampled_from([2, 3, 4]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     taus = np.sort(rng.uniform(2.0, 30.0, m - 1))
@@ -310,7 +312,9 @@ def one_sample_cases(draw):
         q_rate=(q * np.eye(m)).ravel().tolist(), r=r)
     h = draw(st.one_of(st.just(0.0), st.floats(1e-3, 3600.0)))
     u = draw(st.floats(-80.0, 80.0))
-    i = draw(st.one_of(st.just(u), st.floats(-80.0, 80.0)))
+    knots = [x for g in cell.resistor.grid.tolist()
+             for x in (math.nextafter(g, -math.inf), g, math.nextafter(g, math.inf))]
+    i = draw(st.one_of(st.just(u), st.floats(-80.0, 80.0), st.sampled_from(knots)))
     z = draw(st.one_of(st.floats(cell.v_min - 1.0, cell.v_max + 1.0), st.just(1.7e308)))
     state = (v, rng.normal(0.0, 0.05, m - 1).tolist(), p.ravel().tolist())
     return m, cell, constants, state, (h, u, z, i)
@@ -361,12 +365,12 @@ def test_the_bound_step_is_one_sample_of_the_loop_bit_for_bit(case):
     want, want_error, _ = outcome(lambda: filter_series(
         v, dyn, p, counts, (h,), (u,), (z,), (i,), (drop,), innovation, v_qst))
     step_counts = [None, None]
-    got, got_error, _ = outcome(lambda: filter_step(v, dyn, p, step_counts, h, u, z, i, drop))
+    got, got_error, _ = outcome(lambda: filter_step(v, dyn, p, step_counts, h, u, z, i))
     assert got_error == want_error
     assert step_counts == counts[:2]
     step_counts = [None, None]
     predicted, predicted_error, _ = outcome(
-        lambda: filter_step(v, dyn, p, step_counts, h, u, None, i, 0.0))
+        lambda: filter_step(v, dyn, p, step_counts, h, u, None, i))
     assert step_counts == [0, 0]
     want_predicted, want_predicted_error = list_predict_only(cell, constants.q_rate, v, dyn, p,
                                                              h, u)
