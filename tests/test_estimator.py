@@ -124,8 +124,12 @@ class TestConfig:
         cfg = EkfConfig.default(make_cell(rc=rc))
         ekf = make_filter(EkfConfig.default(cell))
         trace = Trace(np.arange(3.0), np.full(3, -1.0), np.full(3, 3.3))
-        before = [ekf.mean.v_qst, *ekf.mean.v_dyn_components, *ekf.covariance.ravel(),
-                  *trace.timestamps, *trace.current, *trace.voltage]
+
+        def bits():
+            return np.array([ekf.mean.v_qst, *ekf.mean.v_dyn_components, *ekf.covariance.ravel(),
+                             *trace.timestamps, *trace.current, *trace.voltage]).view(np.int64)
+
+        before = bits()
         call = {
             "CellFilter": lambda: CellFilter(cell, cfg),
             "predict": lambda: predict(ekf, cell, -1.0, 1.0, cfg),
@@ -137,9 +141,7 @@ class TestConfig:
         with pytest.raises(InvalidParametersError,
                            match=f"^EKF config has {len(rc)} RC components, parameters define 2$"):
             call()
-        after = [ekf.mean.v_qst, *ekf.mean.v_dyn_components, *ekf.covariance.ravel(),
-                 *trace.timestamps, *trace.current, *trace.voltage]
-        assert np.array_equal(np.array(after).view(np.int64), np.array(before).view(np.int64))
+        assert np.array_equal(bits(), before)
 
 
 class TestPredict:
